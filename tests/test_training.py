@@ -3,11 +3,13 @@ import pytest
 
 from evrecon.errors import DegenerateFrame, DivergedTraining, IndexOutOfRange
 from evrecon.frames import EventFrameStack, stack_uniform
+from evrecon import training
 from evrecon.simulate import SimConfig, render_scene, simulate_events
 from evrecon.siren import init_siren
 from evrecon.training import (
     Partition,
     TrainConfig,
+    blas_threads,
     build_partitions,
     spatial_reg_loss,
     temporal_loss,
@@ -372,3 +374,80 @@ def test_mini_batch_sampling_is_seeded():
     a = train_ensemble(stream, cfg)
     b = train_ensemble(stream, cfg)
     assert a[0].report.total == b[0].report.total
+
+
+# -- threading policy ----------------------------------------------------------
+
+
+def test_blas_control_found_on_openblas_builds():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "").lower():
+        pytest.skip(f"numpy uses {blas.get('name')}, not OpenBLAS")
+    assert blas_threads() is not None
+
+
+@pytest.fixture
+def blas_at_4():
+    """numpy's OpenBLAS set to 4 threads for the test, restored after."""
+    prev = blas_threads()
+    if prev is None:
+        pytest.skip("no control over numpy's BLAS threads")
+    set_threads = training._openblas_threads_api()[1]
+    set_threads(4)
+    try:
+        yield 4
+    finally:
+        set_threads(prev)
+
+
+def _record_blas_threads(monkeypatch):
+    """Wrap train_partition to record the BLAS thread count each call sees."""
+    seen = []
+    inner = training.train_partition
+
+    def wrapped(*args, **kw):
+        seen.append(blas_threads())
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(training, "train_partition", wrapped)
+    return seen
+
+
+def test_parallel_partitions_pin_blas_and_restore(blas_at_4, monkeypatch):
+    seen = _record_blas_threads(monkeypatch)
+    _, stream = small_fixture(duration=1.0)
+    parts = train_ensemble(stream, tiny_cfg(partition_tau=0.5, overlap=0.1), threads=2)
+    assert len(parts) == 2
+    assert seen == [2, 2]
+    assert blas_threads() == blas_at_4
+    assert all(p.report.workers == 2 and p.report.blas_threads == 2 for p in parts)
+
+
+def test_blas_threads_restored_after_divergence(blas_at_4, monkeypatch):
+    seen = _record_blas_threads(monkeypatch)
+    _, stream = small_fixture(duration=1.0)
+    with pytest.raises(DivergedTraining):
+        train_ensemble(stream, tiny_cfg(partition_tau=0.5, overlap=0.1, lr=1e8),
+                       threads=2)
+    assert seen and all(n == 2 for n in seen)  # map may cancel the second partition
+    assert blas_threads() == blas_at_4
+
+
+def test_without_blas_control_partitions_still_run_in_parallel(monkeypatch):
+    monkeypatch.setattr(training, "_openblas_threads_api", lambda: None)
+    _, stream = small_fixture(duration=1.0)
+    cfg = tiny_cfg(partition_tau=0.5, overlap=0.1)
+    parts = train_ensemble(stream, cfg, threads=2)
+    assert all(p.report.workers == 2 and p.report.blas_threads is None for p in parts)
+    for a, b in zip(parts, train_ensemble(stream, cfg, threads=1)):
+        assert a.report.total == b.report.total
+
+
+def test_single_partition_never_changes_blas_threads(blas_at_4, monkeypatch):
+    seen = _record_blas_threads(monkeypatch)
+    _, stream = small_fixture()
+    parts = train_ensemble(stream, tiny_cfg(), threads=4)
+    assert len(parts) == 1
+    assert seen == [blas_at_4]
+    assert blas_threads() == blas_at_4
+    assert parts[0].report.workers == 1 and parts[0].report.blas_threads is None
