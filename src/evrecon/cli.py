@@ -98,7 +98,7 @@ def _manifest_path(out) -> Path:
 
 _TUPLE_KEYS = {"refine_at_iters"}
 _INT_KEYS = {
-    "stages_s", "total_iters", "lr_decay_every", "seed",
+    "total_iters", "lr_decay_every", "seed",
     "hidden_features", "hidden_layers",
 }
 

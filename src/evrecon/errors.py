@@ -45,6 +45,10 @@ class InvalidArchitecture(EvreconError, ValueError):
     """Layer sizes or frequency scale do not describe a valid network."""
 
 
+class InvalidCheckpoint(EvreconError, ValueError):
+    """Checkpoint of another version, lacking an array, or not fitting its layer sizes."""
+
+
 class NonFiniteOutput(EvreconError, FloatingPointError):
     """A network forward pass produced NaN or Inf."""
 

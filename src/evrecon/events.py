@@ -24,24 +24,6 @@ from .errors import (
 POLARITY_ENCODINGS = ("signed", "zero_one")
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single polarity impulse: time in seconds, pixel column/row, sign."""
-
-    t: float
-    x: int
-    y: int
-    polarity: int
-
-    def __post_init__(self):
-        if self.polarity not in (-1, 1):
-            raise PolarityOutOfRange(f"polarity must be -1 or +1, got {self.polarity}")
-        if self.t < 0:
-            raise ValueError(f"event time must be non-negative, got {self.t}")
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"pixel coordinates must be non-negative, got ({self.x}, {self.y})")
-
-
 @dataclass
 class EventStream:
     """Time-ordered events on a fixed sensor grid.
@@ -93,9 +75,6 @@ class EventStream:
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(float(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.polarity[i]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStream, IndexOutOfRange
+from .errors import EmptyStream
 from .events import EventStream, require_nonempty
 
 
@@ -73,11 +73,6 @@ class EventFrameStack:
     @property
     def t_end(self) -> float:
         return float(self.intervals[-1, 1])
-
-    def frame(self, k: int) -> np.ndarray:
-        if not 0 <= k < self.num_frames:
-            raise IndexOutOfRange(f"frame index {k} outside [0, {self.num_frames})")
-        return self.counts[k] * self.threshold_C
 
     def pixel_sums(self) -> np.ndarray:
         """Per-pixel sum of ΔL over all bins (the conserved quantity)."""
@@ -164,15 +159,3 @@ def refine_bins(stack: EventFrameStack, stream: EventStream) -> EventFrameStack:
     intervals = np.stack([edges[:-1], edges[1:]], axis=1)
     return EventFrameStack(_accumulate(stream, edges), intervals, stack.threshold_C)
 
-
-def dump_stack(stack: EventFrameStack, out_dir) -> None:
-    """Debug dump: ΔL frames rescaled to [0, 255] graymaps (shared scale,
-    zero change -> mid-gray)."""
-    from .pgm import write_frame_dir
-
-    frames = stack.frames
-    scale = np.abs(frames).max()
-    if scale == 0:
-        scale = 1.0
-    bytes_ = np.clip(np.round(127.5 + 127.5 * frames / scale), 0, 255).astype(np.uint8)
-    write_frame_dir(out_dir, bytes_, stack.midpoints)

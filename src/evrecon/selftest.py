@@ -72,6 +72,25 @@ def closed_loop_scores(video: IntensityVideo, partitions, gamma: float = 0.6,
     return log_mse, float(np.mean(scores))
 
 
+def max_param_gradient_error(model, loss_of, grads) -> float:
+    """Max relative error of grads (shaped like model.params) against central
+    differences of loss_of(model), stepping each parameter by 1e-6*max(1, |p|)."""
+    theta = model.params
+    worst = 0.0
+    for i in range(theta.size):
+        h = 1e-6 * max(1.0, abs(theta[i]))
+        old = theta[i]
+        theta[i] = old + h
+        lp = loss_of(model)
+        theta[i] = old - h
+        lm = loss_of(model)
+        theta[i] = old
+        fd = (lp - lm) / (2.0 * h)
+        denom = max(abs(fd), abs(grads[i]), 1e-10)
+        worst = max(worst, abs(fd - grads[i]) / denom)
+    return worst
+
+
 def gradient_oracle_errors(seed: int = 3):
     """Max relative errors (parameters, tangent) of the hand-rolled
     derivatives against central finite differences on a small model.
@@ -80,7 +99,7 @@ def gradient_oracle_errors(seed: int = 3):
     relative to the gradient's scale. Tangent check: norm-relative error
     of d frame/dt against a h=1e-4 central difference.
     """
-    from .training import _spatial_reg_batch, temporal_loss
+    from .training import spatial_reg_loss, temporal_loss
     from .frames import EventFrameStack
 
     rng = np.random.default_rng(seed)
@@ -94,28 +113,15 @@ def gradient_oracle_errors(seed: int = 3):
 
     def loss_of(m):
         lt, _, aux = temporal_loss(m, stack, np.arange(T))
-        lr_, _ = _spatial_reg_batch(aux["frames"])
+        lr_, _ = spatial_reg_loss(aux["frames"])
         return lt + lam * lr_
 
     lt, seeds_sec, aux = temporal_loss(model, stack, np.arange(T))
-    _, dframes = _spatial_reg_batch(aux["frames"])
+    _, dframes = spatial_reg_loss(aux["frames"])
     grads = model.backward(
         aux["t_norm"], lam * dframes, seeds_sec * model.time_slope, cache=aux["cache"]
     )
-    worst_param = 0.0
-    for p, g in zip(model.parameters(), grads):
-        flat, gf = p.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            h = 1e-6 * max(1.0, abs(flat[i]))
-            old = flat[i]
-            flat[i] = old + h
-            lp = loss_of(model)
-            flat[i] = old - h
-            lm = loss_of(model)
-            flat[i] = old
-            fd = (lp - lm) / (2.0 * h)
-            denom = max(abs(fd), abs(gf[i]), 1e-10)
-            worst_param = max(worst_param, abs(fd - gf[i]) / denom)
+    worst_param = max_param_gradient_error(model, loss_of, grads)
 
     worst_tan = 0.0
     for t in rng.uniform(-1.0, 1.0, 10):
@@ -138,7 +144,7 @@ def quantization_residual(video: IntensityVideo, stream: EventStream,
 
 def run_selftest(quick: bool = False, threads: int = 1, out=None) -> list:
     """Run the verification checks; returns a list of CheckResult."""
-    from .training import _spatial_reg_batch, temporal_loss
+    from .training import spatial_reg_loss, temporal_loss
 
     results = []
     if quick:
@@ -195,12 +201,12 @@ def run_selftest(quick: bool = False, threads: int = 1, out=None) -> list:
     idx = np.arange(min(8, base_stack.num_frames))
     worst_shift = 0.0
     lt0, _, aux0 = temporal_loss(model, base_stack, idx)
-    lr0, _ = _spatial_reg_batch(aux0["frames"])
+    lr0, _ = spatial_reg_loss(aux0["frames"])
     for c in (-3.0, 0.7, 10.0):
         shifted = model.copy()
-        shifted.biases[-1] = shifted.biases[-1] + c
+        shifted.biases[-1][:] += c
         lt1, _, aux1 = temporal_loss(shifted, base_stack, idx)
-        lr1, _ = _spatial_reg_batch(aux1["frames"])
+        lr1, _ = spatial_reg_loss(aux1["frames"])
         worst_shift = max(
             worst_shift,
             abs(lt1 - lt0) / max(abs(lt0), 1e-300),

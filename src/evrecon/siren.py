@@ -15,17 +15,24 @@ the output layer is affine. Initialization follows the sine-network
 convention: first layer U(-1/n_in, 1/n_in), later layers
 U(-sqrt(6/n_in)/omega0, +sqrt(6/n_in)/omega0), zero biases, so hidden
 sine arguments keep unit-scale variance at init.
+
+All parameters live in one flat vector, `params`: W0 (row-major, (n_out,
+n_in)), b0, W1, b1, ... . Gradients and Adam moments share this layout,
+which only `SirenModel.layers(vec)` knows. `weights` and `biases` are
+read-only tuples of views into `params`: writing through a view changes the
+model, and assigning an element raises TypeError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     InvalidArchitecture,
+    InvalidCheckpoint,
     NonFiniteGradient,
     NonFiniteOutput,
     ShapeMismatch,
@@ -57,8 +64,7 @@ class SirenModel:
 
     layer_sizes: list
     omega0: float
-    weights: list
-    biases: list
+    params: np.ndarray  # flat float64 vector, see layers()
     height: int
     width: int
     t_domain: tuple
@@ -77,26 +83,32 @@ class SirenModel:
         lo, hi = self.t_domain
         return (np.asarray(t_seconds, dtype=np.float64) - lo) * (2.0 / (hi - lo)) - 1.0
 
-    def parameters(self) -> list:
-        """Flat parameter list [W0, b0, W1, b1, ...] (live references)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+    def layers(self, vec: np.ndarray | None = None) -> list:
+        """Per-layer (W, b) views into vec (default: params); the one place
+        that knows the parameter layout."""
+        vec = self.params if vec is None else vec
+        views, start = [], 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            stop = start + n_out * n_in
+            views.append((vec[start:stop].reshape(n_out, n_in), vec[stop:stop + n_out]))
+            start = stop + n_out
+        if vec.shape != (start,):
+            raise ShapeMismatch(f"parameter vector has shape {vec.shape}, layout needs ({start},)")
+        return views
+
+    @property
+    def weights(self) -> tuple:
+        return tuple(w for w, _ in self.layers())
+
+    @property
+    def biases(self) -> tuple:
+        return tuple(b for _, b in self.layers())
 
     def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.params.size
 
     def copy(self) -> "SirenModel":
-        return SirenModel(
-            list(self.layer_sizes),
-            self.omega0,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.height,
-            self.width,
-            tuple(self.t_domain),
-        )
+        return replace(self, layer_sizes=list(self.layer_sizes), params=self.params.copy())
 
     # -- forward passes -----------------------------------------------------
 
@@ -109,10 +121,11 @@ class SirenModel:
         """Frame(s) at normalized time(s): (H, W) for a scalar input,
         (K, H, W) for a length-K array."""
         x, scalar = self._as_batch(t_norm)
+        *hidden, (w_out, b_out) = self.layers()
         a = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        for w, b in hidden:
             a = np.sin(self.omega0 * (a @ w.T + b))
-        y = a @ self.weights[-1].T + self.biases[-1]
+        y = a @ w_out.T + b_out
         if not np.all(np.isfinite(y)):
             raise NonFiniteOutput("forward pass produced NaN/Inf")
         y = y.reshape(-1, self.height, self.width)
@@ -122,10 +135,11 @@ class SirenModel:
         """(frame, dframe/dt_norm) at the given time(s); the frame matches
         forward() bit for bit. Optionally returns the cache for backward."""
         x, scalar = self._as_batch(t_norm)
+        *hidden, (w_out, b_out) = self.layers()
         a = x
         a_dot = np.ones_like(x)
         acts, acts_dot, coss, zdots = [], [], [], []
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        for w, b in hidden:
             z = a @ w.T + b
             z_dot = a_dot @ w.T
             c = np.cos(self.omega0 * z)
@@ -135,8 +149,8 @@ class SirenModel:
             acts_dot.append(a_dot)
             coss.append(c)
             zdots.append(z_dot)
-        y = a @ self.weights[-1].T + self.biases[-1]
-        y_dot = a_dot @ self.weights[-1].T
+        y = a @ w_out.T + b_out
+        y_dot = a_dot @ w_out.T
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_dot))):
             raise NonFiniteOutput("tangent pass produced NaN/Inf")
         shape = (self.height, self.width) if scalar else (-1, self.height, self.width)
@@ -151,9 +165,9 @@ class SirenModel:
     def backward(self, t_norm, dloss_dframe, dloss_dtangent=None, cache: ForwardCache | None = None):
         """Parameter gradients of
         loss = sum(dloss_dframe * frame) + sum(dloss_dtangent * tangent),
-        where tangent is d frame / d t_norm. Returns a list matching
-        parameters(). Recomputes the forward pass unless a cache from
-        forward_with_tangent(..., want_cache=True) is supplied.
+        where tangent is d frame / d t_norm. Returns one flat vector in
+        the layout of params. Recomputes the forward pass unless a cache
+        from forward_with_tangent(..., want_cache=True) is supplied.
         """
         x, _ = self._as_batch(t_norm)
         k = x.shape[0]
@@ -174,18 +188,19 @@ class SirenModel:
             raise ShapeMismatch("cache batch size differs from t_norm")
 
         omega = self.omega0
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        layers = self.layers()
+        grads = np.empty_like(self.params)
+        grad_layers = self.layers(grads)
 
-        a_last = cache.acts[-1]
-        a_dot_last = cache.acts_dot[-1]
-        w_out = self.weights[-1]
-        grads_w[-1] = gy.T @ a_last + gy_dot.T @ a_dot_last
-        grads_b[-1] = gy.sum(axis=0)
+        gw, gb = grad_layers[-1]
+        np.matmul(gy.T, cache.acts[-1], out=gw)
+        gw += gy_dot.T @ cache.acts_dot[-1]
+        np.sum(gy, axis=0, out=gb)
+        w_out = layers[-1][0]
         u = gy @ w_out
         u_dot = gy_dot @ w_out
 
-        for l in range(len(self.weights) - 2, -1, -1):
+        for l in range(len(layers) - 2, -1, -1):
             c = cache.coss[l]
             s = cache.acts[l]  # sin(omega * z)
             z_dot = cache.zdots[l]
@@ -193,35 +208,22 @@ class SirenModel:
             s_zdot = u_dot * (omega * c)
             a_prev = cache.acts[l - 1] if l > 0 else cache.x
             a_prev_dot = cache.acts_dot[l - 1] if l > 0 else np.ones_like(cache.x)
-            grads_w[l] = s_z.T @ a_prev + s_zdot.T @ a_prev_dot
-            grads_b[l] = s_z.sum(axis=0)
+            gw, gb = grad_layers[l]
+            np.matmul(s_z.T, a_prev, out=gw)
+            gw += s_zdot.T @ a_prev_dot
+            np.sum(s_z, axis=0, out=gb)
             if l > 0:
-                w = self.weights[l]
+                w = layers[l][0]
                 u = s_z @ w
                 u_dot = s_zdot @ w
 
-        grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.extend((gw, gb))
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient("backward pass produced NaN/Inf")
+        if not np.all(np.isfinite(grads)):
+            raise NonFiniteGradient("backward pass produced NaN/Inf")
         return grads
 
 
-def init_siren(
-    layer_sizes,
-    omega0: float = 30.0,
-    seed: int = 0,
-    height: int | None = None,
-    width: int | None = None,
-    t_domain: tuple = (-1.0, 1.0),
-) -> SirenModel:
-    """Build a network with sine-net initialization, deterministic per seed.
-
-    layer_sizes runs input through output, e.g. [1, 512, 512, 512, H*W].
-    height/width default to a 1 x n_out frame when not given.
-    """
+def _zero_model(layer_sizes, omega0, height, width, t_domain) -> SirenModel:
+    """A network with all parameters zero, after checking the architecture."""
     sizes = [int(n) for n in layer_sizes]
     if len(sizes) < 2 or any(n < 1 for n in sizes):
         raise InvalidArchitecture(f"bad layer sizes {sizes}")
@@ -238,17 +240,33 @@ def init_siren(
     lo, hi = t_domain
     if not hi > lo:
         raise InvalidArchitecture("t_domain must have positive length")
+    count = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+    return SirenModel(sizes, float(omega0), np.zeros(count), height, width, (float(lo), float(hi)))
 
+
+def init_siren(
+    layer_sizes,
+    omega0: float = 30.0,
+    seed: int = 0,
+    height: int | None = None,
+    width: int | None = None,
+    t_domain: tuple = (-1.0, 1.0),
+) -> SirenModel:
+    """Build a network with sine-net initialization, deterministic per seed.
+
+    layer_sizes runs input through output, e.g. [1, 512, 512, 512, H*W].
+    height/width default to a 1 x n_out frame when not given.
+    """
+    model = _zero_model(layer_sizes, omega0, height, width, t_domain)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+    for l, (w, _) in enumerate(model.layers()):
+        n_in = w.shape[1]
         if l == 0:
             bound = 1.0 / n_in
         else:
             bound = np.sqrt(6.0 / n_in) / omega0
-        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
-        biases.append(np.zeros(n_out, dtype=np.float64))
-    return SirenModel(sizes, float(omega0), weights, biases, height, width, (float(lo), float(hi)))
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 # -- Adam ------------------------------------------------------------------
@@ -256,11 +274,11 @@ def init_siren(
 
 @dataclass
 class AdamState:
-    """Adam moments plus a stepwise exponential learning-rate schedule
-    (lr *= decay_rate after every decay_every-th step)."""
+    """Adam moments (flat, like the parameters) plus a stepwise exponential
+    learning-rate schedule (lr *= decay_rate after every decay_every-th step)."""
 
-    m: list
-    v: list
+    m: np.ndarray
+    v: np.ndarray
     step: int
     lr: float
     beta1: float = 0.9
@@ -270,27 +288,10 @@ class AdamState:
     decay_every: int = 10
 
     @classmethod
-    def for_params(
-        cls,
-        params,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        decay_rate: float = 1.0,
-        decay_every: int = 10,
-    ) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            step=0,
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            decay_rate=decay_rate,
-            decay_every=decay_every,
-        )
+    def for_params(cls, params, lr: float, **hyper) -> "AdamState":
+        """Zero moments shaped like params; hyper overrides the defaults
+        above (beta1, beta2, eps, decay_rate, decay_every)."""
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), step=0, lr=lr, **hyper)
 
 
 def adam_step(state: AdamState, params, grads):
@@ -300,20 +301,18 @@ def adam_step(state: AdamState, params, grads):
     decay_every-th step, so steps 1..10 use lr0, steps 11..20 use
     lr0*decay, and so on.
     """
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ShapeMismatch("params/grads do not match optimizer state")
+    if not params.shape == grads.shape == state.m.shape:
+        raise ShapeMismatch(f"params {params.shape}, grads {grads.shape}, state {state.m.shape}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * np.square(grads)
+    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     if state.decay_rate != 1.0 and state.step % state.decay_every == 0:
         state.lr *= state.decay_rate
     return params, state
@@ -336,7 +335,7 @@ def save_checkpoint(model: SirenModel, path) -> None:
         "height": np.asarray(model.height, dtype=np.int64),
         "width": np.asarray(model.width, dtype=np.int64),
     }
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for i, (w, b) in enumerate(model.layers()):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
     path = Path(path)
@@ -347,19 +346,21 @@ def save_checkpoint(model: SirenModel, path) -> None:
 
 
 def load_checkpoint(path) -> SirenModel:
+    """Read a save_checkpoint file; raises InvalidCheckpoint for another
+    version, a missing array, or arrays whose shapes do not fit layer_sizes."""
     with np.load(path) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        sizes = [int(n) for n in data["layer_sizes"]]
-        weights = [data[f"w{i}"].astype(np.float64, copy=True) for i in range(len(sizes) - 1)]
-        biases = [data[f"b{i}"].astype(np.float64, copy=True) for i in range(len(sizes) - 1)]
-        return SirenModel(
-            sizes,
-            float(data["omega0"]),
-            weights,
-            biases,
-            int(data["height"]),
-            int(data["width"]),
-            tuple(float(v) for v in data["t_domain"]),
-        )
+        try:
+            if int(data["version"]) != CHECKPOINT_VERSION:
+                raise InvalidCheckpoint(f"{path}: unsupported version {int(data['version'])}")
+            model = _zero_model(data["layer_sizes"], float(data["omega0"]), int(data["height"]),
+                                int(data["width"]), tuple(float(v) for v in data["t_domain"]))
+            for i, (w, b) in enumerate(model.layers()):
+                for name, view in ((f"w{i}", w), (f"b{i}", b)):
+                    stored = data[name]
+                    if stored.shape != view.shape:
+                        raise InvalidCheckpoint(
+                            f"{path}: {name} has shape {stored.shape}, layer_sizes need {view.shape}")
+                    view[...] = stored
+        except KeyError as exc:
+            raise InvalidCheckpoint(f"{path}: {exc.args[0]}") from None
+    return model

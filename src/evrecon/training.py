@@ -65,7 +65,6 @@ class TrainConfig:
     lambda_reg: float = 0.05
     threshold_C: float = 1.0
     initial_bin: float = 1.0 / 32.0
-    stages_s: int = 3
     refine_at_iters: tuple = (100, 200)
     total_iters: int = 300
     lr: float = 1e-4
@@ -88,10 +87,6 @@ class TrainConfig:
             raise ValueError("lambda_reg must be >= 0")
         if self.threshold_C <= 0 or self.initial_bin <= 0:
             raise ValueError("threshold_C and initial_bin must be positive")
-        if self.stages_s < 1:
-            raise ValueError("stages_s must be >= 1")
-        if len(self.refine_at_iters) != self.stages_s - 1:
-            raise ValueError("refine_at_iters must list stages_s - 1 iterations")
         if any(b <= a for a, b in zip(self.refine_at_iters, self.refine_at_iters[1:])):
             raise ValueError("refine_at_iters must be strictly increasing")
         if self.refine_at_iters and self.refine_at_iters[-1] >= self.total_iters:
@@ -168,22 +163,16 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices):
     return loss, seeds_dtangent_sec, aux
 
 
-def spatial_reg_loss(frame: np.ndarray):
-    """Mean squared forward difference along x plus along y, with its exact
-    gradient with respect to the frame."""
-    f = np.asarray(frame, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] < 2 or f.shape[1] < 2:
-        raise DegenerateFrame(f"need at least 2x2 frame, got shape {f.shape}")
-    loss, grad = _spatial_reg_batch(f[None])
-    return loss, grad[0]
-
-
-def _spatial_reg_batch(frames: np.ndarray):
-    """Batched spatial regularizer: mean over x-sites of Dx^2 plus mean
-    over y-sites of Dy^2, averaged over the batch."""
+def spatial_reg_loss(frames: np.ndarray):
+    """Mean over x-sites of the squared forward difference Dx^2 plus mean
+    over y-sites of Dy^2, averaged over the batch, with its exact gradient
+    with respect to the frames. Takes one frame (H, W) or a batch
+    (K, H, W); the gradient has the input's shape."""
+    f = np.asarray(frames, dtype=np.float64)
+    if f.ndim not in (2, 3) or f.shape[-2] < 2 or f.shape[-1] < 2:
+        raise DegenerateFrame(f"need at least 2x2 frames, got shape {f.shape}")
+    frames = f if f.ndim == 3 else f[None]
     k, h, w = frames.shape
-    if h < 2 or w < 2:
-        raise DegenerateFrame(f"need at least 2x2 frames, got {h}x{w}")
     dx = frames[:, :, 1:] - frames[:, :, :-1]
     dy = frames[:, 1:, :] - frames[:, :-1, :]
     nx = k * h * (w - 1)
@@ -196,7 +185,7 @@ def _spatial_reg_batch(frames: np.ndarray):
     grad[:, :, :-1] -= gx
     grad[:, 1:, :] += gy
     grad[:, :-1, :] -= gy
-    return loss, grad
+    return loss, grad if f.ndim == 3 else grad[0]
 
 
 def _sample_indices(num_frames: int, batch_frames, rng) -> np.ndarray:
@@ -212,9 +201,8 @@ def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream)
     DivergedTraining when the loss goes non-finite or explodes.
     """
     model = partition.model
-    params = model.parameters()
     adam = AdamState.for_params(
-        params,
+        model.params,
         lr=cfg.lr,
         beta1=cfg.adam_beta1,
         beta2=cfg.adam_beta2,
@@ -236,7 +224,7 @@ def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream)
         l_temp, seeds_sec, aux = temporal_loss(model, stack, idx)
         seeds_tan = seeds_sec * model.time_slope
         if cfg.lambda_reg > 0:
-            l_reg, dframes = _spatial_reg_batch(aux["frames"])
+            l_reg, dframes = spatial_reg_loss(aux["frames"])
             seeds_frame = cfg.lambda_reg * dframes
         else:
             l_reg = 0.0
@@ -254,7 +242,7 @@ def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream)
             )
 
         grads = model.backward(aux["t_norm"], seeds_frame, seeds_tan, cache=aux["cache"])
-        adam_step(adam, params, grads)
+        adam_step(adam, model.params, grads)
 
         report.temporal.append(l_temp)
         report.regularization.append(l_reg)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from evrecon.cli import build_parser, main
@@ -51,3 +52,16 @@ def test_manifests_record_workers_and_blas_threads(tmp_path):
     cfg = json.loads((reuse / "manifest.json").read_text())["config"]
     assert (cfg["workers"], cfg["blas_threads"]) == (None, None)
     assert blas_threads() == prev
+
+
+def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "partitions.json").write_text(json.dumps(
+        [{"index": 0, "core_span": [0.0, 1.0], "span": [0.0, 1.0],
+          "checkpoint": "partition_000.npz"}]))
+    np.savez(run / "partition_000.npz", version=np.asarray(2))
+    assert main(["enhance", "--checkpoints", str(run), "--window-dt", "0.05",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "version 2" in err

@@ -10,7 +10,7 @@ from evrecon.errors import (
     PolarityOutOfRange,
     UnsortedStream,
 )
-from evrecon.events import Event, parse_events, write_events
+from evrecon.events import parse_events, write_events
 from evrecon.frames import stack_uniform
 
 from conftest import make_stream
@@ -19,13 +19,12 @@ from conftest import make_stream
 def test_parse_zero_one_line():
     s = parse_events("0.003811000 57 38 1\n", polarity_encoding="zero_one")
     assert len(s) == 1
-    ev = s[0]
-    assert ev == Event(t=0.003811, x=57, y=38, polarity=1)
+    assert (s.t[0], s.x[0], s.y[0], s.polarity[0]) == (0.003811, 57, 38, 1)
 
 
 def test_parse_zero_maps_to_negative():
     s = parse_events("0.5 3 4 0", polarity_encoding="zero_one")
-    assert s[0].polarity == -1
+    assert s.polarity[0] == -1
 
 
 def test_parse_signed_encoding():

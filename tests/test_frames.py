@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evrecon.errors import EmptyStream, IndexOutOfRange
+from evrecon.errors import EmptyStream
 from evrecon.frames import EventFrameStack, refine_bins, stack_uniform
 
 from conftest import make_stream
@@ -118,12 +118,6 @@ def test_two_refinements_quadruple_T():
     t0 = stack.num_frames
     stack = refine_bins(refine_bins(stack, s), s)
     assert stack.num_frames == 4 * t0
-
-
-def test_frame_index_guard():
-    stack = stack_uniform(simple_stream(), 0.5, C=1.0)
-    with pytest.raises(IndexOutOfRange):
-        stack.frame(5)
 
 
 @given(

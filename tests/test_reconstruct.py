@@ -28,7 +28,7 @@ def two_partitions(offset=0.0, overlap=0.5):
     m0 = init_siren([1, 8, 8, 8, 16], seed=3, height=4, width=4, t_domain=(0.0, 1.0 + half))
     m1 = m0.copy()
     m1.t_domain = (0.0, 1.0 + half)  # identical input map so outputs agree
-    m1.biases[-1] = m1.biases[-1] + offset
+    m1.biases[-1][:] += offset
     p0 = Partition(index=0, core_span=(0.0, 1.0), span=(0.0, 1.0 + half), model=m0)
     p1 = Partition(index=1, core_span=(1.0, 2.0), span=(1.0 - half, 2.0), model=m1)
     # second model must answer over [1-half, 2]; reuse domain covering both

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from evrecon.errors import InvalidArchitecture, NonFiniteOutput, ShapeMismatch
+from evrecon.errors import (
+    EvreconError,
+    InvalidArchitecture,
+    InvalidCheckpoint,
+    NonFiniteOutput,
+    ShapeMismatch,
+)
+from evrecon.selftest import max_param_gradient_error
 from evrecon.siren import (
     AdamState,
     adam_step,
@@ -96,7 +103,7 @@ def test_tangent_zero_when_output_weights_zero(toy_model):
 
 def test_tangent_linear_in_output_weights(toy_model):
     doubled = toy_model.copy()
-    doubled.weights[-1] *= 2.0
+    doubled.weights[-1][:] *= 2.0
     _, tan = toy_model.forward_with_tangent(0.3)
     _, tan2 = doubled.forward_with_tangent(0.3)
     assert np.allclose(tan2, 2.0 * tan, rtol=0, atol=1e-15)
@@ -120,19 +127,7 @@ def test_backward_matches_finite_differences(toy_model):
         return float(np.sum(gy * f.reshape(3, -1)) + np.sum(gydot * tan.reshape(3, -1)))
 
     grads = toy_model.backward(t, gy, gydot)
-    for p, g in zip(toy_model.parameters(), grads):
-        flat, gf = p.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            h = 1e-6 * max(1.0, abs(flat[i]))
-            old = flat[i]
-            flat[i] = old + h
-            lp = loss(toy_model)
-            flat[i] = old - h
-            lm = loss(toy_model)
-            flat[i] = old
-            fd = (lp - lm) / (2 * h)
-            denom = max(abs(fd), abs(gf[i]), 1e-10)
-            assert abs(fd - gf[i]) / denom < 1e-3
+    assert max_param_gradient_error(toy_model, loss, grads) < 1e-3
 
 
 def test_backward_zero_seeds_zero_gradients(toy_model):
@@ -160,7 +155,7 @@ def test_backward_shape_guards(toy_model):
 
 def test_output_bias_shift_moves_frame_not_tangent(toy_model):
     shifted = toy_model.copy()
-    shifted.biases[-1] = shifted.biases[-1] + 2.5
+    shifted.biases[-1][:] += 2.5
     f0, t0 = toy_model.forward_with_tangent(0.4)
     f1, t1 = shifted.forward_with_tangent(0.4)
     assert np.array_equal(f1, f0 + 2.5)
@@ -186,36 +181,36 @@ def test_invalid_architectures_rejected():
 
 
 def test_adam_single_step_closed_form():
-    params = [np.zeros(3)]
+    params = np.zeros(3)
     state = AdamState.for_params(params, lr=0.1)
-    adam_step(state, params, [np.ones(3)])
+    adam_step(state, params, np.ones(3))
     # bias-corrected m_hat = 1, v_hat = 1 -> step of -lr/(1 + eps)
-    assert np.allclose(params[0], -0.1, atol=1e-8)
+    assert np.allclose(params, -0.1, atol=1e-8)
 
 
 def test_adam_zero_gradient_is_noop():
-    params = [np.full(4, 1.5)]
+    params = np.full(4, 1.5)
     state = AdamState.for_params(params, lr=0.1)
-    adam_step(state, params, [np.zeros(4)])
-    assert np.array_equal(params[0], np.full(4, 1.5))
+    adam_step(state, params, np.zeros(4))
+    assert np.array_equal(params, np.full(4, 1.5))
 
 
 def test_adam_lr_decays_every_ten_steps():
-    params = [np.zeros(1)]
+    params = np.zeros(1)
     state = AdamState.for_params(params, lr=1e-4, decay_rate=0.95, decay_every=10)
     for _ in range(10):
-        adam_step(state, params, [np.ones(1)])
+        adam_step(state, params, np.ones(1))
     assert state.lr == pytest.approx(1e-4 * 0.95)
     for _ in range(10):
-        adam_step(state, params, [np.ones(1)])
+        adam_step(state, params, np.ones(1))
     assert state.lr == pytest.approx(1e-4 * 0.95**2)
 
 
 def test_adam_shape_guard():
-    params = [np.zeros(3)]
+    params = np.zeros(3)
     state = AdamState.for_params(params, lr=0.1)
     with pytest.raises(ShapeMismatch):
-        adam_step(state, params, [np.zeros(4)])
+        adam_step(state, params, np.zeros(4))
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, toy_model):
@@ -226,7 +221,83 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, toy_model):
     assert back.omega0 == toy_model.omega0
     assert back.t_domain == toy_model.t_domain
     assert (back.height, back.width) == (toy_model.height, toy_model.width)
-    for a, b in zip(back.parameters(), toy_model.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(back.params, toy_model.params)
     t = np.linspace(-1, 1, 5)
     assert np.array_equal(back.forward(t), toy_model.forward(t))
+
+
+# -- parameter layout -----------------------------------------------------------
+
+
+def test_weights_and_biases_cannot_be_replaced(toy_model):
+    with pytest.raises(TypeError):
+        toy_model.weights[0] = np.zeros_like(toy_model.weights[0])
+    with pytest.raises(TypeError):
+        toy_model.biases[-1] = np.zeros_like(toy_model.biases[-1])
+
+
+def test_write_through_weight_view_changes_params_and_output(toy_model):
+    params_before = toy_model.params.copy()
+    frame_before = toy_model.forward(0.3)
+    toy_model.weights[-1][0, 0] += 1.0
+    changed = np.flatnonzero(toy_model.params != params_before)
+    assert len(changed) == 1
+    assert toy_model.params[changed[0]] == toy_model.weights[-1][0, 0]
+    assert not np.array_equal(toy_model.forward(0.3), frame_before)
+
+
+def test_backward_returns_vector_shaped_like_params(toy_model):
+    grads = toy_model.backward(0.2, np.ones((1, 16)), np.ones((1, 16)))
+    assert grads.shape == toy_model.params.shape == (toy_model.num_parameters(),)
+
+
+def test_copy_shares_no_memory(toy_model):
+    other = toy_model.copy()
+    assert np.array_equal(other.params, toy_model.params)
+    assert not np.shares_memory(other.params, toy_model.params)
+    other.weights[0][:] = 0.0
+    assert np.any(toy_model.weights[0] != 0.0)
+
+
+def handmade_checkpoint(path, version=1, drop=None, truncate=None):
+    """An npz written without save_checkpoint, in its documented layout:
+    metadata plus w{i} of shape (n_out, n_in) and b{i} of shape (n_out,).
+    Returns the arrays written."""
+    sizes = [1, 3, 2]
+    arrays = {
+        "version": np.asarray(version),
+        "layer_sizes": np.asarray(sizes),
+        "omega0": np.asarray(30.0),
+        "t_domain": np.asarray([0.0, 2.0]),
+        "height": np.asarray(1),
+        "width": np.asarray(2),
+    }
+    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        arrays[f"w{i}"] = 10.0 * i + np.arange(n_out * n_in).reshape(n_out, n_in)
+        arrays[f"b{i}"] = -10.0 * i - np.arange(1.0, n_out + 1)
+    if truncate is not None:
+        arrays[truncate] = arrays[truncate][:-1]
+    arrays.pop(drop, None)
+    np.savez(path, **arrays)
+    return arrays
+
+
+def test_handmade_checkpoint_loads_in_w0_b0_w1_b1_order(tmp_path):
+    path = tmp_path / "hand.npz"
+    a = handmade_checkpoint(path)
+    model = load_checkpoint(path)
+    expected = np.concatenate([a["w0"].ravel(), a["b0"], a["w1"].ravel(), a["b1"]])
+    assert np.array_equal(model.params, expected)
+    assert np.array_equal(model.weights[1], a["w1"])
+    assert (model.layer_sizes, model.t_domain, model.height, model.width) == (
+        [1, 3, 2], (0.0, 2.0), 1, 2)
+
+
+@pytest.mark.parametrize("broken", [{"version": 2}, {"drop": "b1"}, {"truncate": "w0"},
+                                    {"truncate": "b1"}])
+def test_bad_checkpoint_raises_typed_error_at_load(tmp_path, broken):
+    path = tmp_path / "bad.npz"
+    handmade_checkpoint(path, **broken)
+    with pytest.raises(InvalidCheckpoint) as exc:
+        load_checkpoint(path)
+    assert isinstance(exc.value, EvreconError)

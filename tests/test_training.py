@@ -16,7 +16,6 @@ from evrecon.training import (
     train_ensemble,
     train_partition,
 )
-from evrecon.training import _spatial_reg_batch
 
 from conftest import make_stream
 
@@ -26,7 +25,6 @@ def test_defaults_match_published_schedule():
     assert cfg.lambda_reg == 0.05
     assert cfg.threshold_C == 1.0
     assert cfg.initial_bin == 1.0 / 32.0
-    assert cfg.stages_s == 3
     assert cfg.refine_at_iters == (100, 200)
     assert cfg.total_iters == 300
     assert cfg.lr == 1e-4
@@ -39,8 +37,6 @@ def test_defaults_match_published_schedule():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lambda_reg=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(stages_s=2)  # refine list length mismatch
     with pytest.raises(ValueError):
         TrainConfig(refine_at_iters=(200, 100))
     with pytest.raises(ValueError):
@@ -192,15 +188,15 @@ def spread_stream(duration, rate=200, seed=0, width=4, height=4):
 
 def test_partition_counts_match_tau():
     cfg = TrainConfig(partition_tau=5.0, hidden_features=8, hidden_layers=1,
-                      stages_s=1, refine_at_iters=(), total_iters=10)
+                      refine_at_iters=(), total_iters=10)
     assert len(build_partitions(spread_stream(50.0), cfg)) == 10
     cfg50 = TrainConfig(partition_tau=50.0, hidden_features=8, hidden_layers=1,
-                        stages_s=1, refine_at_iters=(), total_iters=10)
+                        refine_at_iters=(), total_iters=10)
     assert len(build_partitions(spread_stream(50.0), cfg50)) == 1
 
 
 def test_short_stream_yields_single_partition():
-    cfg = TrainConfig(hidden_features=8, hidden_layers=1, stages_s=1,
+    cfg = TrainConfig(hidden_features=8, hidden_layers=1,
                       refine_at_iters=(), total_iters=10, threshold_C=0.25)
     parts = build_partitions(spread_stream(2.0), cfg)
     assert len(parts) == 1
@@ -210,7 +206,7 @@ def test_short_stream_yields_single_partition():
 
 def test_partition_spans_share_exactly_overlap():
     cfg = TrainConfig(partition_tau=5.0, overlap=0.5, hidden_features=8,
-                      hidden_layers=1, stages_s=1, refine_at_iters=(), total_iters=10)
+                      hidden_layers=1, refine_at_iters=(), total_iters=10)
     parts = build_partitions(spread_stream(20.0), cfg)
     assert len(parts) == 4
     for a, b in zip(parts, parts[1:]):
@@ -225,7 +221,7 @@ def test_partition_spans_share_exactly_overlap():
 
 def test_partition_models_use_span_domain():
     cfg = TrainConfig(partition_tau=5.0, overlap=0.5, hidden_features=8,
-                      hidden_layers=1, stages_s=1, refine_at_iters=(), total_iters=10)
+                      hidden_layers=1, refine_at_iters=(), total_iters=10)
     parts = build_partitions(spread_stream(10.0), cfg)
     assert parts[0].model.t_domain == parts[0].span
     assert parts[1].model.t_domain == (5.0 - 0.25, 10.0)
@@ -239,8 +235,7 @@ def test_training_is_deterministic():
     cfg = tiny_cfg()
     a = train_ensemble(stream, cfg)
     b = train_ensemble(stream, cfg)
-    for pa, pb in zip(a[0].model.parameters(), b[0].model.parameters()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a[0].model.params, b[0].model.params)
     assert a[0].report.total == b[0].report.total
 
 
@@ -257,8 +252,7 @@ def test_training_resolution_ladder():
 
 def test_lambda_zero_is_pure_temporal():
     _, stream = small_fixture()
-    parts = train_ensemble(stream, tiny_cfg(lambda_reg=0.0, stages_s=1,
-                                            refine_at_iters=()))
+    parts = train_ensemble(stream, tiny_cfg(lambda_reg=0.0, refine_at_iters=()))
     rep = parts[0].report
     assert all(v == 0.0 for v in rep.regularization)
     assert rep.total == rep.temporal
@@ -278,12 +272,12 @@ def test_loss_invariant_to_output_bias_shift():
     model, stack = parts[0].model, parts[0].stack
     idx = np.arange(stack.num_frames)
     lt0, _, aux0 = temporal_loss(model, stack, idx)
-    lr0, _ = _spatial_reg_batch(aux0["frames"])
+    lr0, _ = spatial_reg_loss(aux0["frames"])
     for c in (-3.0, 0.7, 10.0):
         shifted = model.copy()
-        shifted.biases[-1] = shifted.biases[-1] + c
+        shifted.biases[-1][:] += c
         lt1, _, aux1 = temporal_loss(shifted, stack, idx)
-        lr1, _ = _spatial_reg_batch(aux1["frames"])
+        lr1, _ = spatial_reg_loss(aux1["frames"])
         assert abs(lt1 - lt0) <= 1e-12 * max(abs(lt0), 1e-300)
         assert abs(lr1 - lr0) <= 1e-12 * max(abs(lr0), 1e-12)
 
@@ -308,20 +302,22 @@ def test_pixel_permutation_equivariance_with_zero_lambda():
         stack.counts.shape)
     pstack = EventFrameStack(permuted_counts, stack.intervals, stack.threshold_C)
     pmodel = model.copy()
-    pmodel.weights[-1] = pmodel.weights[-1][perm]
-    pmodel.biases[-1] = pmodel.biases[-1][perm]
+    pmodel.weights[-1][:] = pmodel.weights[-1][perm]
+    pmodel.biases[-1][:] = pmodel.biases[-1][perm]
     ploss, pseeds, paux = temporal_loss(pmodel, pstack, idx)
     pgrads = pmodel.backward(paux["t_norm"], np.zeros_like(pseeds),
                              pseeds * pmodel.time_slope, cache=paux["cache"])
 
     assert ploss == pytest.approx(loss, rel=1e-12)
-    assert np.allclose(pgrads[-2], grads[-2][perm], rtol=1e-12, atol=1e-20)
-    assert np.allclose(pgrads[-1], grads[-1][perm], rtol=1e-12, atol=1e-20)
+    gw, gb = model.layers(grads)[-1]
+    pgw, pgb = pmodel.layers(pgrads)[-1]
+    assert np.allclose(pgw, gw[perm], rtol=1e-12, atol=1e-20)
+    assert np.allclose(pgb, gb[perm], rtol=1e-12, atol=1e-20)
 
 
 def test_pixel_permutation_loss_history_short_run():
     _, stream = small_fixture(size=12)
-    cfg = tiny_cfg(lambda_reg=0.0, total_iters=10, refine_at_iters=(), stages_s=1)
+    cfg = tiny_cfg(lambda_reg=0.0, total_iters=10, refine_at_iters=())
     parts = build_partitions(stream, cfg)
     pieces = stream.slice_time(parts[0].span[0], parts[0].span[1], include_hi=True)
 
@@ -334,8 +330,8 @@ def test_pixel_permutation_loss_history_short_run():
         ppart.stack.intervals,
         ppart.stack.threshold_C,
     )
-    ppart.model.weights[-1] = ppart.model.weights[-1][perm]
-    ppart.model.biases[-1] = ppart.model.biases[-1][perm]
+    ppart.model.weights[-1][:] = ppart.model.weights[-1][perm]
+    ppart.model.biases[-1][:] = ppart.model.biases[-1][perm]
 
     rep = train_partition(parts[0], cfg, pieces)
     prep = train_partition(ppart, cfg, pieces)
@@ -364,8 +360,7 @@ def test_thread_count_does_not_change_results():
     par = train_ensemble(stream, cfg, threads=4)
     assert len(seq) == 2
     for a, b in zip(seq, par):
-        for pa, pb in zip(a.model.parameters(), b.model.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.model.params, b.model.params)
 
 
 def test_mini_batch_sampling_is_seeded():
