@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import EvreconError, InvalidDimensions
+from .errors import EvreconError, InvalidConfig, InvalidDimensions
 from .events import (
     FrameTimestamps,
     parse_events,
@@ -116,19 +116,23 @@ def parse_config_file(path) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
+            raise InvalidConfig(f"{where}: expected `key = value`, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in known:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in _TUPLE_KEYS:
-            out[key] = tuple(int(v) for v in val.split(",") if v.strip()) if val else ()
-        elif key == "batch_frames":
-            out[key] = None if val == "all" else int(val)
-        elif key in _INT_KEYS:
-            out[key] = int(val)
-        else:
-            out[key] = float(val)
+            raise InvalidConfig(f"{where}: unknown config key {key!r}")
+        try:
+            if key in _TUPLE_KEYS:
+                out[key] = tuple(int(v) for v in val.split(",") if v.strip()) if val else ()
+            elif key == "batch_frames":
+                out[key] = None if val == "all" else int(val)
+            elif key in _INT_KEYS:
+                out[key] = int(val)
+            else:
+                out[key] = float(val)
+        except ValueError:
+            raise InvalidConfig(f"{where}: cannot parse {key} from {val!r}") from None
     return out
 
 

@@ -49,6 +49,11 @@ class InvalidCheckpoint(EvreconError, ValueError):
     """Checkpoint of another version, lacking an array, or not fitting its layer sizes."""
 
 
+class InvalidConfig(EvreconError, ValueError):
+    """Training configuration with an unknown key, an unparsable value, or
+    values that violate its constraints."""
+
+
 class NonFiniteOutput(EvreconError, FloatingPointError):
     """A network forward pass produced NaN or Inf."""
 

@@ -5,10 +5,18 @@ Two derivative paths are wired by hand and cross-checked against finite
 differences in the test suite:
 
 * a forward-mode tangent pass propagating d/dt alongside the activations
-  (one extra set of matmuls, exact for the scalar time input), and
+  (exact for the scalar time input), and
 * a reverse-mode pass through the joint (output, tangent) computation that
   yields parameter gradients of any loss built from both — the piece a
   derivative-supervised objective needs.
+
+Both passes keep value rows and tangent rows in one (2K, n) array per
+layer, K value rows over K tangent rows, so each layer multiplies both by
+its weights in one GEMM: the forward pass [a; da/dt] by W^T, the reverse
+pass [u; du/dt] by W. Stacking along rows leaves every output element's
+reduction unchanged, so the results are bit-identical to one GEMM per
+half; `_matmul_rows` keeps separate GEMMs for the small products where
+the BLAS would round them differently (see `_STACK_MIN_WORK`).
 
 All arithmetic is float64. Layer l < L-1 computes a = sin(omega0 * (W x + b));
 the output layer is affine. Initialization follows the sine-network
@@ -20,11 +28,15 @@ All parameters live in one flat vector, `params`: W0 (row-major, (n_out,
 n_in)), b0, W1, b1, ... . Gradients and Adam moments share this layout,
 which only `SirenModel.layers(vec)` knows. `weights` and `biases` are
 read-only tuples of views into `params`: writing through a view changes the
-model, and assigning an element raises TypeError.
+model, and assigning an element raises TypeError. `adam_step` updates
+parameters and moments in place, ADAM_CHUNK elements at a time, so the
+working set of each pass stays in cache and no whole-vector temporary is
+made.
 """
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,18 +51,34 @@ from .errors import (
 )
 
 CHECKPOINT_VERSION = 1
+ADAM_CHUNK = 1 << 15  # elements per Adam pass: six 256 KiB slices stay in L2
+
+# OpenBLAS answers a GEMM with M*N*K <= 100**3 with small-matrix kernels
+# that round differently from its blocked kernel, and numpy sends one-row
+# products to GEMV. The blocked kernel gives every output element the same
+# bits whatever M is, so value and tangent rows share one GEMM only where
+# each half alone is past this size.
+_STACK_MIN_WORK = 100**3
+
+
+def _matmul_rows(stacked: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """stacked @ w for a (2K, n) array of K value rows over K tangent rows:
+    one GEMM when that is bit-identical to one GEMM per half, else two."""
+    if k > 1 and k * w.shape[0] * w.shape[1] > _STACK_MIN_WORK:
+        return stacked @ w
+    out = np.empty((2 * k, w.shape[1]))
+    np.matmul(stacked[:k], w, out=out[:k])
+    np.matmul(stacked[k:], w, out=out[k:])
+    return out
 
 
 @dataclass
 class ForwardCache:
     """Intermediates of one batched forward-with-tangent pass, consumed by
-    the reverse pass."""
+    the reverse pass. Each array holds K value rows over K tangent rows."""
 
-    x: np.ndarray  # (K, 1) inputs
-    acts: list  # per sine layer: activations (K, n)
-    acts_dot: list  # per sine layer: d(activation)/dt_norm (K, n)
-    coss: list  # per sine layer: cos(omega0 * z) (K, n)
-    zdots: list  # per sine layer: d(pre-activation)/dt_norm (K, n)
+    inputs: list  # per layer: its input [a; da/dt_norm] (2K, n_in); [t_norm; 1] first
+    derivs: list  # per sine layer: [omega0 * cos(omega0 * z); dz/dt_norm] (2K, n)
 
 
 @dataclass
@@ -135,56 +163,75 @@ class SirenModel:
         """(frame, dframe/dt_norm) at the given time(s); the frame matches
         forward() bit for bit. Optionally returns the cache for backward."""
         x, scalar = self._as_batch(t_norm)
+        k = len(x)
+        omega = self.omega0
         *hidden, (w_out, b_out) = self.layers()
-        a = x
-        a_dot = np.ones_like(x)
-        acts, acts_dot, coss, zdots = [], [], [], []
+        act = np.concatenate([x, np.ones_like(x)])
+        inputs, derivs = [act], []
         for w, b in hidden:
-            z = a @ w.T + b
-            z_dot = a_dot @ w.T
-            c = np.cos(self.omega0 * z)
-            a = np.sin(self.omega0 * z)
-            a_dot = self.omega0 * c * z_dot
-            acts.append(a)
-            acts_dot.append(a_dot)
-            coss.append(c)
-            zdots.append(z_dot)
-        y = a @ w_out.T + b_out
-        y_dot = a_dot @ w_out.T
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_dot))):
+            zz = _matmul_rows(act, w.T, k)
+            z, z_dot = zz[:k], zz[k:]
+            z += b
+            z *= omega  # sine argument
+            act = np.empty_like(zz)
+            np.sin(z, out=act[:k])
+            np.cos(z, out=z)
+            z *= omega  # zz is now the cached [omega0 cos; dz/dt_norm]
+            np.multiply(z, z_dot, out=act[k:])
+            inputs.append(act)
+            derivs.append(zz)
+        yy = _matmul_rows(act, w_out.T, k)
+        yy[:k] += b_out
+        if not np.all(np.isfinite(yy)):
             raise NonFiniteOutput("tangent pass produced NaN/Inf")
         shape = (self.height, self.width) if scalar else (-1, self.height, self.width)
-        frame = y.reshape(shape)
-        tangent = y_dot.reshape(shape)
+        frame = yy[:k].reshape(shape)
+        tangent = yy[k:].reshape(shape)
         if want_cache:
-            return frame, tangent, ForwardCache(x, acts, acts_dot, coss, zdots)
+            return frame, tangent, ForwardCache(inputs, derivs)
         return frame, tangent
 
     # -- reverse pass -------------------------------------------------------
 
-    def backward(self, t_norm, dloss_dframe, dloss_dtangent=None, cache: ForwardCache | None = None):
+    def backward(self, t_norm, dloss_dframe=None, dloss_dtangent=None,
+                 cache: ForwardCache | None = None, *, seeds=None):
         """Parameter gradients of
         loss = sum(dloss_dframe * frame) + sum(dloss_dtangent * tangent),
         where tangent is d frame / d t_norm. Returns one flat vector in
         the layout of params. Recomputes the forward pass unless a cache
         from forward_with_tangent(..., want_cache=True) is supplied.
+
+        Give the seeds either as dloss_dframe and dloss_dtangent (default
+        zero), each K frames, which are copied into one array, or as
+        `seeds`: 2K frames, the frame seeds over the tangent seeds (e.g.
+        shape (2, K, H, W)), read in place without a copy.
         """
         x, _ = self._as_batch(t_norm)
         k = x.shape[0]
-        gy = np.asarray(dloss_dframe, dtype=np.float64).reshape(k, -1)
-        if gy.shape[1] != self.num_pixels:
+        if (seeds is None) == (dloss_dframe is None):
+            raise TypeError("give either dloss_dframe or seeds")
+        if seeds is None:
+            gy = np.asarray(dloss_dframe, dtype=np.float64).reshape(k, -1)
+            if gy.shape[1] != self.num_pixels:
+                raise ShapeMismatch(
+                    f"dloss_dframe has {gy.shape[1]} pixels, model emits {self.num_pixels}"
+                )
+            seeds = np.zeros((2 * k, self.num_pixels))
+            seeds[:k] = gy
+            if dloss_dtangent is not None:
+                gy_dot = np.asarray(dloss_dtangent, dtype=np.float64).reshape(k, -1)
+                if gy_dot.shape != gy.shape:
+                    raise ShapeMismatch("dloss_dtangent shape differs from dloss_dframe")
+                seeds[k:] = gy_dot
+        elif seeds.size != 2 * k * self.num_pixels:
             raise ShapeMismatch(
-                f"dloss_dframe has {gy.shape[1]} pixels, model emits {self.num_pixels}"
+                f"seeds hold {seeds.size} values, need 2 x {k} frames of {self.num_pixels}"
             )
-        if dloss_dtangent is None:
-            gy_dot = np.zeros_like(gy)
         else:
-            gy_dot = np.asarray(dloss_dtangent, dtype=np.float64).reshape(k, -1)
-            if gy_dot.shape != gy.shape:
-                raise ShapeMismatch("dloss_dtangent shape differs from dloss_dframe")
+            seeds = seeds.reshape(2 * k, self.num_pixels)
         if cache is None:
             _, _, cache = self.forward_with_tangent(t_norm, want_cache=True)
-        elif cache.x.shape[0] != k:
+        elif len(cache.inputs[0]) != 2 * k:
             raise ShapeMismatch("cache batch size differs from t_norm")
 
         omega = self.omega0
@@ -192,30 +239,26 @@ class SirenModel:
         grads = np.empty_like(self.params)
         grad_layers = self.layers(grads)
 
-        gw, gb = grad_layers[-1]
-        np.matmul(gy.T, cache.acts[-1], out=gw)
-        gw += gy_dot.T @ cache.acts_dot[-1]
-        np.sum(gy, axis=0, out=gb)
-        w_out = layers[-1][0]
-        u = gy @ w_out
-        u_dot = gy_dot @ w_out
-
-        for l in range(len(layers) - 2, -1, -1):
-            c = cache.coss[l]
-            s = cache.acts[l]  # sin(omega * z)
-            z_dot = cache.zdots[l]
-            s_z = u * (omega * c) - u_dot * (omega * omega) * s * z_dot
-            s_zdot = u_dot * (omega * c)
-            a_prev = cache.acts[l - 1] if l > 0 else cache.x
-            a_prev_dot = cache.acts_dot[l - 1] if l > 0 else np.ones_like(cache.x)
+        # uu holds [dloss/dy; dloss/dy_dot] of the current layer's output y,
+        # then, in place, [dloss/dz; dloss/dz_dot] of its pre-activation z.
+        uu = seeds
+        for l in range(len(layers) - 1, -1, -1):
+            if l < len(layers) - 1:
+                u, u_dot = uu[:k], uu[k:]
+                omega_cos, z_dot = cache.derivs[l][:k], cache.derivs[l][k:]
+                second = np.multiply(u_dot, omega * omega)
+                second *= cache.inputs[l + 1][:k]  # sin(omega * z)
+                second *= z_dot
+                u *= omega_cos
+                u -= second
+                u_dot *= omega_cos
+            a = cache.inputs[l]
             gw, gb = grad_layers[l]
-            np.matmul(s_z.T, a_prev, out=gw)
-            gw += s_zdot.T @ a_prev_dot
-            np.sum(s_z, axis=0, out=gb)
+            np.matmul(uu[:k].T, a[:k], out=gw)
+            gw += uu[k:].T @ a[k:]
+            np.sum(uu[:k], axis=0, out=gb)
             if l > 0:
-                w = layers[l][0]
-                u = s_z @ w
-                u_dot = s_zdot @ w
+                uu = _matmul_rows(uu, layers[l][0], k)
 
         if not np.all(np.isfinite(grads)):
             raise NonFiniteGradient("backward pass produced NaN/Inf")
@@ -297,22 +340,36 @@ class AdamState:
 def adam_step(state: AdamState, params, grads):
     """One in-place Adam update with bias correction; returns (params, state).
 
-    The learning rate is multiplied by decay_rate after every
+    params, grads and the moments are flat vectors, updated ADAM_CHUNK
+    elements at a time through two chunk-sized scratch arrays; each
+    element sees the arithmetic of the textbook whole-vector update, in the
+    same order. The learning rate is multiplied by decay_rate after every
     decay_every-th step, so steps 1..10 use lr0, steps 11..20 use
     lr0*decay, and so on.
     """
-    if not params.shape == grads.shape == state.m.shape:
+    if not (params.ndim == 1 and params.shape == grads.shape == state.m.shape):
         raise ShapeMismatch(f"params {params.shape}, grads {grads.shape}, state {state.m.shape}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    m, v = state.m, state.v
-    m *= b1
-    m += (1.0 - b1) * grads
-    v *= b2
-    v += (1.0 - b2) * np.square(grads)
-    params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    scratch = np.empty((2, min(params.size, ADAM_CHUNK)))
+    for lo in range(0, params.size, ADAM_CHUNK):
+        hi = min(lo + ADAM_CHUNK, params.size)
+        g, m, v = grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        step, denom = scratch[:, :hi - lo]
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=step)
+        v *= b2
+        np.square(g, out=step)
+        v += np.multiply(step, 1.0 - b2, out=step)
+        np.divide(m, bc1, out=step)
+        step *= lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        params[lo:hi] -= step
     if state.decay_rate != 1.0 and state.step % state.decay_every == 0:
         state.lr *= state.decay_rate
     return params, state
@@ -345,22 +402,34 @@ def save_checkpoint(model: SirenModel, path) -> None:
     tmp.replace(path)
 
 
+def _read_npz(path) -> dict:
+    """Every array of an npz archive; InvalidCheckpoint when the file is
+    not one: truncated, not a zip, a corrupt member, or a bare .npy array
+    (which np.load returns without a context manager, hence TypeError)."""
+    try:
+        with np.load(path) as data:
+            return {name: data[name] for name in data.files}
+    except (zipfile.BadZipFile, EOFError, ValueError, TypeError) as exc:
+        raise InvalidCheckpoint(f"{path}: not a readable npz archive ({exc})") from None
+
+
 def load_checkpoint(path) -> SirenModel:
-    """Read a save_checkpoint file; raises InvalidCheckpoint for another
-    version, a missing array, or arrays whose shapes do not fit layer_sizes."""
-    with np.load(path) as data:
-        try:
-            if int(data["version"]) != CHECKPOINT_VERSION:
-                raise InvalidCheckpoint(f"{path}: unsupported version {int(data['version'])}")
-            model = _zero_model(data["layer_sizes"], float(data["omega0"]), int(data["height"]),
-                                int(data["width"]), tuple(float(v) for v in data["t_domain"]))
-            for i, (w, b) in enumerate(model.layers()):
-                for name, view in ((f"w{i}", w), (f"b{i}", b)):
-                    stored = data[name]
-                    if stored.shape != view.shape:
-                        raise InvalidCheckpoint(
-                            f"{path}: {name} has shape {stored.shape}, layer_sizes need {view.shape}")
-                    view[...] = stored
-        except KeyError as exc:
-            raise InvalidCheckpoint(f"{path}: {exc.args[0]}") from None
+    """Read a save_checkpoint file; raises InvalidCheckpoint for a file
+    that is not a readable npz, another version, a missing array, or arrays
+    whose shapes do not fit layer_sizes."""
+    data = _read_npz(path)
+    try:
+        if int(data["version"]) != CHECKPOINT_VERSION:
+            raise InvalidCheckpoint(f"{path}: unsupported version {int(data['version'])}")
+        model = _zero_model(data["layer_sizes"], float(data["omega0"]), int(data["height"]),
+                            int(data["width"]), tuple(float(v) for v in data["t_domain"]))
+        for i, (w, b) in enumerate(model.layers()):
+            for name, view in ((f"w{i}", w), (f"b{i}", b)):
+                stored = data[name]
+                if stored.shape != view.shape:
+                    raise InvalidCheckpoint(
+                        f"{path}: {name} has shape {stored.shape}, layer_sizes need {view.shape}")
+                view[...] = stored
+    except KeyError as exc:
+        raise InvalidCheckpoint(f"{path}: no array {exc.args[0]!r}") from None
     return model

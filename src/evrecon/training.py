@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DegenerateFrame, DivergedTraining, IndexOutOfRange
+from .errors import DegenerateFrame, DivergedTraining, IndexOutOfRange, InvalidConfig
 from .events import EventStream
 from .frames import EventFrameStack, refine_bins, stack_uniform
 from .siren import AdamState, SirenModel, adam_step, init_siren
@@ -84,17 +84,17 @@ class TrainConfig:
     def __post_init__(self):
         self.refine_at_iters = tuple(int(i) for i in self.refine_at_iters)
         if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be >= 0")
+            raise InvalidConfig("lambda_reg must be >= 0")
         if self.threshold_C <= 0 or self.initial_bin <= 0:
-            raise ValueError("threshold_C and initial_bin must be positive")
+            raise InvalidConfig("threshold_C and initial_bin must be positive")
         if any(b <= a for a, b in zip(self.refine_at_iters, self.refine_at_iters[1:])):
-            raise ValueError("refine_at_iters must be strictly increasing")
+            raise InvalidConfig("refine_at_iters must be strictly increasing")
         if self.refine_at_iters and self.refine_at_iters[-1] >= self.total_iters:
-            raise ValueError("refinements must happen before total_iters")
+            raise InvalidConfig("refinements must happen before total_iters")
         if not self.partition_tau > self.overlap >= 0:
-            raise ValueError("need partition_tau > overlap >= 0")
+            raise InvalidConfig("need partition_tau > overlap >= 0")
         if self.batch_frames is not None and self.batch_frames < 1:
-            raise ValueError("batch_frames must be >= 1 or None")
+            raise InvalidConfig("batch_frames must be >= 1 or None")
 
     def layer_sizes(self, num_pixels: int) -> list:
         return [1] + [self.hidden_features] * self.hidden_layers + [num_pixels]
@@ -138,7 +138,10 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices):
     is scaled by the bin duration to predict that bin's ΔL. Returns
     (loss, seeds, aux) where seeds is the (K, H, W) gradient of the loss
     with respect to the per-second tangents, and aux carries the forward
-    results (t_norm, frames, cache) so callers can reuse the pass.
+    results (t_norm, frames, cache) so callers can reuse the pass. seeds is
+    aux["seeds"][1]: aux["seeds"] is a (2, K, H, W) array laid out for
+    SirenModel.backward(seeds=...), whose frame half [0] is left for the
+    caller to fill.
     """
     idx = np.asarray(frame_indices, dtype=np.int64)
     if idx.ndim != 1 or len(idx) == 0:
@@ -148,19 +151,23 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices):
             f"indices outside [0, {stack.num_frames}): {idx.min()}..{idx.max()}"
         )
     mids = stack.midpoints[idx]
-    durs = stack.durations[idx]
-    target = stack.counts[idx] * stack.threshold_C
+    durs = stack.durations[idx][:, None, None]
 
     t_norm = model.normalize_time(mids)
     frames, tangents, cache = model.forward_with_tangent(t_norm, want_cache=True)
-    tangents_sec = tangents * model.time_slope
-    pred = tangents_sec * durs[:, None, None]
-    resid = target - pred
+    seeds = np.empty((2, *frames.shape))
+    scratch, resid = seeds
+    np.multiply(tangents, model.time_slope, out=resid)
+    resid *= durs  # predicted ΔL
+    np.take(stack.counts, idx, axis=0, out=scratch)
+    scratch *= stack.threshold_C  # target ΔL
+    np.subtract(scratch, resid, out=resid)  # residual
     n = resid.size
-    loss = float(np.sum(resid * resid) / n)
-    seeds_dtangent_sec = (-2.0 / n) * resid * durs[:, None, None]
-    aux = {"t_norm": t_norm, "frames": frames, "cache": cache}
-    return loss, seeds_dtangent_sec, aux
+    loss = float(np.sum(np.multiply(resid, resid, out=scratch)) / n)
+    resid *= -2.0 / n
+    resid *= durs  # d loss / d per-second tangent
+    aux = {"t_norm": t_norm, "frames": frames, "cache": cache, "seeds": seeds}
+    return loss, resid, aux
 
 
 def spatial_reg_loss(frames: np.ndarray):
@@ -221,14 +228,15 @@ def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream)
             partition.stack = refine_bins(partition.stack, stream)
         stack = partition.stack
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
-        l_temp, seeds_sec, aux = temporal_loss(model, stack, idx)
-        seeds_tan = seeds_sec * model.time_slope
+        l_temp, _, aux = temporal_loss(model, stack, idx)
+        seeds = aux["seeds"]
+        seeds[1] *= model.time_slope  # per second -> per t_norm
         if cfg.lambda_reg > 0:
             l_reg, dframes = spatial_reg_loss(aux["frames"])
-            seeds_frame = cfg.lambda_reg * dframes
+            np.multiply(dframes, cfg.lambda_reg, out=seeds[0])
         else:
             l_reg = 0.0
-            seeds_frame = np.zeros_like(aux["frames"])
+            seeds[0] = 0.0
         total = l_temp + cfg.lambda_reg * l_reg
 
         if not math.isfinite(total):
@@ -241,7 +249,7 @@ def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream)
                 partition=partition.index,
             )
 
-        grads = model.backward(aux["t_norm"], seeds_frame, seeds_tan, cache=aux["cache"])
+        grads = model.backward(aux["t_norm"], seeds=seeds, cache=aux["cache"])
         adam_step(adam, model.params, grads)
 
         report.temporal.append(l_temp)
@@ -264,7 +272,7 @@ def build_partitions(stream: EventStream, cfg: TrainConfig) -> list:
     exactly `overlap` seconds. Streams shorter than tau yield N = 1.
     """
     if stream.duration <= 0:
-        raise ValueError("stream window must have positive duration")
+        raise InvalidConfig("stream window must have positive duration")
     n = max(1, math.ceil(stream.duration / cfg.partition_tau))
     half = cfg.overlap / 2.0
     seeds = np.random.SeedSequence(cfg.seed).spawn(n)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evrecon.cli import build_parser, main
+from evrecon.siren import init_siren, save_checkpoint
 from evrecon.training import blas_threads
 
 
@@ -65,3 +66,34 @@ def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "version 2" in err
+
+
+@pytest.mark.parametrize("line, reason", [("stages_s = 2", "unknown config key 'stages_s'"),
+                                          ("total_iters 12", "expected `key = value`"),
+                                          ("total_iters = twelve", "cannot parse total_iters"),
+                                          ("overlap = 9", "partition_tau > overlap")])
+def test_reconstruct_reports_a_bad_config_as_an_error(tmp_path, capsys, line, reason):
+    config = tmp_path / "old.cfg"
+    config.write_text(f"threshold_C = 0.25\n{line}\n")
+    events = tmp_path / "events.txt"
+    events.write_text("# width 2 height 2\n0.1 0 0 1\n0.2 1 1 0\n")
+    assert main(["reconstruct", "--events", str(events), "--config", str(config),
+                 "--out", str(tmp_path / "rec")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+
+
+def test_enhance_reports_a_truncated_checkpoint_as_an_error(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "partitions.json").write_text(json.dumps(
+        [{"index": 0, "core_span": [0.0, 1.0], "span": [0.0, 1.0],
+          "checkpoint": "partition_000.npz"}]))
+    save_checkpoint(init_siren([1, 32, 32, 64], seed=0, height=8, width=8),
+                    run / "partition_000.npz")
+    data = (run / "partition_000.npz").read_bytes()
+    (run / "partition_000.npz").write_bytes(data[:5000])
+    assert main(["enhance", "--checkpoints", str(run), "--window-dt", "0.05",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "partition_000.npz" in err

@@ -10,6 +10,7 @@ from evrecon.errors import (
 )
 from evrecon.selftest import max_param_gradient_error
 from evrecon.siren import (
+    ADAM_CHUNK,
     AdamState,
     adam_step,
     init_siren,
@@ -130,6 +131,73 @@ def test_backward_matches_finite_differences(toy_model):
     assert max_param_gradient_error(toy_model, loss, grads) < 1e-3
 
 
+def two_gemm_forward_backward(model, t, gy, gy_dot):
+    """Reference forward-with-tangent and backward that multiply value
+    rows and tangent rows by each layer's weights in separate GEMMs."""
+    omega = model.omega0
+    *hidden, (w_out, b_out) = model.layers()
+    a = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    a_dot = np.ones_like(a)
+    acts, acts_dot, coss, zdots = [a], [a_dot], [], []
+    for w, b in hidden:
+        z = a @ w.T + b
+        z_dot = a_dot @ w.T
+        c = np.cos(omega * z)
+        a = np.sin(omega * z)
+        a_dot = omega * c * z_dot
+        acts.append(a)
+        acts_dot.append(a_dot)
+        coss.append(c)
+        zdots.append(z_dot)
+    y = a @ w_out.T + b_out
+    y_dot = a_dot @ w_out.T
+
+    grads = np.empty_like(model.params)
+    grad_layers = model.layers(grads)
+    layers = model.layers()
+    u, u_dot = gy, gy_dot
+    for l in range(len(layers) - 1, -1, -1):
+        if l < len(layers) - 1:
+            c, s, z_dot = coss[l], acts[l + 1], zdots[l]
+            u, u_dot = u * (omega * c) - u_dot * (omega * omega) * s * z_dot, u_dot * (omega * c)
+        gw, gb = grad_layers[l]
+        gw[:] = u.T @ acts[l]
+        gw += u_dot.T @ acts_dot[l]
+        gb[:] = np.sum(u, axis=0)
+        u, u_dot = u @ layers[l][0], u_dot @ layers[l][0]
+    return y, y_dot, grads
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64, 130])
+def test_row_stacked_gemms_match_two_gemm_reference(k):
+    """Wide output layer: stacked value and tangent rows give the bits of
+    one GEMM each, in the tangent pass and through the seed buffer."""
+    model = init_siren([1, 256, 256, 4096], seed=7, height=64, width=64)
+    rng = np.random.default_rng(k)
+    t = rng.uniform(-1.0, 1.0, k)
+    seeds = rng.standard_normal((2, k, 64, 64))
+    seeds_before = seeds.copy()
+    frame, tangent, cache = model.forward_with_tangent(t, want_cache=True)
+    y, y_dot, ref_grads = two_gemm_forward_backward(
+        model, t, seeds[0].reshape(k, -1), seeds[1].reshape(k, -1))
+    assert np.array_equal(frame, model.forward(t))
+    assert np.array_equal(frame.reshape(k, -1), y)
+    assert np.array_equal(tangent.reshape(k, -1), y_dot)
+    grads = model.backward(t, seeds=seeds, cache=cache)
+    assert np.array_equal(grads, ref_grads)
+    assert np.array_equal(seeds, seeds_before)
+    assert np.array_equal(model.backward(t, seeds[0], seeds[1]), ref_grads)
+
+
+def test_backward_takes_seeds_one_way(toy_model):
+    with pytest.raises(TypeError):
+        toy_model.backward(0.2)
+    with pytest.raises(TypeError):
+        toy_model.backward(0.2, np.zeros((1, 16)), seeds=np.zeros((2, 16)))
+    with pytest.raises(ShapeMismatch):
+        toy_model.backward(0.2, seeds=np.zeros((1, 16)))
+
+
 def test_backward_zero_seeds_zero_gradients(toy_model):
     zeros = np.zeros((1, 16))
     grads = toy_model.backward(0.2, zeros, zeros)
@@ -211,6 +279,35 @@ def test_adam_shape_guard():
     state = AdamState.for_params(params, lr=0.1)
     with pytest.raises(ShapeMismatch):
         adam_step(state, params, np.zeros(4))
+
+
+def adam_reference(state, params, grads):
+    """The textbook whole-vector Adam step, one expression per line."""
+    state.step += 1
+    bc1 = 1.0 - state.beta1**state.step
+    bc2 = 1.0 - state.beta2**state.step
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
+    params = params - state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
+    if state.decay_rate != 1.0 and state.step % state.decay_every == 0:
+        state.lr *= state.decay_rate
+    return params
+
+
+@pytest.mark.parametrize("size", [ADAM_CHUNK // 3, 2 * ADAM_CHUNK, 2 * ADAM_CHUNK + 1237])
+def test_chunked_adam_matches_whole_vector_formula_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    params = rng.standard_normal(size)
+    expected = params.copy()
+    state = AdamState.for_params(params, lr=1e-2, decay_rate=0.9, decay_every=4)
+    ref = AdamState.for_params(params, lr=1e-2, decay_rate=0.9, decay_every=4)
+    for _ in range(13):
+        grads = rng.standard_normal(size) * rng.uniform(0.1, 10.0)
+        adam_step(state, params, grads)
+        expected = adam_reference(ref, expected, grads)
+        assert np.array_equal(params, expected)
+        assert np.array_equal(state.m, ref.m) and np.array_equal(state.v, ref.v)
+    assert state.lr == ref.lr == pytest.approx(1e-2 * 0.9**3)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, toy_model):
@@ -301,3 +398,21 @@ def test_bad_checkpoint_raises_typed_error_at_load(tmp_path, broken):
     with pytest.raises(InvalidCheckpoint) as exc:
         load_checkpoint(path)
     assert isinstance(exc.value, EvreconError)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "text", "empty", "npy"])
+def test_unreadable_checkpoint_raises_typed_error(tmp_path, toy_model, damage):
+    path = tmp_path / "partition_000.npz"
+    save_checkpoint(toy_model, path)
+    if damage == "truncate":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    elif damage == "text":
+        path.write_text("not a checkpoint\n")
+    elif damage == "empty":
+        path.write_bytes(b"")
+    else:
+        with open(path, "wb") as fh:
+            np.save(fh, toy_model.params)
+    with pytest.raises(InvalidCheckpoint) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)

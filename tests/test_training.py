@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evrecon.errors import DegenerateFrame, DivergedTraining, IndexOutOfRange
+from evrecon.errors import DegenerateFrame, DivergedTraining, IndexOutOfRange, InvalidConfig
 from evrecon.frames import EventFrameStack, stack_uniform
 from evrecon import training
 from evrecon.simulate import SimConfig, render_scene, simulate_events
@@ -43,6 +43,20 @@ def test_config_validation():
         TrainConfig(refine_at_iters=(100, 400))
     with pytest.raises(ValueError):
         TrainConfig(overlap=6.0)
+
+
+@pytest.mark.parametrize("bad", [{"lambda_reg": -0.1}, {"initial_bin": 0.0},
+                                 {"refine_at_iters": (200, 100)}, {"overlap": 6.0},
+                                 {"batch_frames": 0}])
+def test_config_errors_are_typed(bad):
+    with pytest.raises(InvalidConfig):
+        TrainConfig(**bad)
+
+
+def test_zero_length_window_is_a_config_error():
+    stream = make_stream([0.5, 0.5], [0, 1], [0, 0], [1, -1], width=2, height=2)
+    with pytest.raises(InvalidConfig):
+        build_partitions(stream, tiny_cfg())
 
 
 def small_fixture(seed=2, size=12, duration=1.0):
