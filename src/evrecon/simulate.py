@@ -177,7 +177,8 @@ def simulate_events(video: IntensityVideo, cfg: SimConfig) -> EventStream:
             la = flat_prev[px]
             lb = flat_cur[px]
             frac = (levels - la) / (lb - la)
-            ts_parts.append(ta + frac * (tb - ta))
+            # rounding can put ta + frac * (tb - ta) one ulp past tb
+            ts_parts.append(np.clip(ta + frac * (tb - ta), ta, tb))
             px_parts.append(px)
             p_parts.append(sgn_rep.astype(np.int64))
             ref[active] += sgn * reps * C

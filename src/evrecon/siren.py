@@ -18,7 +18,11 @@ reduction unchanged, so the results are bit-identical to one GEMM per
 half; `_matmul_rows` keeps separate GEMMs for the small products where
 the BLAS would round them differently (see `_STACK_MIN_WORK`).
 
-All arithmetic is float64. Layer l < L-1 computes a = sin(omega0 * (W x + b));
+Every pass computes in the dtype of the parameter vector: times, scratch
+arrays, frames, tangents and gradients all follow `params.dtype`. A float64
+model (what `init_siren` and `load_checkpoint` build) computes in float64;
+training runs a float32 copy against its float64 parameters (see
+`training.train_partition`). Layer l < L-1 computes a = sin(omega0 * (W x + b));
 the output layer is affine. Initialization follows the sine-network
 convention: first layer U(-1/n_in, 1/n_in), later layers
 U(-sqrt(6/n_in)/omega0, +sqrt(6/n_in)/omega0), zero biases, so hidden
@@ -51,7 +55,7 @@ from .errors import (
 )
 
 CHECKPOINT_VERSION = 1
-ADAM_CHUNK = 1 << 15  # elements per Adam pass: six 256 KiB slices stay in L2
+ADAM_CHUNK = 1 << 15  # elements per Adam pass: seven 256 KiB slices stay in L2
 
 # OpenBLAS answers a GEMM with M*N*K <= 100**3 with small-matrix kernels
 # that round differently from its blocked kernel, and numpy sends one-row
@@ -66,7 +70,7 @@ def _matmul_rows(stacked: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     one GEMM when that is bit-identical to one GEMM per half, else two."""
     if k > 1 and k * w.shape[0] * w.shape[1] > _STACK_MIN_WORK:
         return stacked @ w
-    out = np.empty((2 * k, w.shape[1]))
+    out = np.empty((2 * k, w.shape[1]), dtype=np.result_type(stacked, w))
     np.matmul(stacked[:k], w, out=out[:k])
     np.matmul(stacked[k:], w, out=out[k:])
     return out
@@ -92,7 +96,7 @@ class SirenModel:
 
     layer_sizes: list
     omega0: float
-    params: np.ndarray  # flat float64 vector, see layers()
+    params: np.ndarray  # flat vector, see layers(); its dtype is the compute dtype
     height: int
     width: int
     t_domain: tuple
@@ -141,7 +145,7 @@ class SirenModel:
     # -- forward passes -----------------------------------------------------
 
     def _as_batch(self, t_norm) -> tuple[np.ndarray, bool]:
-        t = np.asarray(t_norm, dtype=np.float64)
+        t = np.asarray(t_norm, dtype=self.params.dtype)
         scalar = t.ndim == 0
         return t.reshape(-1, 1), scalar
 
@@ -204,22 +208,24 @@ class SirenModel:
         Give the seeds either as dloss_dframe and dloss_dtangent (default
         zero), each K frames, which are copied into one array, or as
         `seeds`: 2K frames, the frame seeds over the tangent seeds (e.g.
-        shape (2, K, H, W)), read in place without a copy.
+        shape (2, K, H, W)), read in place without a copy when they have
+        the dtype of params.
         """
         x, _ = self._as_batch(t_norm)
         k = x.shape[0]
+        dtype = self.params.dtype
         if (seeds is None) == (dloss_dframe is None):
             raise TypeError("give either dloss_dframe or seeds")
         if seeds is None:
-            gy = np.asarray(dloss_dframe, dtype=np.float64).reshape(k, -1)
+            gy = np.asarray(dloss_dframe, dtype=dtype).reshape(k, -1)
             if gy.shape[1] != self.num_pixels:
                 raise ShapeMismatch(
                     f"dloss_dframe has {gy.shape[1]} pixels, model emits {self.num_pixels}"
                 )
-            seeds = np.zeros((2 * k, self.num_pixels))
+            seeds = np.zeros((2 * k, self.num_pixels), dtype=dtype)
             seeds[:k] = gy
             if dloss_dtangent is not None:
-                gy_dot = np.asarray(dloss_dtangent, dtype=np.float64).reshape(k, -1)
+                gy_dot = np.asarray(dloss_dtangent, dtype=dtype).reshape(k, -1)
                 if gy_dot.shape != gy.shape:
                     raise ShapeMismatch("dloss_dtangent shape differs from dloss_dframe")
                 seeds[k:] = gy_dot
@@ -228,7 +234,7 @@ class SirenModel:
                 f"seeds hold {seeds.size} values, need 2 x {k} frames of {self.num_pixels}"
             )
         else:
-            seeds = seeds.reshape(2 * k, self.num_pixels)
+            seeds = np.asarray(seeds, dtype=dtype).reshape(2 * k, self.num_pixels)
         if cache is None:
             _, _, cache = self.forward_with_tangent(t_norm, want_cache=True)
         elif len(cache.inputs[0]) != 2 * k:
@@ -341,9 +347,11 @@ def adam_step(state: AdamState, params, grads):
     """One in-place Adam update with bias correction; returns (params, state).
 
     params, grads and the moments are flat vectors, updated ADAM_CHUNK
-    elements at a time through two chunk-sized scratch arrays; each
+    elements at a time through three chunk-sized scratch arrays; each
     element sees the arithmetic of the textbook whole-vector update, in the
-    same order. The learning rate is multiplied by decay_rate after every
+    same order, in the dtype of params: each chunk of a float32 gradient
+    is widened first, so a float64 master copy takes exact float64 steps.
+    The learning rate is multiplied by decay_rate after every
     decay_every-th step, so steps 1..10 use lr0, steps 11..20 use
     lr0*decay, and so on.
     """
@@ -353,11 +361,12 @@ def adam_step(state: AdamState, params, grads):
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    scratch = np.empty((2, min(params.size, ADAM_CHUNK)))
+    scratch = np.empty((3, min(params.size, ADAM_CHUNK)), dtype=params.dtype)
     for lo in range(0, params.size, ADAM_CHUNK):
         hi = min(lo + ADAM_CHUNK, params.size)
-        g, m, v = grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
-        step, denom = scratch[:, :hi - lo]
+        m, v = state.m[lo:hi], state.v[lo:hi]
+        g, step, denom = scratch[:, :hi - lo]
+        np.copyto(g, grads[lo:hi])  # widened to the dtype of params
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2

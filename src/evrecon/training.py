@@ -22,14 +22,15 @@ left. Partitions are independent, so `train_ensemble` trains them on
 runs, numpy's OpenBLAS is set to `max(1, previous // workers)` threads and
 restored after the pool has joined: partition threads and BLAS threads
 competing for the same cores slow every GEMM. On a 2-vCPU VM (OpenBLAS
-0.3.31) six 32x32 partitions with hidden width 128 (the benchmark's
-multipart32 workload) reconstruct in a median 11.7 s this way, against
-26.6 s with two partition threads each running 2-thread GEMMs, and
-20.5 s in one run with serial partitions on 2 BLAS threads; results are
-bit-identical. A single partition keeps all BLAS threads, because pinning
-BLAS to one thread for the whole process slowed the one-partition 64x64
-selftest fit from 52.9 to 63.2 s. When numpy's OpenBLAS cannot be found
-through ctypes, the BLAS thread count is left alone.
+0.3.31, float32 passes) six 32x32 partitions with hidden width 128 (the
+benchmark's multipart32 workload) reconstruct in a median 9.0 s this way
+(10 runs), against 15.1 s with two partition threads each running 2-thread
+GEMMs and 10.4 s with serial partitions on 2 BLAS threads (3 runs each);
+the scores are identical. A single partition keeps all BLAS threads,
+because pinning BLAS to one thread for the whole process slowed the
+one-partition 64x64 selftest workload from 28.5 to 33.8 s. When numpy's
+OpenBLAS cannot be found through ctypes, the BLAS thread count is left
+alone.
 """
 
 from __future__ import annotations
@@ -44,7 +45,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DegenerateFrame, DivergedTraining, IndexOutOfRange, InvalidConfig
+from .errors import (
+    DegenerateFrame,
+    DivergedTraining,
+    IndexOutOfRange,
+    InvalidConfig,
+    NonFiniteGradient,
+    NonFiniteOutput,
+)
 from .events import EventStream
 from .frames import EventFrameStack, refine_bins, stack_uniform
 from .siren import AdamState, SirenModel, adam_step, init_siren
@@ -150,48 +158,56 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices):
         raise IndexOutOfRange(
             f"indices outside [0, {stack.num_frames}): {idx.min()}..{idx.max()}"
         )
-    mids = stack.midpoints[idx]
-    durs = stack.durations[idx][:, None, None]
-
-    t_norm = model.normalize_time(mids)
+    t_norm = model.normalize_time(stack.midpoints[idx])
     frames, tangents, cache = model.forward_with_tangent(t_norm, want_cache=True)
-    seeds = np.empty((2, *frames.shape))
+    durs = stack.durations[idx].astype(frames.dtype)[:, None, None]
+    seeds = np.empty((2, *frames.shape), dtype=frames.dtype)
     scratch, resid = seeds
     np.multiply(tangents, model.time_slope, out=resid)
     resid *= durs  # predicted ΔL
-    np.take(stack.counts, idx, axis=0, out=scratch)
-    scratch *= stack.threshold_C  # target ΔL
+    np.multiply(stack.counts[idx], stack.threshold_C, out=scratch)  # target ΔL
     np.subtract(scratch, resid, out=resid)  # residual
     n = resid.size
-    loss = float(np.sum(np.multiply(resid, resid, out=scratch)) / n)
+    loss = float(np.sum(np.multiply(resid, resid, out=scratch), dtype=np.float64) / n)
     resid *= -2.0 / n
     resid *= durs  # d loss / d per-second tangent
     aux = {"t_norm": t_norm, "frames": frames, "cache": cache, "seeds": seeds}
     return loss, resid, aux
 
 
-def spatial_reg_loss(frames: np.ndarray):
+def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None):
     """Mean over x-sites of the squared forward difference Dx^2 plus mean
     over y-sites of Dy^2, averaged over the batch, with its exact gradient
     with respect to the frames. Takes one frame (H, W) or a batch
-    (K, H, W); the gradient has the input's shape."""
-    f = np.asarray(frames, dtype=np.float64)
+    (K, H, W) and computes in its float dtype; the gradient has the input's
+    shape and is written into `out` when given. Sums accumulate in float64.
+    """
+    f = np.asarray(frames)
+    if not np.issubdtype(f.dtype, np.floating):
+        f = f.astype(np.float64)
     if f.ndim not in (2, 3) or f.shape[-2] < 2 or f.shape[-1] < 2:
         raise DegenerateFrame(f"need at least 2x2 frames, got shape {f.shape}")
     frames = f if f.ndim == 3 else f[None]
     k, h, w = frames.shape
-    dx = frames[:, :, 1:] - frames[:, :, :-1]
-    dy = frames[:, 1:, :] - frames[:, :-1, :]
+    grad = (np.empty_like(f) if out is None else out).reshape(frames.shape)
     nx = k * h * (w - 1)
     ny = k * (h - 1) * w
-    loss = float(np.sum(dx * dx) / nx + np.sum(dy * dy) / ny)
-    grad = np.zeros_like(frames)
-    gx = (2.0 / nx) * dx
-    gy = (2.0 / ny) * dy
-    grad[:, :, 1:] += gx
-    grad[:, :, :-1] -= gx
-    grad[:, 1:, :] += gy
-    grad[:, :-1, :] -= gy
+    # One buffer holds Dx, then Dy; another their squares. Both views are
+    # contiguous, so sums and gradient terms round as in fresh arrays.
+    diff_buf = np.empty(max(nx, ny), dtype=f.dtype)
+    square_buf = np.empty_like(diff_buf)
+    dx = np.subtract(frames[:, :, 1:], frames[:, :, :-1], out=diff_buf[:nx].reshape(k, h, w - 1))
+    sum_x = np.sum(np.multiply(dx, dx, out=square_buf[:nx].reshape(dx.shape)), dtype=np.float64)
+    dx *= 2.0 / nx
+    grad[...] = 0.0
+    grad[:, :, 1:] += dx
+    grad[:, :, :-1] -= dx
+    dy = np.subtract(frames[:, 1:, :], frames[:, :-1, :], out=diff_buf[:ny].reshape(k, h - 1, w))
+    sum_y = np.sum(np.multiply(dy, dy, out=square_buf[:ny].reshape(dy.shape)), dtype=np.float64)
+    dy *= 2.0 / ny
+    grad[:, 1:, :] += dy
+    grad[:, :-1, :] -= dy
+    loss = float(sum_x / nx + sum_y / ny)
     return loss, grad if f.ndim == 3 else grad[0]
 
 
@@ -204,12 +220,17 @@ def _sample_indices(num_frames: int, batch_frames, rng) -> np.ndarray:
 def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream) -> TrainReport:
     """Run the full schedule on one partition, in place.
 
-    The stream is needed to rebuild the stack at each refinement. Raises
-    DivergedTraining when the loss goes non-finite or explodes.
+    The stream is needed to rebuild the stack at each refinement. Each
+    iteration runs forward, loss and backward on a float32 copy of the
+    network; Adam updates the float64 parameters of `partition.model` (and
+    its float64 moments) from the float32 gradient, and the copy is then
+    refreshed from them. Raises DivergedTraining when the loss goes
+    non-finite or explodes, or a pass overflows.
     """
-    model = partition.model
+    master = partition.model.params
+    model = replace(partition.model, params=master.astype(np.float32))
     adam = AdamState.for_params(
-        model.params,
+        master,
         lr=cfg.lr,
         beta1=cfg.adam_beta1,
         beta2=cfg.adam_beta2,
@@ -228,29 +249,33 @@ def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream)
             partition.stack = refine_bins(partition.stack, stream)
         stack = partition.stack
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
-        l_temp, _, aux = temporal_loss(model, stack, idx)
-        seeds = aux["seeds"]
-        seeds[1] *= model.time_slope  # per second -> per t_norm
-        if cfg.lambda_reg > 0:
-            l_reg, dframes = spatial_reg_loss(aux["frames"])
-            np.multiply(dframes, cfg.lambda_reg, out=seeds[0])
-        else:
-            l_reg = 0.0
-            seeds[0] = 0.0
-        total = l_temp + cfg.lambda_reg * l_reg
+        try:
+            l_temp, _, aux = temporal_loss(model, stack, idx)
+            seeds = aux["seeds"]
+            seeds[1] *= model.time_slope  # per second -> per t_norm
+            if cfg.lambda_reg > 0:
+                l_reg, _ = spatial_reg_loss(aux["frames"], out=seeds[0])
+                seeds[0] *= cfg.lambda_reg
+            else:
+                l_reg = 0.0
+                seeds[0] = 0.0
+            total = l_temp + cfg.lambda_reg * l_reg
 
-        if not math.isfinite(total):
-            raise DivergedTraining(it, "non-finite loss", partition=partition.index)
-        if initial_loss is None:
-            initial_loss = total
-        elif initial_loss > 0 and total > _DIVERGENCE_FACTOR * initial_loss:
-            raise DivergedTraining(
-                it, f"loss {total:.3e} exceeds 1e6 x initial {initial_loss:.3e}",
-                partition=partition.index,
-            )
+            if not math.isfinite(total):
+                raise DivergedTraining(it, "non-finite loss", partition=partition.index)
+            if initial_loss is None:
+                initial_loss = total
+            elif initial_loss > 0 and total > _DIVERGENCE_FACTOR * initial_loss:
+                raise DivergedTraining(
+                    it, f"loss {total:.3e} exceeds 1e6 x initial {initial_loss:.3e}",
+                    partition=partition.index,
+                )
 
-        grads = model.backward(aux["t_norm"], seeds=seeds, cache=aux["cache"])
-        adam_step(adam, model.params, grads)
+            grads = model.backward(aux["t_norm"], seeds=seeds, cache=aux["cache"])
+        except (NonFiniteOutput, NonFiniteGradient) as exc:  # a float32 pass overflowed
+            raise DivergedTraining(it, str(exc), partition=partition.index) from None
+        adam_step(adam, master, grads)
+        np.copyto(model.params, master)
 
         report.temporal.append(l_temp)
         report.regularization.append(l_reg)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evrecon.errors import InvalidDimensions, NonPositiveIntensity
@@ -126,6 +126,7 @@ def test_nonpositive_intensity_rejected():
     st.sampled_from([0.1, 0.25, 0.5]),
 )
 @settings(deadline=None, max_examples=40)
+@example(levels=[1.2339610194541027e-09, -1.0, 0.0, 1.2339610194541027e-09], C=0.25)
 def test_quantization_property_single_pixel(levels, C):
     eps = 1e-3
     times = np.linspace(0.0, 1.0, len(levels))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,7 @@ def two_gemm_forward_backward(model, t, gy, gy_dot):
     rows and tangent rows by each layer's weights in separate GEMMs."""
     omega = model.omega0
     *hidden, (w_out, b_out) = model.layers()
-    a = np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    a = np.asarray(t, dtype=model.params.dtype).reshape(-1, 1)
     a_dot = np.ones_like(a)
     acts, acts_dot, coss, zdots = [a], [a_dot], [], []
     for w, b in hidden:
@@ -168,14 +170,21 @@ def two_gemm_forward_backward(model, t, gy, gy_dot):
     return y, y_dot, grads
 
 
+def as_float32(model):
+    return replace(model, params=model.params.astype(np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64, 130])
-def test_row_stacked_gemms_match_two_gemm_reference(k):
+def test_row_stacked_gemms_match_two_gemm_reference(k, dtype):
     """Wide output layer: stacked value and tangent rows give the bits of
-    one GEMM each, in the tangent pass and through the seed buffer."""
+    one GEMM each, in the tangent pass and through the seed buffer, in
+    either compute dtype."""
     model = init_siren([1, 256, 256, 4096], seed=7, height=64, width=64)
+    model = replace(model, params=model.params.astype(dtype))
     rng = np.random.default_rng(k)
     t = rng.uniform(-1.0, 1.0, k)
-    seeds = rng.standard_normal((2, k, 64, 64))
+    seeds = rng.standard_normal((2, k, 64, 64)).astype(dtype)
     seeds_before = seeds.copy()
     frame, tangent, cache = model.forward_with_tangent(t, want_cache=True)
     y, y_dot, ref_grads = two_gemm_forward_backward(
@@ -187,6 +196,57 @@ def test_row_stacked_gemms_match_two_gemm_reference(k):
     assert np.array_equal(grads, ref_grads)
     assert np.array_equal(seeds, seeds_before)
     assert np.array_equal(model.backward(t, seeds[0], seeds[1]), ref_grads)
+
+
+def test_float32_model_computes_in_float32(toy_model):
+    """Frames, tangents, the cache and gradients of a float32 copy stay
+    float32, and float64 seeds are narrowed first rather than widening
+    the GEMMs."""
+    twin = as_float32(toy_model)
+    t = np.array([-0.4, 0.1, 0.8])
+    frame, tangent, cache = twin.forward_with_tangent(t, want_cache=True)
+    assert frame.dtype == tangent.dtype == np.float32
+    assert twin.forward(t).dtype == np.float32
+    assert all(a.dtype == np.float32 for a in cache.inputs + cache.derivs)
+    seeds = np.random.default_rng(6).standard_normal((2, 3, 4, 4)).astype(np.float32)
+    grads = twin.backward(t, seeds=seeds, cache=cache)
+    assert grads.dtype == np.float32
+    assert np.array_equal(twin.backward(t, seeds=seeds.astype(np.float64)), grads)
+    assert np.array_equal(twin.backward(t, seeds[0].astype(np.float64), seeds[1]), grads)
+
+
+def test_float32_gradients_match_float64_within_float32_rounding():
+    model = init_siren([1, 64, 64, 64, 256], seed=2, height=16, width=16)
+    twin = as_float32(model)
+    rng = np.random.default_rng(8)
+    t = rng.uniform(-1.0, 1.0, 32)
+    seeds = rng.standard_normal((2, 32, 16, 16))
+    frame, tangent = model.forward_with_tangent(t)
+    frame32, tangent32 = twin.forward_with_tangent(t)
+    assert np.allclose(frame32, frame, rtol=0, atol=1e-4 * np.abs(frame).max())
+    assert np.allclose(tangent32, tangent, rtol=0, atol=1e-4 * np.abs(tangent).max())
+    grads = model.backward(t, seeds=seeds)
+    grads32 = twin.backward(t, seeds=seeds.astype(np.float32))
+    for (gw, gb), (gw32, gb32) in zip(model.layers(grads), model.layers(grads32)):
+        assert np.linalg.norm(gw32 - gw) <= 1e-4 * np.linalg.norm(gw)
+        assert np.linalg.norm(gb32 - gb) <= 1e-4 * np.linalg.norm(gb)
+
+
+def test_adam_widens_float32_gradients():
+    """A float64 master copy takes exact float64 steps from a float32
+    gradient: the same as from that gradient widened to float64."""
+    rng = np.random.default_rng(9)
+    size = ADAM_CHUNK + 77
+    params = rng.standard_normal(size)
+    grads = (1e-3 * rng.standard_normal(size)).astype(np.float32)
+    widened = params.copy()
+    s32, s64 = AdamState.for_params(params, lr=1e-3), AdamState.for_params(widened, lr=1e-3)
+    for _ in range(3):
+        adam_step(s32, params, grads)
+        adam_step(s64, widened, grads.astype(np.float64))
+    assert params.dtype == s32.m.dtype == s32.v.dtype == np.float64
+    assert np.array_equal(params, widened)
+    assert np.array_equal(s32.v, s64.v)
 
 
 def test_backward_takes_seeds_one_way(toy_model):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from evrecon.errors import DegenerateFrame, DivergedTraining, IndexOutOfRange, I
 from evrecon.frames import EventFrameStack, stack_uniform
 from evrecon import training
 from evrecon.simulate import SimConfig, render_scene, simulate_events
-from evrecon.siren import init_siren
+from evrecon.siren import init_siren, load_checkpoint, save_checkpoint
 from evrecon.training import (
     Partition,
     TrainConfig,
@@ -253,6 +255,37 @@ def test_training_is_deterministic():
     assert a[0].report.total == b[0].report.total
 
 
+def test_losses_keep_float32_of_a_float32_model(toy_model, toy_stack):
+    twin = replace(toy_model, params=toy_model.params.astype(np.float32))
+    loss, seeds, aux = temporal_loss(twin, toy_stack, np.arange(toy_stack.num_frames))
+    assert isinstance(loss, float)
+    assert aux["frames"].dtype == seeds.dtype == aux["seeds"].dtype == np.float32
+    assert spatial_reg_loss(aux["frames"])[1].dtype == np.float32
+    l_reg, grad = spatial_reg_loss(aux["frames"], out=aux["seeds"][0])
+    assert isinstance(l_reg, float)
+    assert np.shares_memory(grad, aux["seeds"][0])
+    l_ref, grad_ref = spatial_reg_loss(aux["frames"].astype(np.float64))
+    assert l_reg == pytest.approx(l_ref, rel=1e-5)
+    assert np.allclose(grad, grad_ref, rtol=1e-5, atol=1e-6 * np.abs(grad_ref).max())
+
+
+def test_training_keeps_float64_parameters(tmp_path):
+    """Passes run in float32, but the trained parameters stay a float64
+    master copy that Adam steps below float32 resolution, and checkpoints
+    round-trip them bit-exactly."""
+    _, stream = small_fixture()
+    initial = build_partitions(stream, tiny_cfg())[0].model.params
+    part = train_ensemble(stream, tiny_cfg())[0]
+    params = part.model.params
+    assert params.dtype == np.float64
+    assert not np.array_equal(params, initial)
+    assert not np.array_equal(params, params.astype(np.float32).astype(np.float64))
+    save_checkpoint(part.model, tmp_path / "p.npz")
+    loaded = load_checkpoint(tmp_path / "p.npz")
+    assert loaded.params.dtype == np.float64
+    assert np.array_equal(loaded.params, params)
+
+
 def test_training_resolution_ladder():
     _, stream = small_fixture()
     parts = train_ensemble(stream, tiny_cfg())
@@ -277,6 +310,19 @@ def test_divergence_guard_raises():
     _, stream = small_fixture()
     with pytest.raises(DivergedTraining):
         train_ensemble(stream, tiny_cfg(lr=1e8))
+
+
+def test_float32_overflow_is_typed_divergence():
+    """Output weights a float64 network holds but whose float32 frames
+    overflow: the pass's NonFiniteOutput surfaces as DivergedTraining."""
+    _, stream = small_fixture()
+    cfg = tiny_cfg()
+    part = build_partitions(stream, cfg)[0]
+    part.model.weights[-1][:] = 1e38
+    assert np.all(np.isfinite(part.model.forward(0.0)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedTraining) as info:
+        train_partition(part, cfg, part.events)
+    assert info.value.iteration == 0 and info.value.partition == 0
 
 
 def test_loss_invariant_to_output_bias_shift():
