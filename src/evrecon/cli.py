@@ -138,7 +138,7 @@ def parse_config_file(path) -> dict:
 
 def _train_config(args) -> TrainConfig:
     kw = parse_config_file(args.config) if args.config else {}
-    if getattr(args, "threshold", None) is not None:
+    if args.threshold is not None:
         kw["threshold_C"] = args.threshold
     if getattr(args, "lambda_reg", None) is not None:
         kw["lambda_reg"] = args.lambda_reg
@@ -370,8 +370,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, seed_default=None):
-    p.add_argument("--seed", type=int, default=seed_default, help="RNG seed")
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _add_common(p):
+    p.add_argument("--seed", type=int, default=None, help="RNG seed")
     p.add_argument(
         "--threads", type=_positive_int, default=os.cpu_count() or 1,
         help="threads that train independent partitions at once (default: all "
@@ -381,6 +391,22 @@ def _add_common(p, seed_default=None):
              "threads competing for the same cores slow every GEMM (2 cores, six "
              "partitions: 26.6 s oversubscribed, 11.7 s pinned). A single "
              "partition keeps all BLAS threads.")
+
+
+def _add_train_and_frames(p, events_help: str, events_required: bool):
+    """Arguments reconstruct and enhance share: the events to train on,
+    the training config, and the output frames."""
+    p.add_argument("--events", required=events_required, default=None, help=events_help)
+    p.add_argument("--config", default=None, help="training config file")
+    p.add_argument("--polarity", choices=("signed", "zero_one"), default="zero_one")
+    p.add_argument("--width", type=int, default=None, help="sensor width override")
+    p.add_argument("--height", type=int, default=None, help="sensor height override")
+    p.add_argument("--threshold", type=_positive_float, default=None,
+                   help="contrast threshold C")
+    p.add_argument("--timestamps", default=None, help="times.txt of output frames")
+    p.add_argument("--fps", type=_positive_float, default=None, help="output frame rate")
+    p.add_argument("--out", required=True, help="output directory")
+    _add_common(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,47 +421,32 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--scene", choices=SCENE_KINDS, default="translating_gradient")
     ps.add_argument("--size", default="64x64", help="sensor size WxH")
     ps.add_argument("--duration", type=float, default=2.0, help="seconds")
-    ps.add_argument("--fps", type=float, default=240.0, help="render rate")
-    ps.add_argument("--threshold", type=float, default=0.25, help="contrast threshold C")
+    ps.add_argument("--fps", type=_positive_float, default=240.0, help="render rate")
+    ps.add_argument("--threshold", type=_positive_float, default=0.25,
+                    help="contrast threshold C")
     ps.add_argument("--noise", type=float, default=0.0, help="noise events/pixel/s")
     ps.add_argument("--polarity", choices=("signed", "zero_one"), default="zero_one")
-    ps.add_argument("--gamma", type=float, default=0.6, help="tone-map gamma for dumps")
+    ps.add_argument("--gamma", type=_positive_float, default=0.6,
+                    help="tone-map gamma for dumps")
     ps.add_argument("--dump-frames", default=None, help="also dump rendered frames here")
     ps.add_argument("--out", required=True, help="output events text file")
-    _add_common(ps)
+    ps.add_argument("--seed", type=int, default=None, help="RNG seed")
     ps.set_defaults(func=cmd_simulate)
 
     pr = sub.add_parser("reconstruct", help="train on events, emit frames")
-    pr.add_argument("--events", required=True, help="input events text file")
-    pr.add_argument("--config", default=None, help="training config file")
-    pr.add_argument("--polarity", choices=("signed", "zero_one"), default="zero_one")
-    pr.add_argument("--width", type=int, default=None, help="sensor width override")
-    pr.add_argument("--height", type=int, default=None, help="sensor height override")
-    pr.add_argument("--threshold", type=float, default=None, help="contrast threshold C")
+    _add_train_and_frames(pr, "input events text file", events_required=True)
     pr.add_argument("--lambda", dest="lambda_reg", type=float, default=None,
                     help="spatial regularization weight")
-    pr.add_argument("--timestamps", default=None, help="times.txt of output frames")
-    pr.add_argument("--fps", type=float, default=None, help="output frame rate")
-    pr.add_argument("--gamma", type=float, default=0.6, help="tone-map gamma")
-    pr.add_argument("--out", required=True, help="output directory")
-    _add_common(pr)
+    pr.add_argument("--gamma", type=_positive_float, default=0.6, help="tone-map gamma")
     pr.set_defaults(func=cmd_reconstruct)
 
     pe = sub.add_parser("enhance", help="derivative-based event enhancement")
-    pe.add_argument("--events", default=None, help="events file (trains first)")
+    _add_train_and_frames(pe, "events file (trains first)", events_required=False)
     pe.add_argument("--checkpoints", default=None, help="reconstruct output dir to reuse")
-    pe.add_argument("--config", default=None, help="training config file")
-    pe.add_argument("--polarity", choices=("signed", "zero_one"), default="zero_one")
-    pe.add_argument("--width", type=int, default=None)
-    pe.add_argument("--height", type=int, default=None)
-    pe.add_argument("--threshold", type=float, default=None)
-    pe.add_argument("--window-dt", dest="window_dt", type=float, required=True,
+    pe.add_argument("--window-dt", dest="window_dt", type=_positive_float, required=True,
                     help="time window the enhanced frames represent (seconds)")
-    pe.add_argument("--scale", type=float, default=None, help="gray mapping full scale")
-    pe.add_argument("--timestamps", default=None)
-    pe.add_argument("--fps", type=float, default=None)
-    pe.add_argument("--out", required=True, help="output directory")
-    _add_common(pe)
+    pe.add_argument("--scale", type=_positive_float, default=None,
+                    help="gray mapping full scale")
     pe.set_defaults(func=cmd_enhance)
 
     pv = sub.add_parser("evaluate", help="score prediction frames against reference")

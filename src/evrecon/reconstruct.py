@@ -57,57 +57,6 @@ def _as_times(times) -> np.ndarray:
     return np.asarray(times, dtype=np.float64).reshape(-1)
 
 
-def _overlap_regions(partitions) -> list:
-    """[(lo, hi)] per adjacent pair; empty span when overlap is zero."""
-    regions = []
-    for a, b in zip(partitions, partitions[1:]):
-        regions.append((b.span[0], a.span[1]))
-    return regions
-
-
-def _chained_offsets(partitions, regions) -> np.ndarray:
-    """Per-partition additive corrections making adjacent mean levels agree
-    over each shared overlap window (measured on a fixed time grid)."""
-    offsets = np.zeros(len(partitions))
-    for i, (lo, hi) in enumerate(regions):
-        if hi <= lo:
-            continue  # zero overlap: nothing measurable, keep offsets
-        grid = np.linspace(lo, hi, _OVERLAP_MEAN_SAMPLES)
-        mean_a = float(np.mean(partitions[i].model.forward(partitions[i].model.normalize_time(grid))))
-        mean_b = float(
-            np.mean(partitions[i + 1].model.forward(partitions[i + 1].model.normalize_time(grid)))
-        )
-        offsets[i + 1] = offsets[i] + (mean_a - mean_b)
-    return offsets
-
-
-def _route_times(partitions, times: np.ndarray):
-    """Assign each time to a single core span or an overlap pair.
-
-    Returns (core_assign, blend), where core_assign[j] = partition index
-    or -1, and blend[j] = (pair index i, weight u toward partition i+1).
-    """
-    regions = _overlap_regions(partitions)
-    t0 = partitions[0].span[0]
-    t1 = partitions[-1].span[1]
-    core = np.full(len(times), -1, dtype=np.int64)
-    blend = {}
-    edges = np.array([p.core_span[0] for p in partitions[1:]])
-    for j, t in enumerate(times):
-        if not (t0 <= t <= t1):
-            raise TimeOutOfRange(f"time {t} outside trained span [{t0}, {t1}]")
-        hit = None
-        for i, (lo, hi) in enumerate(regions):
-            if lo <= t <= hi and hi > lo:
-                hit = (i, (t - lo) / (hi - lo))
-                break
-        if hit is not None:
-            blend[j] = hit
-        else:
-            core[j] = min(int(np.searchsorted(edges, t, side="right")), len(partitions) - 1)
-    return core, blend
-
-
 def _batched_forward(partition, times: np.ndarray, tangent: bool):
     model = partition.model
     t_norm = model.normalize_time(times)
@@ -117,37 +66,59 @@ def _batched_forward(partition, times: np.ndarray, tangent: bool):
     return model.forward(t_norm)
 
 
+def _chained_offsets(partitions, lo, hi) -> np.ndarray:
+    """Per-partition additive corrections making adjacent mean levels agree
+    over each shared overlap window [lo[i], hi[i]] of partitions i and i+1
+    (measured on a fixed time grid)."""
+    offsets = np.zeros(len(partitions))
+    for i in range(len(lo)):
+        if hi[i] <= lo[i]:
+            continue  # zero overlap: nothing measurable, keep offsets
+        grid = np.linspace(lo[i], hi[i], _OVERLAP_MEAN_SAMPLES)
+        mean_a = float(np.mean(_batched_forward(partitions[i], grid, False)))
+        mean_b = float(np.mean(_batched_forward(partitions[i + 1], grid, False)))
+        offsets[i + 1] = offsets[i] + (mean_a - mean_b)
+    return offsets
+
+
 def _sample(partitions, times: np.ndarray, tangent: bool) -> np.ndarray:
     """Evaluate the stitched ensemble at the given times.
 
     tangent=False samples offset-corrected log frames; tangent=True samples
-    per-second time derivatives (offsets drop out of derivatives).
+    per-second time derivatives (offsets drop out of derivatives). A time
+    inside the overlap of partitions i and i+1 (the first such pair) blends
+    the two with weight u toward i+1; any other time takes the partition
+    whose core span holds it, the later one on a core edge. Each partition
+    and each pair evaluates its times in one batch, in the given order.
     """
     partitions = sorted(partitions, key=lambda p: p.index)
     h, w = partitions[0].model.height, partitions[0].model.width
-    core, blend = _route_times(partitions, times)
-    offsets = (
-        np.zeros(len(partitions))
-        if tangent
-        else _chained_offsets(partitions, _overlap_regions(partitions))
-    )
+    t0, t1 = partitions[0].span[0], partitions[-1].span[1]
+    outside = ~((times >= t0) & (times <= t1))  # NaN is outside too
+    if np.any(outside):
+        raise TimeOutOfRange(f"time {times[outside][0]} outside trained span [{t0}, {t1}]")
+    lo = np.array([p.span[0] for p in partitions[1:]])  # overlap i: [lo[i], hi[i]],
+    hi = np.array([p.span[1] for p in partitions[:-1]])  # empty at zero overlap
+    in_overlap = (times[:, None] >= lo) & (times[:, None] <= hi) & (hi > lo)
+    # argmax finds the first overlap holding each time; the extra column
+    # of True makes it len(lo) for times in no overlap.
+    pair = np.column_stack([in_overlap, np.ones(len(times), dtype=bool)]).argmax(axis=1)
+    blend = pair < len(lo)
+    edges = np.array([p.core_span[0] for p in partitions[1:]])
+    core = np.searchsorted(edges, times, side="right")
+    offsets = np.zeros(len(partitions)) if tangent else _chained_offsets(partitions, lo, hi)
     out = np.empty((len(times), h, w), dtype=np.float64)
 
-    for i in range(len(partitions)):
-        mask = core == i
-        if np.any(mask):
-            out[mask] = _batched_forward(partitions[i], times[mask], tangent) + offsets[i]
-    if blend:
-        idx = np.fromiter(blend.keys(), dtype=np.int64)
-        pairs = np.array([blend[j][0] for j in idx])
-        us = np.array([blend[j][1] for j in idx])
-        for i in np.unique(pairs):
-            sel = pairs == i
-            jj = idx[sel]
-            u = us[sel][:, None, None]
-            fa = _batched_forward(partitions[i], times[jj], tangent) + offsets[i]
-            fb = _batched_forward(partitions[i + 1], times[jj], tangent) + offsets[i + 1]
-            out[jj] = (1.0 - u) * fa + u * fb
+    for i, p in enumerate(partitions):
+        sel = ~blend & (core == i)
+        if np.any(sel):
+            out[sel] = _batched_forward(p, times[sel], tangent) + offsets[i]
+    for i in np.unique(pair[blend]):
+        sel = pair == i
+        u = ((times[sel] - lo[i]) / (hi[i] - lo[i]))[:, None, None]
+        fa = _batched_forward(partitions[i], times[sel], tangent) + offsets[i]
+        fb = _batched_forward(partitions[i + 1], times[sel], tangent) + offsets[i + 1]
+        out[sel] = (1.0 - u) * fa + u * fb
     return out
 
 

@@ -96,10 +96,11 @@ def gradient_oracle_errors(seed: int = 3):
     derivatives against central finite differences on a small model.
 
     Parameter check: every coordinate of d(L_temp + lambda L_reg)/dTheta,
-    relative to the gradient's scale. Tangent check: norm-relative error
-    of d frame/dt against a h=1e-4 central difference.
+    seeded by `training.objective` as in training, relative to the
+    gradient's scale. Tangent check: norm-relative error of d frame/dt
+    against a h=1e-4 central difference.
     """
-    from .training import spatial_reg_loss, temporal_loss
+    from .training import objective
     from .frames import EventFrameStack
 
     rng = np.random.default_rng(seed)
@@ -112,15 +113,11 @@ def gradient_oracle_errors(seed: int = 3):
     lam = 0.05
 
     def loss_of(m):
-        lt, _, aux = temporal_loss(m, stack, np.arange(T))
-        lr_, _ = spatial_reg_loss(aux["frames"])
+        lt, lr_, _ = objective(m, stack, np.arange(T), lam)
         return lt + lam * lr_
 
-    lt, seeds_sec, aux = temporal_loss(model, stack, np.arange(T))
-    _, dframes = spatial_reg_loss(aux["frames"])
-    grads = model.backward(
-        aux["t_norm"], lam * dframes, seeds_sec * model.time_slope, cache=aux["cache"]
-    )
+    _, _, aux = objective(model, stack, np.arange(T), lam)
+    grads = model.backward(aux["t_norm"], aux["seeds"], aux["cache"])
     worst_param = max_param_gradient_error(model, loss_of, grads)
 
     worst_tan = 0.0
@@ -200,12 +197,12 @@ def run_selftest(quick: bool = False, threads: int = 1, out=None) -> list:
     base_stack = partitions[0].stack
     idx = np.arange(min(8, base_stack.num_frames))
     worst_shift = 0.0
-    lt0, _, aux0 = temporal_loss(model, base_stack, idx)
+    lt0, aux0 = temporal_loss(model, base_stack, idx)
     lr0, _ = spatial_reg_loss(aux0["frames"])
     for c in (-3.0, 0.7, 10.0):
         shifted = model.copy()
         shifted.biases[-1][:] += c
-        lt1, _, aux1 = temporal_loss(shifted, base_stack, idx)
+        lt1, aux1 = temporal_loss(shifted, base_stack, idx)
         lr1, _ = spatial_reg_loss(aux1["frames"])
         worst_shift = max(
             worst_shift,

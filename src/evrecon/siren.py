@@ -13,10 +13,12 @@ differences in the test suite:
 Both passes keep value rows and tangent rows in one (2K, n) array per
 layer, K value rows over K tangent rows, so each layer multiplies both by
 its weights in one GEMM: the forward pass [a; da/dt] by W^T, the reverse
-pass [u; du/dt] by W. Stacking along rows leaves every output element's
-reduction unchanged, so the results are bit-identical to one GEMM per
-half; `_matmul_rows` keeps separate GEMMs for the small products where
-the BLAS would round them differently (see `_STACK_MIN_WORK`).
+pass [u; du/dt] by W. The reverse pass takes its seeds in the same
+layout: one array of dloss/dframe over dloss/dtangent, which
+`training.objective` fills. Stacking along rows leaves every output
+element's reduction unchanged, so the results are bit-identical to one
+GEMM per half; `_matmul_rows` keeps separate GEMMs for the small products
+where the BLAS would round them differently (see `_STACK_MIN_WORK`).
 
 Every pass computes in the dtype of the parameter vector: times, scratch
 arrays, frames, tangents and gradients all follow `params.dtype`. A float64
@@ -197,44 +199,25 @@ class SirenModel:
 
     # -- reverse pass -------------------------------------------------------
 
-    def backward(self, t_norm, dloss_dframe=None, dloss_dtangent=None,
-                 cache: ForwardCache | None = None, *, seeds=None):
+    def backward(self, t_norm, seeds, cache: ForwardCache | None = None):
         """Parameter gradients of
-        loss = sum(dloss_dframe * frame) + sum(dloss_dtangent * tangent),
+        loss = sum(seeds[:K] * frame) + sum(seeds[K:] * tangent),
         where tangent is d frame / d t_norm. Returns one flat vector in
         the layout of params. Recomputes the forward pass unless a cache
         from forward_with_tangent(..., want_cache=True) is supplied.
 
-        Give the seeds either as dloss_dframe and dloss_dtangent (default
-        zero), each K frames, which are copied into one array, or as
-        `seeds`: 2K frames, the frame seeds over the tangent seeds (e.g.
-        shape (2, K, H, W)), read in place without a copy when they have
-        the dtype of params.
+        seeds holds 2K frames, the frame seeds over the tangent seeds
+        (e.g. shape (2, K, H, W)), narrowed to the dtype of params. Seeds
+        that already have that dtype are read in place, without a copy,
+        and left unchanged.
         """
         x, _ = self._as_batch(t_norm)
         k = x.shape[0]
-        dtype = self.params.dtype
-        if (seeds is None) == (dloss_dframe is None):
-            raise TypeError("give either dloss_dframe or seeds")
-        if seeds is None:
-            gy = np.asarray(dloss_dframe, dtype=dtype).reshape(k, -1)
-            if gy.shape[1] != self.num_pixels:
-                raise ShapeMismatch(
-                    f"dloss_dframe has {gy.shape[1]} pixels, model emits {self.num_pixels}"
-                )
-            seeds = np.zeros((2 * k, self.num_pixels), dtype=dtype)
-            seeds[:k] = gy
-            if dloss_dtangent is not None:
-                gy_dot = np.asarray(dloss_dtangent, dtype=dtype).reshape(k, -1)
-                if gy_dot.shape != gy.shape:
-                    raise ShapeMismatch("dloss_dtangent shape differs from dloss_dframe")
-                seeds[k:] = gy_dot
-        elif seeds.size != 2 * k * self.num_pixels:
+        if np.size(seeds) != 2 * k * self.num_pixels:
             raise ShapeMismatch(
-                f"seeds hold {seeds.size} values, need 2 x {k} frames of {self.num_pixels}"
+                f"seeds hold {np.size(seeds)} values, need 2 x {k} frames of {self.num_pixels}"
             )
-        else:
-            seeds = np.asarray(seeds, dtype=dtype).reshape(2 * k, self.num_pixels)
+        seeds = np.asarray(seeds, dtype=self.params.dtype).reshape(2 * k, self.num_pixels)
         if cache is None:
             _, _, cache = self.forward_with_tangent(t_norm, want_cache=True)
         elif len(cache.inputs[0]) != 2 * k:

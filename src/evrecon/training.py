@@ -8,7 +8,9 @@ where L_temp is the mean squared residual between each bin's accumulated
 log-intensity change and the network's time derivative at the bin midpoint
 times the bin duration, and L_reg penalizes spatial forward differences of
 the emitted frames. Both are means over pixels and sampled bins, so the
-regularization weight transfers across resolutions.
+regularization weight transfers across resolutions. `objective` computes L
+and the seeds that SirenModel.backward turns into its gradient, for the
+training loop and the selftest's finite-difference oracle alike.
 
 Training is coarse-to-fine: the stack starts at the configured uniform bin
 width and is bisected at the scheduled iterations, doubling its temporal
@@ -144,12 +146,11 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices):
 
     For each index k the network's per-second tangent at the bin midpoint
     is scaled by the bin duration to predict that bin's ΔL. Returns
-    (loss, seeds, aux) where seeds is the (K, H, W) gradient of the loss
-    with respect to the per-second tangents, and aux carries the forward
-    results (t_norm, frames, cache) so callers can reuse the pass. seeds is
-    aux["seeds"][1]: aux["seeds"] is a (2, K, H, W) array laid out for
-    SirenModel.backward(seeds=...), whose frame half [0] is left for the
-    caller to fill.
+    (loss, aux): aux carries the forward results (t_norm, frames, cache) so
+    callers can reuse the pass, and "seeds", a (2, K, H, W) array laid out
+    for SirenModel.backward. Its tangent half [1] holds the gradient of the
+    loss with respect to the per-second tangents; its frame half [0] is
+    scratch, left for the caller to fill (see `objective`).
     """
     idx = np.asarray(frame_indices, dtype=np.int64)
     if idx.ndim != 1 or len(idx) == 0:
@@ -172,7 +173,7 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices):
     resid *= -2.0 / n
     resid *= durs  # d loss / d per-second tangent
     aux = {"t_norm": t_norm, "frames": frames, "cache": cache, "seeds": seeds}
-    return loss, resid, aux
+    return loss, aux
 
 
 def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None):
@@ -209,6 +210,25 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None):
     grad[:, :-1, :] -= dy
     loss = float(sum_x / nx + sum_y / ny)
     return loss, grad if f.ndim == 3 else grad[0]
+
+
+def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_reg: float):
+    """The training objective L_temp + lambda_reg * L_reg on the selected
+    bins. Returns (l_temp, l_reg, aux), where aux is temporal_loss's and
+    aux["seeds"] now holds the gradient of the objective with respect to
+    the frames over that with respect to the t_norm tangents, ready for
+    model.backward(aux["t_norm"], aux["seeds"], aux["cache"]).
+    """
+    l_temp, aux = temporal_loss(model, stack, frame_indices)
+    seeds = aux["seeds"]
+    seeds[1] *= model.time_slope  # per second -> per t_norm
+    if lambda_reg > 0:
+        l_reg, _ = spatial_reg_loss(aux["frames"], out=seeds[0])
+        seeds[0] *= lambda_reg
+    else:
+        l_reg = 0.0
+        seeds[0] = 0.0
+    return l_temp, l_reg, aux
 
 
 def _sample_indices(num_frames: int, batch_frames, rng) -> np.ndarray:
@@ -249,31 +269,26 @@ def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream)
             partition.stack = refine_bins(partition.stack, stream)
         stack = partition.stack
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
-        try:
-            l_temp, _, aux = temporal_loss(model, stack, idx)
-            seeds = aux["seeds"]
-            seeds[1] *= model.time_slope  # per second -> per t_norm
-            if cfg.lambda_reg > 0:
-                l_reg, _ = spatial_reg_loss(aux["frames"], out=seeds[0])
-                seeds[0] *= cfg.lambda_reg
-            else:
-                l_reg = 0.0
-                seeds[0] = 0.0
-            total = l_temp + cfg.lambda_reg * l_reg
+        # A float32 overflow shows up as a non-finite value, which the
+        # checks below turn into DivergedTraining; numpy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                l_temp, l_reg, aux = objective(model, stack, idx, cfg.lambda_reg)
+                total = l_temp + cfg.lambda_reg * l_reg
 
-            if not math.isfinite(total):
-                raise DivergedTraining(it, "non-finite loss", partition=partition.index)
-            if initial_loss is None:
-                initial_loss = total
-            elif initial_loss > 0 and total > _DIVERGENCE_FACTOR * initial_loss:
-                raise DivergedTraining(
-                    it, f"loss {total:.3e} exceeds 1e6 x initial {initial_loss:.3e}",
-                    partition=partition.index,
-                )
+                if not math.isfinite(total):
+                    raise DivergedTraining(it, "non-finite loss", partition=partition.index)
+                if initial_loss is None:
+                    initial_loss = total
+                elif initial_loss > 0 and total > _DIVERGENCE_FACTOR * initial_loss:
+                    raise DivergedTraining(
+                        it, f"loss {total:.3e} exceeds 1e6 x initial {initial_loss:.3e}",
+                        partition=partition.index,
+                    )
 
-            grads = model.backward(aux["t_norm"], seeds=seeds, cache=aux["cache"])
-        except (NonFiniteOutput, NonFiniteGradient) as exc:  # a float32 pass overflowed
-            raise DivergedTraining(it, str(exc), partition=partition.index) from None
+                grads = model.backward(aux["t_norm"], aux["seeds"], aux["cache"])
+            except (NonFiniteOutput, NonFiniteGradient) as exc:  # a float32 pass overflowed
+                raise DivergedTraining(it, str(exc), partition=partition.index) from None
         adam_step(adam, master, grads)
         np.copyto(model.params, master)
 

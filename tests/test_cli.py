@@ -19,6 +19,33 @@ def test_threads_below_one_is_a_usage_error(command, value, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["enhance", "--checkpoints", "c", "--out", "o", "--window-dt", "0.1"], "--window-dt"),
+    (["enhance", "--checkpoints", "c", "--out", "o", "--window-dt", "0.1"], "--scale"),
+    (["enhance", "--checkpoints", "c", "--out", "o", "--window-dt", "0.1"], "--fps"),
+    (["enhance", "--checkpoints", "c", "--out", "o", "--window-dt", "0.1"], "--threshold"),
+    (["reconstruct", "--events", "e", "--out", "o"], "--gamma"),
+    (["reconstruct", "--events", "e", "--out", "o"], "--fps"),
+    (["reconstruct", "--events", "e", "--out", "o"], "--threshold"),
+    (["simulate", "--out", "o"], "--threshold"),
+    (["simulate", "--out", "o"], "--fps"),
+    (["simulate", "--out", "o"], "--gamma"),
+])
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "fast"])
+def test_nonpositive_numbers_are_usage_errors(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_simulate_has_no_threads_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["simulate", "--out", "o", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_threads_default_and_explicit_value():
     parser = build_parser()
     assert parser.parse_args(["selftest"]).threads >= 1

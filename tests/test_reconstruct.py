@@ -36,6 +36,78 @@ def two_partitions(offset=0.0, overlap=0.5):
     return p0, p1
 
 
+def chain(n=3, overlap=0.5, same_network=False):
+    """n partitions with cores [i, i+1) and spans reaching half the overlap
+    past each interior core edge, as build_partitions lays them out. With
+    same_network, every partition runs one network over one time map,
+    plus an output offset of 0.7 * i."""
+    half = overlap / 2.0
+    parts = []
+    for i in range(n):
+        span = (max(i - half, 0.0), min(i + 1 + half, float(n)))
+        if same_network:
+            model = init_siren([1, 8, 8, 8, 16], seed=3, height=4, width=4,
+                               t_domain=(0.0, float(n)))
+            model.biases[-1][:] += 0.7 * i
+        else:
+            model = init_siren([1, 8, 8, 8, 16], seed=3 + i, height=4, width=4, t_domain=span)
+        parts.append(Partition(index=i, core_span=(float(i), float(i + 1)), span=span,
+                               model=model))
+    return parts
+
+
+def rate(p, t):
+    """Per-second derivative of one partition alone at the given times."""
+    _, tan = p.model.forward_with_tangent(p.model.normalize_time(np.asarray(t)))
+    return tan * p.model.time_slope
+
+
+def test_overlap_ends_blend_with_weights_zero_and_one():
+    p0, p1, _ = parts = chain()
+    lo, hi = p1.span[0], p0.span[1]  # overlap [0.75, 1.25]
+    assert np.array_equal(enhance_events(parts, [lo], 1.0), rate(p0, [lo]))
+    assert np.array_equal(enhance_events(parts, [hi], 1.0), rate(p1, [hi]))
+    mid = 0.5 * (lo + hi)
+    assert np.allclose(enhance_events(parts, [mid], 1.0),
+                       0.5 * rate(p0, [mid]) + 0.5 * rate(p1, [mid]), rtol=1e-12, atol=0)
+
+
+def test_zero_overlap_core_edge_goes_to_later_partition():
+    p0, p1, p2 = parts = chain(overlap=0.0)
+    for edge, later in ((1.0, p1), (2.0, p2)):
+        expect = later.model.forward(later.model.normalize_time(np.asarray([edge])))
+        assert np.array_equal(sample_video(parts, [edge]).frames, expect)
+        assert np.array_equal(enhance_events(parts, [edge], 1.0), rate(later, [edge]))
+
+
+def test_three_partitions_stitch_across_both_overlaps():
+    parts = chain(same_network=True)
+    times = np.linspace(0.0, 3.0, 121)
+    base = parts[0].model.forward(parts[0].model.normalize_time(times))
+    assert np.allclose(sample_video(parts, times).frames, base, atol=1e-10)
+
+    parts = chain()
+    grids = enhance_events(parts, times, 1.0)
+    for t, grid in zip(times, grids):
+        owners = [p for p in parts if p.span[0] <= t <= p.span[1]]
+        if len(owners) == 1:
+            expect = rate(owners[0], [t])[0]
+        else:
+            a, b = owners
+            u = (t - b.span[0]) / (a.span[1] - b.span[0])
+            expect = (1.0 - u) * rate(a, [t])[0] + u * rate(b, [t])[0]
+        assert np.allclose(grid, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.01, 3.01])
+def test_nan_and_out_of_window_times_are_rejected(bad):
+    parts = chain()
+    with pytest.raises(TimeOutOfRange):
+        sample_video(parts, [0.5, bad])
+    with pytest.raises(TimeOutOfRange):
+        enhance_events(parts, [bad, 2.5], 1.0)
+
+
 def test_single_partition_equals_forward():
     p = one_partition()
     times = np.linspace(0.0, 1.0, 9)

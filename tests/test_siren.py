@@ -129,7 +129,7 @@ def test_backward_matches_finite_differences(toy_model):
         f, tan = m.forward_with_tangent(t)
         return float(np.sum(gy * f.reshape(3, -1)) + np.sum(gydot * tan.reshape(3, -1)))
 
-    grads = toy_model.backward(t, gy, gydot)
+    grads = toy_model.backward(t, np.stack([gy, gydot]))
     assert max_param_gradient_error(toy_model, loss, grads) < 1e-3
 
 
@@ -187,10 +187,9 @@ def check_row_stacked_gemms(k, dtype):
     assert np.array_equal(frame, model.forward(t))
     assert np.array_equal(frame.reshape(k, -1), y)
     assert np.array_equal(tangent.reshape(k, -1), y_dot)
-    grads = model.backward(t, seeds=seeds, cache=cache)
+    grads = model.backward(t, seeds, cache)
     assert np.array_equal(grads, ref_grads)
     assert np.array_equal(seeds, seeds_before)
-    assert np.array_equal(model.backward(t, seeds[0], seeds[1]), ref_grads)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64, 130])
@@ -217,10 +216,9 @@ def test_float32_model_computes_in_float32(toy_model):
     assert twin.forward(t).dtype == np.float32
     assert all(a.dtype == np.float32 for a in cache.inputs + cache.derivs)
     seeds = np.random.default_rng(6).standard_normal((2, 3, 4, 4)).astype(np.float32)
-    grads = twin.backward(t, seeds=seeds, cache=cache)
+    grads = twin.backward(t, seeds, cache)
     assert grads.dtype == np.float32
-    assert np.array_equal(twin.backward(t, seeds=seeds.astype(np.float64)), grads)
-    assert np.array_equal(twin.backward(t, seeds[0].astype(np.float64), seeds[1]), grads)
+    assert np.array_equal(twin.backward(t, seeds.astype(np.float64)), grads)
 
 
 def test_float32_gradients_match_float64_within_float32_rounding():
@@ -233,8 +231,8 @@ def test_float32_gradients_match_float64_within_float32_rounding():
     frame32, tangent32 = twin.forward_with_tangent(t)
     assert np.allclose(frame32, frame, rtol=0, atol=1e-4 * np.abs(frame).max())
     assert np.allclose(tangent32, tangent, rtol=0, atol=1e-4 * np.abs(tangent).max())
-    grads = model.backward(t, seeds=seeds)
-    grads32 = twin.backward(t, seeds=seeds.astype(np.float32))
+    grads = model.backward(t, seeds)
+    grads32 = twin.backward(t, seeds.astype(np.float32))
     for (gw, gb), (gw32, gb32) in zip(model.layers(grads), model.layers(grads32)):
         assert np.linalg.norm(gw32 - gw) <= 1e-4 * np.linalg.norm(gw)
         assert np.linalg.norm(gb32 - gb) <= 1e-4 * np.linalg.norm(gb)
@@ -263,12 +261,12 @@ def test_backward_takes_seeds_one_way(toy_model):
     with pytest.raises(TypeError):
         toy_model.backward(0.2, np.zeros((1, 16)), seeds=np.zeros((2, 16)))
     with pytest.raises(ShapeMismatch):
-        toy_model.backward(0.2, seeds=np.zeros((1, 16)))
+        toy_model.backward(0.2, np.zeros((1, 16)))
 
 
 def test_backward_zero_seeds_zero_gradients(toy_model):
-    zeros = np.zeros((1, 16))
-    grads = toy_model.backward(0.2, zeros, zeros)
+    zeros = np.zeros((2, 1, 16))
+    grads = toy_model.backward(0.2, zeros)
     for g in grads:
         assert np.all(g == 0.0)
 
@@ -276,17 +274,18 @@ def test_backward_zero_seeds_zero_gradients(toy_model):
 def test_backward_linear_in_frame_seed(toy_model):
     rng = np.random.default_rng(5)
     gy = rng.standard_normal((1, 16))
-    g1 = toy_model.backward(0.2, gy)
-    g2 = toy_model.backward(0.2, 2.0 * gy)
+    seeds = np.stack([gy, np.zeros_like(gy)])
+    g1 = toy_model.backward(0.2, seeds)
+    g2 = toy_model.backward(0.2, 2.0 * seeds)
     for a, b in zip(g1, g2):
         assert np.allclose(b, 2.0 * a, rtol=1e-13, atol=0)
 
 
 def test_backward_shape_guards(toy_model):
     with pytest.raises(ShapeMismatch):
-        toy_model.backward(0.2, np.zeros((1, 7)))
+        toy_model.backward(0.2, np.zeros((2, 7)))
     with pytest.raises(ShapeMismatch):
-        toy_model.backward(0.2, np.zeros((1, 16)), np.zeros((2, 16)))
+        toy_model.backward(0.2, np.zeros((3, 16)))
 
 
 def test_output_bias_shift_moves_frame_not_tangent(toy_model):
@@ -412,7 +411,7 @@ def test_write_through_weight_view_changes_params_and_output(toy_model):
 
 
 def test_backward_returns_vector_shaped_like_params(toy_model):
-    grads = toy_model.backward(0.2, np.ones((1, 16)), np.ones((1, 16)))
+    grads = toy_model.backward(0.2, np.ones((2, 16)))
     assert grads.shape == toy_model.params.shape == (toy_model.num_parameters(),)
 
 

@@ -13,6 +13,7 @@ from evrecon.training import (
     TrainConfig,
     blas_threads,
     build_partitions,
+    objective,
     spatial_reg_loss,
     temporal_loss,
     train_ensemble,
@@ -89,9 +90,9 @@ def test_temporal_loss_zero_for_zero_model_and_stack():
     stack = EventFrameStack(counts, intervals, threshold_C=1.0)
     model = init_siren([1, 8, 8, 8, 4], seed=0, height=2, width=2, t_domain=(0.0, 1.0))
     model.weights[-1][:] = 0.0
-    loss, seeds, _ = temporal_loss(model, stack, np.arange(4))
+    loss, aux = temporal_loss(model, stack, np.arange(4))
     assert loss == 0.0
-    assert np.all(seeds == 0.0)
+    assert np.all(aux["seeds"][1] == 0.0)
 
 
 class LinearTimeModel:
@@ -131,9 +132,9 @@ def test_temporal_loss_zero_for_exact_linear_model():
     counts = np.broadcast_to((a * durations)[:, None, None], (6, 3, 3)).copy()
     stack = EventFrameStack(counts, intervals, threshold_C=C)
     model = LinearTimeModel(a, 3, 3, (0.0, 1.0))
-    loss, seeds, _ = temporal_loss(model, stack, np.arange(6))
+    loss, aux = temporal_loss(model, stack, np.arange(6))
     assert loss < 1e-28
-    assert np.allclose(seeds, 0.0, atol=1e-13)
+    assert np.allclose(aux["seeds"][1], 0.0, atol=1e-13)
 
 
 def test_temporal_loss_index_guard(toy_model, toy_stack):
@@ -147,10 +148,24 @@ def test_temporal_loss_quadratic_in_C(toy_stack):
     model = init_siren([1, 8, 8, 8, 16], seed=0, height=4, width=4, t_domain=(0.0, 1.0))
     model.weights[-1][:] = 0.0
     model.biases[-1][:] = 0.0
-    loss1, _, _ = temporal_loss(model, toy_stack, np.arange(toy_stack.num_frames))
+    loss1, _ = temporal_loss(model, toy_stack, np.arange(toy_stack.num_frames))
     scaled = EventFrameStack(toy_stack.counts, toy_stack.intervals, toy_stack.threshold_C * 3.0)
-    loss3, _, _ = temporal_loss(model, scaled, np.arange(scaled.num_frames))
+    loss3, _ = temporal_loss(model, scaled, np.arange(scaled.num_frames))
     assert loss3 == pytest.approx(9.0 * loss1, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.0])
+def test_objective_fills_both_seed_halves(toy_model, toy_stack, lam):
+    """The tangent half becomes per-t_norm, the frame half lambda times
+    the regularizer gradient (zero at lambda = 0)."""
+    idx = np.arange(toy_stack.num_frames)
+    l_temp, l_reg, aux = objective(toy_model, toy_stack, idx, lam)
+    ref_loss, ref = temporal_loss(toy_model, toy_stack, idx)
+    reg, grad = spatial_reg_loss(aux["frames"])
+    assert l_temp == ref_loss
+    assert l_reg == (reg if lam > 0 else 0.0)
+    assert np.array_equal(aux["seeds"][1], ref["seeds"][1] * toy_model.time_slope)
+    assert np.array_equal(aux["seeds"][0], lam * grad)
 
 
 # -- spatial regularization ---------------------------------------------------
@@ -257,9 +272,9 @@ def test_training_is_deterministic():
 
 def test_losses_keep_float32_of_a_float32_model(toy_model, toy_stack):
     twin = replace(toy_model, params=toy_model.params.astype(np.float32))
-    loss, seeds, aux = temporal_loss(twin, toy_stack, np.arange(toy_stack.num_frames))
+    loss, aux = temporal_loss(twin, toy_stack, np.arange(toy_stack.num_frames))
     assert isinstance(loss, float)
-    assert aux["frames"].dtype == seeds.dtype == aux["seeds"].dtype == np.float32
+    assert aux["frames"].dtype == aux["seeds"].dtype == np.float32
     assert spatial_reg_loss(aux["frames"])[1].dtype == np.float32
     l_reg, grad = spatial_reg_loss(aux["frames"], out=aux["seeds"][0])
     assert isinstance(l_reg, float)
@@ -306,6 +321,7 @@ def test_lambda_zero_is_pure_temporal():
     assert rep.final_T == rep.stack_sizes[0]
 
 
+@pytest.mark.filterwarnings("error")
 def test_divergence_guard_raises():
     _, stream = small_fixture()
     with pytest.raises(DivergedTraining):
@@ -331,12 +347,12 @@ def test_loss_invariant_to_output_bias_shift():
     parts = build_partitions(stream, cfg)
     model, stack = parts[0].model, parts[0].stack
     idx = np.arange(stack.num_frames)
-    lt0, _, aux0 = temporal_loss(model, stack, idx)
+    lt0, aux0 = temporal_loss(model, stack, idx)
     lr0, _ = spatial_reg_loss(aux0["frames"])
     for c in (-3.0, 0.7, 10.0):
         shifted = model.copy()
         shifted.biases[-1][:] += c
-        lt1, _, aux1 = temporal_loss(shifted, stack, idx)
+        lt1, aux1 = temporal_loss(shifted, stack, idx)
         lr1, _ = spatial_reg_loss(aux1["frames"])
         assert abs(lt1 - lt0) <= 1e-12 * max(abs(lt0), 1e-300)
         assert abs(lr1 - lr0) <= 1e-12 * max(abs(lr0), 1e-12)
@@ -354,9 +370,8 @@ def test_pixel_permutation_equivariance_with_zero_lambda():
     rng = np.random.default_rng(9)
     perm = rng.permutation(n_px)
 
-    loss, seeds, aux = temporal_loss(model, stack, idx)
-    grads = model.backward(aux["t_norm"], np.zeros_like(seeds),
-                           seeds * model.time_slope, cache=aux["cache"])
+    loss, _, aux = objective(model, stack, idx, cfg.lambda_reg)
+    grads = model.backward(aux["t_norm"], aux["seeds"], aux["cache"])
 
     permuted_counts = stack.counts.reshape(stack.num_frames, -1)[:, perm].reshape(
         stack.counts.shape)
@@ -364,9 +379,8 @@ def test_pixel_permutation_equivariance_with_zero_lambda():
     pmodel = model.copy()
     pmodel.weights[-1][:] = pmodel.weights[-1][perm]
     pmodel.biases[-1][:] = pmodel.biases[-1][perm]
-    ploss, pseeds, paux = temporal_loss(pmodel, pstack, idx)
-    pgrads = pmodel.backward(paux["t_norm"], np.zeros_like(pseeds),
-                             pseeds * pmodel.time_slope, cache=paux["cache"])
+    ploss, _, paux = objective(pmodel, pstack, idx, cfg.lambda_reg)
+    pgrads = pmodel.backward(paux["t_norm"], paux["seeds"], paux["cache"])
 
     assert ploss == pytest.approx(loss, rel=1e-12)
     gw, gb = model.layers(grads)[-1]
@@ -406,10 +420,10 @@ def test_temporal_loss_scales_quadratically_at_zero_model():
     model.weights[-1][:] = 0.0
     model.biases[-1][:] = 0.0
     idx = np.arange(stack.num_frames)
-    loss1, _, _ = temporal_loss(model, stack, idx)
+    loss1, _ = temporal_loss(model, stack, idx)
     alpha = 4.0
     scaled = EventFrameStack(stack.counts, stack.intervals, stack.threshold_C * alpha)
-    loss2, _, _ = temporal_loss(model, scaled, idx)
+    loss2, _ = temporal_loss(model, scaled, idx)
     assert loss2 == pytest.approx(alpha**2 * loss1, rel=1e-12)
 
 
@@ -478,6 +492,7 @@ def test_parallel_partitions_pin_blas_and_restore(blas_at_4, monkeypatch):
     assert all(p.report.workers == 2 and p.report.blas_threads == 2 for p in parts)
 
 
+@pytest.mark.filterwarnings("error")
 def test_blas_threads_restored_after_divergence(blas_at_4, monkeypatch):
     seen = _record_blas_threads(monkeypatch)
     _, stream = small_fixture(duration=1.0)
