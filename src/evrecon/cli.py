@@ -178,12 +178,12 @@ def _requested_times(args, t_start, t_end) -> FrameTimestamps:
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     w, h = _parse_size(args.size)
-    video = render_scene(args.scene, w, h, args.duration, args.fps, seed=args.seed or 0)
     sim = SimConfig(
         threshold_C=args.threshold,
         noise_rate=args.noise,
         rng_seed=args.seed or 0,
     )
+    video = render_scene(args.scene, w, h, args.duration, args.fps, seed=args.seed or 0)
     stream = simulate_events(video, sim)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -257,12 +257,11 @@ def cmd_reconstruct(args) -> int:
     started = time.perf_counter()
     stream = _read_stream(args)
     cfg = _train_config(args)
+    times = _requested_times(args, stream.t_start, stream.t_end)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     partitions = train_ensemble(stream, cfg, threads=args.threads)
     outputs = _write_partitions(partitions, out)
-
-    times = _requested_times(args, stream.t_start, stream.t_end)
     video = anchor_offset(sample_video(partitions, times))
     bytes_ = tone_map(video, ToneMapConfig(args.gamma))
     write_frame_dir(out, bytes_, times.times)
@@ -286,8 +285,7 @@ def cmd_enhance(args) -> int:
     started = time.perf_counter()
     if args.checkpoints:
         partitions = load_partitions(args.checkpoints)
-        t_lo = partitions[0].span[0]
-        t_hi = partitions[-1].span[1]
+        times = _requested_times(args, partitions[0].span[0], partitions[-1].span[1])
         inputs = [args.checkpoints]
     else:
         if not args.events:
@@ -295,10 +293,9 @@ def cmd_enhance(args) -> int:
             return 2
         stream = _read_stream(args)
         cfg = _train_config(args)
+        times = _requested_times(args, stream.t_start, stream.t_end)
         partitions = train_ensemble(stream, cfg, threads=args.threads)
-        t_lo, t_hi = stream.t_start, stream.t_end
         inputs = [args.events]
-    times = _requested_times(args, t_lo, t_hi)
     grids = enhance_events(partitions, times, args.window_dt)
     out = Path(args.out)
     bytes_ = enhancement_to_bytes(grids, scale=args.scale)
@@ -380,8 +377,7 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None, help="RNG seed")
+def _add_threads(p):
     p.add_argument(
         "--threads", type=_positive_int, default=os.cpu_count() or 1,
         help="threads that train independent partitions at once (default: all "
@@ -406,7 +402,8 @@ def _add_train_and_frames(p, events_help: str, events_required: bool):
     p.add_argument("--timestamps", default=None, help="times.txt of output frames")
     p.add_argument("--fps", type=_positive_float, default=None, help="output frame rate")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed")
+    _add_threads(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--quick", action="store_true",
                     help="reduced fixture and relaxed thresholds, finishes fast")
     pt.add_argument("--out", default=None, help="directory for artifacts (optional)")
-    _add_common(pt)
+    _add_threads(pt)
     pt.set_defaults(func=cmd_selftest)
     return ap
 

@@ -1,13 +1,13 @@
-"""Accumulate events into per-interval frames of log-intensity change.
+"""Accumulate events into per-bin frames of log-intensity change.
 
-Each frame k holds C * (signed event count) per pixel over interval k:
-the discrete estimate of the log-intensity increment across that bin.
-Intervals are half-open [start, end); the final interval also includes
-its right edge, so the bins tile the stream window exactly. Signed counts
-are kept alongside the scaled frames so conservation checks stay exact.
+Bins are given by one increasing vector of T+1 edges. Each frame k holds
+C * (signed event count) per pixel over bin k = [edges[k], edges[k+1]);
+the final bin also includes its right edge, so the bins tile the window
+[edges[0], edges[-1]] exactly. Signed counts are kept alongside the scaled
+frames so conservation checks stay exact.
 
-`refine_bins` bisects every interval at the median event time, which
-doubles the temporal resolution while balancing the event count between
+`refine_bins` bisects every bin at the median event time, which doubles
+the temporal resolution while balancing the event count between
 children. This is the coarse-to-fine ladder the trainer climbs.
 """
 
@@ -24,30 +24,27 @@ from .events import EventStream, require_nonempty
 
 @dataclass
 class EventFrameStack:
-    """T accumulated frames with interval metadata.
+    """T accumulated frames over the bins between T+1 edges.
 
     frames[k] == threshold_C * counts[k]; counts holds exact signed event
-    counts per pixel (stored as float64 integers).
+    counts per pixel (stored as float64 integers) over [edges[k], edges[k+1]).
     """
 
     counts: np.ndarray  # (T, H, W) signed event counts
-    intervals: np.ndarray  # (T, 2) seconds
+    edges: np.ndarray  # (T+1,) seconds, strictly increasing
     threshold_C: float
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.float64)
-        self.intervals = np.asarray(self.intervals, dtype=np.float64)
-        if self.counts.ndim != 3 or self.intervals.shape != (len(self.counts), 2):
-            raise ValueError("counts must be (T,H,W) with matching (T,2) intervals")
+        self.edges = np.asarray(self.edges, dtype=np.float64)
+        if self.counts.ndim != 3 or self.edges.shape != (len(self.counts) + 1,):
+            raise ValueError("counts must be (T,H,W) with matching (T+1,) edges")
         if len(self.counts) < 1:
             raise ValueError("need at least one frame")
         if self.threshold_C <= 0:
             raise ValueError("threshold_C must be positive")
-        durs = self.intervals[:, 1] - self.intervals[:, 0]
-        if np.any(durs <= 0):
+        if not np.all(np.diff(self.edges) > 0):  # also rejects NaN edges
             raise ValueError("every interval needs positive duration")
-        if np.any(self.intervals[1:, 0] != self.intervals[:-1, 1]):
-            raise ValueError("intervals must tile without gaps or overlaps")
 
     @property
     def num_frames(self) -> int:
@@ -60,45 +57,46 @@ class EventFrameStack:
 
     @property
     def midpoints(self) -> np.ndarray:
-        return (self.intervals[:, 0] + self.intervals[:, 1]) / 2.0
+        return (self.edges[:-1] + self.edges[1:]) / 2.0
 
     @property
     def durations(self) -> np.ndarray:
-        return self.intervals[:, 1] - self.intervals[:, 0]
+        return self.edges[1:] - self.edges[:-1]
 
     @property
     def t_start(self) -> float:
-        return float(self.intervals[0, 0])
+        return float(self.edges[0])
 
     @property
     def t_end(self) -> float:
-        return float(self.intervals[-1, 1])
+        return float(self.edges[-1])
 
     def pixel_sums(self) -> np.ndarray:
         """Per-pixel sum of ΔL over all bins (the conserved quantity)."""
         return self.counts.sum(axis=0) * self.threshold_C
 
 
-def _bin_edges_to_slices(stream: EventStream, edges: np.ndarray) -> list[slice]:
-    """Event index ranges per interval; events on an edge go to the later
-    interval, the final interval keeps its right endpoint."""
-    idx = np.searchsorted(stream.t, edges, side="left")
-    idx[-1] = np.searchsorted(stream.t, edges[-1], side="right")
-    return [slice(int(idx[k]), int(idx[k + 1])) for k in range(len(edges) - 1)]
+def _first_events(t: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(T+1,) event indices: bin k holds events first[k]:first[k+1]. An
+    event on an edge goes to the later bin; the final bin keeps its right
+    endpoint."""
+    first = np.searchsorted(t, edges, side="left")
+    first[-1] = np.searchsorted(t, edges[-1], side="right")
+    return first
 
 
 def _accumulate(stream: EventStream, edges: np.ndarray) -> np.ndarray:
-    """(T, H, W) signed event counts for intervals defined by edges."""
+    """(T, H, W) signed event counts for the bins between edges, in one
+    bincount over (bin, pixel) keys."""
+    first = _first_events(stream.t, edges)
     T = len(edges) - 1
     h, w = stream.height, stream.width
-    counts = np.zeros((T, h, w), dtype=np.float64)
-    flat = stream.y * w + stream.x
-    for k, sl in enumerate(_bin_edges_to_slices(stream, edges)):
-        if sl.stop > sl.start:
-            counts[k] = np.bincount(
-                flat[sl], weights=stream.polarity[sl].astype(np.float64), minlength=h * w
-            ).reshape(h, w)
-    return counts
+    sl = slice(first[0], first[-1])
+    bins = np.repeat(np.arange(T), np.diff(first))
+    keys = bins * (h * w) + stream.y[sl] * w + stream.x[sl]
+    counts = np.bincount(keys, weights=stream.polarity[sl].astype(np.float64),
+                         minlength=T * h * w)
+    return counts.reshape(T, h, w)
 
 
 def stack_uniform(stream: EventStream, bin_duration: float, C: float) -> EventFrameStack:
@@ -122,40 +120,28 @@ def stack_uniform(stream: EventStream, bin_duration: float, C: float) -> EventFr
         T -= 1
         edges = edges[:-1]
         edges[-1] = stream.t_end
-    intervals = np.stack([edges[:-1], edges[1:]], axis=1)
-    return EventFrameStack(_accumulate(stream, edges), intervals, threshold_C=C)
-
-
-def _split_time(times: np.ndarray, lo: float, hi: float) -> float:
-    """Bisection point for one interval: midpoint of the two middle event
-    times, interval midpoint when fewer than 2 events or when the median
-    collapses onto an edge."""
-    mid = 0.5 * (lo + hi)
-    m = len(times)
-    if m < 2:
-        return mid
-    split = 0.5 * (times[(m - 1) // 2] + times[m // 2])
-    if not (lo < split < hi):
-        return mid
-    return split
+    return EventFrameStack(_accumulate(stream, edges), edges, threshold_C=C)
 
 
 def refine_bins(stack: EventFrameStack, stream: EventStream) -> EventFrameStack:
-    """Bisect every interval at its median event time, doubling T.
+    """Bisect every bin at its median event time, doubling T.
 
-    Children of each interval hold event counts differing by at most one
-    (exact ties in timestamps can skew this, since the boundary is a single
-    time). Per-pixel ΔL sums are preserved exactly: children partition the
-    parent's events.
+    A bin with m >= 2 events splits at the midpoint of its two middle
+    event times; a bin with fewer events, or whose split would not lie
+    strictly inside it, splits at its own midpoint. Children hold event
+    counts differing by at most one (exact ties in timestamps can skew
+    this, since the boundary is a single time). Per-pixel ΔL sums are
+    preserved exactly: children partition the parent's events.
     """
-    old_edges = np.concatenate([stack.intervals[:, 0], stack.intervals[-1, 1:]])
-    slices = _bin_edges_to_slices(stream, old_edges)
-    new_edges = [old_edges[0]]
-    for k, sl in enumerate(slices):
-        lo, hi = stack.intervals[k]
-        new_edges.append(_split_time(stream.t[sl], lo, hi))
-        new_edges.append(hi)
-    edges = np.asarray(new_edges, dtype=np.float64)
-    intervals = np.stack([edges[:-1], edges[1:]], axis=1)
-    return EventFrameStack(_accumulate(stream, edges), intervals, stack.threshold_C)
-
+    lo, hi = stack.edges[:-1], stack.edges[1:]
+    mid = 0.5 * (lo + hi)
+    first = _first_events(stream.t, stack.edges)
+    m = np.diff(first)
+    k = np.flatnonzero(m >= 2)
+    split = mid.copy()
+    split[k] = 0.5 * (stream.t[first[k] + (m[k] - 1) // 2] + stream.t[first[k] + m[k] // 2])
+    split = np.where((lo < split) & (split < hi), split, mid)
+    edges = np.empty(2 * stack.num_frames + 1)
+    edges[0::2] = stack.edges
+    edges[1::2] = split
+    return EventFrameStack(_accumulate(stream, edges), edges, stack.threshold_C)

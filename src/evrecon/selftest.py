@@ -107,7 +107,7 @@ def gradient_oracle_errors(seed: int = 3):
     T = 6
     counts = rng.integers(-3, 4, size=(T, 4, 4)).astype(np.float64)
     edges = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, T - 1)), [1.0]])
-    stack = EventFrameStack(counts, np.stack([edges[:-1], edges[1:]], axis=1), 0.5)
+    stack = EventFrameStack(counts, edges, 0.5)
     model = init_siren([1, 8, 8, 8, 16], omega0=30.0, seed=seed, height=4, width=4,
                        t_domain=(0.0, 1.0))
     lam = 0.05

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensions, NonPositiveIntensity
+from .errors import InvalidConfig, InvalidDimensions, NonPositiveIntensity
 from .events import EventStream
 
 SCENE_KINDS = ("translating_gradient", "moving_checker", "rotating_bars")
@@ -66,11 +66,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.threshold_C <= 0:
-            raise ValueError("threshold_C must be positive")
+            raise InvalidConfig("threshold_C must be positive")
         if self.log_eps <= 0:
-            raise ValueError("log_eps must be positive")
+            raise InvalidConfig("log_eps must be positive")
         if self.noise_rate < 0:
-            raise ValueError("noise_rate must be >= 0")
+            raise InvalidConfig("noise_rate must be >= 0")
 
 
 def render_scene(

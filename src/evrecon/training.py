@@ -40,7 +40,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -118,8 +117,6 @@ class TrainReport:
     regularization: list = field(default_factory=list)
     total: list = field(default_factory=list)
     stack_sizes: list = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    final_T: int = 0
     workers: int = 1  # partitions trained at once
     blas_threads: int | None = None  # BLAS threads while training; None = left as found
 
@@ -237,14 +234,14 @@ def _sample_indices(num_frames: int, batch_frames, rng) -> np.ndarray:
     return np.sort(rng.choice(num_frames, size=batch_frames, replace=False))
 
 
-def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream) -> TrainReport:
+def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     """Run the full schedule on one partition, in place.
 
-    The stream is needed to rebuild the stack at each refinement. Each
-    iteration runs forward, loss and backward on a float32 copy of the
-    network; Adam updates the float64 parameters of `partition.model` (and
-    its float64 moments) from the float32 gradient, and the copy is then
-    refreshed from them. Raises DivergedTraining when the loss goes
+    Each refinement re-bins `partition.events`. Each iteration runs
+    forward, loss and backward on a float32 copy of the network; Adam
+    updates the float64 parameters of `partition.model` (and its float64
+    moments) from the float32 gradient, and the copy is then refreshed
+    from them. Raises DivergedTraining when the loss goes
     non-finite or explodes, or a pass overflows.
     """
     master = partition.model.params
@@ -261,12 +258,11 @@ def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, partition.index, 0xB1]))
     refine_at = set(cfg.refine_at_iters)
     report = TrainReport()
-    started = time.perf_counter()
     initial_loss = None
 
     for it in range(cfg.total_iters):
         if it in refine_at:
-            partition.stack = refine_bins(partition.stack, stream)
+            partition.stack = refine_bins(partition.stack, partition.events)
         stack = partition.stack
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
         # A float32 overflow shows up as a non-finite value, which the
@@ -297,8 +293,6 @@ def train_partition(partition: Partition, cfg: TrainConfig, stream: EventStream)
         report.total.append(total)
         report.stack_sizes.append(stack.num_frames)
 
-    report.wall_clock_s = time.perf_counter() - started
-    report.final_T = partition.stack.num_frames
     partition.report = report
     return report
 
@@ -386,7 +380,7 @@ def train_ensemble(stream: EventStream, cfg: TrainConfig, threads: int = 1) -> l
     workers = max(1, min(threads, len(partitions)))
 
     def run(p: Partition):
-        train_partition(p, cfg, p.events)
+        train_partition(p, cfg)
 
     prev = blas_threads() if workers > 1 else None
     pinned = max(1, prev // workers) if prev is not None and prev > 1 else None

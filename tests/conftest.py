@@ -19,8 +19,7 @@ def toy_stack():
     T = 6
     counts = rng.integers(-3, 4, size=(T, 4, 4)).astype(np.float64)
     edges = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, T - 1)), [1.0]])
-    intervals = np.stack([edges[:-1], edges[1:]], axis=1)
-    return EventFrameStack(counts, intervals, threshold_C=0.5)
+    return EventFrameStack(counts, edges, threshold_C=0.5)
 
 
 def make_stream(t, x, y, p, width=None, height=None, t_start=None, t_end=None):

@@ -46,6 +46,41 @@ def test_simulate_has_no_threads_option(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_seed_belongs_to_training_commands_only(capsys):
+    parser = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["selftest", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert parser.parse_args(["reconstruct", "--events", "e", "--out", "o",
+                              "--seed", "5"]).seed == 5
+    assert parser.parse_args(["enhance", "--window-dt", "0.1", "--out", "o",
+                              "--seed", "5"]).seed == 5
+
+
+def test_simulate_reports_negative_noise_as_an_error(tmp_path, capsys):
+    events = tmp_path / "events.txt"
+    assert main(["simulate", "--size", "8x8", "--duration", "0.5", "--noise", "-1",
+                 "--out", str(events)]) == 1
+    assert capsys.readouterr().err == "error: noise_rate must be >= 0\n"
+    assert not events.exists()
+
+
+@pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
+def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, command):
+    def train_ensemble(*args, **kwargs):
+        raise AssertionError("trained before reading --timestamps")
+
+    monkeypatch.setattr("evrecon.cli.train_ensemble", train_ensemble)
+    events = tmp_path / "events.txt"
+    events.write_text("# width 2 height 2\n0.1 0 0 1\n0.2 1 1 0\n")
+    out = tmp_path / "out"
+    assert main([*command, "--events", str(events), "--timestamps", str(tmp_path / "none.txt"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("out/partition_*.npz"))
+
+
 def test_threads_default_and_explicit_value():
     parser = build_parser()
     assert parser.parse_args(["selftest"]).threads >= 1

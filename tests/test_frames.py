@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evrecon.errors import EmptyStream
@@ -47,7 +47,7 @@ def test_bin_count_is_ceiling():
                     t_start=0.0, t_end=1.9)
     stack = stack_uniform(s, 0.5, 1.0)
     assert stack.num_frames == 4
-    assert stack.intervals[-1, 1] == 1.9
+    assert stack.edges[-1] == 1.9
 
 
 def test_boundary_event_goes_to_later_interval():
@@ -65,8 +65,8 @@ def test_last_interval_includes_endpoint():
 
 def test_midpoints_and_tiling():
     stack = stack_uniform(simple_stream(), 0.3, C=1.0)
-    assert np.array_equal(stack.midpoints, stack.intervals.mean(axis=1))
-    assert np.all(stack.intervals[1:, 0] == stack.intervals[:-1, 1])
+    assert np.array_equal(stack.midpoints, (stack.edges[:-1] + stack.edges[1:]) / 2)
+    assert stack.edges.shape == (stack.num_frames + 1,)
     assert stack.t_start == 0.0 and stack.t_end == 1.0
 
 
@@ -76,7 +76,7 @@ def test_refine_splits_at_median_pair_midpoint():
     stack = stack_uniform(s, 1.0, C=1.0)
     fine = refine_bins(stack, s)
     assert fine.num_frames == 2
-    assert fine.intervals[0, 1] == pytest.approx(0.25)
+    assert fine.edges[1] == pytest.approx(0.25)
     assert fine.counts[0][0, 0] == 2 and fine.counts[1][0, 0] == 2
 
 
@@ -85,7 +85,7 @@ def test_refine_empty_interval_splits_at_midpoint():
     stack = stack_uniform(s, 1.0, C=1.0)  # second bin [1, 2] holds no events
     fine = refine_bins(stack, s)
     assert fine.num_frames == 4
-    assert fine.intervals[2, 1] == pytest.approx(1.5)
+    assert fine.edges[3] == pytest.approx(1.5)
     assert np.all(fine.counts[2:] == 0.0)
 
 
@@ -95,7 +95,7 @@ def test_refine_clamps_degenerate_split_to_midpoint():
                     t_start=0.0, t_end=1.0)
     stack = stack_uniform(s, 1.0, C=1.0)
     fine = refine_bins(stack, s)
-    assert fine.intervals[0, 1] == pytest.approx(0.5)
+    assert fine.edges[1] == pytest.approx(0.5)
     assert np.all(fine.durations > 0)
 
 
@@ -149,8 +149,8 @@ def test_conservation_and_tiling_properties(raw, C):
     assert fine.num_frames == 2 * stack.num_frames
     assert np.array_equal(fine.pixel_sums(), stack.pixel_sums())
     assert np.all(fine.durations > 0)
-    assert fine.intervals[0, 0] == stack.t_start
-    assert fine.intervals[-1, 1] == stack.t_end
+    assert fine.edges[0] == stack.t_start
+    assert fine.edges[-1] == stack.t_end
 
 
 def test_refine_balances_distinct_timestamps():
@@ -162,3 +162,117 @@ def test_refine_balances_distinct_timestamps():
     fine = refine_bins(stack, s)
     left, right = fine.counts[0][0, 0], fine.counts[1][0, 0]
     assert abs(left - right) <= 1
+
+
+def test_stack_rejects_nan_and_nonincreasing_edges():
+    counts = np.zeros((2, 1, 1))
+    for edges in ([0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [0.0, 0.5, 0.5], [0.0, 0.7, 0.5]):
+        with pytest.raises(ValueError):
+            EventFrameStack(counts, edges, threshold_C=1.0)
+    with pytest.raises(ValueError):
+        EventFrameStack(counts, [[0.0, 0.5], [0.5, 1.0]], threshold_C=1.0)
+
+
+# -- the per-bin loop the vectorized kernel replaced, kept as a reference ----
+
+
+def _ref_slices(stream, edges):
+    idx = np.searchsorted(stream.t, edges, side="left")
+    idx[-1] = np.searchsorted(stream.t, edges[-1], side="right")
+    return [slice(int(idx[k]), int(idx[k + 1])) for k in range(len(edges) - 1)]
+
+
+def _ref_counts(stream, edges):
+    T = len(edges) - 1
+    h, w = stream.height, stream.width
+    counts = np.zeros((T, h, w), dtype=np.float64)
+    flat = stream.y * w + stream.x
+    for k, sl in enumerate(_ref_slices(stream, edges)):
+        if sl.stop > sl.start:
+            counts[k] = np.bincount(
+                flat[sl], weights=stream.polarity[sl].astype(np.float64), minlength=h * w
+            ).reshape(h, w)
+    return counts
+
+
+def _ref_split_time(times, lo, hi):
+    mid = 0.5 * (lo + hi)
+    m = len(times)
+    if m < 2:
+        return mid
+    split = 0.5 * (times[(m - 1) // 2] + times[m // 2])
+    if not (lo < split < hi):
+        return mid
+    return split
+
+
+def _ref_refine(edges, stream):
+    """(edges, counts) of one bisection; ValueError on a zero-width bin."""
+    new_edges = [edges[0]]
+    for k, sl in enumerate(_ref_slices(stream, edges)):
+        lo, hi = edges[k], edges[k + 1]
+        new_edges.append(_ref_split_time(stream.t[sl], lo, hi))
+        new_edges.append(hi)
+    new_edges = np.asarray(new_edges, dtype=np.float64)
+    if np.any(new_edges[1:] - new_edges[:-1] <= 0):
+        raise ValueError("every interval needs positive duration")
+    return new_edges, _ref_counts(stream, new_edges)
+
+
+@st.composite
+def tie_heavy_binnings(draw):
+    """A stream on an integer grid of ticks (many events share a tick),
+    with events on bin edges and at t_end, a stack that may cover only a
+    sub-window of it, and 1-4 refinements."""
+    unit = draw(st.sampled_from([1.0, 0.125, 0.1, 1e-3]))  # 0.1: edges off the grid
+    grid = draw(st.integers(min_value=2, max_value=40))
+    bin_ticks = draw(st.integers(min_value=1, max_value=grid))
+    bin_duration = draw(st.sampled_from([bin_ticks * unit, bin_ticks * unit * 0.3]))
+    ticks = draw(st.lists(st.integers(min_value=0, max_value=grid), min_size=1, max_size=100))
+    on_edges = list(range(0, grid + 1, bin_ticks)) + [grid]
+    ticks += draw(st.lists(st.sampled_from(on_edges), max_size=20))
+    ticks.sort()
+    n = len(ticks)
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x = draw(st.lists(st.integers(0, w - 1), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, h - 1), min_size=n, max_size=n))
+    p = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    stream = make_stream(np.asarray(ticks) * unit, x, y, p, width=w, height=h,
+                         t_start=0.0, t_end=grid * unit)
+    lo, hi = 0, grid
+    if draw(st.booleans()):  # the stack covers a sub-window of the stream
+        lo = draw(st.integers(0, grid - 1))
+        hi = draw(st.integers(lo + 1, grid))
+    return stream, lo * unit, hi * unit, bin_duration, draw(st.integers(1, 4))
+
+
+# Four events tied at 0.9 split the bin from 3 * 0.3 = 0.8999999999999999
+# one ulp wide; the next refinement makes it zero-wide and both raise.
+_ONE_ULP_TIE = (make_stream(np.array([1, 5, 9, 9, 9, 9, 12, 15]) * 0.1, [0] * 8, [0] * 8,
+                            [1] * 8, width=1, height=1, t_start=0.0, t_end=2.0),
+                0.0, 2.0, 0.3, 3)
+
+
+@given(tie_heavy_binnings())
+@example(_ONE_ULP_TIE)
+@settings(deadline=None, max_examples=300)
+def test_vectorized_binning_matches_per_bin_loop(case):
+    stream, lo, hi, bin_duration, refinements = case
+    piece = stream.slice_time(lo, hi, include_hi=True)
+    if len(piece) == 0:
+        with pytest.raises(EmptyStream):
+            stack_uniform(piece, bin_duration, C=0.5)
+        return
+    stack = stack_uniform(piece, bin_duration, C=0.5)
+    assert stack.edges[0] == lo and stack.edges[-1] == hi
+    assert np.array_equal(stack.counts, _ref_counts(piece, stack.edges))
+    for _ in range(refinements):
+        try:
+            edges, counts = _ref_refine(stack.edges, stream)
+        except ValueError:
+            with pytest.raises(ValueError):
+                refine_bins(stack, stream)
+            return
+        stack = refine_bins(stack, stream)
+        assert np.array_equal(stack.edges, edges)
+        assert np.array_equal(stack.counts, counts)

@@ -86,8 +86,8 @@ def tiny_cfg(**kw):
 
 def test_temporal_loss_zero_for_zero_model_and_stack():
     counts = np.zeros((4, 2, 2))
-    intervals = np.stack([np.arange(4.0) / 4, np.arange(1.0, 5.0) / 4], axis=1)
-    stack = EventFrameStack(counts, intervals, threshold_C=1.0)
+    edges = np.arange(5.0) / 4
+    stack = EventFrameStack(counts, edges, threshold_C=1.0)
     model = init_siren([1, 8, 8, 8, 4], seed=0, height=2, width=2, t_domain=(0.0, 1.0))
     model.weights[-1][:] = 0.0
     loss, aux = temporal_loss(model, stack, np.arange(4))
@@ -126,11 +126,10 @@ def test_temporal_loss_zero_for_exact_linear_model():
     a = 1.7
     rng = np.random.default_rng(0)
     edges = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, 5)), [1.0]])
-    intervals = np.stack([edges[:-1], edges[1:]], axis=1)
-    durations = intervals[:, 1] - intervals[:, 0]
+    durations = edges[1:] - edges[:-1]
     C = 1.0
     counts = np.broadcast_to((a * durations)[:, None, None], (6, 3, 3)).copy()
-    stack = EventFrameStack(counts, intervals, threshold_C=C)
+    stack = EventFrameStack(counts, edges, threshold_C=C)
     model = LinearTimeModel(a, 3, 3, (0.0, 1.0))
     loss, aux = temporal_loss(model, stack, np.arange(6))
     assert loss < 1e-28
@@ -149,7 +148,7 @@ def test_temporal_loss_quadratic_in_C(toy_stack):
     model.weights[-1][:] = 0.0
     model.biases[-1][:] = 0.0
     loss1, _ = temporal_loss(model, toy_stack, np.arange(toy_stack.num_frames))
-    scaled = EventFrameStack(toy_stack.counts, toy_stack.intervals, toy_stack.threshold_C * 3.0)
+    scaled = EventFrameStack(toy_stack.counts, toy_stack.edges, toy_stack.threshold_C * 3.0)
     loss3, _ = temporal_loss(model, scaled, np.arange(scaled.num_frames))
     assert loss3 == pytest.approx(9.0 * loss1, rel=1e-12)
 
@@ -308,7 +307,7 @@ def test_training_resolution_ladder():
     assert len(rep.total) == 12
     assert rep.stack_sizes[4] == 2 * rep.stack_sizes[3]
     assert rep.stack_sizes[8] == 2 * rep.stack_sizes[7]
-    assert rep.final_T == 4 * rep.stack_sizes[0]
+    assert rep.stack_sizes[-1] == 4 * rep.stack_sizes[0]
     assert all(np.isfinite(v) and v >= 0 for v in rep.total)
 
 
@@ -318,7 +317,7 @@ def test_lambda_zero_is_pure_temporal():
     rep = parts[0].report
     assert all(v == 0.0 for v in rep.regularization)
     assert rep.total == rep.temporal
-    assert rep.final_T == rep.stack_sizes[0]
+    assert rep.stack_sizes[-1] == rep.stack_sizes[0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -337,7 +336,7 @@ def test_float32_overflow_is_typed_divergence():
     part.model.weights[-1][:] = 1e38
     assert np.all(np.isfinite(part.model.forward(0.0)))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedTraining) as info:
-        train_partition(part, cfg, part.events)
+        train_partition(part, cfg)
     assert info.value.iteration == 0 and info.value.partition == 0
 
 
@@ -375,7 +374,7 @@ def test_pixel_permutation_equivariance_with_zero_lambda():
 
     permuted_counts = stack.counts.reshape(stack.num_frames, -1)[:, perm].reshape(
         stack.counts.shape)
-    pstack = EventFrameStack(permuted_counts, stack.intervals, stack.threshold_C)
+    pstack = EventFrameStack(permuted_counts, stack.edges, stack.threshold_C)
     pmodel = model.copy()
     pmodel.weights[-1][:] = pmodel.weights[-1][perm]
     pmodel.biases[-1][:] = pmodel.biases[-1][perm]
@@ -393,7 +392,6 @@ def test_pixel_permutation_loss_history_short_run():
     _, stream = small_fixture(size=12)
     cfg = tiny_cfg(lambda_reg=0.0, total_iters=10, refine_at_iters=())
     parts = build_partitions(stream, cfg)
-    pieces = stream.slice_time(parts[0].span[0], parts[0].span[1], include_hi=True)
 
     n_px = 12 * 12
     perm = np.random.default_rng(9).permutation(n_px)
@@ -401,14 +399,14 @@ def test_pixel_permutation_loss_history_short_run():
     ppart.stack = EventFrameStack(
         ppart.stack.counts.reshape(ppart.stack.num_frames, -1)[:, perm].reshape(
             ppart.stack.counts.shape),
-        ppart.stack.intervals,
+        ppart.stack.edges,
         ppart.stack.threshold_C,
     )
     ppart.model.weights[-1][:] = ppart.model.weights[-1][perm]
     ppart.model.biases[-1][:] = ppart.model.biases[-1][perm]
 
-    rep = train_partition(parts[0], cfg, pieces)
-    prep = train_partition(ppart, cfg, pieces)
+    rep = train_partition(parts[0], cfg)
+    prep = train_partition(ppart, cfg)
     assert np.allclose(rep.total, prep.total, rtol=0, atol=1e-8)
 
 
@@ -422,7 +420,7 @@ def test_temporal_loss_scales_quadratically_at_zero_model():
     idx = np.arange(stack.num_frames)
     loss1, _ = temporal_loss(model, stack, idx)
     alpha = 4.0
-    scaled = EventFrameStack(stack.counts, stack.intervals, stack.threshold_C * alpha)
+    scaled = EventFrameStack(stack.counts, stack.edges, stack.threshold_C * alpha)
     loss2, _ = temporal_loss(model, scaled, idx)
     assert loss2 == pytest.approx(alpha**2 * loss1, rel=1e-12)
 
