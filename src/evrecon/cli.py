@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,67 +50,44 @@ from .siren import load_checkpoint, save_checkpoint
 from .training import Partition, TrainConfig, train_ensemble
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written atomically alongside outputs."""
-
-    subcommand: str
-    config: dict
-    inputs: list
-    outputs: list
-    seed: int | None
-    versions: dict
-    wall_clock_s: float
-    created_unix: float
-
-    def write(self, path) -> None:
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
-
-
-def _manifest(subcommand, config, inputs, outputs, seed, started) -> RunManifest:
-    return RunManifest(
-        subcommand=subcommand,
-        config=config,
-        inputs=[str(p) for p in inputs],
-        outputs=[str(p) for p in outputs],
-        seed=seed,
-        versions={
+def _write_manifest(out, subcommand, config, inputs, outputs, seed, started) -> None:
+    """Write the run's reproducibility record atomically next to `out`: a
+    file target gets a sibling `<name>.manifest.json`, a directory a
+    `manifest.json` inside it."""
+    out = Path(out)
+    path = out.parent / (out.name + ".manifest.json") if out.suffix else out / "manifest.json"
+    record = {
+        "subcommand": subcommand,
+        "config": config,
+        "inputs": [str(p) for p in inputs],
+        "outputs": [str(p) for p in outputs],
+        "seed": seed,
+        "versions": {
             "evrecon": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
-        wall_clock_s=time.perf_counter() - started,
-        created_unix=time.time(),
-    )
-
-
-def _manifest_path(out) -> Path:
-    out = Path(out)
-    if out.suffix:  # file target: manifest is a sibling
-        return out.parent / (out.name + ".manifest.json")
-    return out / "manifest.json"
+        "wall_clock_s": time.perf_counter() - started,
+        "created_unix": time.time(),
+    }
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    tmp.replace(path)
 
 
 # -- config file -------------------------------------------------------------
-
-_TUPLE_KEYS = {"refine_at_iters"}
-_INT_KEYS = {
-    "total_iters", "lr_decay_every", "seed",
-    "hidden_features", "hidden_layers",
-}
 
 
 def parse_config_file(path) -> dict:
     """Read the flat `key = value` training-config format.
 
-    Blank lines and `#` comments are ignored. Values: numbers, `all`
-    (full-batch), or comma-separated integer lists (refine_at_iters).
-    Keys mirror TrainConfig fields.
+    Blank lines and `#` comments are ignored. Keys mirror TrainConfig
+    fields, and each value parses as the type of that field's default:
+    an integer, a number, a comma-separated integer list
+    (refine_at_iters), or an integer or `all` (full-batch) where the
+    default is None (batch_frames).
     """
-    known = {f.name for f in fields(TrainConfig)}
+    defaults = {f.name: f.default for f in fields(TrainConfig)}
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -120,17 +97,16 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise InvalidConfig(f"{where}: expected `key = value`, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in defaults:
             raise InvalidConfig(f"{where}: unknown config key {key!r}")
+        default = defaults[key]
         try:
-            if key in _TUPLE_KEYS:
-                out[key] = tuple(int(v) for v in val.split(",") if v.strip()) if val else ()
-            elif key == "batch_frames":
+            if default is None:
                 out[key] = None if val == "all" else int(val)
-            elif key in _INT_KEYS:
-                out[key] = int(val)
+            elif isinstance(default, tuple):
+                out[key] = tuple(int(v) for v in val.split(",") if v.strip())
             else:
-                out[key] = float(val)
+                out[key] = type(default)(val)
         except ValueError:
             raise InvalidConfig(f"{where}: cannot parse {key} from {val!r}") from None
     return out
@@ -199,7 +175,7 @@ def cmd_simulate(args) -> int:
         "fps": args.fps, "threshold_C": args.threshold, "noise_rate": args.noise,
         "polarity": args.polarity, "events": len(stream),
     }
-    _manifest("simulate", cfg, [], outputs, args.seed, started).write(_manifest_path(out))
+    _write_manifest(out, "simulate", cfg, [], outputs, args.seed, started)
     print(f"simulate: wrote {len(stream)} events to {out}")
     return 0
 
@@ -266,7 +242,8 @@ def cmd_reconstruct(args) -> int:
     bytes_ = tone_map(video, ToneMapConfig(args.gamma))
     write_frame_dir(out, bytes_, times.times)
     outputs.append(out / "times.txt")
-    _manifest(
+    _write_manifest(
+        out,
         "reconstruct",
         {**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)},
          "gamma": args.gamma, "frames": len(times), "threads": args.threads,
@@ -275,7 +252,7 @@ def cmd_reconstruct(args) -> int:
         outputs,
         cfg.seed,
         started,
-    ).write(_manifest_path(out))
+    )
     print(f"reconstruct: trained {len(partitions)} partition(s), "
           f"wrote {len(times)} frames to {out}")
     return 0
@@ -300,7 +277,8 @@ def cmd_enhance(args) -> int:
     out = Path(args.out)
     bytes_ = enhancement_to_bytes(grids, scale=args.scale)
     write_frame_dir(out, bytes_, times.times)
-    _manifest(
+    _write_manifest(
+        out,
         "enhance",
         {"window_dt": args.window_dt, "scale": args.scale, "frames": len(times),
          **_threading(partitions)},
@@ -308,7 +286,7 @@ def cmd_enhance(args) -> int:
         [out],
         args.seed,
         started,
-    ).write(_manifest_path(out))
+    )
     print(f"enhance: wrote {len(times)} enhancement frames to {out}")
     return 0
 
@@ -317,24 +295,25 @@ def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     pred, pred_times = read_frame_dir(args.pred)
     ref, _ = read_frame_dir(args.ref)
-    report = evaluate_frames(pred, ref, times=pred_times, apply_clahe=not args.no_clahe)
+    report = evaluate_frames(pred, ref, apply_clahe=not args.no_clahe)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["frame_index", "time", "mse", "ssim"])
         for i, (t, m, s) in enumerate(
-            zip(report.times, report.mse_per_frame, report.ssim_per_frame)
+            zip(pred_times, report.mse_per_frame, report.ssim_per_frame)
         ):
             wr.writerow([i, f"{t:.9f}", f"{m:.9g}", f"{s:.9g}"])
-    _manifest(
+    _write_manifest(
+        out,
         "evaluate",
-        {"clahe": report.clahe_applied, "frames": report.num_frames},
+        {"clahe": not args.no_clahe, "frames": report.num_frames},
         [args.pred, args.ref],
         [out],
         None,
         started,
-    ).write(_manifest_path(out))
+    )
     print(f"evaluate: {report.num_frames} frames  "
           f"mean MSE {report.mean_mse:.6f}  mean SSIM {report.mean_ssim:.6f}")
     return 0

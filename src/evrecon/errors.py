@@ -88,6 +88,22 @@ class DivergedTraining(EvreconError, RuntimeError):
         super().__init__(msg)
 
 
+class InvalidTimestamps(EvreconError, ValueError):
+    """Frame times that are empty, not 1-D, not finite or not strictly
+    increasing, or a times.txt line that is not a number. `index` is the position of the
+    offending time, when one is to blame."""
+
+    def __init__(self, msg: str, index: int | None = None):
+        self.index = index
+        super().__init__(msg)
+
+
+class InvalidPGM(EvreconError, ValueError):
+    """A frame that is not an 8-bit 2-D array, a PGM file that is
+    truncated, malformed or deeper than 8 bits, or a frame directory whose
+    times.txt does not match its frames."""
+
+
 class TimeOutOfRange(EvreconError, ValueError):
     """Requested sample time lies outside every trained span."""
 

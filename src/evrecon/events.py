@@ -8,14 +8,14 @@ internally as {-1, +1}; inputs using {0, 1} are remapped at parse time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Union
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     EmptyStream,
     InvalidDimensions,
+    InvalidTimestamps,
     MalformedLine,
     PolarityOutOfRange,
     UnsortedStream,
@@ -117,11 +117,19 @@ class FrameTimestamps:
     times: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.float64))
-        if self.times.ndim != 1 or len(self.times) == 0:
-            raise ValueError("need a 1-D, non-empty array of times")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("frame times must be strictly increasing")
+        t = np.asarray(self.times, dtype=np.float64)
+        object.__setattr__(self, "times", t)
+        if t.ndim != 1 or len(t) == 0:
+            raise InvalidTimestamps("need a 1-D, non-empty array of times")
+        bad = np.flatnonzero(~np.isfinite(t))
+        if bad.size:
+            raise InvalidTimestamps(f"frame time {t[bad[0]]} is not finite", index=int(bad[0]))
+        bad = np.flatnonzero(~(np.diff(t) > 0))
+        if bad.size:
+            k = int(bad[0]) + 1
+            raise InvalidTimestamps(
+                f"frame times must be strictly increasing: {t[k]} follows {t[k - 1]}", index=k
+            )
 
     def __len__(self) -> int:
         return len(self.times)
@@ -146,27 +154,21 @@ def _map_polarity(p_raw: np.ndarray, encoding: str) -> np.ndarray:
 
 
 def parse_events(
-    source: Union[str, IO[str], Iterable[str]],
+    text: str,
     polarity_encoding: str = "zero_one",
     width: int | None = None,
     height: int | None = None,
 ) -> EventStream:
-    """Parse a text event recording into an EventStream.
+    """Parse the text of an event recording into an EventStream.
 
-    `source` is a string, an open text file, or an iterable of lines.
     Sensor size comes from (in priority order) the width/height arguments,
     a `# width W height H` header line, or max coordinate + 1. The stream
     window is [first event t, last event t]. An empty input yields an
     empty stream with a zero-length window.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
-
     ts, xs, ys, ps = [], [], [], []
     header_w = header_h = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -212,21 +214,16 @@ def parse_events(
     return EventStream(t_arr, x_arr, y_arr, p_arr, width=w, height=h, t_start=t0, t_end=t1)
 
 
-def write_events(
-    stream: EventStream,
-    polarity_encoding: str = "zero_one",
-    include_header: bool = True,
-) -> str:
-    """Serialize a stream to the text format.
+def write_events(stream: EventStream, polarity_encoding: str = "zero_one") -> str:
+    """Serialize a stream to the text format, with its `# width W height H`
+    header.
 
     Timestamps are written with 9 decimal places, so parse(write(s))
     reproduces s to nanosecond resolution. Event order is preserved.
     """
     if polarity_encoding not in POLARITY_ENCODINGS:
         raise ValueError(f"unknown polarity encoding {polarity_encoding!r}")
-    out = []
-    if include_header:
-        out.append(f"# width {stream.width} height {stream.height}")
+    out = [f"# width {stream.width} height {stream.height}"]
     if polarity_encoding == "zero_one":
         p_out = (stream.polarity > 0).astype(np.int64)
     else:
@@ -237,10 +234,23 @@ def write_events(
 
 
 def read_times(path) -> FrameTimestamps:
-    """Read a times.txt sidecar: one time (seconds) per line."""
+    """Read a times.txt sidecar: one time (seconds) per line, strictly
+    increasing. Raises InvalidTimestamps naming the file and line."""
+    vals, linenos = [], []
     with open(path) as fh:
-        vals = [float(line) for line in fh if line.strip()]
-    return FrameTimestamps(np.asarray(vals))
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                vals.append(float(line))
+            except ValueError:
+                raise InvalidTimestamps(f"{path}:{lineno}: not a time: {line.strip()!r}") from None
+            linenos.append(lineno)
+    try:
+        return FrameTimestamps(np.asarray(vals))
+    except InvalidTimestamps as exc:
+        where = path if exc.index is None else f"{path}:{linenos[exc.index]}"
+        raise InvalidTimestamps(f"{where}: {exc}") from None
 
 
 def write_times(path, times: FrameTimestamps | np.ndarray) -> None:

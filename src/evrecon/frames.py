@@ -63,14 +63,6 @@ class EventFrameStack:
     def durations(self) -> np.ndarray:
         return self.edges[1:] - self.edges[:-1]
 
-    @property
-    def t_start(self) -> float:
-        return float(self.edges[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.edges[-1])
-
     def pixel_sums(self) -> np.ndarray:
         """Per-pixel sum of ΔL over all bins (the conserved quantity)."""
         return self.counts.sum(axis=0) * self.threshold_C

@@ -37,8 +37,6 @@ class MetricReport:
 
     mse_per_frame: list = field(default_factory=list)
     ssim_per_frame: list = field(default_factory=list)
-    times: list = field(default_factory=list)
-    clahe_applied: bool = True
 
     @property
     def num_frames(self) -> int:
@@ -195,7 +193,6 @@ def clahe(
 def evaluate_frames(
     pred: np.ndarray,
     ref: np.ndarray,
-    times=None,
     apply_clahe: bool = True,
 ) -> MetricReport:
     """Score stacks of 8-bit frames (N, H, W): CLAHE both sides (unless
@@ -206,9 +203,7 @@ def evaluate_frames(
         raise ShapeMismatch(f"prediction {p.shape} vs reference {r.shape}")
     if p.ndim != 3:
         raise ShapeMismatch("expected (N, H, W) frame stacks")
-    report = MetricReport(clahe_applied=apply_clahe)
-    if times is None:
-        times = np.arange(len(p), dtype=np.float64)
+    report = MetricReport()
     for k in range(len(p)):
         a, b = p[k], r[k]
         if apply_clahe:
@@ -218,5 +213,4 @@ def evaluate_frames(
         bf = b.astype(np.float64) / 255.0
         report.mse_per_frame.append(mse(af, bf))
         report.ssim_per_frame.append(ssim(af, bf))
-        report.times.append(float(times[k]))
     return report

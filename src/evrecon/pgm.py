@@ -11,17 +11,19 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidPGM
+
 
 def write_pgm(path, frame: np.ndarray) -> None:
     """Write a uint8 H x W array as binary PGM (P5, maxval 255)."""
     arr = np.asarray(frame)
     if arr.ndim != 2:
-        raise ValueError(f"expected 2-D frame, got shape {arr.shape}")
+        raise InvalidPGM(f"expected 2-D frame, got shape {arr.shape}")
     if arr.dtype != np.uint8:
         if np.issubdtype(arr.dtype, np.integer) and arr.min() >= 0 and arr.max() <= 255:
             arr = arr.astype(np.uint8)
         else:
-            raise ValueError("frame must be uint8 (or integer within [0, 255])")
+            raise InvalidPGM("frame must be uint8 (or integer within [0, 255])")
     h, w = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -37,26 +39,34 @@ def read_pgm(path) -> np.ndarray:
     while len(tokens) < 4:
         m = re.match(rb"\s*(#[^\n]*\n|\S+)", data[pos:])
         if m is None:
-            raise ValueError(f"{path}: truncated PGM header")
+            raise InvalidPGM(f"{path}: truncated PGM header")
         tok = m.group(1)
         pos += m.end()
         if not tok.startswith(b"#"):
             tokens.append(tok)
     magic = tokens[0]
-    w, h, maxval = (int(t) for t in tokens[1:])
-    if maxval > 255:
-        raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise InvalidPGM(f"{path}: non-integer PGM header {b' '.join(tokens)!r}") from None
+    if w < 1 or h < 1 or maxval > 255:
+        raise InvalidPGM(f"{path}: only 8-bit PGM of positive size supported "
+                         f"({w}x{h}, maxval {maxval})")
     if magic == b"P5":
         raster = data[pos + 1 : pos + 1 + w * h]  # single whitespace after maxval
         if len(raster) < w * h:
-            raise ValueError(f"{path}: truncated PGM raster")
+            raise InvalidPGM(f"{path}: truncated PGM raster")
         return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
     if magic == b"P2":
-        vals = np.array(data[pos:].split(), dtype=np.int64)
-        if vals.size != w * h:
-            raise ValueError(f"{path}: expected {w * h} samples, got {vals.size}")
+        try:
+            vals = np.array(data[pos:].split(), dtype=np.int64)
+        except ValueError:
+            raise InvalidPGM(f"{path}: non-integer P2 sample") from None
+        if vals.size != w * h or vals.min() < 0 or vals.max() > maxval:
+            raise InvalidPGM(f"{path}: expected {w * h} samples in [0, {maxval}], "
+                             f"got {vals.size}")
         return vals.astype(np.uint8).reshape(h, w)
-    raise ValueError(f"{path}: unsupported magic {magic!r}")
+    raise InvalidPGM(f"{path}: unsupported magic {magic!r}")
 
 
 def frame_filename(index: int) -> str:
@@ -87,7 +97,7 @@ def read_frame_dir(in_dir) -> tuple[np.ndarray, np.ndarray]:
     if times_path.exists():
         times = read_times(times_path).times
         if len(times) != len(frames):
-            raise ValueError(f"{src}: times.txt length {len(times)} != {len(frames)} frames")
+            raise InvalidPGM(f"{src}: times.txt length {len(times)} != {len(frames)} frames")
     else:
         times = np.arange(len(frames), dtype=np.float64)
     return frames, times

@@ -71,6 +71,8 @@ class SimConfig:
             raise InvalidConfig("log_eps must be positive")
         if self.noise_rate < 0:
             raise InvalidConfig("noise_rate must be >= 0")
+        if not np.isfinite(self.noise_rate):
+            raise InvalidConfig(f"noise_rate must be finite, got {self.noise_rate}")
 
 
 def render_scene(

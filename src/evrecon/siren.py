@@ -138,9 +138,6 @@ class SirenModel:
     def biases(self) -> tuple:
         return tuple(b for _, b in self.layers())
 
-    def num_parameters(self) -> int:
-        return self.params.size
-
     def copy(self) -> "SirenModel":
         return replace(self, layer_sizes=list(self.layer_sizes), params=self.params.copy())
 

@@ -86,9 +86,6 @@ class TrainConfig:
     hidden_features: int = 512
     hidden_layers: int = 3
     omega0: float = 30.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         self.refine_at_iters = tuple(int(i) for i in self.refine_at_iters)
@@ -247,13 +244,7 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     master = partition.model.params
     model = replace(partition.model, params=master.astype(np.float32))
     adam = AdamState.for_params(
-        master,
-        lr=cfg.lr,
-        beta1=cfg.adam_beta1,
-        beta2=cfg.adam_beta2,
-        eps=cfg.adam_eps,
-        decay_rate=cfg.lr_decay,
-        decay_every=cfg.lr_decay_every,
+        master, lr=cfg.lr, decay_rate=cfg.lr_decay, decay_every=cfg.lr_decay_every
     )
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, partition.index, 0xB1]))
     refine_at = set(cfg.refine_at_iters)

@@ -1,11 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from evrecon.cli import build_parser, main
+from evrecon.cli import build_parser, main, parse_config_file
 from evrecon.siren import init_siren, save_checkpoint
-from evrecon.training import blas_threads
+from evrecon.training import TrainConfig, blas_threads
 
 
 @pytest.mark.parametrize("command", [["reconstruct", "--events", "e", "--out", "o"],
@@ -66,6 +67,15 @@ def test_simulate_reports_negative_noise_as_an_error(tmp_path, capsys):
     assert not events.exists()
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_simulate_reports_a_nonfinite_noise_rate_as_an_error(tmp_path, capsys, rate):
+    events = tmp_path / "events.txt"
+    assert main(["simulate", "--size", "8x8", "--duration", "0.5", "--noise", rate,
+                 "--out", str(events)]) == 1
+    assert capsys.readouterr().err == f"error: noise_rate must be finite, got {rate}\n"
+    assert not events.exists()
+
+
 @pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
 def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, command):
     def train_ensemble(*args, **kwargs):
@@ -75,9 +85,19 @@ def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, 
     events = tmp_path / "events.txt"
     events.write_text("# width 2 height 2\n0.1 0 0 1\n0.2 1 1 0\n")
     out = tmp_path / "out"
-    assert main([*command, "--events", str(events), "--timestamps", str(tmp_path / "none.txt"),
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    for name, text, where in [("none.txt", None, "none.txt"),
+                              ("words.txt", "0.1\nsoon\n", "words.txt:2: not a time"),
+                              ("backwards.txt", "0.1\n\n0.15\n0.12\n",
+                               "backwards.txt:4: frame times must be strictly increasing"),
+                              ("endless.txt", "0.1\n0.2\ninf\n",
+                               "endless.txt:3: frame time inf is not finite")]:
+        times = tmp_path / name
+        if text is not None:
+            times.write_text(text)
+        assert main([*command, "--events", str(events), "--timestamps", str(times),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
     assert not list(tmp_path.glob("out/partition_*.npz"))
 
 
@@ -131,6 +151,9 @@ def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, reason", [("stages_s = 2", "unknown config key 'stages_s'"),
+                                          ("adam_beta1 = 0.8", "unknown config key 'adam_beta1'"),
+                                          ("adam_beta2 = 0.99", "unknown config key 'adam_beta2'"),
+                                          ("adam_eps = 1e-6", "unknown config key 'adam_eps'"),
                                           ("total_iters 12", "expected `key = value`"),
                                           ("total_iters = twelve", "cannot parse total_iters"),
                                           ("overlap = 9", "partition_tau > overlap")])
@@ -143,6 +166,25 @@ def test_reconstruct_reports_a_bad_config_as_an_error(tmp_path, capsys, line, re
                  "--out", str(tmp_path / "rec")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and reason in err
+
+
+def test_every_default_round_trips_through_a_config_file(tmp_path):
+    defaults = {f.name: f.default for f in fields(TrainConfig)}
+    lines = []
+    for key, value in defaults.items():
+        if value is None:
+            text = "all"
+        elif isinstance(value, tuple):
+            text = ", ".join(map(str, value))
+        else:
+            text = repr(value)
+        lines.append(f"{key} = {text}\n")
+    config = tmp_path / "defaults.cfg"
+    config.write_text("".join(lines))
+    parsed = parse_config_file(config)
+    assert parsed == defaults
+    assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in defaults.items()}
+    assert TrainConfig(**parsed) == TrainConfig()
 
 
 def test_enhance_reports_a_truncated_checkpoint_as_an_error(tmp_path, capsys):

@@ -84,8 +84,8 @@ def test_polarity_out_of_range():
 
 def test_write_signed_format_exact():
     s = make_stream([0.25], [0], [0], [-1])
-    text = write_events(s, polarity_encoding="signed", include_header=False)
-    assert text == "0.250000000 0 0 -1\n"
+    text = write_events(s, polarity_encoding="signed")
+    assert text == "# width 1 height 1\n0.250000000 0 0 -1\n"
 
 
 def test_write_three_events_three_lines():

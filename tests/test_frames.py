@@ -67,7 +67,7 @@ def test_midpoints_and_tiling():
     stack = stack_uniform(simple_stream(), 0.3, C=1.0)
     assert np.array_equal(stack.midpoints, (stack.edges[:-1] + stack.edges[1:]) / 2)
     assert stack.edges.shape == (stack.num_frames + 1,)
-    assert stack.t_start == 0.0 and stack.t_end == 1.0
+    assert stack.edges[0] == 0.0 and stack.edges[-1] == 1.0
 
 
 def test_refine_splits_at_median_pair_midpoint():
@@ -149,8 +149,8 @@ def test_conservation_and_tiling_properties(raw, C):
     assert fine.num_frames == 2 * stack.num_frames
     assert np.array_equal(fine.pixel_sums(), stack.pixel_sums())
     assert np.all(fine.durations > 0)
-    assert fine.edges[0] == stack.t_start
-    assert fine.edges[-1] == stack.t_end
+    assert fine.edges[0] == stack.edges[0]
+    assert fine.edges[-1] == stack.edges[-1]
 
 
 def test_refine_balances_distinct_timestamps():

@@ -34,7 +34,7 @@ def test_parameter_count_for_default_architecture():
     model = init_siren([1, 512, 512, 512, 4096], seed=0, height=64, width=64)
     expected = (1 * 512 + 512) + 2 * (512 * 512 + 512) + (512 * 4096 + 4096)
     assert expected == 2_627_584
-    assert model.num_parameters() == expected
+    assert model.params.size == expected
 
 
 def test_init_bounds_and_zero_biases():
@@ -412,7 +412,7 @@ def test_write_through_weight_view_changes_params_and_output(toy_model):
 
 def test_backward_returns_vector_shaped_like_params(toy_model):
     grads = toy_model.backward(0.2, np.ones((2, 16)))
-    assert grads.shape == toy_model.params.shape == (toy_model.num_parameters(),)
+    assert grads.shape == toy_model.params.shape == (toy_model.params.size,)
 
 
 def test_copy_shares_no_memory(toy_model):
