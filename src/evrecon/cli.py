@@ -39,6 +39,7 @@ from .reconstruct import (
     LogVideo,
     ToneMapConfig,
     anchor_offset,
+    check_in_span,
     enhance_events,
     enhancement_to_bytes,
     sample_video,
@@ -141,11 +142,16 @@ def _read_stream(args):
 
 
 def _requested_times(args, t_start, t_end) -> FrameTimestamps:
+    """The output frame times, from --timestamps or --fps, checked against
+    the span [t_start, t_end] the networks cover before any training."""
     if args.timestamps:
-        return read_times(args.timestamps)
-    fps = args.fps or 30.0
-    n = max(2, int(math.floor((t_end - t_start) * fps)) + 1)
-    return FrameTimestamps(t_start + np.arange(n) / fps)
+        times = read_times(args.timestamps)
+    else:
+        fps = args.fps or 30.0
+        n = max(2, int(math.floor((t_end - t_start) * fps)) + 1)
+        times = FrameTimestamps(t_start + np.arange(n) / fps)
+    check_in_span(times.times, t_start, t_end)
+    return times
 
 
 # -- subcommands -------------------------------------------------------------

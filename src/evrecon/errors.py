@@ -110,3 +110,7 @@ class TimeOutOfRange(EvreconError, ValueError):
 
 class TooSmall(EvreconError, ValueError):
     """Image smaller than the metric's window."""
+
+
+class NotEightBit(EvreconError, ValueError):
+    """Frames whose values are not integers in 0-255."""

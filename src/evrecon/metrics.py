@@ -23,12 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .errors import ShapeMismatch, TooSmall
+from .errors import NotEightBit, ShapeMismatch, TooSmall
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+
+# Frames are scored in blocks of at most this many pixels, so evaluation
+# makes a few numpy calls per block instead of per frame, and its
+# temporaries stay bounded however long the clip is.
+BLOCK_PIXELS = 1 << 15
 
 
 @dataclass
@@ -60,28 +65,50 @@ def mse(pred: np.ndarray, ref: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
+def frame_blocks(frames: np.ndarray) -> list:
+    """Slices that cut an (N, H, W) stack into blocks of whole frames
+    holding at most BLOCK_PIXELS pixels, and at least one frame each."""
+    n, h, w = frames.shape
+    step = max(1, BLOCK_PIXELS // max(1, h * w))
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
+def _frame_means(stack: np.ndarray) -> np.ndarray:
+    """Per-frame mean of an (N, H, W) stack, each summed over one
+    contiguous run of H*W values exactly as np.mean sums a single frame."""
+    return np.mean(stack.reshape(len(stack), -1), axis=1)
+
+
+def _as_stack(frames: np.ndarray) -> np.ndarray:
+    """A frame (H, W) as a stack of one; a stack (N, H, W) as it is."""
+    return frames.reshape((-1,) + frames.shape[-2:])
+
+
 def _gaussian_taps(radius: int, sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     w = np.exp(-0.5 * (x / sigma) ** 2)
     return w / w.sum()
 
 
-def _window_mean(img: np.ndarray, taps: np.ndarray, radius: int) -> np.ndarray:
-    """Separable Gaussian filter restricted to fully valid windows."""
-    out = correlate1d(img, taps, axis=0, mode="constant")
-    out = correlate1d(out, taps, axis=1, mode="constant")
-    return out[radius:-radius, radius:-radius]
+def _window_mean(stack: np.ndarray, taps: np.ndarray, radius: int) -> np.ndarray:
+    """Separable Gaussian filter of each frame, restricted to fully valid
+    windows."""
+    out = correlate1d(stack, taps, axis=1, mode="constant")
+    out = correlate1d(out, taps, axis=2, mode="constant")
+    return out[:, radius:-radius, radius:-radius]
 
 
-def ssim(pred: np.ndarray, ref: np.ndarray) -> float:
-    """Structural similarity on frames with values in [0, 1]."""
+def ssim(pred: np.ndarray, ref: np.ndarray):
+    """Structural similarity on frames with values in [0, 1]: a float for
+    one (H, W) pair, an (N,) array of per-frame scores for (N, H, W)
+    stacks."""
     a = np.asarray(pred, dtype=np.float64)
     b = np.asarray(ref, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
-    if a.ndim != 2:
-        raise ShapeMismatch("ssim expects 2-D frames")
-    if min(a.shape) < SSIM_WINDOW:
+    if a.ndim not in (2, 3):
+        raise ShapeMismatch("ssim expects 2-D frames or 3-D frame stacks")
+    if min(a.shape[-2:]) < SSIM_WINDOW:
         raise TooSmall(f"frames must be at least {SSIM_WINDOW} pixels on a side")
 
     radius = SSIM_WINDOW // 2
@@ -89,51 +116,58 @@ def ssim(pred: np.ndarray, ref: np.ndarray) -> float:
     c1 = SSIM_K1**2
     c2 = SSIM_K2**2
 
-    mu_a = _window_mean(a, taps, radius)
-    mu_b = _window_mean(b, taps, radius)
-    var_a = _window_mean(a * a, taps, radius) - mu_a**2
-    var_b = _window_mean(b * b, taps, radius) - mu_b**2
-    cov = _window_mean(a * b, taps, radius) - mu_a * mu_b
+    sa, sb = _as_stack(a), _as_stack(b)
+    mu_a = _window_mean(sa, taps, radius)
+    mu_b = _window_mean(sb, taps, radius)
+    var_a = _window_mean(sa * sa, taps, radius) - mu_a**2
+    var_b = _window_mean(sb * sb, taps, radius) - mu_b**2
+    cov = _window_mean(sa * sb, taps, radius) - mu_a * mu_b
 
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    scores = _frame_means(num / den)
+    return float(scores[0]) if a.ndim == 2 else scores
 
 
-def _tile_lut(hist: np.ndarray, clip_count: float) -> np.ndarray:
-    """Equalization LUT from one tile's clipped histogram.
+def _tile_luts(hist: np.ndarray, clip_count: float) -> np.ndarray:
+    """Equalization LUTs (M, 256) from M tiles' clipped histograms.
 
     Uses the midpoint CDF (each bin maps to the center of its own mass)
     normalized between the first and last occupied bins: a flat histogram
     maps to the identity ramp exactly, so a uniform tile stays put to
-    within quantization.
+    within quantization. Only tiles whose histogram exceeds the clip are
+    clipped, and a tile with fewer than two occupied levels maps to the
+    identity.
     """
     h = hist.astype(np.float64)
-    excess = np.sum(np.maximum(h - clip_count, 0.0))
-    if excess > 0:
-        h = np.minimum(h, clip_count)
-        h += excess / len(h)
-    mid = np.cumsum(h) - 0.5 * h
-    occupied = np.nonzero(h)[0]
-    if len(occupied) == 0:
-        return np.arange(256, dtype=np.float64)
-    lo, hi = mid[occupied[0]], mid[occupied[-1]]
-    if hi <= lo:
-        return np.arange(256, dtype=np.float64)
-    return np.clip((mid - lo) * (255.0 / (hi - lo)), 0.0, 255.0)
+    excess = np.sum(np.maximum(h - clip_count, 0.0), axis=1, keepdims=True)
+    h = np.where(excess > 0, np.minimum(h, clip_count) + excess / 256, h)
+    mid = np.cumsum(h, axis=1) - 0.5 * h
+    occupied = h != 0
+    first = np.argmax(occupied, axis=1)[:, None]
+    last = 255 - np.argmax(occupied[:, ::-1], axis=1)[:, None]
+    lo = np.take_along_axis(mid, first, axis=1)
+    hi = np.take_along_axis(mid, last, axis=1)
+    identity = ~occupied.any(axis=1, keepdims=True) | (hi <= lo)
+    scale = 255.0 / np.where(identity, 1.0, hi - lo)
+    luts = np.clip((mid - lo) * scale, 0.0, 255.0)
+    return np.where(identity, np.arange(256, dtype=np.float64), luts)
 
 
 def clahe(
-    frame: np.ndarray,
+    frames: np.ndarray,
     tiles: tuple = (8, 8),
     clip_limit: float = 2.0,
 ) -> np.ndarray:
-    """Contrast-limited adaptive histogram equalization of an 8-bit frame.
+    """Contrast-limited adaptive histogram equalization of an 8-bit frame
+    (H, W) or of each frame of a stack (N, H, W).
 
     The image is edge-extended to a multiple of the tile grid; each tile's
     256-bin histogram is clipped at clip_limit times the flat level and the
     excess spread uniformly; pixels are remapped by bilinear interpolation
-    between the four surrounding tile mappings.
+    between the four surrounding tile mappings. Every tile histogram of
+    the stack comes from one bincount over (frame, tile, level) keys, and
+    each pixel's four mappings from flat gathers into the stack's LUTs.
 
     A second pass is not idempotent while the clip binds, since each pass
     stretches a low-contrast frame further, and the blend can ripple a
@@ -142,30 +176,30 @@ def clahe(
     one level. With one tile and a clip that cannot bind this is plain
     histogram equalization, which is idempotent.
     """
-    img = np.asarray(frame)
+    img = np.asarray(frames)
     if img.dtype != np.uint8:
         if np.issubdtype(img.dtype, np.integer) and img.min() >= 0 and img.max() <= 255:
             img = img.astype(np.uint8)
         else:
-            raise ValueError("clahe expects an 8-bit frame")
-    if img.ndim != 2:
-        raise ValueError("clahe expects a 2-D frame")
-    h, w = img.shape
+            raise NotEightBit("clahe expects 8-bit frames")
+    if img.ndim not in (2, 3):
+        raise ShapeMismatch("clahe expects a 2-D frame or a 3-D frame stack")
+    stack = _as_stack(img)
+    n, h, w = stack.shape
     ty, tx = tiles
     tile_h = -(-h // ty)  # ceil division
     tile_w = -(-w // tx)
-    pad_y = tile_h * ty - h
-    pad_x = tile_w * tx - w
-    padded = np.pad(img, ((0, pad_y), (0, pad_x)), mode="edge")
+    padded = np.pad(stack, ((0, 0), (0, tile_h * ty - h), (0, tile_w * tx - w)), mode="edge")
+
+    # key of each padded pixel: ((frame * ty + tile row) * tx + tile column) * 256 + level
+    tile_of = (np.arange(tile_h * ty) // tile_h)[:, None] * tx + np.arange(tile_w * tx) // tile_w
+    frame_base = np.arange(n)[:, None, None] * (ty * tx)
+    keys = (frame_base + tile_of) * 256 + padded
+    hist = np.bincount(keys.reshape(-1), minlength=n * ty * tx * 256)
 
     area = tile_h * tile_w
     clip_count = clip_limit * area / 256.0
-    luts = np.empty((ty, tx, 256), dtype=np.float64)
-    for r in range(ty):
-        for c in range(tx):
-            tile = padded[r * tile_h : (r + 1) * tile_h, c * tile_w : (c + 1) * tile_w]
-            hist = np.bincount(tile.reshape(-1), minlength=256)
-            luts[r, c] = _tile_lut(hist, clip_count)
+    luts = _tile_luts(hist.reshape(-1, 256), clip_count).reshape(-1)
 
     # bilinear blend of tile mappings, indexed by distance to tile centers
     yy = np.arange(h, dtype=np.float64)
@@ -179,15 +213,17 @@ def clahe(
     wy = np.clip(gy - y0, 0.0, 1.0)[:, None]
     wx = np.clip(gx - x0, 0.0, 1.0)[None, :]
 
-    vals = img.astype(np.int64)
-    m00 = luts[y0[:, None], x0[None, :], vals]
-    m01 = luts[y0[:, None], x1[None, :], vals]
-    m10 = luts[y1[:, None], x0[None, :], vals]
-    m11 = luts[y1[:, None], x1[None, :], vals]
-    top = m00 * (1.0 - wx) + m01 * wx
-    bot = m10 * (1.0 - wx) + m11 * wx
+    levels = frame_base * 256 + stack  # each pixel's entry in its frame's first LUT
+
+    def mapped(rows, cols):
+        """Each pixel through the LUT of tile (rows[y], cols[x]) of its frame."""
+        return luts.take(levels + (rows[:, None] * tx + cols[None, :]) * 256)
+
+    top = mapped(y0, x0) * (1.0 - wx) + mapped(y0, x1) * wx
+    bot = mapped(y1, x0) * (1.0 - wx) + mapped(y1, x1) * wx
     out = top * (1.0 - wy) + bot * wy
-    return np.clip(np.round(out), 0, 255).astype(np.uint8)
+    out = np.clip(np.round(out), 0, 255).astype(np.uint8)
+    return out[0] if img.ndim == 2 else out
 
 
 def evaluate_frames(
@@ -196,7 +232,8 @@ def evaluate_frames(
     apply_clahe: bool = True,
 ) -> MetricReport:
     """Score stacks of 8-bit frames (N, H, W): CLAHE both sides (unless
-    disabled), then per-frame MSE/SSIM on [0, 1] values."""
+    disabled), then per-frame MSE/SSIM on [0, 1] values, one block of
+    frames (`frame_blocks`) at a time."""
     p = np.asarray(pred)
     r = np.asarray(ref)
     if p.shape != r.shape:
@@ -204,13 +241,13 @@ def evaluate_frames(
     if p.ndim != 3:
         raise ShapeMismatch("expected (N, H, W) frame stacks")
     report = MetricReport()
-    for k in range(len(p)):
-        a, b = p[k], r[k]
+    for block in frame_blocks(p):
+        a, b = p[block], r[block]
         if apply_clahe:
             a = clahe(a)
             b = clahe(b)
         af = a.astype(np.float64) / 255.0
         bf = b.astype(np.float64) / 255.0
-        report.mse_per_frame.append(mse(af, bf))
-        report.ssim_per_frame.append(ssim(af, bf))
+        report.mse_per_frame.extend(_frame_means((af - bf) ** 2).tolist())
+        report.ssim_per_frame.extend(ssim(af, bf).tolist())
     return report

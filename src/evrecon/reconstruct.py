@@ -57,6 +57,14 @@ def _as_times(times) -> np.ndarray:
     return np.asarray(times, dtype=np.float64).reshape(-1)
 
 
+def check_in_span(times: np.ndarray, t0: float, t1: float) -> None:
+    """Raise TimeOutOfRange naming the first of `times` outside the
+    trained span [t0, t1]; NaN is outside too."""
+    outside = ~((times >= t0) & (times <= t1))
+    if np.any(outside):
+        raise TimeOutOfRange(f"time {times[outside][0]} outside trained span [{t0}, {t1}]")
+
+
 def _batched_forward(partition, times: np.ndarray, tangent: bool):
     model = partition.model
     t_norm = model.normalize_time(times)
@@ -94,9 +102,7 @@ def _sample(partitions, times: np.ndarray, tangent: bool) -> np.ndarray:
     partitions = sorted(partitions, key=lambda p: p.index)
     h, w = partitions[0].model.height, partitions[0].model.width
     t0, t1 = partitions[0].span[0], partitions[-1].span[1]
-    outside = ~((times >= t0) & (times <= t1))  # NaN is outside too
-    if np.any(outside):
-        raise TimeOutOfRange(f"time {times[outside][0]} outside trained span [{t0}, {t1}]")
+    check_in_span(times, t0, t1)
     lo = np.array([p.span[0] for p in partitions[1:]])  # overlap i: [lo[i], hi[i]],
     hi = np.array([p.span[1] for p in partitions[:-1]])  # empty at zero overlap
     in_overlap = (times[:, None] >= lo) & (times[:, None] <= hi) & (hi > lo)

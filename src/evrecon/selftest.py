@@ -15,7 +15,7 @@ import numpy as np
 
 from .events import EventStream
 from .frames import refine_bins, stack_uniform
-from .metrics import ssim
+from .metrics import frame_blocks, ssim
 from .reconstruct import LogVideo, ToneMapConfig, anchor_offset, sample_video, tone_map
 from .simulate import IntensityVideo, SimConfig, log_intensity, render_scene, simulate_events
 from .siren import init_siren
@@ -65,11 +65,9 @@ def closed_loop_scores(video: IntensityVideo, partitions, gamma: float = 0.6,
     cfg = ToneMapConfig(gamma)
     tm_pred = tone_map(LogVideo(aligned, video.times), cfg)
     tm_gt = tone_map(LogVideo(gt, video.times), cfg)
-    scores = [
-        ssim(tm_pred[k] / 255.0, tm_gt[k] / 255.0)
-        for k in range(0, len(tm_pred), ssim_stride)
-    ]
-    return log_mse, float(np.mean(scores))
+    tm_pred, tm_gt = tm_pred[::ssim_stride], tm_gt[::ssim_stride]
+    scores = [ssim(tm_pred[b] / 255.0, tm_gt[b] / 255.0) for b in frame_blocks(tm_pred)]
+    return log_mse, float(np.mean(np.concatenate(scores)))
 
 
 def max_param_gradient_error(model, loss_of, grads) -> float:

@@ -71,8 +71,10 @@ class SimConfig:
             raise InvalidConfig("log_eps must be positive")
         if self.noise_rate < 0:
             raise InvalidConfig("noise_rate must be >= 0")
-        if not np.isfinite(self.noise_rate):
-            raise InvalidConfig(f"noise_rate must be finite, got {self.noise_rate}")
+        for name in ("threshold_C", "log_eps", "noise_rate"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise InvalidConfig(f"{name} must be finite, got {value}")
 
 
 def render_scene(

@@ -101,6 +101,25 @@ def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, 
     assert not list(tmp_path.glob("out/partition_*.npz"))
 
 
+@pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
+def test_times_outside_the_stream_fail_before_training(tmp_path, capsys, monkeypatch, command):
+    def train_ensemble(*args, **kwargs):
+        raise AssertionError("trained before checking the requested times")
+
+    monkeypatch.setattr("evrecon.cli.train_ensemble", train_ensemble)
+    events = tmp_path / "events.txt"
+    events.write_text("# width 2 height 2\n0.1 0 0 1\n0.2 1 1 0\n")
+    out = tmp_path / "out"
+    for text, first in [("0.0\n0.15\n", "0.0"), ("0.1\n0.2\n0.25\n", "0.25")]:
+        times = tmp_path / "times.txt"
+        times.write_text(text)
+        assert main([*command, "--events", str(events), "--timestamps", str(times),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: time {first} outside trained span [0.1, 0.2]\n"
+    assert not list(tmp_path.glob("out/partition_*.npz"))
+    assert not list(tmp_path.glob("out/report_*.csv"))
+
+
 def test_threads_default_and_explicit_value():
     parser = build_parser()
     assert parser.parse_args(["selftest"]).threads >= 1

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evrecon.errors import ShapeMismatch, TooSmall
-from evrecon.metrics import clahe, evaluate_frames, mse, ssim
+from evrecon.errors import NotEightBit, ShapeMismatch, TooSmall
+from evrecon.metrics import BLOCK_PIXELS, clahe, evaluate_frames, frame_blocks, mse, ssim
 
 from clahe_oracle import zuiderveld_clahe
+from metrics_reference import clahe_frame, evaluate_frame_by_frame, ssim_frame
 
 
 # -- mse ----------------------------------------------------------------------
@@ -170,3 +171,110 @@ def test_evaluate_frames_report():
 def test_evaluate_frames_shape_guard():
     with pytest.raises(ShapeMismatch):
         evaluate_frames(np.zeros((2, 16, 16), np.uint8), np.zeros((3, 16, 16), np.uint8))
+
+
+# -- frame stacks against the frame-at-a-time oracle ---------------------------
+
+
+def _assert_blocks_match_oracle(pred, ref, tiles=(8, 8), clip_limit=2.0):
+    got = clahe(pred, tiles, clip_limit)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, np.stack([clahe_frame(f, tiles, clip_limit) for f in pred]))
+    assert np.array_equal(clahe(pred[0], tiles, clip_limit), got[0])
+    a, b = pred / 255.0, ref / 255.0
+    scores = ssim(a, b)
+    assert scores.shape == (len(pred),)
+    assert scores.tolist() == [ssim_frame(x, y) for x, y in zip(a, b)]
+    assert ssim(a[0], b[0]) == scores[0]
+    for apply_clahe in (True, False):
+        report = evaluate_frames(pred, ref, apply_clahe=apply_clahe)
+        mses, ssims = evaluate_frame_by_frame(pred, ref, apply_clahe)
+        assert report.mse_per_frame == mses
+        assert report.ssim_per_frame == ssims
+
+
+@st.composite
+def frame_pairs(draw):
+    n = draw(st.integers(1, 5))
+    h = draw(st.integers(11, 40))
+    w = draw(st.integers(11, 40))
+    lo = draw(st.integers(0, 255))
+    hi = draw(st.integers(lo, 255))
+    levels = st.integers(lo, hi)
+    pred = draw(hnp.arrays(np.uint8, (n, h, w), elements=levels))
+    ref = draw(hnp.arrays(np.uint8, (n, h, w), elements=levels))
+    return pred, ref
+
+
+@given(frame_pairs(), st.sampled_from([(8, 8), (1, 1), (3, 5), (4, 2)]),
+       st.sampled_from([2.0, 0.5, 256.0]))
+@settings(deadline=None, max_examples=60)
+def test_stacks_match_the_frame_at_a_time_oracle_bit_for_bit(pair, tiles, clip_limit):
+    _assert_blocks_match_oracle(*pair, tiles=tiles, clip_limit=clip_limit)
+
+
+@pytest.mark.parametrize("shape", [(1, 32, 32), (1, 11, 11), (3, 37, 53), (2, 11, 40)])
+def test_stacks_match_the_oracle_on_edge_sizes(shape):
+    rng = np.random.default_rng(9)
+    pred = rng.integers(0, 256, shape).astype(np.uint8)
+    ref = np.clip(pred.astype(int) + rng.integers(-30, 30, shape), 0, 255).astype(np.uint8)
+    _assert_blocks_match_oracle(pred, ref)
+
+
+def test_stacks_longer_than_one_block_match_the_oracle():
+    # 64x64 frames: a block holds BLOCK_PIXELS // 4096 of them, and the
+    # stack ends in a partial block.
+    per_block = BLOCK_PIXELS // (64 * 64)
+    rng = np.random.default_rng(10)
+    pred = rng.integers(60, 200, (2 * per_block + 3, 64, 64)).astype(np.uint8)
+    ref = rng.integers(0, 256, pred.shape).astype(np.uint8)
+    assert len(frame_blocks(pred)) == 3
+    _assert_blocks_match_oracle(pred, ref)
+
+
+@pytest.mark.parametrize("value", [0, 255])
+def test_flat_stacks_match_the_oracle(value):
+    pred = np.full((3, 24, 24), value, dtype=np.uint8)
+    ref = np.full((3, 24, 24), 255 - value, dtype=np.uint8)
+    _assert_blocks_match_oracle(pred, ref)
+    _assert_blocks_match_oracle(pred, pred)
+
+
+def test_one_tile_with_a_clip_that_cannot_bind_matches_the_oracle():
+    rng = np.random.default_rng(11)
+    pred = rng.integers(90, 150, (4, 37, 53)).astype(np.uint8)
+    ref = rng.integers(0, 256, pred.shape).astype(np.uint8)
+    _assert_blocks_match_oracle(pred, ref, tiles=(1, 1), clip_limit=256.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 5), (7, 37, 53), (300, 11, 11), (2, 128, 128),
+                                   (0, 32, 32)])
+def test_frame_blocks_cover_the_stack_in_order_within_the_budget(shape):
+    frames = np.zeros(shape, dtype=np.uint8)
+    blocks = frame_blocks(frames)
+    assert [k for b in blocks for k in range(shape[0])[b]] == list(range(shape[0]))
+    for b in blocks:
+        block = frames[b]
+        assert len(block) >= 1
+        assert block[0].size * len(block) <= BLOCK_PIXELS or len(block) == 1
+
+
+@pytest.mark.parametrize("frames", [np.zeros((8, 8), np.float64), np.full((8, 8), 256),
+                                    np.full((2, 8, 8), -1)])
+def test_clahe_rejects_frames_that_are_not_8_bit(frames):
+    with pytest.raises(NotEightBit):
+        clahe(frames)
+
+
+@pytest.mark.parametrize("shape", [(64,), (1, 2, 16, 16)])
+def test_clahe_and_ssim_reject_other_dimensions(shape):
+    with pytest.raises(ShapeMismatch, match="2-D"):
+        clahe(np.zeros(shape, np.uint8))
+    with pytest.raises(ShapeMismatch, match="2-D"):
+        ssim(np.zeros(shape), np.zeros(shape))
+
+
+def test_clahe_accepts_8_bit_values_of_a_wider_integer_type():
+    rng = np.random.default_rng(12)
+    frames = rng.integers(0, 256, (2, 16, 16))
+    assert np.array_equal(clahe(frames), clahe(frames.astype(np.uint8)))

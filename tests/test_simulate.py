@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evrecon.errors import InvalidDimensions, NonPositiveIntensity
+from evrecon.errors import InvalidConfig, InvalidDimensions, NonPositiveIntensity
 from evrecon.frames import stack_uniform
 from evrecon.simulate import (
     SCENE_KINDS,
@@ -136,3 +136,10 @@ def test_quantization_property_single_pixel(levels, C):
     logs = np.log(video.frames + eps)
     signed = float(np.sum(ev.polarity))
     assert abs(C * signed - (logs[-1, 0, 0] - logs[0, 0, 0])) < C + 1e-9
+
+
+@pytest.mark.parametrize("name", ["threshold_C", "log_eps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_sim_config_rejects_a_nonfinite_threshold_or_log_eps(name, value):
+    with pytest.raises(InvalidConfig, match=f"^{name} must be finite, got {value}$"):
+        SimConfig(**{name: value})
