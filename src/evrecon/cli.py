@@ -148,7 +148,7 @@ def _requested_times(args, t_start, t_end) -> FrameTimestamps:
         times = read_times(args.timestamps)
     else:
         fps = args.fps or 30.0
-        n = max(2, int(math.floor((t_end - t_start) * fps)) + 1)
+        n = int(math.floor((t_end - t_start) * fps)) + 1
         times = FrameTimestamps(t_start + np.arange(n) / fps)
     check_in_span(times.times, t_start, t_end)
     return times

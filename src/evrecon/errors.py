@@ -66,6 +66,10 @@ class ShapeMismatch(EvreconError, ValueError):
     """Array shapes do not agree where they must."""
 
 
+class DtypeMismatch(EvreconError, TypeError):
+    """Arrays that must share one dtype do not."""
+
+
 class IndexOutOfRange(EvreconError, IndexError):
     """Frame index outside the stack."""
 

@@ -8,6 +8,7 @@ internally as {-1, +1}; inputs using {0, 1} are remapped at parse time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +191,8 @@ def parse_events(
             p = int(fields[3])
         except ValueError as exc:
             raise MalformedLine(lineno, raw, str(exc)) from None
+        if not math.isfinite(t):
+            raise MalformedLine(lineno, raw, f"time {t} is not finite")
         if ts and t < ts[-1]:
             raise UnsortedStream(f"line {lineno}: timestamp {t} after {ts[-1]}")
         ts.append(t)

@@ -53,7 +53,12 @@ class EventFrameStack:
     @property
     def frames(self) -> np.ndarray:
         """(T, H, W) log-intensity change per bin: C * signed counts."""
-        return self.counts * self.threshold_C
+        return self.frames_as(np.float64)
+
+    def frames_as(self, dtype) -> np.ndarray:
+        """`frames` computed in float64 and rounded once to dtype, element
+        by element, with no whole-stack float64 temporary."""
+        return np.multiply(self.counts, self.threshold_C, out=np.empty(self.counts.shape, dtype))
 
     @property
     def midpoints(self) -> np.ndarray:

@@ -23,9 +23,9 @@ where the BLAS would round them differently (see `_STACK_MIN_WORK`).
 Every pass computes in the dtype of the parameter vector: times, scratch
 arrays, frames, tangents and gradients all follow `params.dtype`. A float64
 model (what `init_siren` and `load_checkpoint` build) computes in float64;
-training runs a float32 copy against its float64 parameters (see
-`training.train_partition`). Layer l < L-1 computes a = sin(omega0 * (W x + b));
-the output layer is affine. Initialization follows the sine-network
+training runs one float32 copy, Adam moments included, and widens it back
+at the end (see `training.train_partition`). Layer l < L-1 computes
+a = sin(omega0 * (W x + b)); the output layer is affine. Initialization follows the sine-network
 convention: first layer U(-1/n_in, 1/n_in), later layers
 U(-sqrt(6/n_in)/omega0, +sqrt(6/n_in)/omega0), zero biases, so hidden
 sine arguments keep unit-scale variance at init.
@@ -49,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DtypeMismatch,
     InvalidArchitecture,
     InvalidCheckpoint,
     NonFiniteGradient,
@@ -57,7 +58,7 @@ from .errors import (
 )
 
 CHECKPOINT_VERSION = 1
-ADAM_CHUNK = 1 << 15  # elements per Adam pass: seven 256 KiB slices stay in L2
+ADAM_CHUNK = 1 << 15  # elements per Adam pass: six float32 slices (768 KiB) stay in L2
 
 # OpenBLAS answers a GEMM with M*N*K <= 100**3 with small-matrix kernels
 # that round differently from its blocked kernel, and numpy sends one-row
@@ -326,27 +327,28 @@ class AdamState:
 def adam_step(state: AdamState, params, grads):
     """One in-place Adam update with bias correction; returns (params, state).
 
-    params, grads and the moments are flat vectors, updated ADAM_CHUNK
-    elements at a time through three chunk-sized scratch arrays; each
-    element sees the arithmetic of the textbook whole-vector update, in the
-    same order, in the dtype of params: each chunk of a float32 gradient
-    is widened first, so a float64 master copy takes exact float64 steps.
-    The learning rate is multiplied by decay_rate after every
-    decay_every-th step, so steps 1..10 use lr0, steps 11..20 use
-    lr0*decay, and so on.
+    params, grads and the moments are flat vectors of one dtype, updated
+    ADAM_CHUNK elements at a time through two chunk-sized scratch arrays;
+    each element sees the arithmetic of the textbook whole-vector update,
+    in the same order, in that dtype. Raises DtypeMismatch when grads or
+    the moments have another dtype than params. The learning rate is
+    multiplied by decay_rate after every decay_every-th step, so steps
+    1..10 use lr0, steps 11..20 use lr0*decay, and so on.
     """
     if not (params.ndim == 1 and params.shape == grads.shape == state.m.shape):
         raise ShapeMismatch(f"params {params.shape}, grads {grads.shape}, state {state.m.shape}")
+    if not params.dtype == grads.dtype == state.m.dtype == state.v.dtype:
+        raise DtypeMismatch(f"params {params.dtype}, grads {grads.dtype}, "
+                            f"moments {state.m.dtype}/{state.v.dtype}")
     state.step += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    scratch = np.empty((3, min(params.size, ADAM_CHUNK)), dtype=params.dtype)
+    scratch = np.empty((2, min(params.size, ADAM_CHUNK)), dtype=params.dtype)
     for lo in range(0, params.size, ADAM_CHUNK):
         hi = min(lo + ADAM_CHUNK, params.size)
-        m, v = state.m[lo:hi], state.v[lo:hi]
-        g, step, denom = scratch[:, :hi - lo]
-        np.copyto(g, grads[lo:hi])  # widened to the dtype of params
+        m, v, g = state.m[lo:hi], state.v[lo:hi], grads[lo:hi]
+        step, denom = scratch[:, :hi - lo]
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2

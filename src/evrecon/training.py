@@ -135,11 +135,14 @@ class Partition:
     report: TrainReport | None = None
 
 
-def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices):
+def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, target=None):
     """Mean squared temporal residual over the selected bins.
 
     For each index k the network's per-second tangent at the bin midpoint
-    is scaled by the bin duration to predict that bin's ΔL. Returns
+    is scaled by the bin duration to predict that bin's ΔL, C * counts[k].
+    `target`, when given, is `stack.frames` already rounded to the dtype
+    of the model: training rounds it once per stack rather than on every
+    iteration, with the same bits. Returns
     (loss, aux): aux carries the forward results (t_norm, frames, cache) so
     callers can reuse the pass, and "seeds", a (2, K, H, W) array laid out
     for SirenModel.backward. Its tangent half [1] holds the gradient of the
@@ -160,7 +163,7 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices):
     scratch, resid = seeds
     np.multiply(tangents, model.time_slope, out=resid)
     resid *= durs  # predicted ΔL
-    np.multiply(stack.counts[idx], stack.threshold_C, out=scratch)  # target ΔL
+    np.take(stack.frames if target is None else target, idx, axis=0, out=scratch)  # target ΔL
     np.subtract(scratch, resid, out=resid)  # residual
     n = resid.size
     loss = float(np.sum(np.multiply(resid, resid, out=scratch), dtype=np.float64) / n)
@@ -206,14 +209,16 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None):
     return loss, grad if f.ndim == 3 else grad[0]
 
 
-def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_reg: float):
+def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_reg: float,
+              target=None):
     """The training objective L_temp + lambda_reg * L_reg on the selected
-    bins. Returns (l_temp, l_reg, aux), where aux is temporal_loss's and
-    aux["seeds"] now holds the gradient of the objective with respect to
-    the frames over that with respect to the t_norm tangents, ready for
+    bins, with temporal_loss's `target`. Returns (l_temp, l_reg, aux),
+    where aux is temporal_loss's and aux["seeds"] now holds the gradient
+    of the objective with respect to the frames over that with respect to
+    the t_norm tangents, ready for
     model.backward(aux["t_norm"], aux["seeds"], aux["cache"]).
     """
-    l_temp, aux = temporal_loss(model, stack, frame_indices)
+    l_temp, aux = temporal_loss(model, stack, frame_indices, target)
     seeds = aux["seeds"]
     seeds[1] *= model.time_slope  # per second -> per t_norm
     if lambda_reg > 0:
@@ -234,33 +239,39 @@ def _sample_indices(num_frames: int, batch_frames, rng) -> np.ndarray:
 def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     """Run the full schedule on one partition, in place.
 
-    Each refinement re-bins `partition.events`. Each iteration runs
-    forward, loss and backward on a float32 copy of the network; Adam
-    updates the float64 parameters of `partition.model` (and its float64
-    moments) from the float32 gradient, and the copy is then refreshed
-    from them. Raises DivergedTraining when the loss goes
-    non-finite or explodes, or a pass overflows.
+    Each refinement re-bins `partition.events`, and the target C * counts
+    is rounded to float32 once per stack. Forward, loss, backward and Adam
+    (with float32 moments) run on one float32 copy of the network. Adam
+    moves a weight by about lr per step (1e-4 decaying to 2e-5 by
+    default), 4-5 orders of magnitude above the float32 spacing of
+    weights of order 4e-3, so no float64 master copy is kept. When the
+    schedule ends, the parameters are widened exactly into the float64
+    `partition.model.params`. Raises DivergedTraining, leaving them as
+    they were, when the loss goes non-finite or explodes, or a pass
+    overflows.
     """
-    master = partition.model.params
-    model = replace(partition.model, params=master.astype(np.float32))
+    model = replace(partition.model, params=partition.model.params.astype(np.float32))
     adam = AdamState.for_params(
-        master, lr=cfg.lr, decay_rate=cfg.lr_decay, decay_every=cfg.lr_decay_every
+        model.params, lr=cfg.lr, decay_rate=cfg.lr_decay, decay_every=cfg.lr_decay_every
     )
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, partition.index, 0xB1]))
     refine_at = set(cfg.refine_at_iters)
     report = TrainReport()
     initial_loss = None
 
+    stack = partition.stack
+    target = stack.frames_as(np.float32)
+
     for it in range(cfg.total_iters):
         if it in refine_at:
-            partition.stack = refine_bins(partition.stack, partition.events)
-        stack = partition.stack
+            stack = partition.stack = refine_bins(stack, partition.events)
+            target = stack.frames_as(np.float32)
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
         # A float32 overflow shows up as a non-finite value, which the
         # checks below turn into DivergedTraining; numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                l_temp, l_reg, aux = objective(model, stack, idx, cfg.lambda_reg)
+                l_temp, l_reg, aux = objective(model, stack, idx, cfg.lambda_reg, target)
                 total = l_temp + cfg.lambda_reg * l_reg
 
                 if not math.isfinite(total):
@@ -276,14 +287,14 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
                 grads = model.backward(aux["t_norm"], aux["seeds"], aux["cache"])
             except (NonFiniteOutput, NonFiniteGradient) as exc:  # a float32 pass overflowed
                 raise DivergedTraining(it, str(exc), partition=partition.index) from None
-        adam_step(adam, master, grads)
-        np.copyto(model.params, master)
+        adam_step(adam, model.params, grads)
 
         report.temporal.append(l_temp)
         report.regularization.append(l_reg)
         report.total.append(total)
         report.stack_sizes.append(stack.num_frames)
 
+    partition.model.params[...] = model.params
     partition.report = report
     return report
 

@@ -220,3 +220,31 @@ def test_enhance_reports_a_truncated_checkpoint_as_an_error(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "partition_000.npz" in err
+
+
+@pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
+@pytest.mark.parametrize("body, line", [("0.10 0 0 1\nnan 1 1 0\n0.12 1 0 1\n", "line 3: "),
+                                        ("nan 1 0 1\n", "line 2: "),
+                                        ("0.10 0 0 1\n0.12 1 1 0\ninf 1 0 1\n", "line 4: ")])
+def test_nonfinite_event_times_are_errors(tmp_path, capsys, command, body, line):
+    events = tmp_path / "events.txt"
+    events.write_text("# width 2 height 2\n" + body)
+    out = tmp_path / "out"
+    assert main([*command, "--events", str(events), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + line) and "is not finite" in err
+    assert not out.exists()
+
+
+def test_a_stream_shorter_than_one_frame_gets_one_frame(tmp_path):
+    events = tmp_path / "events.txt"
+    events.write_text("# width 2 height 2\n0.10 0 0 1\n0.12 1 1 0\n")
+    config = tmp_path / "tiny.cfg"
+    config.write_text("total_iters = 12\nrefine_at_iters = 4, 8\nhidden_features = 16\n")
+    for command in (["reconstruct"], ["enhance", "--window-dt", "0.01"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--events", str(events), "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert (out / "times.txt").read_text() == "0.100000000\n"
+        assert [p.name for p in out.glob("*.pgm")] == ["frame_000000.pgm"]
+        assert json.loads((out / "manifest.json").read_text())["config"]["frames"] == 1

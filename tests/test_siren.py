@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evrecon.errors import (
+    DtypeMismatch,
     EvreconError,
     InvalidArchitecture,
     InvalidCheckpoint,
@@ -238,23 +239,6 @@ def test_float32_gradients_match_float64_within_float32_rounding():
         assert np.linalg.norm(gb32 - gb) <= 1e-4 * np.linalg.norm(gb)
 
 
-def test_adam_widens_float32_gradients():
-    """A float64 master copy takes exact float64 steps from a float32
-    gradient: the same as from that gradient widened to float64."""
-    rng = np.random.default_rng(9)
-    size = ADAM_CHUNK + 77
-    params = rng.standard_normal(size)
-    grads = (1e-3 * rng.standard_normal(size)).astype(np.float32)
-    widened = params.copy()
-    s32, s64 = AdamState.for_params(params, lr=1e-3), AdamState.for_params(widened, lr=1e-3)
-    for _ in range(3):
-        adam_step(s32, params, grads)
-        adam_step(s64, widened, grads.astype(np.float64))
-    assert params.dtype == s32.m.dtype == s32.v.dtype == np.float64
-    assert np.array_equal(params, widened)
-    assert np.array_equal(s32.v, s64.v)
-
-
 def test_backward_takes_seeds_one_way(toy_model):
     with pytest.raises(TypeError):
         toy_model.backward(0.2)
@@ -375,6 +359,37 @@ def test_chunked_adam_matches_whole_vector_formula_bit_for_bit(size):
         assert np.array_equal(params, expected)
         assert np.array_equal(state.m, ref.m) and np.array_equal(state.v, ref.v)
     assert state.lr == ref.lr == pytest.approx(1e-2 * 0.9**3)
+
+
+def test_adam_keeps_float32():
+    """float32 params, moments and gradients take float32 steps: the
+    textbook update evaluated in float32, bit for bit."""
+    rng = np.random.default_rng(9)
+    size = ADAM_CHUNK + 77
+    params = rng.standard_normal(size).astype(np.float32)
+    expected = params.copy()
+    state = AdamState.for_params(params, lr=1e-3)
+    ref = AdamState.for_params(params, lr=1e-3)
+    for _ in range(3):
+        grads = (1e-3 * rng.standard_normal(size)).astype(np.float32)
+        adam_step(state, params, grads)
+        expected = adam_reference(ref, expected, grads)
+    assert params.dtype == state.m.dtype == state.v.dtype == expected.dtype == np.float32
+    assert np.array_equal(params, expected)
+    assert np.array_equal(state.m, ref.m) and np.array_equal(state.v, ref.v)
+
+
+@pytest.mark.parametrize("dtype, grad_dtype, moment_dtype", [
+    (np.float32, np.float64, np.float32),
+    (np.float64, np.float32, np.float64),
+    (np.float32, np.float32, np.float64),
+])
+def test_adam_rejects_mismatched_dtypes(dtype, grad_dtype, moment_dtype):
+    params = np.ones(10, dtype=dtype)
+    state = AdamState.for_params(np.ones(10, dtype=moment_dtype), lr=1e-3)
+    with pytest.raises(DtypeMismatch):
+        adam_step(state, params, np.ones(10, dtype=grad_dtype))
+    assert state.step == 0 and np.all(params == 1.0) and not np.any(state.m)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, toy_model):

@@ -283,17 +283,33 @@ def test_losses_keep_float32_of_a_float32_model(toy_model, toy_stack):
     assert np.allclose(grad, grad_ref, rtol=1e-5, atol=1e-6 * np.abs(grad_ref).max())
 
 
-def test_training_keeps_float64_parameters(tmp_path):
-    """Passes run in float32, but the trained parameters stay a float64
-    master copy that Adam steps below float32 resolution, and checkpoints
-    round-trip them bit-exactly."""
+def test_a_rounded_target_gives_the_same_bits(toy_model, toy_stack):
+    """A target rounded once per stack, as training passes it, gives the
+    loss and seeds of rounding the gathered C * counts on every call."""
+    twin = replace(toy_model, params=toy_model.params.astype(np.float32))
+    counts = np.random.default_rng(0).integers(-40, 41, size=toy_stack.counts.shape)
+    stack = EventFrameStack(counts, toy_stack.edges, threshold_C=0.1)
+    idx = np.array([3, 0, 5])
+    target = stack.frames_as(np.float32)
+    per_call = np.empty((len(idx), 4, 4), dtype=np.float32)
+    np.multiply(stack.counts[idx], stack.threshold_C, out=per_call)
+    assert np.array_equal(target[idx], per_call)
+    loss, aux = temporal_loss(twin, stack, idx)
+    loss_t, aux_t = temporal_loss(twin, stack, idx, target)
+    assert loss_t == loss and np.array_equal(aux_t["seeds"][1], aux["seeds"][1])
+
+
+def test_training_returns_float32_values_as_float64_parameters(tmp_path):
+    """Training runs one float32 network and widens it exactly at the end:
+    the trained parameters are float64, moved from their initial values,
+    float32-representable, and checkpoints round-trip them bit-exactly."""
     _, stream = small_fixture()
     initial = build_partitions(stream, tiny_cfg())[0].model.params
     part = train_ensemble(stream, tiny_cfg())[0]
     params = part.model.params
     assert params.dtype == np.float64
     assert not np.array_equal(params, initial)
-    assert not np.array_equal(params, params.astype(np.float32).astype(np.float64))
+    assert np.array_equal(params, params.astype(np.float32))
     save_checkpoint(part.model, tmp_path / "p.npz")
     loaded = load_checkpoint(tmp_path / "p.npz")
     assert loaded.params.dtype == np.float64
