@@ -41,6 +41,15 @@ class NonPositiveIntensity(EvreconError, ValueError):
     """Intensity video contains values <= 0; log intensity is undefined."""
 
 
+class ZeroWidthBin(EvreconError, ValueError):
+    """Bin edges that do not strictly increase (a bin of zero or negative
+    width, or a NaN edge), or a bin duration that is not positive."""
+
+
+class NonPositiveThreshold(EvreconError, ValueError):
+    """A contrast threshold C that is not positive."""
+
+
 class InvalidArchitecture(EvreconError, ValueError):
     """Layer sizes or frequency scale do not describe a valid network."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStream
+from .errors import EmptyStream, NonPositiveThreshold, ShapeMismatch, ZeroWidthBin
 from .events import EventStream, require_nonempty
 
 
@@ -38,13 +38,16 @@ class EventFrameStack:
         self.counts = np.asarray(self.counts, dtype=np.float64)
         self.edges = np.asarray(self.edges, dtype=np.float64)
         if self.counts.ndim != 3 or self.edges.shape != (len(self.counts) + 1,):
-            raise ValueError("counts must be (T,H,W) with matching (T+1,) edges")
+            raise ShapeMismatch("counts must be (T,H,W) with matching (T+1,) edges")
         if len(self.counts) < 1:
-            raise ValueError("need at least one frame")
+            raise ShapeMismatch("need at least one frame")
         if self.threshold_C <= 0:
-            raise ValueError("threshold_C must be positive")
-        if not np.all(np.diff(self.edges) > 0):  # also rejects NaN edges
-            raise ValueError("every interval needs positive duration")
+            raise NonPositiveThreshold("threshold_C must be positive")
+        bad = np.flatnonzero(~(np.diff(self.edges) > 0))  # also catches NaN edges
+        if len(bad):
+            k = int(bad[0])
+            raise ZeroWidthBin(f"bin {k} of {self.num_frames} spans [{float(self.edges[k])!r}, "
+                               f"{float(self.edges[k + 1])!r}]: every bin needs positive width")
 
     @property
     def num_frames(self) -> int:
@@ -104,9 +107,9 @@ def stack_uniform(stream: EventStream, bin_duration: float, C: float) -> EventFr
     """
     require_nonempty(stream)
     if bin_duration <= 0:
-        raise ValueError("bin_duration must be positive")
+        raise ZeroWidthBin("bin_duration must be positive")
     if C <= 0:
-        raise ValueError("C must be positive")
+        raise NonPositiveThreshold("C must be positive")
     span = stream.duration
     if span <= 0:
         raise EmptyStream("stream window has zero duration; nothing to bin")

@@ -129,29 +129,36 @@ def ssim(pred: np.ndarray, ref: np.ndarray):
     return float(scores[0]) if a.ndim == 2 else scores
 
 
-def _tile_luts(hist: np.ndarray, clip_count: float) -> np.ndarray:
-    """Equalization LUTs (M, 256) from M tiles' clipped histograms.
+def _tile_luts(hist: np.ndarray, clip_count: float):
+    """Equalization LUTs of M tiles' clipped histograms (M, 256), as
+    (mid, lo, scale): entry level of tile m is
+    clip((mid[m * 256 + level] - lo[m]) * scale[m], 0, 255), which `clahe`
+    computes for small tiles only at the entries its blend gathers.
 
     Uses the midpoint CDF (each bin maps to the center of its own mass)
     normalized between the first and last occupied bins: a flat histogram
     maps to the identity ramp exactly, so a uniform tile stays put to
     within quantization. Only tiles whose histogram exceeds the clip are
     clipped, and a tile with fewer than two occupied levels maps to the
-    identity.
+    identity: its mid row is the levels, lo 0 and scale 1, which gives
+    each level back exactly.
     """
     h = hist.astype(np.float64)
     excess = np.sum(np.maximum(h - clip_count, 0.0), axis=1, keepdims=True)
     h = np.where(excess > 0, np.minimum(h, clip_count) + excess / 256, h)
-    mid = np.cumsum(h, axis=1) - 0.5 * h
+    mid = np.cumsum(h, axis=1)
+    mid -= 0.5 * h
     occupied = h != 0
     first = np.argmax(occupied, axis=1)[:, None]
     last = 255 - np.argmax(occupied[:, ::-1], axis=1)[:, None]
-    lo = np.take_along_axis(mid, first, axis=1)
-    hi = np.take_along_axis(mid, last, axis=1)
-    identity = ~occupied.any(axis=1, keepdims=True) | (hi <= lo)
+    lo = np.take_along_axis(mid, first, axis=1)[:, 0]
+    hi = np.take_along_axis(mid, last, axis=1)[:, 0]
+    identity = ~occupied.any(axis=1) | (hi <= lo)
     scale = 255.0 / np.where(identity, 1.0, hi - lo)
-    luts = np.clip((mid - lo) * scale, 0.0, 255.0)
-    return np.where(identity, np.arange(256, dtype=np.float64), luts)
+    mid[identity] = np.arange(256, dtype=np.float64)
+    lo[identity] = 0.0
+    scale[identity] = 1.0
+    return mid.reshape(-1), lo, scale
 
 
 def clahe(
@@ -199,7 +206,16 @@ def clahe(
 
     area = tile_h * tile_w
     clip_count = clip_limit * area / 256.0
-    luts = _tile_luts(hist.reshape(-1, 256), clip_count).reshape(-1)
+    mid, lo, scale = _tile_luts(hist.reshape(-1, 256), clip_count)
+    # The blend reads four LUT entries per pixel. Tiles of more than 64
+    # pixels hold fewer entries than that, so their LUTs are finished
+    # whole, once; smaller tiles finish only the entries read.
+    whole = 4 * area > 256
+    if whole:
+        luts = mid.reshape(-1, 256)
+        luts -= lo[:, None]
+        luts *= scale[:, None]
+        np.clip(luts, 0.0, 255.0, out=luts)
 
     # bilinear blend of tile mappings, indexed by distance to tile centers
     yy = np.arange(h, dtype=np.float64)
@@ -217,7 +233,14 @@ def clahe(
 
     def mapped(rows, cols):
         """Each pixel through the LUT of tile (rows[y], cols[x]) of its frame."""
-        return luts.take(levels + (rows[:, None] * tx + cols[None, :]) * 256)
+        pattern = rows[:, None] * tx + cols[None, :]
+        lut = mid.take(levels + pattern * 256)
+        if not whole:
+            tile = frame_base + pattern
+            lut -= lo.take(tile)
+            lut *= scale.take(tile)
+            np.clip(lut, 0.0, 255.0, out=lut)
+        return lut
 
     top = mapped(y0, x0) * (1.0 - wx) + mapped(y0, x1) * wx
     bot = mapped(y1, x0) * (1.0 - wx) + mapped(y1, x1) * wx

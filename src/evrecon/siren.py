@@ -58,7 +58,10 @@ from .errors import (
 )
 
 CHECKPOINT_VERSION = 1
-ADAM_CHUNK = 1 << 15  # elements per Adam pass: six float32 slices (768 KiB) stay in L2
+# Elements per cache-sized pass: six float32 slices (768 KiB) stay in L2.
+# Adam works in chunks of it, and training.objective in blocks of whole
+# frames of about this size.
+ADAM_CHUNK = 1 << 15
 
 # OpenBLAS answers a GEMM with M*N*K <= 100**3 with small-matrix kernels
 # that round differently from its blocked kernel, and numpy sends one-row
@@ -68,12 +71,14 @@ ADAM_CHUNK = 1 << 15  # elements per Adam pass: six float32 slices (768 KiB) sta
 _STACK_MIN_WORK = 100**3
 
 
-def _matmul_rows(stacked: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+def _matmul_rows(stacked: np.ndarray, w: np.ndarray, k: int, out=None) -> np.ndarray:
     """stacked @ w for a (2K, n) array of K value rows over K tangent rows:
-    one GEMM when that is bit-identical to one GEMM per half, else two."""
+    one GEMM when that is bit-identical to one GEMM per half, else two.
+    Written into `out` when given."""
     if k > 1 and k * w.shape[0] * w.shape[1] > _STACK_MIN_WORK:
-        return stacked @ w
-    out = np.empty((2 * k, w.shape[1]), dtype=np.result_type(stacked, w))
+        return np.matmul(stacked, w, out=out)
+    if out is None:
+        out = np.empty((2 * k, w.shape[1]), dtype=np.result_type(stacked, w))
     np.matmul(stacked[:k], w, out=out[:k])
     np.matmul(stacked[k:], w, out=out[k:])
     return out
@@ -163,9 +168,12 @@ class SirenModel:
         y = y.reshape(-1, self.height, self.width)
         return y[0] if scalar else y
 
-    def forward_with_tangent(self, t_norm, want_cache: bool = False):
+    def forward_with_tangent(self, t_norm, want_cache: bool = False, out=None):
         """(frame, dframe/dt_norm) at the given time(s); the frame matches
-        forward() bit for bit. Optionally returns the cache for backward."""
+        forward() bit for bit. Optionally returns the cache for backward.
+        `out`, a (2K, num_pixels) array of the dtype of params, receives
+        the K frame rows over the K tangent rows, and the returned frame
+        and tangent are views into it."""
         x, scalar = self._as_batch(t_norm)
         k = len(x)
         omega = self.omega0
@@ -184,7 +192,7 @@ class SirenModel:
             np.multiply(z, z_dot, out=act[k:])
             inputs.append(act)
             derivs.append(zz)
-        yy = _matmul_rows(act, w_out.T, k)
+        yy = _matmul_rows(act, w_out.T, k, out)
         yy[:k] += b_out
         if not np.all(np.isfinite(yy)):
             raise NonFiniteOutput("tangent pass produced NaN/Inf")

@@ -12,6 +12,16 @@ regularization weight transfers across resolutions. `objective` computes L
 and the seeds that SirenModel.backward turns into its gradient, for the
 training loop and the selftest's finite-difference oracle alike.
 
+The frame-space work (residual, squares, forward differences, the 2/n
+and duration scalings, the gradient scatter, lambda and the time slope)
+runs on blocks of whole frames of about ADAM_CHUNK elements each while a
+block is in L2 cache, not as a dozen passes over (K, H*W) arrays. Every
+element sees the operations of a whole-array pass in the same order, so
+seeds, gradients, parameters and frames keep their bits; only the float64
+loss sums regroup by block (about 1e-16 relative). Training keeps one
+seed array and one output-row array per ladder stage, reused by each of
+its iterations and freed at the refinement that ends it.
+
 Training is coarse-to-fine: the stack starts at the configured uniform bin
 width and is bisected at the scheduled iterations, doubling its temporal
 resolution each time. Long streams are cut into fixed-length partitions
@@ -53,10 +63,11 @@ from .errors import (
     InvalidConfig,
     NonFiniteGradient,
     NonFiniteOutput,
+    ShapeMismatch,
 )
 from .events import EventStream
 from .frames import EventFrameStack, refine_bins, stack_uniform
-from .siren import AdamState, SirenModel, adam_step, init_siren
+from .siren import ADAM_CHUNK, AdamState, SirenModel, adam_step, init_siren
 
 _DIVERGENCE_FACTOR = 1e6
 
@@ -135,7 +146,27 @@ class Partition:
     report: TrainReport | None = None
 
 
-def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, target=None):
+def _reused(buffers, name: str, shape: tuple, dtype) -> np.ndarray:
+    """buffers[name] when it has this shape and dtype, else a new array that
+    replaces it there (a fresh one every call when buffers is None)."""
+    if buffers is None:
+        return np.empty(shape, dtype)
+    arr = buffers.get(name)
+    if arr is None or arr.shape != shape or arr.dtype != dtype:
+        buffers[name] = arr = None  # free the stale array before making its replacement
+        arr = buffers[name] = np.empty(shape, dtype)
+    return arr
+
+
+def _frame_blocks(k: int, frame_size: int):
+    """(lo, hi) bounds cutting K frames into blocks of whole frames of
+    about ADAM_CHUNK elements each, at least one frame per block."""
+    step = max(1, ADAM_CHUNK // frame_size)
+    return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+
+def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, target=None,
+                  buffers: dict | None = None):
     """Mean squared temporal residual over the selected bins.
 
     For each index k the network's per-second tangent at the bin midpoint
@@ -146,8 +177,14 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, targ
     (loss, aux): aux carries the forward results (t_norm, frames, cache) so
     callers can reuse the pass, and "seeds", a (2, K, H, W) array laid out
     for SirenModel.backward. Its tangent half [1] holds the gradient of the
-    loss with respect to the per-second tangents; its frame half [0] is
-    scratch, left for the caller to fill (see `objective`).
+    loss with respect to the tangents the network emits (per t_norm); its
+    frame half [0] is left for the caller to fill (see `objective`).
+
+    The work runs block by block (see the module docstring). With
+    `buffers`, a dict kept across calls, the seeds and the network's output
+    rows live in its "seeds" and "rows" arrays, reused while K and the
+    dtype stay the same and replaced when they change; aux then views
+    arrays that the next such call overwrites.
     """
     idx = np.asarray(frame_indices, dtype=np.int64)
     if idx.ndim != 1 or len(idx) == 0:
@@ -156,29 +193,41 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, targ
         raise IndexOutOfRange(
             f"indices outside [0, {stack.num_frames}): {idx.min()}..{idx.max()}"
         )
+    k = len(idx)
     t_norm = model.normalize_time(stack.midpoints[idx])
-    frames, tangents, cache = model.forward_with_tangent(t_norm, want_cache=True)
+    rows = (None if buffers is None
+            else _reused(buffers, "rows", (2 * k, model.num_pixels), model.params.dtype))
+    frames, tangents, cache = model.forward_with_tangent(t_norm, want_cache=True, out=rows)
+    seeds = _reused(buffers, "seeds", (2, *frames.shape), frames.dtype)
     durs = stack.durations[idx].astype(frames.dtype)[:, None, None]
-    seeds = np.empty((2, *frames.shape), dtype=frames.dtype)
-    scratch, resid = seeds
-    np.multiply(tangents, model.time_slope, out=resid)
-    resid *= durs  # predicted ΔL
-    np.take(stack.frames if target is None else target, idx, axis=0, out=scratch)  # target ΔL
-    np.subtract(scratch, resid, out=resid)  # residual
-    n = resid.size
-    loss = float(np.sum(np.multiply(resid, resid, out=scratch), dtype=np.float64) / n)
-    resid *= -2.0 / n
-    resid *= durs  # d loss / d per-second tangent
+    target = stack.frames if target is None else target
+    blocks = _frame_blocks(k, frames[0].size)
+    scratch = np.empty((blocks[0][1], *frames.shape[1:]), dtype=frames.dtype)
+    slope = model.time_slope
+    n = frames.size
+    sum_sq = 0.0
+    for lo, hi in blocks:
+        resid, s, d = seeds[1, lo:hi], scratch[:hi - lo], durs[lo:hi]
+        np.multiply(tangents[lo:hi], slope, out=resid)
+        resid *= d  # predicted ΔL
+        np.take(target, idx[lo:hi], axis=0, out=s)  # target ΔL
+        np.subtract(s, resid, out=resid)  # residual
+        sum_sq += np.sum(np.multiply(resid, resid, out=s), dtype=np.float64)
+        resid *= -2.0 / n
+        resid *= d  # d loss / d per-second tangent
+        resid *= slope  # per second -> per t_norm
     aux = {"t_norm": t_norm, "frames": frames, "cache": cache, "seeds": seeds}
-    return loss, aux
+    return float(sum_sq / n), aux
 
 
-def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None):
+def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
+                     grad_scale: float = 1.0):
     """Mean over x-sites of the squared forward difference Dx^2 plus mean
     over y-sites of Dy^2, averaged over the batch, with its exact gradient
-    with respect to the frames. Takes one frame (H, W) or a batch
-    (K, H, W) and computes in its float dtype; the gradient has the input's
-    shape and is written into `out` when given. Sums accumulate in float64.
+    with respect to the frames times `grad_scale`. Takes one frame (H, W)
+    or a batch (K, H, W) and computes in its float dtype; the gradient has
+    the input's shape and is written into `out` when given. Sums
+    accumulate in float64, block by block (see the module docstring).
     """
     f = np.asarray(frames)
     if not np.issubdtype(f.dtype, np.floating):
@@ -187,43 +236,55 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None):
         raise DegenerateFrame(f"need at least 2x2 frames, got shape {f.shape}")
     frames = f if f.ndim == 3 else f[None]
     k, h, w = frames.shape
-    grad = (np.empty_like(f) if out is None else out).reshape(frames.shape)
+    if out is not None and not (out.shape == f.shape and out.flags.c_contiguous):
+        raise ShapeMismatch(f"out must be a C-contiguous array of shape {f.shape}")
+    grad = (np.empty(f.shape, f.dtype) if out is None else out).reshape(frames.shape)
     nx = k * h * (w - 1)
     ny = k * (h - 1) * w
-    # One buffer holds Dx, then Dy; another their squares. Both views are
-    # contiguous, so sums and gradient terms round as in fresh arrays.
-    diff_buf = np.empty(max(nx, ny), dtype=f.dtype)
-    square_buf = np.empty_like(diff_buf)
-    dx = np.subtract(frames[:, :, 1:], frames[:, :, :-1], out=diff_buf[:nx].reshape(k, h, w - 1))
-    sum_x = np.sum(np.multiply(dx, dx, out=square_buf[:nx].reshape(dx.shape)), dtype=np.float64)
-    dx *= 2.0 / nx
-    grad[...] = 0.0
-    grad[:, :, 1:] += dx
-    grad[:, :, :-1] -= dx
-    dy = np.subtract(frames[:, 1:, :], frames[:, :-1, :], out=diff_buf[:ny].reshape(k, h - 1, w))
-    sum_y = np.sum(np.multiply(dy, dy, out=square_buf[:ny].reshape(dy.shape)), dtype=np.float64)
-    dy *= 2.0 / ny
-    grad[:, 1:, :] += dy
-    grad[:, :-1, :] -= dy
+    # Each block runs as contiguous 1-D passes over its flattened frames.
+    # diff holds Dx, then Dy, at the pixel each difference starts from,
+    # and a zero at pixels with no right (lower) neighbour: the zeros add
+    # nothing to the sums, and adding or subtracting them leaves every
+    # gradient element the bits of the whole-array pass (no element is
+    # -0.0 where a zero is added).
+    blocks = _frame_blocks(k, h * w)
+    diff = np.empty((blocks[0][1], h, w), dtype=f.dtype)
+    square = np.empty_like(diff)
+    sum_x = sum_y = 0.0
+    for lo, hi in blocks:
+        d, sq = diff[:hi - lo], square[:hi - lo]
+        fb, g, dflat = frames[lo:hi].reshape(-1), grad[lo:hi].reshape(-1), d.reshape(-1)
+        np.subtract(fb[1:], fb[:-1], out=dflat[:-1])
+        d[:, :, -1] = 0.0
+        sum_x += np.sum(np.multiply(d, d, out=sq), dtype=np.float64)
+        d *= 2.0 / nx
+        g[0] = 0.0
+        np.add(0.0, dflat[:-1], out=g[1:])
+        g -= dflat
+        np.subtract(fb[w:], fb[:-w], out=dflat[:-w])
+        d[:, -1, :] = 0.0
+        sum_y += np.sum(np.multiply(d, d, out=sq), dtype=np.float64)
+        d *= 2.0 / ny
+        g[w:] += dflat[:-w]
+        g -= dflat
+        g *= grad_scale
     loss = float(sum_x / nx + sum_y / ny)
     return loss, grad if f.ndim == 3 else grad[0]
 
 
 def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_reg: float,
-              target=None):
+              target=None, buffers: dict | None = None):
     """The training objective L_temp + lambda_reg * L_reg on the selected
-    bins, with temporal_loss's `target`. Returns (l_temp, l_reg, aux),
-    where aux is temporal_loss's and aux["seeds"] now holds the gradient
-    of the objective with respect to the frames over that with respect to
-    the t_norm tangents, ready for
+    bins, with temporal_loss's `target` and `buffers`. Returns (l_temp,
+    l_reg, aux), where aux is temporal_loss's and aux["seeds"] now holds
+    the gradient of the objective with respect to the frames over that
+    with respect to the t_norm tangents, ready for
     model.backward(aux["t_norm"], aux["seeds"], aux["cache"]).
     """
-    l_temp, aux = temporal_loss(model, stack, frame_indices, target)
+    l_temp, aux = temporal_loss(model, stack, frame_indices, target, buffers)
     seeds = aux["seeds"]
-    seeds[1] *= model.time_slope  # per second -> per t_norm
     if lambda_reg > 0:
-        l_reg, _ = spatial_reg_loss(aux["frames"], out=seeds[0])
-        seeds[0] *= lambda_reg
+        l_reg, _ = spatial_reg_loss(aux["frames"], out=seeds[0], grad_scale=lambda_reg)
     else:
         l_reg = 0.0
         seeds[0] = 0.0
@@ -240,7 +301,9 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     """Run the full schedule on one partition, in place.
 
     Each refinement re-bins `partition.events`, and the target C * counts
-    is rounded to float32 once per stack. Forward, loss, backward and Adam
+    is rounded to float32 once per stack; the seed and output-row arrays
+    of the stage it ends are freed, and the next stage makes its own on
+    its first iteration. Forward, loss, backward and Adam
     (with float32 moments) run on one float32 copy of the network. Adam
     moves a weight by about lr per step (1e-4 decaying to 2e-5 by
     default), 4-5 orders of magnitude above the float32 spacing of
@@ -261,9 +324,12 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
 
     stack = partition.stack
     target = stack.frames_as(np.float32)
+    buffers = {}  # this stage's seed and output-row arrays, reused every iteration
 
     for it in range(cfg.total_iters):
         if it in refine_at:
+            aux = None
+            buffers.clear()  # free the finished stage's arrays before the next are made
             stack = partition.stack = refine_bins(stack, partition.events)
             target = stack.frames_as(np.float32)
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
@@ -271,7 +337,7 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
         # checks below turn into DivergedTraining; numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                l_temp, l_reg, aux = objective(model, stack, idx, cfg.lambda_reg, target)
+                l_temp, l_reg, aux = objective(model, stack, idx, cfg.lambda_reg, target, buffers)
                 total = l_temp + cfg.lambda_reg * l_reg
 
                 if not math.isfinite(total):

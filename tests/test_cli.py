@@ -248,3 +248,20 @@ def test_a_stream_shorter_than_one_frame_gets_one_frame(tmp_path):
         assert (out / "times.txt").read_text() == "0.100000000\n"
         assert [p.name for p in out.glob("*.pgm")] == ["frame_000000.pgm"]
         assert json.loads((out / "manifest.json").read_text())["config"]["frames"] == 1
+
+
+def test_a_zero_width_uniform_bin_is_a_typed_error(tmp_path, capsys):
+    """A partition span a rounding error past a multiple of the bin width
+    leaves stack_uniform a zero-width bin: reconstruct reports it as an
+    error naming the bin instead of raising a bare ValueError."""
+    events = tmp_path / "events.txt"
+    assert main(["simulate", "--size", "32x32", "--duration", "2", "--seed", "1",
+                 "--threshold", "0.25", "--out", str(events)]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("total_iters = 60\nrefine_at_iters = 30\npartition_tau = 0.8\n"
+                      "overlap = 0.2\nthreshold_C = 0.25\nhidden_features = 128\n")
+    capsys.readouterr()
+    assert main(["reconstruct", "--events", str(events), "--config", str(config),
+                 "--out", str(tmp_path / "rec")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bin ") and "every bin needs positive width" in err

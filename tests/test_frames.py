@@ -3,7 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evrecon.errors import EmptyStream
+from evrecon.errors import (
+    EmptyStream,
+    EvreconError,
+    NonPositiveThreshold,
+    ShapeMismatch,
+    ZeroWidthBin,
+)
 from evrecon.frames import EventFrameStack, refine_bins, stack_uniform
 
 from conftest import make_stream
@@ -276,3 +282,23 @@ def test_vectorized_binning_matches_per_bin_loop(case):
         stack = refine_bins(stack, stream)
         assert np.array_equal(stack.edges, edges)
         assert np.array_equal(stack.counts, counts)
+
+
+def test_invalid_stacks_raise_typed_errors():
+    counts = np.zeros((2, 1, 1))
+    with pytest.raises(ShapeMismatch):
+        EventFrameStack(counts, [0.0, 1.0], threshold_C=1.0)
+    with pytest.raises(ShapeMismatch):
+        EventFrameStack(np.zeros((0, 1, 1)), [0.0], threshold_C=1.0)
+    with pytest.raises(NonPositiveThreshold):
+        EventFrameStack(counts, [0.0, 0.5, 1.0], threshold_C=0.0)
+    with pytest.raises(ZeroWidthBin, match=r"bin 1 of 2 spans \[0.5, 0.5\]"):
+        EventFrameStack(counts, [0.0, 0.5, 0.5], threshold_C=1.0)
+    with pytest.raises(ZeroWidthBin, match="bin 0 of 2"):
+        EventFrameStack(counts, [np.nan, 0.5, 1.0], threshold_C=1.0)
+    with pytest.raises(ZeroWidthBin):
+        stack_uniform(simple_stream(), 0.0, C=1.0)
+    with pytest.raises(NonPositiveThreshold):
+        stack_uniform(simple_stream(), 0.5, C=-1.0)
+    for cls in (ShapeMismatch, NonPositiveThreshold, ZeroWidthBin):
+        assert issubclass(cls, EvreconError) and issubclass(cls, ValueError)

@@ -112,7 +112,7 @@ class LinearTimeModel:
         lo, hi = self.t_domain
         return (np.asarray(t) - lo) * (2.0 / (hi - lo)) - 1.0
 
-    def forward_with_tangent(self, t_norm, want_cache=False):
+    def forward_with_tangent(self, t_norm, want_cache=False, out=None):
         t_norm = np.asarray(t_norm).reshape(-1)
         k = len(t_norm)
         frames = np.broadcast_to(t_norm[:, None, None], (k, self.height, self.width))
@@ -155,15 +155,15 @@ def test_temporal_loss_quadratic_in_C(toy_stack):
 
 @pytest.mark.parametrize("lam", [0.05, 0.0])
 def test_objective_fills_both_seed_halves(toy_model, toy_stack, lam):
-    """The tangent half becomes per-t_norm, the frame half lambda times
-    the regularizer gradient (zero at lambda = 0)."""
+    """The tangent half is temporal_loss's (per t_norm), the frame half
+    lambda times the regularizer gradient (zero at lambda = 0)."""
     idx = np.arange(toy_stack.num_frames)
     l_temp, l_reg, aux = objective(toy_model, toy_stack, idx, lam)
     ref_loss, ref = temporal_loss(toy_model, toy_stack, idx)
     reg, grad = spatial_reg_loss(aux["frames"])
     assert l_temp == ref_loss
     assert l_reg == (reg if lam > 0 else 0.0)
-    assert np.array_equal(aux["seeds"][1], ref["seeds"][1] * toy_model.time_slope)
+    assert np.array_equal(aux["seeds"][1], ref["seeds"][1])
     assert np.array_equal(aux["seeds"][0], lam * grad)
 
 
