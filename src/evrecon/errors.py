@@ -63,6 +63,15 @@ class InvalidConfig(EvreconError, ValueError):
     values that violate its constraints."""
 
 
+class NonFiniteFrames(EvreconError, ValueError):
+    """A log video holding NaN or Inf."""
+
+
+class NonPositiveSetting(EvreconError, ValueError):
+    """A tone-mapping gamma or an enhancement window that is not positive
+    (NaN included)."""
+
+
 class NonFiniteOutput(EvreconError, FloatingPointError):
     """A network forward pass produced NaN or Inf."""
 

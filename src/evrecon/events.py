@@ -125,15 +125,21 @@ class FrameTimestamps:
         bad = np.flatnonzero(~np.isfinite(t))
         if bad.size:
             raise InvalidTimestamps(f"frame time {t[bad[0]]} is not finite", index=int(bad[0]))
-        bad = np.flatnonzero(~(np.diff(t) > 0))
-        if bad.size:
-            k = int(bad[0]) + 1
-            raise InvalidTimestamps(
-                f"frame times must be strictly increasing: {t[k]} follows {t[k - 1]}", index=k
-            )
+        check_increasing(t)
 
     def __len__(self) -> int:
         return len(self.times)
+
+
+def check_increasing(t: np.ndarray) -> None:
+    """Raise InvalidTimestamps at the first of the 1-D times `t` that does
+    not exceed the one before it (NaN never does)."""
+    bad = np.flatnonzero(~(np.diff(t) > 0))
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise InvalidTimestamps(
+            f"frame times must be strictly increasing: {t[k]} follows {t[k - 1]}", index=k
+        )
 
 
 def _map_polarity(p_raw: np.ndarray, encoding: str) -> np.ndarray:

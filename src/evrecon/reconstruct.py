@@ -8,6 +8,13 @@ measured over the shared overlap windows (after which the per-pair
 "subtract each mean, add the pair average" alignment is the identity),
 and `anchor_offset` pins the one remaining global constant by driving the
 whole video's median log intensity to zero.
+
+Sample times must be strictly increasing. Sampling writes each network's
+output straight into the one (N, H, W) float64 array of the `LogVideo`,
+and tone mapping and the enhancement display mapping work one block of
+whole frames at a time, so besides that array and the uint8 output only
+batch- and block-sized temporaries are made (`anchor_offset` adds a
+second video-sized array for its result and its median's copy).
 """
 
 from __future__ import annotations
@@ -16,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TimeOutOfRange
-from .events import FrameTimestamps
+from .errors import NonFiniteFrames, NonPositiveSetting, ShapeMismatch, TimeOutOfRange
+from .events import FrameTimestamps, check_increasing
+from .metrics import frame_blocks
+from .siren import all_finite
 
 _OVERLAP_MEAN_SAMPLES = 9
 
@@ -33,11 +42,11 @@ class LogVideo:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         self.times = np.asarray(self.times, dtype=np.float64)
         if self.frames.ndim != 3 or len(self.frames) != len(self.times):
-            raise ValueError("frames must be (N,H,W) matching times")
-        if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(self.frames)):
-            raise ValueError("log video must be finite")
+            raise ShapeMismatch(f"frames {self.frames.shape} must be (N, H, W) "
+                                f"matching {len(self.times)} times")
+        check_increasing(self.times)
+        if not all_finite(self.frames):
+            raise NonFiniteFrames("log video must be finite")
 
 
 @dataclass
@@ -47,8 +56,8 @@ class ToneMapConfig:
     gamma: float = 0.6
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not self.gamma > 0:
+            raise NonPositiveSetting(f"gamma must be positive, got {self.gamma}")
 
 
 def _as_times(times) -> np.ndarray:
@@ -65,13 +74,16 @@ def check_in_span(times: np.ndarray, t0: float, t1: float) -> None:
         raise TimeOutOfRange(f"time {times[outside][0]} outside trained span [{t0}, {t1}]")
 
 
-def _batched_forward(partition, times: np.ndarray, tangent: bool):
+def _batched_forward(partition, times: np.ndarray, tangent: bool, out=None):
+    """One network's frames, or per-second time derivatives, at `times` in
+    one batch; written into `out`, a C-contiguous (K, H, W) float64 array,
+    when given."""
     model = partition.model
     t_norm = model.normalize_time(times)
     if tangent:
         _, tan = model.forward_with_tangent(t_norm)
-        return tan * model.time_slope
-    return model.forward(t_norm)
+        return np.multiply(tan, model.time_slope, out=out)
+    return model.forward(t_norm, out=None if out is None else out.reshape(len(times), -1))
 
 
 def _chained_offsets(partitions, lo, hi) -> np.ndarray:
@@ -90,19 +102,24 @@ def _chained_offsets(partitions, lo, hi) -> np.ndarray:
 
 
 def _sample(partitions, times: np.ndarray, tangent: bool) -> np.ndarray:
-    """Evaluate the stitched ensemble at the given times.
+    """Evaluate the stitched ensemble at strictly increasing times.
 
     tangent=False samples offset-corrected log frames; tangent=True samples
     per-second time derivatives (offsets drop out of derivatives). A time
     inside the overlap of partitions i and i+1 (the first such pair) blends
     the two with weight u toward i+1; any other time takes the partition
-    whose core span holds it, the later one on a core edge. Each partition
-    and each pair evaluates its times in one batch, in the given order.
+    whose core span holds it, the later one on a core edge.
+
+    The times one source takes (a partition's core, or an overlap pair)
+    form one run, for partitions laid out as `build_partitions` lays them
+    out. Each run is evaluated in one batch straight into its slice of the
+    output, and a pair's run blends in place with one run-sized temporary.
     """
     partitions = sorted(partitions, key=lambda p: p.index)
     h, w = partitions[0].model.height, partitions[0].model.width
     t0, t1 = partitions[0].span[0], partitions[-1].span[1]
     check_in_span(times, t0, t1)
+    check_increasing(times)
     lo = np.array([p.span[0] for p in partitions[1:]])  # overlap i: [lo[i], hi[i]],
     hi = np.array([p.span[1] for p in partitions[:-1]])  # empty at zero overlap
     in_overlap = (times[:, None] >= lo) & (times[:, None] <= hi) & (hi > lo)
@@ -115,16 +132,22 @@ def _sample(partitions, times: np.ndarray, tangent: bool) -> np.ndarray:
     offsets = np.zeros(len(partitions)) if tangent else _chained_offsets(partitions, lo, hi)
     out = np.empty((len(times), h, w), dtype=np.float64)
 
-    for i, p in enumerate(partitions):
-        sel = ~blend & (core == i)
-        if np.any(sel):
-            out[sel] = _batched_forward(p, times[sel], tangent) + offsets[i]
-    for i in np.unique(pair[blend]):
-        sel = pair == i
-        u = ((times[sel] - lo[i]) / (hi[i] - lo[i]))[:, None, None]
-        fa = _batched_forward(partitions[i], times[sel], tangent) + offsets[i]
-        fb = _batched_forward(partitions[i + 1], times[sel], tangent) + offsets[i + 1]
-        out[sel] = (1.0 - u) * fa + u * fb
+    # A time's source: its core partition i, or len(partitions) + its pair i.
+    source = np.where(blend, len(partitions) + pair, core)
+    starts = np.flatnonzero(np.diff(source, prepend=-1))
+    for a, b in zip(starts, np.append(starts[1:], len(times))):
+        run, ts = out[a:b], times[a:b]
+        i = pair[a] if blend[a] else core[a]
+        _batched_forward(partitions[i], ts, tangent, out=run)
+        run += offsets[i]
+        if blend[a]:
+            u = ((ts - lo[i]) / (hi[i] - lo[i]))[:, None, None]
+            fb = _batched_forward(partitions[i + 1], ts, tangent)
+            fb += offsets[i + 1]
+            run *= 1.0 - u
+            fb *= u
+            run += fb
+            del fb  # before the next run's batch is made
     return out
 
 
@@ -148,16 +171,36 @@ def tone_map(video: LogVideo, cfg: ToneMapConfig = ToneMapConfig()) -> np.ndarra
     """(N, H, W) uint8 frames: Reinhard-compressed intensity.
 
     I = exp(L); value = (I / (I + 1))**gamma, quantized to 8 bits. Strictly
-    monotone in L before quantization.
+    monotone in L before quantization; an L whose exp overflows maps to
+    255. Works one block of whole frames at a time (`frame_blocks`), so
+    its temporaries stay a few blocks in size.
     """
-    compressed = reinhard(np.exp(video.frames), cfg.gamma)
-    return np.clip(np.round(compressed * 255.0), 0, 255).astype(np.uint8)
+    out = np.empty(video.frames.shape, dtype=np.uint8)
+    for s in frame_blocks(video.frames):
+        with np.errstate(over="ignore"):  # exp(L) = inf, which reinhard takes
+            block = np.exp(video.frames[s])
+        reinhard(block, cfg.gamma, out=block)
+        block *= 255.0
+        _quantize(block, out[s])
+    return out
 
 
-def reinhard(intensity: np.ndarray, gamma: float) -> np.ndarray:
-    """(I / (I + 1))**gamma in [0, 1); accepts any non-negative intensity."""
-    i = np.asarray(intensity, dtype=np.float64)
-    return np.power(i / (i + 1.0), gamma)
+def reinhard(intensity, gamma: float, out=None) -> np.ndarray:
+    """(I / (I + 1))**gamma in [0, 1]; accepts any non-negative intensity,
+    and an infinite one gives 1.0. Written into `out`, which may be
+    `intensity` itself, when given."""
+    # The largest float maps to exactly 1.0, as does every finite I >= 2**53.
+    i = np.minimum(intensity, np.finfo(np.float64).max, out=out)
+    i /= i + 1.0
+    return np.power(i, gamma, out=i)
+
+
+def _quantize(values: np.ndarray, out: np.ndarray) -> None:
+    """Round, clamp to 0-255 and store as bytes in `out`; rounds and
+    clamps `values` in place."""
+    np.round(values, out=values)
+    np.clip(values, 0, 255, out=values)
+    np.copyto(out, values, casting="unsafe")
 
 
 def enhance_events(partitions, times, window_dt: float) -> np.ndarray:
@@ -167,19 +210,28 @@ def enhance_events(partitions, times, window_dt: float) -> np.ndarray:
     window, exactly linear in window_dt. Overlaps crossfade the two
     neighbors' derivatives.
     """
-    if window_dt <= 0:
-        raise ValueError("window_dt must be positive")
-    ts = _as_times(times)
-    return _sample(partitions, ts, tangent=True) * window_dt
+    if not window_dt > 0:
+        raise NonPositiveSetting(f"window_dt must be positive, got {window_dt}")
+    grids = _sample(partitions, _as_times(times), tangent=True)
+    grids *= window_dt
+    return grids
 
 
 def enhancement_to_bytes(grids: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Signed-to-gray display mapping: byte = clamp(128 + 128 * value/scale).
+    """Signed-to-gray display mapping of (N, H, W) grids:
+    byte = clamp(128 + 128 * value/scale).
 
     scale defaults to the largest |value| so the full range is used; zero
-    change lands on mid-gray 128.
+    change lands on mid-gray 128. Works one block of whole frames at a
+    time, like tone_map.
     """
     g = np.asarray(grids, dtype=np.float64)
     if scale is None:
-        scale = float(np.abs(g).max()) or 1.0
-    return np.clip(np.round(128.0 + 128.0 * g / scale), 0, 255).astype(np.uint8)
+        scale = float(max(g.max(), -g.min())) or 1.0
+    out = np.empty(g.shape, dtype=np.uint8)
+    for s in frame_blocks(g):
+        block = np.multiply(g[s], 128.0)
+        block /= scale
+        block += 128.0
+        _quantize(block, out[s])
+    return out

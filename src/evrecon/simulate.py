@@ -143,7 +143,8 @@ def log_intensity(video: IntensityVideo, log_eps: float = 1e-3) -> np.ndarray:
     domain and the ground truth for closed-loop comparisons."""
     if np.any(video.frames <= 0):
         raise NonPositiveIntensity("intensities must be positive")
-    return np.log(video.frames + log_eps)
+    logs = video.frames + log_eps
+    return np.log(logs, out=logs)
 
 
 def simulate_events(video: IntensityVideo, cfg: SimConfig) -> EventStream:

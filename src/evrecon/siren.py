@@ -84,6 +84,12 @@ def _matmul_rows(stacked: np.ndarray, w: np.ndarray, k: int, out=None) -> np.nda
     return out
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """True when `a` holds no NaN or Inf. The max propagates NaN and meets
+    +Inf, the min meets -Inf, so no array-sized mask is made."""
+    return a.size == 0 or bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+
+
 @dataclass
 class ForwardCache:
     """Intermediates of one batched forward-with-tangent pass, consumed by
@@ -154,16 +160,19 @@ class SirenModel:
         scalar = t.ndim == 0
         return t.reshape(-1, 1), scalar
 
-    def forward(self, t_norm) -> np.ndarray:
+    def forward(self, t_norm, out=None) -> np.ndarray:
         """Frame(s) at normalized time(s): (H, W) for a scalar input,
-        (K, H, W) for a length-K array."""
+        (K, H, W) for a length-K array. `out`, a (K, num_pixels) array of
+        the dtype of params, receives the frames, and the returned frames
+        are a view into it."""
         x, scalar = self._as_batch(t_norm)
         *hidden, (w_out, b_out) = self.layers()
         a = x
         for w, b in hidden:
             a = np.sin(self.omega0 * (a @ w.T + b))
-        y = a @ w_out.T + b_out
-        if not np.all(np.isfinite(y)):
+        y = np.matmul(a, w_out.T, out=out)
+        y += b_out
+        if not all_finite(y):
             raise NonFiniteOutput("forward pass produced NaN/Inf")
         y = y.reshape(-1, self.height, self.width)
         return y[0] if scalar else y

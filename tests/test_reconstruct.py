@@ -1,7 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from evrecon.errors import TimeOutOfRange
+from evrecon.errors import (
+    EvreconError,
+    InvalidTimestamps,
+    NonFiniteFrames,
+    NonPositiveSetting,
+    ShapeMismatch,
+    TimeOutOfRange,
+)
 from evrecon.events import FrameTimestamps
 from evrecon.reconstruct import (
     LogVideo,
@@ -9,6 +18,7 @@ from evrecon.reconstruct import (
     anchor_offset,
     enhance_events,
     enhancement_to_bytes,
+    reinhard,
     sample_video,
     tone_map,
 )
@@ -187,6 +197,42 @@ def test_tone_map_monotone():
     out = tone_map(video, ToneMapConfig(0.6)).reshape(-1).astype(np.int64)
     assert np.all(np.diff(out) >= 0)
     assert out[0] == 0 and out[-1] == 255
+
+
+def test_overflowing_intensities_come_out_white():
+    """exp(800) overflows to inf, which reinhard maps to 1.0 (byte 255),
+    with no floating-point warning; the other bytes are unchanged."""
+    video = LogVideo(np.array([[[800.0, 5.0], [-800.0, 0.0]]]), np.array([0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bytes_ = tone_map(video)
+        assert reinhard(np.array([np.inf, 2.0**53, 1.0]), 1.0).tolist() == [1.0, 1.0, 0.5]
+    assert bytes_.tolist() == [[[255, 254], [0, 168]]]
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: LogVideo(np.zeros((2, 3)), [0.0, 1.0]), ShapeMismatch),
+    (lambda: LogVideo(np.zeros((2, 3, 3)), [0.0]), ShapeMismatch),
+    (lambda: LogVideo(np.zeros((2, 3, 3)), [1.0, 1.0]), InvalidTimestamps),
+    (lambda: LogVideo(np.full((1, 2, 2), np.nan), [0.0]), NonFiniteFrames),
+    (lambda: LogVideo(np.full((1, 2, 2), -np.inf), [0.0]), NonFiniteFrames),
+    (lambda: ToneMapConfig(gamma=0.0), NonPositiveSetting),
+    (lambda: ToneMapConfig(gamma=float("nan")), NonPositiveSetting),
+    (lambda: enhance_events([one_partition()], [0.5], -1.0), NonPositiveSetting),
+])
+def test_output_errors_are_typed_value_errors(make, error):
+    with pytest.raises(error) as info:
+        make()
+    assert isinstance(info.value, EvreconError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("times, index", [([0.5, 0.25, 0.75], 1), ([0.0, 0.5, 0.5], 2)])
+def test_sample_times_must_strictly_increase(times, index):
+    parts = chain()
+    for sample in (lambda: sample_video(parts, times), lambda: enhance_events(parts, times, 1.0)):
+        with pytest.raises(InvalidTimestamps) as info:
+            sample()
+        assert info.value.index == index
 
 
 def test_enhance_linear_in_window():

@@ -16,6 +16,7 @@ from evrecon.siren import (
     ADAM_CHUNK,
     AdamState,
     adam_step,
+    all_finite,
     init_siren,
     load_checkpoint,
     save_checkpoint,
@@ -78,6 +79,24 @@ def test_identical_parameters_identical_outputs(toy_model):
     other = toy_model.copy()
     t = np.linspace(-1, 1, 7)
     assert np.array_equal(toy_model.forward(t), other.forward(t))
+
+
+def test_forward_writes_into_out(toy_model):
+    """Frames written into `out` have the bits forward() returns, and the
+    returned frames are a view into `out`."""
+    t = np.linspace(-1, 1, 7)
+    out = np.empty((7, 16))
+    frames = toy_model.forward(t, out=out)
+    assert np.shares_memory(frames, out)
+    assert frames.tobytes() == toy_model.forward(t).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_all_finite_finds_each_nonfinite_value(bad):
+    values = np.arange(12.0).reshape(3, 4)
+    assert all_finite(values) and all_finite(values[:0])
+    values[1, 2] = bad
+    assert not all_finite(values)
 
 
 def test_forward_continuous_in_t(toy_model):
