@@ -10,7 +10,7 @@ verification without external recordings.
 
 __version__ = "0.1.0"
 
-from .events import EventStream, FrameTimestamps, parse_events, write_events
+from .events import EventStream, parse_events, write_events
 from .frames import EventFrameStack, refine_bins, stack_uniform
 from .metrics import MetricReport, clahe, evaluate_frames, mse, ssim
 from .reconstruct import (
@@ -36,7 +36,6 @@ from .training import (
 
 __all__ = [
     "EventStream",
-    "FrameTimestamps",
     "parse_events",
     "write_events",
     "EventFrameStack",

@@ -27,13 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EvreconError, InvalidConfig, InvalidDimensions
-from .events import (
-    FrameTimestamps,
-    parse_events,
-    read_times,
-    write_events,
-    write_times,
-)
+from .events import check_times, parse_events, read_times, write_events
 from .pgm import read_frame_dir, write_frame_dir
 from .reconstruct import (
     LogVideo,
@@ -141,7 +135,7 @@ def _read_stream(args):
     )
 
 
-def _requested_times(args, t_start, t_end) -> FrameTimestamps:
+def _requested_times(args, t_start, t_end) -> np.ndarray:
     """The output frame times, from --timestamps or --fps, checked against
     the span [t_start, t_end] the networks cover before any training."""
     if args.timestamps:
@@ -149,8 +143,8 @@ def _requested_times(args, t_start, t_end) -> FrameTimestamps:
     else:
         fps = args.fps or 30.0
         n = int(math.floor((t_end - t_start) * fps)) + 1
-        times = FrameTimestamps(t_start + np.arange(n) / fps)
-    check_in_span(times.times, t_start, t_end)
+        times = check_times(t_start + np.arange(n) / fps)
+    check_in_span(times, t_start, t_end)
     return times
 
 
@@ -246,7 +240,7 @@ def cmd_reconstruct(args) -> int:
     outputs = _write_partitions(partitions, out)
     video = anchor_offset(sample_video(partitions, times))
     bytes_ = tone_map(video, ToneMapConfig(args.gamma))
-    write_frame_dir(out, bytes_, times.times)
+    write_frame_dir(out, bytes_, times)
     outputs.append(out / "times.txt")
     _write_manifest(
         out,
@@ -282,7 +276,7 @@ def cmd_enhance(args) -> int:
     grids = enhance_events(partitions, times, args.window_dt)
     out = Path(args.out)
     bytes_ = enhancement_to_bytes(grids, scale=args.scale)
-    write_frame_dir(out, bytes_, times.times)
+    write_frame_dir(out, bytes_, times)
     _write_manifest(
         out,
         "enhance",

@@ -33,6 +33,15 @@ class EmptyStream(EvreconError, ValueError):
     """Operation requires at least one event."""
 
 
+class InvalidWindow(EvreconError, ValueError):
+    """An event stream window [t_start, t_end] that is reversed or does not
+    hold the stream's events."""
+
+
+class UnknownName(EvreconError, ValueError):
+    """A polarity encoding or scene kind that is not one of the known names."""
+
+
 class InvalidDimensions(EvreconError, ValueError):
     """Scene or sensor dimensions violate the operation's preconditions."""
 

@@ -17,8 +17,11 @@ from .errors import (
     EmptyStream,
     InvalidDimensions,
     InvalidTimestamps,
+    InvalidWindow,
     MalformedLine,
     PolarityOutOfRange,
+    ShapeMismatch,
+    UnknownName,
     UnsortedStream,
 )
 
@@ -51,7 +54,7 @@ class EventStream:
         self.polarity = np.asarray(self.polarity, dtype=np.int64)
         n = len(self.t)
         if not (len(self.x) == len(self.y) == len(self.polarity) == n):
-            raise ValueError("event columns must have equal length")
+            raise ShapeMismatch("event columns must have equal length")
         if self.width < 1 or self.height < 1:
             raise InvalidDimensions(f"sensor must be at least 1x1, got {self.width}x{self.height}")
         if n:
@@ -66,9 +69,9 @@ class EventStream:
             if self.x.min() < 0 or self.y.min() < 0:
                 raise InvalidDimensions("negative event coordinates")
             if self.t[0] < self.t_start or self.t[-1] > self.t_end:
-                raise ValueError("event times fall outside [t_start, t_end]")
+                raise InvalidWindow(f"event times fall outside [{self.t_start}, {self.t_end}]")
         if self.t_end < self.t_start:
-            raise ValueError("t_end must be >= t_start")
+            raise InvalidWindow(f"t_end {self.t_end} must be >= t_start {self.t_start}")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -111,26 +114,6 @@ class EventStream:
         )
 
 
-@dataclass(frozen=True)
-class FrameTimestamps:
-    """Strictly increasing times at which output frames are requested."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        object.__setattr__(self, "times", t)
-        if t.ndim != 1 or len(t) == 0:
-            raise InvalidTimestamps("need a 1-D, non-empty array of times")
-        bad = np.flatnonzero(~np.isfinite(t))
-        if bad.size:
-            raise InvalidTimestamps(f"frame time {t[bad[0]]} is not finite", index=int(bad[0]))
-        check_increasing(t)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
 def check_increasing(t: np.ndarray) -> None:
     """Raise InvalidTimestamps at the first of the 1-D times `t` that does
     not exceed the one before it (NaN never does)."""
@@ -142,22 +125,33 @@ def check_increasing(t: np.ndarray) -> None:
         )
 
 
+def check_times(t) -> np.ndarray:
+    """`t` as a float64 array, after checking that it is 1-D, non-empty,
+    finite and strictly increasing. Raises InvalidTimestamps, with the
+    `index` of the first time to blame when there is one."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 1 or len(t) == 0:
+        raise InvalidTimestamps("need a 1-D, non-empty array of times")
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise InvalidTimestamps(f"frame time {t[bad[0]]} is not finite", index=int(bad[0]))
+    check_increasing(t)
+    return t
+
+
+def _negative_code(encoding: str) -> int:
+    """The value that stands for polarity -1 in `encoding` (+1 is 1 in both)."""
+    if encoding not in POLARITY_ENCODINGS:
+        raise UnknownName(f"polarity encoding {encoding!r} is not one of {POLARITY_ENCODINGS}")
+    return -1 if encoding == "signed" else 0
+
+
 def _map_polarity(p_raw: np.ndarray, encoding: str) -> np.ndarray:
-    if encoding == "signed":
-        bad = ~((p_raw == 1) | (p_raw == -1))
-        if np.any(bad):
-            raise PolarityOutOfRange(
-                f"signed encoding expects -1/+1, got {p_raw[bad][0]}"
-            )
-        return p_raw
-    if encoding == "zero_one":
-        bad = ~((p_raw == 0) | (p_raw == 1))
-        if np.any(bad):
-            raise PolarityOutOfRange(
-                f"zero_one encoding expects 0/1, got {p_raw[bad][0]}"
-            )
-        return np.where(p_raw == 0, -1, 1)
-    raise ValueError(f"unknown polarity encoding {encoding!r}")
+    neg = _negative_code(encoding)
+    bad = ~((p_raw == neg) | (p_raw == 1))
+    if np.any(bad):
+        raise PolarityOutOfRange(f"{encoding} encoding expects {neg}/1, got {p_raw[bad][0]}")
+    return p_raw if neg == -1 else np.where(p_raw == 0, -1, 1)
 
 
 def parse_events(
@@ -230,19 +224,17 @@ def write_events(stream: EventStream, polarity_encoding: str = "zero_one") -> st
     Timestamps are written with 9 decimal places, so parse(write(s))
     reproduces s to nanosecond resolution. Event order is preserved.
     """
-    if polarity_encoding not in POLARITY_ENCODINGS:
-        raise ValueError(f"unknown polarity encoding {polarity_encoding!r}")
-    out = [f"# width {stream.width} height {stream.height}"]
-    if polarity_encoding == "zero_one":
+    if _negative_code(polarity_encoding) == 0:
         p_out = (stream.polarity > 0).astype(np.int64)
     else:
         p_out = stream.polarity
+    out = [f"# width {stream.width} height {stream.height}"]
     for t, x, y, p in zip(stream.t, stream.x, stream.y, p_out):
         out.append(f"{t:.9f} {x} {y} {p}")
     return "\n".join(out) + "\n"
 
 
-def read_times(path) -> FrameTimestamps:
+def read_times(path) -> np.ndarray:
     """Read a times.txt sidecar: one time (seconds) per line, strictly
     increasing. Raises InvalidTimestamps naming the file and line."""
     vals, linenos = [], []
@@ -256,16 +248,15 @@ def read_times(path) -> FrameTimestamps:
                 raise InvalidTimestamps(f"{path}:{lineno}: not a time: {line.strip()!r}") from None
             linenos.append(lineno)
     try:
-        return FrameTimestamps(np.asarray(vals))
+        return check_times(vals)
     except InvalidTimestamps as exc:
         where = path if exc.index is None else f"{path}:{linenos[exc.index]}"
         raise InvalidTimestamps(f"{where}: {exc}") from None
 
 
-def write_times(path, times: FrameTimestamps | np.ndarray) -> None:
-    arr = times.times if isinstance(times, FrameTimestamps) else np.asarray(times)
+def write_times(path, times: np.ndarray) -> None:
     with open(path, "w") as fh:
-        for t in arr:
+        for t in times:
             fh.write(f"{t:.9f}\n")
 
 

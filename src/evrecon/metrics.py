@@ -30,9 +30,9 @@ SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
-# Frames are scored in blocks of at most this many pixels, so evaluation
-# makes a few numpy calls per block instead of per frame, and its
-# temporaries stay bounded however long the clip is.
+# Elements per cache-sized pass (six float32 slices of it fit in L2): the
+# blocks of whole frames that training, tone mapping and scoring work on
+# (`frame_blocks`), and the chunks Adam updates the parameters in.
 BLOCK_PIXELS = 1 << 15
 
 
@@ -66,11 +66,12 @@ def mse(pred: np.ndarray, ref: np.ndarray) -> float:
 
 
 def frame_blocks(frames: np.ndarray) -> list:
-    """Slices that cut an (N, H, W) stack into blocks of whole frames
-    holding at most BLOCK_PIXELS pixels, and at least one frame each."""
+    """Slices, with stops clipped to N, that cut an (N, H, W) stack in
+    order into blocks of whole frames holding at most BLOCK_PIXELS pixels,
+    and at least one frame each; every block but the last is full."""
     n, h, w = frames.shape
     step = max(1, BLOCK_PIXELS // max(1, h * w))
-    return [slice(k, k + step) for k in range(0, n, step)]
+    return [slice(k, min(k + step, n)) for k in range(0, n, step)]
 
 
 def _frame_means(stack: np.ndarray) -> np.ndarray:

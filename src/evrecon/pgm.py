@@ -95,7 +95,7 @@ def read_frame_dir(in_dir) -> tuple[np.ndarray, np.ndarray]:
     frames = np.stack([read_pgm(p) for p in paths])
     times_path = src / "times.txt"
     if times_path.exists():
-        times = read_times(times_path).times
+        times = read_times(times_path)
         if len(times) != len(frames):
             raise InvalidPGM(f"{src}: times.txt length {len(times)} != {len(frames)} frames")
     else:

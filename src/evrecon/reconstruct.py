@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteFrames, NonPositiveSetting, ShapeMismatch, TimeOutOfRange
-from .events import FrameTimestamps, check_increasing
+from .events import check_increasing, check_times
 from .metrics import frame_blocks
 from .siren import all_finite
 
@@ -58,12 +58,6 @@ class ToneMapConfig:
     def __post_init__(self):
         if not self.gamma > 0:
             raise NonPositiveSetting(f"gamma must be positive, got {self.gamma}")
-
-
-def _as_times(times) -> np.ndarray:
-    if isinstance(times, FrameTimestamps):
-        return times.times
-    return np.asarray(times, dtype=np.float64).reshape(-1)
 
 
 def check_in_span(times: np.ndarray, t0: float, t1: float) -> None:
@@ -101,7 +95,7 @@ def _chained_offsets(partitions, lo, hi) -> np.ndarray:
     return offsets
 
 
-def _sample(partitions, times: np.ndarray, tangent: bool) -> np.ndarray:
+def _sample(partitions, times, tangent: bool) -> np.ndarray:
     """Evaluate the stitched ensemble at strictly increasing times.
 
     tangent=False samples offset-corrected log frames; tangent=True samples
@@ -118,8 +112,9 @@ def _sample(partitions, times: np.ndarray, tangent: bool) -> np.ndarray:
     partitions = sorted(partitions, key=lambda p: p.index)
     h, w = partitions[0].model.height, partitions[0].model.width
     t0, t1 = partitions[0].span[0], partitions[-1].span[1]
+    times = np.asarray(times, dtype=np.float64)
     check_in_span(times, t0, t1)
-    check_increasing(times)
+    times = check_times(times)
     lo = np.array([p.span[0] for p in partitions[1:]])  # overlap i: [lo[i], hi[i]],
     hi = np.array([p.span[1] for p in partitions[:-1]])  # empty at zero overlap
     in_overlap = (times[:, None] >= lo) & (times[:, None] <= hi) & (hi > lo)
@@ -157,8 +152,7 @@ def sample_video(partitions, times) -> LogVideo:
     Times in exactly one core span take that network's output; times inside
     an overlap crossfade linearly between the two offset-aligned neighbors.
     """
-    ts = _as_times(times)
-    return LogVideo(_sample(partitions, ts, tangent=False), ts)
+    return LogVideo(_sample(partitions, times, tangent=False), times)
 
 
 def anchor_offset(video: LogVideo) -> LogVideo:
@@ -212,7 +206,7 @@ def enhance_events(partitions, times, window_dt: float) -> np.ndarray:
     """
     if not window_dt > 0:
         raise NonPositiveSetting(f"window_dt must be positive, got {window_dt}")
-    grids = _sample(partitions, _as_times(times), tangent=True)
+    grids = _sample(partitions, times, tangent=True)
     grids *= window_dt
     return grids
 

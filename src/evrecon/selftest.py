@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import EventStream
-from .frames import refine_bins, stack_uniform
-from .metrics import frame_blocks, ssim
+from .frames import EventFrameStack, refine_bins, stack_uniform
+from .metrics import evaluate_frames, mse, ssim
 from .reconstruct import LogVideo, ToneMapConfig, anchor_offset, sample_video, tone_map
 from .simulate import IntensityVideo, SimConfig, log_intensity, render_scene, simulate_events
 from .siren import init_siren
-from .training import TrainConfig, train_ensemble
+from .training import TrainConfig, objective, spatial_reg_loss, temporal_loss, train_ensemble
 
 
 @dataclass
@@ -65,9 +65,8 @@ def closed_loop_scores(video: IntensityVideo, partitions, gamma: float = 0.6,
     cfg = ToneMapConfig(gamma)
     tm_pred = tone_map(LogVideo(aligned, video.times), cfg)
     tm_gt = tone_map(LogVideo(gt, video.times), cfg)
-    tm_pred, tm_gt = tm_pred[::ssim_stride], tm_gt[::ssim_stride]
-    scores = [ssim(tm_pred[b] / 255.0, tm_gt[b] / 255.0) for b in frame_blocks(tm_pred)]
-    return log_mse, float(np.mean(np.concatenate(scores)))
+    scores = evaluate_frames(tm_pred[::ssim_stride], tm_gt[::ssim_stride], apply_clahe=False)
+    return log_mse, scores.mean_ssim
 
 
 def max_param_gradient_error(model, loss_of, grads) -> float:
@@ -98,9 +97,6 @@ def gradient_oracle_errors(seed: int = 3):
     gradient's scale. Tangent check: norm-relative error of d frame/dt
     against a h=1e-4 central difference.
     """
-    from .training import objective
-    from .frames import EventFrameStack
-
     rng = np.random.default_rng(seed)
     T = 6
     counts = rng.integers(-3, 4, size=(T, 4, 4)).astype(np.float64)
@@ -139,8 +135,6 @@ def quantization_residual(video: IntensityVideo, stream: EventStream,
 
 def run_selftest(quick: bool = False, threads: int = 1, out=None) -> list:
     """Run the verification checks; returns a list of CheckResult."""
-    from .training import spatial_reg_loss, temporal_loss
-
     results = []
     if quick:
         size, duration, iters, refine = 32, 1.0, 60, (20, 40)
@@ -218,19 +212,18 @@ def run_selftest(quick: bool = False, threads: int = 1, out=None) -> list:
     results.append(CheckResult(
         "tone map", byte == 168 and mono, f"L=0 -> byte {byte} (want 168), monotone={mono}"))
 
-    from .metrics import mse as _mse, ssim as _ssim
     rng = np.random.default_rng(0)
     img = rng.uniform(0.0, 1.0, (32, 32))
     a, b = 0.3, 0.8
     c1 = 0.01**2
     expected = (2 * a * b + c1) / (a * a + b * b + c1)
-    got = _ssim(np.full((16, 16), a), np.full((16, 16), b))
+    got = ssim(np.full((16, 16), a), np.full((16, 16), b))
     metric_ok = (
-        _mse(img, img) == 0.0
-        and abs(_ssim(img, img) - 1.0) < 1e-9
+        mse(img, img) == 0.0
+        and abs(ssim(img, img) - 1.0) < 1e-9
         and abs(got - expected) < 1e-9
     )
     results.append(CheckResult(
         "metric sanity", metric_ok,
-        f"ssim(a,a)-1={_ssim(img, img)-1.0:.1e}, const-vs-const err {abs(got-expected):.1e}"))
+        f"ssim(a,a)-1={ssim(img, img)-1.0:.1e}, const-vs-const err {abs(got-expected):.1e}"))
     return results

@@ -14,8 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidDimensions, NonPositiveIntensity
-from .events import EventStream
+from .errors import (
+    InvalidConfig,
+    InvalidDimensions,
+    NonPositiveIntensity,
+    ShapeMismatch,
+    UnknownName,
+)
+from .events import EventStream, check_increasing
 
 SCENE_KINDS = ("translating_gradient", "moving_checker", "rotating_bars")
 
@@ -33,12 +39,11 @@ class IntensityVideo:
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
         self.times = np.asarray(self.times, dtype=np.float64)
-        if self.frames.ndim != 3 or len(self.frames) != len(self.times):
-            raise ValueError("frames must be (N,H,W) with N matching times")
+        if self.frames.ndim != 3 or self.times.shape != self.frames.shape[:1]:
+            raise ShapeMismatch("frames must be (N, H, W) with N matching (N,) times")
         if len(self.frames) < 2:
-            raise ValueError("need at least 2 frames")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+            raise InvalidDimensions("need at least 2 frames")
+        check_increasing(self.times)
         if np.any(self.frames <= 0):
             raise NonPositiveIntensity("intensities must be positive")
 
@@ -93,7 +98,7 @@ def render_scene(
     keeps the per-pixel event supervision informative.
     """
     if kind not in SCENE_KINDS:
-        raise ValueError(f"unknown scene {kind!r}; choose from {SCENE_KINDS}")
+        raise UnknownName(f"unknown scene {kind!r}; choose from {SCENE_KINDS}")
     if width < 8 or height < 8:
         raise InvalidDimensions(f"scene must be at least 8x8, got {width}x{height}")
     n_frames = int(round(duration * fps))
@@ -110,32 +115,43 @@ def render_scene(
     # ~1.5 periods per second: per-pixel log trajectories then swing fast
     # relative to their spatial gradients, which keeps the event supervision
     # informative at fine bin widths instead of being drowned by spatial
-    # smoothing.
+    # smoothing. The video is computed in place in one (N, H, W) array
+    # (two for the products of moving_checker and rotating_bars).
     if kind == "translating_gradient":
         lo = 0.5
         theta = rng.uniform(0.0, 2.0 * np.pi)
         wavelength = 4.0 * span
         u = (xx * np.cos(theta) + yy * np.sin(theta)) / wavelength
-        arg = 2.0 * np.pi * (u[None] + 1.5 * times[:, None, None]) + phase0
-        unit = 0.5 + 0.5 * np.sin(arg)
+        frames = _sine(np.add(u[None], 1.5 * times[:, None, None]), phase0)
+        frames *= 0.5
     elif kind == "moving_checker":
         lo = 0.35
         wavelength = 1.5 * span
-        a1 = 2.0 * np.pi * (xx[None] / wavelength + 1.0 * times[:, None, None])
-        a2 = 2.0 * np.pi * (yy[None] / wavelength + 0.7 * times[:, None, None])
-        unit = 0.5 + 0.5 * np.sin(a1 + phase0) * np.sin(a2 - phase0)
+        frames = _sine(np.add(xx[None] / wavelength, 1.0 * times[:, None, None]), phase0)
+        frames *= 0.5
+        frames *= _sine(np.add(yy[None] / wavelength, 0.7 * times[:, None, None]), -phase0)
     else:  # rotating_bars
         lo = 0.35
         wavelength = 2.0 * span
         cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
         alpha = phase0 + 2.0 * np.pi * 0.15 * times
-        u = (xx[None] - cx) * np.cos(alpha)[:, None, None] + (yy[None] - cy) * np.sin(alpha)[
-            :, None, None
-        ]
-        unit = 0.5 + 0.5 * np.sin(2.0 * np.pi * u / wavelength)
-
-    frames = lo + (_INTENSITY_HI - lo) * unit
+        frames = np.multiply(xx[None] - cx, np.cos(alpha)[:, None, None])
+        frames += np.multiply(yy[None] - cy, np.sin(alpha)[:, None, None])
+        frames *= 2.0 * np.pi
+        frames /= wavelength
+        np.sin(frames, out=frames)
+        frames *= 0.5
+    frames += 0.5  # the pattern in [0, 1]
+    frames *= _INTENSITY_HI - lo
+    frames += lo
     return IntensityVideo(frames, times)
+
+
+def _sine(cycles: np.ndarray, phase: float) -> np.ndarray:
+    """sin(2 pi cycles + phase), computed in place in `cycles`."""
+    cycles *= 2.0 * np.pi
+    cycles += phase  # adding -phase is subtracting phase, bit for bit
+    return np.sin(cycles, out=cycles)
 
 
 def log_intensity(video: IntensityVideo, log_eps: float = 1e-3) -> np.ndarray:

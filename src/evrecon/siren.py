@@ -35,7 +35,7 @@ n_in)), b0, W1, b1, ... . Gradients and Adam moments share this layout,
 which only `SirenModel.layers(vec)` knows. `weights` and `biases` are
 read-only tuples of views into `params`: writing through a view changes the
 model, and assigning an element raises TypeError. `adam_step` updates
-parameters and moments in place, ADAM_CHUNK elements at a time, so the
+parameters and moments in place, BLOCK_PIXELS elements at a time, so the
 working set of each pass stays in cache and no whole-vector temporary is
 made.
 """
@@ -56,12 +56,9 @@ from .errors import (
     NonFiniteOutput,
     ShapeMismatch,
 )
+from .metrics import BLOCK_PIXELS
 
 CHECKPOINT_VERSION = 1
-# Elements per cache-sized pass: six float32 slices (768 KiB) stay in L2.
-# Adam works in chunks of it, and training.objective in blocks of whole
-# frames of about this size.
-ADAM_CHUNK = 1 << 15
 
 # OpenBLAS answers a GEMM with M*N*K <= 100**3 with small-matrix kernels
 # that round differently from its blocked kernel, and numpy sends one-row
@@ -203,7 +200,7 @@ class SirenModel:
             derivs.append(zz)
         yy = _matmul_rows(act, w_out.T, k, out)
         yy[:k] += b_out
-        if not np.all(np.isfinite(yy)):
+        if not all_finite(yy):
             raise NonFiniteOutput("tangent pass produced NaN/Inf")
         shape = (self.height, self.width) if scalar else (-1, self.height, self.width)
         frame = yy[:k].reshape(shape)
@@ -264,7 +261,7 @@ class SirenModel:
             if l > 0:
                 uu = _matmul_rows(uu, layers[l][0], k)
 
-        if not np.all(np.isfinite(grads)):
+        if not all_finite(grads):
             raise NonFiniteGradient("backward pass produced NaN/Inf")
         return grads
 
@@ -345,7 +342,7 @@ def adam_step(state: AdamState, params, grads):
     """One in-place Adam update with bias correction; returns (params, state).
 
     params, grads and the moments are flat vectors of one dtype, updated
-    ADAM_CHUNK elements at a time through two chunk-sized scratch arrays;
+    BLOCK_PIXELS elements at a time through two chunk-sized scratch arrays;
     each element sees the arithmetic of the textbook whole-vector update,
     in the same order, in that dtype. Raises DtypeMismatch when grads or
     the moments have another dtype than params. The learning rate is
@@ -361,9 +358,9 @@ def adam_step(state: AdamState, params, grads):
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
-    scratch = np.empty((2, min(params.size, ADAM_CHUNK)), dtype=params.dtype)
-    for lo in range(0, params.size, ADAM_CHUNK):
-        hi = min(lo + ADAM_CHUNK, params.size)
+    scratch = np.empty((2, min(params.size, BLOCK_PIXELS)), dtype=params.dtype)
+    for lo in range(0, params.size, BLOCK_PIXELS):
+        hi = min(lo + BLOCK_PIXELS, params.size)
         m, v, g = state.m[lo:hi], state.v[lo:hi], grads[lo:hi]
         step, denom = scratch[:, :hi - lo]
         m *= b1
@@ -413,9 +410,10 @@ def save_checkpoint(model: SirenModel, path) -> None:
 def _read_npz(path) -> dict:
     """Every array of an npz archive; InvalidCheckpoint when the file is
     not one: truncated, not a zip, a corrupt member, or a bare .npy array
-    (which np.load returns without a context manager, hence TypeError)."""
+    (which np.load returns without a context manager, hence TypeError).
+    The file is opened here, so it is closed also when np.load fails on it."""
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             return {name: data[name] for name in data.files}
     except (zipfile.BadZipFile, EOFError, ValueError, TypeError) as exc:
         raise InvalidCheckpoint(f"{path}: not a readable npz archive ({exc})") from None

@@ -14,7 +14,7 @@ training loop and the selftest's finite-difference oracle alike.
 
 The frame-space work (residual, squares, forward differences, the 2/n
 and duration scalings, the gradient scatter, lambda and the time slope)
-runs on blocks of whole frames of about ADAM_CHUNK elements each while a
+runs on blocks of whole frames (`metrics.frame_blocks`) while a
 block is in L2 cache, not as a dozen passes over (K, H*W) arrays. Every
 element sees the operations of a whole-array pass in the same order, so
 seeds, gradients, parameters and frames keep their bits; only the float64
@@ -51,7 +51,7 @@ import ctypes
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -67,7 +67,8 @@ from .errors import (
 )
 from .events import EventStream
 from .frames import EventFrameStack, refine_bins, stack_uniform
-from .siren import ADAM_CHUNK, AdamState, SirenModel, adam_step, init_siren
+from .metrics import frame_blocks
+from .siren import AdamState, SirenModel, adam_step, init_siren
 
 _DIVERGENCE_FACTOR = 1e6
 
@@ -100,10 +101,17 @@ class TrainConfig:
 
     def __post_init__(self):
         self.refine_at_iters = tuple(int(i) for i in self.refine_at_iters)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise InvalidConfig(f"{f.name} must be finite, got {value}")
         if self.lambda_reg < 0:
             raise InvalidConfig("lambda_reg must be >= 0")
-        if self.threshold_C <= 0 or self.initial_bin <= 0:
-            raise InvalidConfig("threshold_C and initial_bin must be positive")
+        for name in ("threshold_C", "initial_bin", "lr", "lr_decay"):
+            if getattr(self, name) <= 0:
+                raise InvalidConfig(f"{name} must be positive, got {getattr(self, name)}")
+        if self.lr_decay_every < 1:
+            raise InvalidConfig("lr_decay_every must be >= 1")
         if any(b <= a for a, b in zip(self.refine_at_iters, self.refine_at_iters[1:])):
             raise InvalidConfig("refine_at_iters must be strictly increasing")
         if self.refine_at_iters and self.refine_at_iters[-1] >= self.total_iters:
@@ -158,22 +166,15 @@ def _reused(buffers, name: str, shape: tuple, dtype) -> np.ndarray:
     return arr
 
 
-def _frame_blocks(k: int, frame_size: int):
-    """(lo, hi) bounds cutting K frames into blocks of whole frames of
-    about ADAM_CHUNK elements each, at least one frame per block."""
-    step = max(1, ADAM_CHUNK // frame_size)
-    return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
-
-
 def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, target=None,
                   buffers: dict | None = None):
     """Mean squared temporal residual over the selected bins.
 
     For each index k the network's per-second tangent at the bin midpoint
     is scaled by the bin duration to predict that bin's ΔL, C * counts[k].
-    `target`, when given, is `stack.frames` already rounded to the dtype
-    of the model: training rounds it once per stack rather than on every
-    iteration, with the same bits. Returns
+    `target` is `stack.frames_as` the dtype of the model, made here when
+    None; training passes it, rounded once per stack rather than on every
+    iteration. Returns
     (loss, aux): aux carries the forward results (t_norm, frames, cache) so
     callers can reuse the pass, and "seeds", a (2, K, H, W) array laid out
     for SirenModel.backward. Its tangent half [1] holds the gradient of the
@@ -200,17 +201,18 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, targ
     frames, tangents, cache = model.forward_with_tangent(t_norm, want_cache=True, out=rows)
     seeds = _reused(buffers, "seeds", (2, *frames.shape), frames.dtype)
     durs = stack.durations[idx].astype(frames.dtype)[:, None, None]
-    target = stack.frames if target is None else target
-    blocks = _frame_blocks(k, frames[0].size)
-    scratch = np.empty((blocks[0][1], *frames.shape[1:]), dtype=frames.dtype)
+    if target is None:
+        target = stack.frames_as(frames.dtype)
+    blocks = frame_blocks(frames)
+    scratch = np.empty((blocks[0].stop, *frames.shape[1:]), dtype=frames.dtype)
     slope = model.time_slope
     n = frames.size
     sum_sq = 0.0
-    for lo, hi in blocks:
-        resid, s, d = seeds[1, lo:hi], scratch[:hi - lo], durs[lo:hi]
-        np.multiply(tangents[lo:hi], slope, out=resid)
+    for b in blocks:
+        resid, s, d = seeds[1, b], scratch[:b.stop - b.start], durs[b]
+        np.multiply(tangents[b], slope, out=resid)
         resid *= d  # predicted ΔL
-        np.take(target, idx[lo:hi], axis=0, out=s)  # target ΔL
+        np.take(target, idx[b], axis=0, out=s)  # target ΔL
         np.subtract(s, resid, out=resid)  # residual
         sum_sq += np.sum(np.multiply(resid, resid, out=s), dtype=np.float64)
         resid *= -2.0 / n
@@ -247,13 +249,13 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
     # nothing to the sums, and adding or subtracting them leaves every
     # gradient element the bits of the whole-array pass (no element is
     # -0.0 where a zero is added).
-    blocks = _frame_blocks(k, h * w)
-    diff = np.empty((blocks[0][1], h, w), dtype=f.dtype)
+    blocks = frame_blocks(frames)
+    diff = np.empty((blocks[0].stop, h, w), dtype=f.dtype)
     square = np.empty_like(diff)
     sum_x = sum_y = 0.0
-    for lo, hi in blocks:
-        d, sq = diff[:hi - lo], square[:hi - lo]
-        fb, g, dflat = frames[lo:hi].reshape(-1), grad[lo:hi].reshape(-1), d.reshape(-1)
+    for b in blocks:
+        d, sq = diff[:b.stop - b.start], square[:b.stop - b.start]
+        fb, g, dflat = frames[b].reshape(-1), grad[b].reshape(-1), d.reshape(-1)
         np.subtract(fb[1:], fb[:-1], out=dflat[:-1])
         d[:, :, -1] = 0.0
         sum_x += np.sum(np.multiply(d, d, out=sq), dtype=np.float64)

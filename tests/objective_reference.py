@@ -35,7 +35,7 @@ def temporal_loss(model, stack, frame_indices, target=None):
     scratch, resid = seeds
     np.multiply(tangents, model.time_slope, out=resid)
     resid *= durs  # predicted ΔL
-    np.take(stack.frames if target is None else target, idx, axis=0, out=scratch)  # target ΔL
+    scratch[...] = (stack.frames if target is None else target)[idx]  # target ΔL, rounded here
     np.subtract(scratch, resid, out=resid)  # residual
     n = resid.size
     loss = float(np.sum(np.multiply(resid, resid, out=scratch), dtype=np.float64) / n)

@@ -19,7 +19,7 @@ from evrecon import training
 from evrecon.errors import ShapeMismatch
 from evrecon.frames import EventFrameStack
 from evrecon.simulate import SimConfig, render_scene, simulate_events
-from evrecon.siren import ADAM_CHUNK, init_siren
+from evrecon.siren import init_siren
 from evrecon.training import (
     TrainConfig,
     build_partitions,
@@ -31,7 +31,7 @@ from evrecon.training import (
 REL = 1e-12
 
 # Frame shapes from a few pixels up to more than one block: blocks hold
-# ADAM_CHUNK // (H * W) frames, from 2048 down to one.
+# metrics.BLOCK_PIXELS // (H * W) frames, from 2048 down to one.
 SHAPES = [(2, 2), (3, 5), (32, 32), (40, 50), (64, 64), (97, 131), (2, 16500), (181, 183)]
 
 
@@ -121,12 +121,6 @@ def test_blocked_regularizer_matches_the_reference(shape, k, dtype, scale, seed)
     single, single_grad = spatial_reg_loss(frames[0])
     assert close(single, ref.spatial_reg_loss(frames[0])[0])
     assert same_bits(single_grad, ref.spatial_reg_loss(frames[0])[1])
-
-
-def test_block_bounds_cover_the_frames_in_cache_sized_blocks():
-    assert training._frame_blocks(5, 4) == [(0, 5)]
-    assert training._frame_blocks(9, ADAM_CHUNK // 4) == [(0, 4), (4, 8), (8, 9)]
-    assert training._frame_blocks(3, ADAM_CHUNK + 1) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_regularizer_rejects_an_out_it_cannot_write_in_place():

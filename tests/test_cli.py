@@ -175,16 +175,36 @@ def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
                                           ("adam_eps = 1e-6", "unknown config key 'adam_eps'"),
                                           ("total_iters 12", "expected `key = value`"),
                                           ("total_iters = twelve", "cannot parse total_iters"),
-                                          ("overlap = 9", "partition_tau > overlap")])
+                                          ("overlap = 9", "partition_tau > overlap"),
+                                          ("lr_decay_every = 0", "lr_decay_every must be >= 1"),
+                                          ("initial_bin = nan", "initial_bin must be finite"),
+                                          ("lambda_reg = nan", "lambda_reg must be finite"),
+                                          ("threshold_C = nan", "threshold_C must be finite"),
+                                          ("lr = nan", "lr must be finite"),
+                                          ("lr = 0", "lr must be positive"),
+                                          ("lr_decay = -0.5", "lr_decay must be positive"),
+                                          ("partition_tau = inf", "partition_tau must be finite"),
+                                          ("omega0 = inf", "omega0 must be finite")])
 def test_reconstruct_reports_a_bad_config_as_an_error(tmp_path, capsys, line, reason):
     config = tmp_path / "old.cfg"
-    config.write_text(f"threshold_C = 0.25\n{line}\n")
+    config.write_text("threshold_C = 0.25\nhidden_features = 4\ntotal_iters = 3\n"
+                      f"refine_at_iters = 1\n{line}\n")
     events = tmp_path / "events.txt"
     events.write_text("# width 2 height 2\n0.1 0 0 1\n0.2 1 1 0\n")
     assert main(["reconstruct", "--events", str(events), "--config", str(config),
                  "--out", str(tmp_path / "rec")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and reason in err
+    assert not (tmp_path / "rec").exists()  # rejected before any output is made
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_reconstruct_reports_a_nonfinite_lambda_as_an_error(tmp_path, capsys, value):
+    events = tmp_path / "events.txt"
+    events.write_text("# width 2 height 2\n0.1 0 0 1\n0.2 1 1 0\n")
+    assert main(["reconstruct", "--events", str(events), "--lambda", value,
+                 "--out", str(tmp_path / "rec")]) == 1
+    assert capsys.readouterr().err == f"error: lambda_reg must be finite, got {value}\n"
 
 
 def test_every_default_round_trips_through_a_config_file(tmp_path):

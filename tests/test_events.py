@@ -5,12 +5,17 @@ from hypothesis import strategies as st
 
 from evrecon.errors import (
     EmptyStream,
+    EvreconError,
     InvalidDimensions,
+    InvalidTimestamps,
+    InvalidWindow,
     MalformedLine,
     PolarityOutOfRange,
+    ShapeMismatch,
+    UnknownName,
     UnsortedStream,
 )
-from evrecon.events import parse_events, write_events
+from evrecon.events import EventStream, check_times, parse_events, write_events
 from evrecon.frames import stack_uniform
 
 from conftest import make_stream
@@ -135,3 +140,31 @@ def test_slice_time_half_open():
     last = s.slice_time(0.5, 1.0, include_hi=True)
     assert len(last) == 2
     assert (last.t_start, last.t_end) == (0.5, 1.0)
+
+
+@pytest.mark.parametrize("times, index", [([], None), ([[0.0, 1.0]], None), (0.5, None),
+                                          ([0.0, np.nan, 1.0], 1), ([0.0, np.inf], 1),
+                                          ([0.0, 1.0, 1.0], 2), ([0.0, 2.0, 1.0], 2)])
+def test_check_times_rejects_times_that_are_not_a_finite_increasing_vector(times, index):
+    with pytest.raises(InvalidTimestamps) as info:
+        check_times(times)
+    assert info.value.index == index
+
+
+def test_check_times_returns_float64_times():
+    t = check_times([0, 1, 3])
+    assert t.dtype == np.float64 and t.tolist() == [0.0, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: EventStream([0.0], [0, 0], [0], [1], 1, 1, 0.0, 1.0), ShapeMismatch),
+    (lambda: EventStream([2.0], [0], [0], [1], 1, 1, 0.0, 1.0), InvalidWindow),
+    (lambda: EventStream([], [], [], [], 1, 1, 1.0, 0.0), InvalidWindow),
+    (lambda: parse_events("0.0 1 1 1\n", polarity_encoding="plus_minus"), UnknownName),
+    (lambda: write_events(make_stream([0.1], [0], [0], [1]), polarity_encoding="bits"),
+     UnknownName),
+])
+def test_stream_errors_are_typed_value_errors(make, error):
+    with pytest.raises(error) as info:
+        make()
+    assert isinstance(info.value, EvreconError) and isinstance(info.value, ValueError)

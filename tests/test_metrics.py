@@ -247,16 +247,29 @@ def test_one_tile_with_a_clip_that_cannot_bind_matches_the_oracle():
     _assert_blocks_match_oracle(pred, ref, tiles=(1, 1), clip_limit=256.0)
 
 
+# Block bounds of the shapes below that training's loss passes meet: tiny
+# frames, a quarter of the budget per frame, one pixel over the budget.
+EXACT_BOUNDS = {
+    (5, 2, 2): [(0, 5)],
+    (9, 64, BLOCK_PIXELS // 256): [(0, 4), (4, 8), (8, 9)],
+    (3, 1, BLOCK_PIXELS + 1): [(0, 1), (1, 2), (2, 3)],
+}
+
+
 @pytest.mark.parametrize("shape", [(1, 5, 5), (7, 37, 53), (300, 11, 11), (2, 128, 128),
-                                   (0, 32, 32)])
+                                   (0, 32, 32), *EXACT_BOUNDS])
 def test_frame_blocks_cover_the_stack_in_order_within_the_budget(shape):
     frames = np.zeros(shape, dtype=np.uint8)
     blocks = frame_blocks(frames)
-    assert [k for b in blocks for k in range(shape[0])[b]] == list(range(shape[0]))
+    assert [k for b in blocks for k in range(b.start, b.stop)] == list(range(shape[0]))
+    if shape in EXACT_BOUNDS:
+        assert [(b.start, b.stop) for b in blocks] == EXACT_BOUNDS[shape]
     for b in blocks:
         block = frames[b]
         assert len(block) >= 1
         assert block[0].size * len(block) <= BLOCK_PIXELS or len(block) == 1
+    for b in blocks[:-1]:  # every block but the last holds as many frames as fit
+        assert len(frames[b]) == max(1, BLOCK_PIXELS // frames[0].size)
 
 
 @pytest.mark.parametrize("frames", [np.zeros((8, 8), np.float64), np.full((8, 8), 256),

@@ -11,7 +11,7 @@ from evrecon.errors import (
     ShapeMismatch,
     TimeOutOfRange,
 )
-from evrecon.events import FrameTimestamps
+from evrecon.events import read_times, write_times
 from evrecon.reconstruct import (
     LogVideo,
     ToneMapConfig,
@@ -152,10 +152,10 @@ def test_constant_offset_models_have_zero_seam():
     assert np.allclose(video.frames, base, atol=1e-10)
 
 
-def test_sample_accepts_frame_timestamps():
+def test_sample_accepts_times_read_from_a_file(tmp_path):
     p = one_partition()
-    ft = FrameTimestamps(np.linspace(0.0, 1.0, 5))
-    video = sample_video([p], ft)
+    write_times(tmp_path / "times.txt", np.linspace(0.0, 1.0, 5))
+    video = sample_video([p], read_times(tmp_path / "times.txt"))
     assert len(video.frames) == 5
 
 

@@ -1,9 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evrecon.errors import InvalidConfig, InvalidDimensions, NonPositiveIntensity
+from evrecon.errors import (
+    EvreconError,
+    InvalidConfig,
+    InvalidDimensions,
+    InvalidTimestamps,
+    NonPositiveIntensity,
+    ShapeMismatch,
+    UnknownName,
+)
 from evrecon.frames import stack_uniform
 from evrecon.simulate import (
     SCENE_KINDS,
@@ -39,8 +49,34 @@ def test_render_rejects_bad_dimensions():
         render_scene("translating_gradient", 4, 64, 1.0, 60.0)
     with pytest.raises(InvalidDimensions):
         render_scene("translating_gradient", 64, 64, 0.0, 60.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownName):
         render_scene("nope", 64, 64, 1.0, 60.0)
+
+
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+def test_render_holds_at_most_two_videos(kind):
+    """The scene is computed in place: its traced peak stays within two
+    output-sized arrays (the products of two waves need a second one)."""
+    tracemalloc.start()
+    try:
+        video = render_scene(kind, 64, 64, 1.0, 240.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * video.frames.nbytes + 2**20
+
+
+@pytest.mark.parametrize("frames, times, error", [
+    (np.ones((3, 2)), [0.0, 0.5, 1.0], ShapeMismatch),
+    (np.ones((3, 2, 2)), [0.0, 1.0], ShapeMismatch),
+    (np.ones((1, 2, 2)), [0.0], InvalidDimensions),
+    (np.ones((3, 2, 2)), [0.0, 1.0, 1.0], InvalidTimestamps),
+    (np.ones((3, 2, 2)), [0.0, np.nan, 1.0], InvalidTimestamps),
+])
+def test_intensity_video_errors_are_typed_value_errors(frames, times, error):
+    with pytest.raises(error) as info:
+        IntensityVideo(frames, times)
+    assert isinstance(info.value, EvreconError) and isinstance(info.value, ValueError)
 
 
 def ramp_video(n_frames=5):

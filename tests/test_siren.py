@@ -8,12 +8,13 @@ from evrecon.errors import (
     EvreconError,
     InvalidArchitecture,
     InvalidCheckpoint,
+    NonFiniteGradient,
     NonFiniteOutput,
     ShapeMismatch,
 )
+from evrecon.metrics import BLOCK_PIXELS
 from evrecon.selftest import max_param_gradient_error
 from evrecon.siren import (
-    ADAM_CHUNK,
     AdamState,
     adam_step,
     all_finite,
@@ -307,6 +308,25 @@ def test_nonfinite_output_detected(toy_model):
         broken.forward(0.0)
 
 
+def test_tangent_rows_alone_overflowing_are_detected(toy_model):
+    """At t_norm = 0 every sine argument is 0, so the frames stay finite
+    while a huge first layer overflows the tangent rows."""
+    broken = toy_model.copy()
+    broken.weights[0][:] = 1e308
+    assert all_finite(broken.forward(0.0))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteOutput):
+        broken.forward_with_tangent(0.0)
+
+
+@pytest.mark.parametrize("where", [0, 1])  # a frame seed, a tangent seed
+def test_nan_seeds_give_a_nonfinite_gradient_error(toy_model, where):
+    t = np.array([0.3, 0.7])
+    seeds = np.ones((2, 2, 4, 4))
+    seeds[where, 1, 2, 3] = np.nan
+    with pytest.raises(NonFiniteGradient):
+        toy_model.backward(t, seeds)
+
+
 def test_invalid_architectures_rejected():
     with pytest.raises(InvalidArchitecture):
         init_siren([2, 8, 4])  # multi-input not supported
@@ -364,7 +384,7 @@ def adam_reference(state, params, grads):
     return params
 
 
-@pytest.mark.parametrize("size", [ADAM_CHUNK // 3, 2 * ADAM_CHUNK, 2 * ADAM_CHUNK + 1237])
+@pytest.mark.parametrize("size", [BLOCK_PIXELS // 3, 2 * BLOCK_PIXELS, 2 * BLOCK_PIXELS + 1237])
 def test_chunked_adam_matches_whole_vector_formula_bit_for_bit(size):
     rng = np.random.default_rng(size)
     params = rng.standard_normal(size)
@@ -384,7 +404,7 @@ def test_adam_keeps_float32():
     """float32 params, moments and gradients take float32 steps: the
     textbook update evaluated in float32, bit for bit."""
     rng = np.random.default_rng(9)
-    size = ADAM_CHUNK + 77
+    size = BLOCK_PIXELS + 77
     params = rng.standard_normal(size).astype(np.float32)
     expected = params.copy()
     state = AdamState.for_params(params, lr=1e-3)
