@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import EvreconError, InvalidConfig, InvalidDimensions
+from .errors import EvreconError, InvalidCheckpoint, InvalidConfig, InvalidDimensions, MalformedLine
 from .events import check_times, parse_events, read_times, write_events
 from .pgm import read_frame_dir, write_frame_dir
 from .reconstruct import (
@@ -127,12 +127,15 @@ def _parse_size(text: str) -> tuple:
 
 
 def _read_stream(args):
-    return parse_events(
-        Path(args.events).read_text(),
-        polarity_encoding=args.polarity,
-        width=args.width,
-        height=args.height,
-    )
+    data = Path(args.events).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        line = data.split(b"\n")[lineno - 1].decode(errors="replace")
+        raise MalformedLine(lineno, line, f"{args.events} is not UTF-8 text") from None
+    return parse_events(text, polarity_encoding=args.polarity, width=args.width,
+                        height=args.height)
 
 
 def _requested_times(args, t_start, t_end) -> np.ndarray:
@@ -166,8 +169,7 @@ def cmd_simulate(args) -> int:
     out.write_text(write_events(stream, polarity_encoding=args.polarity))
     outputs = [out]
     if args.dump_frames:
-        bytes_ = tone_map(LogVideo(log_intensity(video, sim.log_eps), video.times),
-                          ToneMapConfig(args.gamma))
+        bytes_ = tone_map(LogVideo(log_intensity(video), video.times), ToneMapConfig(args.gamma))
         write_frame_dir(args.dump_frames, bytes_, video.times)
         outputs.append(args.dump_frames)
     cfg = {
@@ -205,18 +207,18 @@ def _write_partitions(partitions, out_dir: Path) -> list:
 
 
 def load_partitions(run_dir) -> list:
-    """Rehydrate trained partitions from a reconstruct output directory."""
-    run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "partitions.json").read_text())
-    return [
-        Partition(
-            index=m["index"],
-            core_span=tuple(m["core_span"]),
-            span=tuple(m["span"]),
-            model=load_checkpoint(run_dir / m["checkpoint"]),
-        )
-        for m in meta
-    ]
+    """Rehydrate trained partitions from a reconstruct output directory.
+    Raises InvalidCheckpoint naming partitions.json when it is not JSON
+    text listing each partition's index, core_span, span and checkpoint."""
+    path = Path(run_dir) / "partitions.json"
+    try:
+        meta = [(m["index"], tuple(m["core_span"]), tuple(m["span"]), str(m["checkpoint"]))
+                for m in json.loads(path.read_bytes())]
+    except (ValueError, KeyError, TypeError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        raise InvalidCheckpoint(f"{path}: not a partition list ({detail})") from None
+    return [Partition(index=i, core_span=core, span=span, model=load_checkpoint(path.parent / name))
+            for i, core, span, name in meta]
 
 
 def _threading(partitions) -> dict:
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="render a scene and generate events")
     ps.add_argument("--scene", choices=SCENE_KINDS, default="translating_gradient")
     ps.add_argument("--size", default="64x64", help="sensor size WxH")
-    ps.add_argument("--duration", type=float, default=2.0, help="seconds")
+    ps.add_argument("--duration", type=_positive_float, default=2.0, help="seconds")
     ps.add_argument("--fps", type=_positive_float, default=240.0, help="render rate")
     ps.add_argument("--threshold", type=_positive_float, default=0.25,
                     help="contrast threshold C")
@@ -445,10 +447,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EvreconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (EvreconError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

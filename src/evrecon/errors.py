@@ -1,8 +1,10 @@
 """Exception types raised across the package.
 
 Kept in one place so callers can catch a single family (`EvreconError`)
-or the precise failure they care about.
+or the precise failure they care about; `check_settings` raises them.
 """
+
+import math
 
 
 class EvreconError(Exception):
@@ -52,11 +54,11 @@ class NonPositiveIntensity(EvreconError, ValueError):
 
 class ZeroWidthBin(EvreconError, ValueError):
     """Bin edges that do not strictly increase (a bin of zero or negative
-    width, or a NaN edge), or a bin duration that is not positive."""
+    width, or a NaN edge), or a bin duration not finite and positive."""
 
 
 class NonPositiveThreshold(EvreconError, ValueError):
-    """A contrast threshold C that is not positive."""
+    """A contrast threshold C that is not a finite positive number."""
 
 
 class InvalidArchitecture(EvreconError, ValueError):
@@ -68,8 +70,8 @@ class InvalidCheckpoint(EvreconError, ValueError):
 
 
 class InvalidConfig(EvreconError, ValueError):
-    """Training configuration with an unknown key, an unparsable value, or
-    values that violate its constraints."""
+    """Training or simulator configuration with an unknown key, an
+    unparsable value, or values that violate its constraints."""
 
 
 class NonFiniteFrames(EvreconError, ValueError):
@@ -77,8 +79,8 @@ class NonFiniteFrames(EvreconError, ValueError):
 
 
 class NonPositiveSetting(EvreconError, ValueError):
-    """A tone-mapping gamma or an enhancement window that is not positive
-    (NaN included)."""
+    """A tone-mapping gamma or an enhancement window that is not a finite
+    positive number."""
 
 
 class NonFiniteOutput(EvreconError, FloatingPointError):
@@ -145,3 +147,16 @@ class TooSmall(EvreconError, ValueError):
 
 class NotEightBit(EvreconError, ValueError):
     """Frames whose values are not integers in 0-255."""
+
+
+def check_settings(error: type, at_least=None, /, **values) -> None:
+    """Raise `error`, naming the setting and its value, at the first of
+    `values` that is not finite or not > 0 (not >= at_least when given).
+    Python ints count as finite however large."""
+    for name, value in values.items():
+        if not (isinstance(value, int) or math.isfinite(value)):
+            raise error(f"{name} must be finite, got {value}")
+        if at_least is None and not value > 0:
+            raise error(f"{name} must be positive, got {value}")
+        if at_least is not None and not value >= at_least:
+            raise error(f"{name} must be >= {at_least}, got {value}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EmptyStream,
     InvalidDimensions,
     InvalidTimestamps,
     InvalidWindow,
@@ -258,8 +257,3 @@ def write_times(path, times: np.ndarray) -> None:
     with open(path, "w") as fh:
         for t in times:
             fh.write(f"{t:.9f}\n")
-
-
-def require_nonempty(stream: EventStream) -> None:
-    if len(stream) == 0:
-        raise EmptyStream("operation requires at least one event")

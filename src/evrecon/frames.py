@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStream, NonPositiveThreshold, ShapeMismatch, ZeroWidthBin
-from .events import EventStream, require_nonempty
+from .errors import EmptyStream, NonPositiveThreshold, ShapeMismatch, ZeroWidthBin, check_settings
+from .events import EventStream
 
 
 @dataclass
@@ -41,8 +41,7 @@ class EventFrameStack:
             raise ShapeMismatch("counts must be (T,H,W) with matching (T+1,) edges")
         if len(self.counts) < 1:
             raise ShapeMismatch("need at least one frame")
-        if self.threshold_C <= 0:
-            raise NonPositiveThreshold("threshold_C must be positive")
+        check_settings(NonPositiveThreshold, threshold_C=self.threshold_C)
         bad = np.flatnonzero(~(np.diff(self.edges) > 0))  # also catches NaN edges
         if len(bad):
             k = int(bad[0])
@@ -100,26 +99,21 @@ def _accumulate(stream: EventStream, edges: np.ndarray) -> np.ndarray:
 
 
 def stack_uniform(stream: EventStream, bin_duration: float, C: float) -> EventFrameStack:
-    """Stack events into T = ceil(window / bin_duration) uniform bins.
-
-    The last bin absorbs the remainder, so it may be shorter. Requires a
-    non-empty stream and positive bin duration.
+    """Stack events into T = max(1, ceil(window / bin_duration - 1e-9))
+    uniform bins, the last ending at the window's end: it is shorter than
+    the others, or longer by the sliver under 1e-9 bins that rounding can
+    leave. Requires a non-empty stream and a finite positive bin duration;
+    the stack checks C.
     """
-    require_nonempty(stream)
-    if bin_duration <= 0:
-        raise ZeroWidthBin("bin_duration must be positive")
-    if C <= 0:
-        raise NonPositiveThreshold("C must be positive")
+    if len(stream) == 0:
+        raise EmptyStream("need at least one event to bin")
+    check_settings(ZeroWidthBin, bin_duration=bin_duration)
     span = stream.duration
     if span <= 0:
         raise EmptyStream("stream window has zero duration; nothing to bin")
-    T = max(1, math.ceil(span / bin_duration))
+    T = max(1, math.ceil(span / bin_duration - 1e-9))
     edges = stream.t_start + bin_duration * np.arange(T + 1, dtype=np.float64)
     edges[-1] = stream.t_end
-    if edges[-1] <= edges[-2]:  # span an exact multiple, up to float rounding
-        T -= 1
-        edges = edges[:-1]
-        edges[-1] = stream.t_end
     return EventFrameStack(_accumulate(stream, edges), edges, threshold_C=C)
 
 

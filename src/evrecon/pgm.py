@@ -92,7 +92,12 @@ def read_frame_dir(in_dir) -> tuple[np.ndarray, np.ndarray]:
     paths = sorted(src.glob("frame_*.pgm"))
     if not paths:
         raise FileNotFoundError(f"no frame_*.pgm files in {src}")
-    frames = np.stack([read_pgm(p) for p in paths])
+    frames = [read_pgm(p) for p in paths]
+    for p, frame in zip(paths, frames):
+        if frame.shape != frames[0].shape:
+            raise InvalidPGM(f"{p}: frame is {frame.shape[1]}x{frame.shape[0]}, "
+                             f"{paths[0].name} is {frames[0].shape[1]}x{frames[0].shape[0]}")
+    frames = np.stack(frames)
     times_path = src / "times.txt"
     if times_path.exists():
         times = read_times(times_path)

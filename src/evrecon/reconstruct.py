@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteFrames, NonPositiveSetting, ShapeMismatch, TimeOutOfRange
+from .errors import (
+    NonFiniteFrames,
+    NonPositiveSetting,
+    ShapeMismatch,
+    TimeOutOfRange,
+    check_settings,
+)
 from .events import check_increasing, check_times
 from .metrics import frame_blocks
 from .siren import all_finite
@@ -56,8 +62,7 @@ class ToneMapConfig:
     gamma: float = 0.6
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise NonPositiveSetting(f"gamma must be positive, got {self.gamma}")
+        check_settings(NonPositiveSetting, gamma=self.gamma)
 
 
 def check_in_span(times: np.ndarray, t0: float, t1: float) -> None:
@@ -204,8 +209,7 @@ def enhance_events(partitions, times, window_dt: float) -> np.ndarray:
     window, exactly linear in window_dt. Overlaps crossfade the two
     neighbors' derivatives.
     """
-    if not window_dt > 0:
-        raise NonPositiveSetting(f"window_dt must be positive, got {window_dt}")
+    check_settings(NonPositiveSetting, window_dt=window_dt)
     grids = _sample(partitions, times, tangent=True)
     grids *= window_dt
     return grids

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     InvalidConfig,
+    check_settings,
     InvalidDimensions,
     NonPositiveIntensity,
     ShapeMismatch,
@@ -26,6 +27,7 @@ from .events import EventStream, check_increasing
 SCENE_KINDS = ("translating_gradient", "moving_checker", "rotating_bars")
 
 _INTENSITY_HI = 1.0
+LOG_EPS = 1e-3  # log(I + LOG_EPS) keeps the log of near-black pixels bounded
 
 
 @dataclass
@@ -65,21 +67,12 @@ class SimConfig:
     """
 
     threshold_C: float = 0.25
-    log_eps: float = 1e-3
     noise_rate: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.threshold_C <= 0:
-            raise InvalidConfig("threshold_C must be positive")
-        if self.log_eps <= 0:
-            raise InvalidConfig("log_eps must be positive")
-        if self.noise_rate < 0:
-            raise InvalidConfig("noise_rate must be >= 0")
-        for name in ("threshold_C", "log_eps", "noise_rate"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise InvalidConfig(f"{name} must be finite, got {value}")
+        check_settings(InvalidConfig, threshold_C=self.threshold_C)
+        check_settings(InvalidConfig, 0, noise_rate=self.noise_rate, rng_seed=self.rng_seed)
 
 
 def render_scene(
@@ -101,8 +94,9 @@ def render_scene(
         raise UnknownName(f"unknown scene {kind!r}; choose from {SCENE_KINDS}")
     if width < 8 or height < 8:
         raise InvalidDimensions(f"scene must be at least 8x8, got {width}x{height}")
+    check_settings(InvalidDimensions, duration=duration, fps=fps)
     n_frames = int(round(duration * fps))
-    if duration <= 0 or fps <= 0 or n_frames < 2:
+    if n_frames < 2:
         raise InvalidDimensions("need fps * duration >= 2 frames")
 
     rng = np.random.default_rng(seed)
@@ -154,12 +148,10 @@ def _sine(cycles: np.ndarray, phase: float) -> np.ndarray:
     return np.sin(cycles, out=cycles)
 
 
-def log_intensity(video: IntensityVideo, log_eps: float = 1e-3) -> np.ndarray:
-    """(N, H, W) log frames, log(I + log_eps): the simulator's working
+def log_intensity(video: IntensityVideo) -> np.ndarray:
+    """(N, H, W) log frames, log(I + LOG_EPS): the simulator's working
     domain and the ground truth for closed-loop comparisons."""
-    if np.any(video.frames <= 0):
-        raise NonPositiveIntensity("intensities must be positive")
-    logs = video.frames + log_eps
+    logs = video.frames + LOG_EPS
     return np.log(logs, out=logs)
 
 
@@ -170,7 +162,7 @@ def simulate_events(video: IntensityVideo, cfg: SimConfig) -> EventStream:
     times are linearly interpolated inside each frame interval. Optional
     Poisson noise events are appended. Output is sorted by (t, y, x, p).
     """
-    L = log_intensity(video, cfg.log_eps)
+    L = log_intensity(video)
     h, w = video.height, video.width
     n_px = h * w
     C = cfg.threshold_C

@@ -13,12 +13,13 @@ differences in the test suite:
 Both passes keep value rows and tangent rows in one (2K, n) array per
 layer, K value rows over K tangent rows, so each layer multiplies both by
 its weights in one GEMM: the forward pass [a; da/dt] by W^T, the reverse
-pass [u; du/dt] by W. The reverse pass takes its seeds in the same
-layout: one array of dloss/dframe over dloss/dtangent, which
-`training.objective` fills. Stacking along rows leaves every output
-element's reduction unchanged, so the results are bit-identical to one
-GEMM per half; `_matmul_rows` keeps separate GEMMs for the small products
-where the BLAS would round them differently (see `_STACK_MIN_WORK`).
+pass [u; du/dt] by W. The reverse pass takes the forward pass's cache,
+and seeds in the same layout: one array of dloss/dframe over
+dloss/dtangent, which `training.objective` fills. Stacking along rows
+leaves every output element's reduction unchanged, so the results are
+bit-identical to one GEMM per half; `_matmul_rows` keeps separate GEMMs
+for the small products where the BLAS would round them differently (see
+`_STACK_MIN_WORK`).
 
 Every pass computes in the dtype of the parameter vector: times, scratch
 arrays, frames, tangents and gradients all follow `params.dtype`. A float64
@@ -211,29 +212,24 @@ class SirenModel:
 
     # -- reverse pass -------------------------------------------------------
 
-    def backward(self, t_norm, seeds, cache: ForwardCache | None = None):
+    def backward(self, seeds, cache: ForwardCache):
         """Parameter gradients of
         loss = sum(seeds[:K] * frame) + sum(seeds[K:] * tangent),
-        where tangent is d frame / d t_norm. Returns one flat vector in
-        the layout of params. Recomputes the forward pass unless a cache
-        from forward_with_tangent(..., want_cache=True) is supplied.
+        where frame, tangent and the batch size K are those of the
+        forward_with_tangent(..., want_cache=True) call that made `cache`.
+        Returns one flat vector in the layout of params.
 
         seeds holds 2K frames, the frame seeds over the tangent seeds
         (e.g. shape (2, K, H, W)), narrowed to the dtype of params. Seeds
         that already have that dtype are read in place, without a copy,
         and left unchanged.
         """
-        x, _ = self._as_batch(t_norm)
-        k = x.shape[0]
+        k = len(cache.inputs[0]) // 2
         if np.size(seeds) != 2 * k * self.num_pixels:
             raise ShapeMismatch(
                 f"seeds hold {np.size(seeds)} values, need 2 x {k} frames of {self.num_pixels}"
             )
         seeds = np.asarray(seeds, dtype=self.params.dtype).reshape(2 * k, self.num_pixels)
-        if cache is None:
-            _, _, cache = self.forward_with_tangent(t_norm, want_cache=True)
-        elif len(cache.inputs[0]) != 2 * k:
-            raise ShapeMismatch("cache batch size differs from t_norm")
 
         omega = self.omega0
         layers = self.layers()
@@ -316,26 +312,29 @@ def init_siren(
 # -- Adam ------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments (flat, like the parameters) plus a stepwise exponential
-    learning-rate schedule (lr *= decay_rate after every decay_every-th step)."""
+    learning-rate schedule (lr *= decay_rate after every decay_every-th
+    step); betas and epsilon are the ADAM_* constants."""
 
     m: np.ndarray
     v: np.ndarray
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    decay_rate: float = 1.0
-    decay_every: int = 10
+    decay_rate: float
+    decay_every: int
 
     @classmethod
-    def for_params(cls, params, lr: float, **hyper) -> "AdamState":
-        """Zero moments shaped like params; hyper overrides the defaults
-        above (beta1, beta2, eps, decay_rate, decay_every)."""
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params), step=0, lr=lr, **hyper)
+    def for_params(cls, params, lr: float, decay_rate: float = 1.0,
+                   decay_every: int = 10) -> "AdamState":
+        """Zero moments shaped like params."""
+        return cls(np.zeros_like(params), np.zeros_like(params), 0, lr, decay_rate, decay_every)
 
 
 def adam_step(state: AdamState, params, grads):
@@ -355,7 +354,7 @@ def adam_step(state: AdamState, params, grads):
         raise DtypeMismatch(f"params {params.dtype}, grads {grads.dtype}, "
                             f"moments {state.m.dtype}/{state.v.dtype}")
     state.step += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     scratch = np.empty((2, min(params.size, BLOCK_PIXELS)), dtype=params.dtype)

@@ -51,7 +51,7 @@ import ctypes
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -64,6 +64,7 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteOutput,
     ShapeMismatch,
+    check_settings,
 )
 from .events import EventStream
 from .frames import EventFrameStack, refine_bins, stack_uniform
@@ -101,25 +102,24 @@ class TrainConfig:
 
     def __post_init__(self):
         self.refine_at_iters = tuple(int(i) for i in self.refine_at_iters)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not math.isfinite(value):
-                raise InvalidConfig(f"{f.name} must be finite, got {value}")
-        if self.lambda_reg < 0:
-            raise InvalidConfig("lambda_reg must be >= 0")
-        for name in ("threshold_C", "initial_bin", "lr", "lr_decay"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfig(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lr_decay_every < 1:
-            raise InvalidConfig("lr_decay_every must be >= 1")
+        check_settings(InvalidConfig, threshold_C=self.threshold_C, initial_bin=self.initial_bin,
+                       lr=self.lr, lr_decay=self.lr_decay, partition_tau=self.partition_tau,
+                       omega0=self.omega0)
+        check_settings(InvalidConfig, 0, lambda_reg=self.lambda_reg, overlap=self.overlap,
+                       seed=self.seed)
+        check_settings(InvalidConfig, 1, total_iters=self.total_iters,
+                       lr_decay_every=self.lr_decay_every, hidden_features=self.hidden_features,
+                       hidden_layers=self.hidden_layers)
+        if self.batch_frames is not None:
+            check_settings(InvalidConfig, 1, batch_frames=self.batch_frames)
         if any(b <= a for a, b in zip(self.refine_at_iters, self.refine_at_iters[1:])):
             raise InvalidConfig("refine_at_iters must be strictly increasing")
         if self.refine_at_iters and self.refine_at_iters[-1] >= self.total_iters:
-            raise InvalidConfig("refinements must happen before total_iters")
-        if not self.partition_tau > self.overlap >= 0:
-            raise InvalidConfig("need partition_tau > overlap >= 0")
-        if self.batch_frames is not None and self.batch_frames < 1:
-            raise InvalidConfig("batch_frames must be >= 1 or None")
+            raise InvalidConfig(f"refine_at_iters must end before total_iters "
+                                f"{self.total_iters}, got {self.refine_at_iters}")
+        if not self.overlap < self.partition_tau:
+            raise InvalidConfig(f"overlap must keep partition_tau > overlap, got {self.overlap} "
+                                f"with partition_tau {self.partition_tau}")
 
     def layer_sizes(self, num_pixels: int) -> list:
         return [1] + [self.hidden_features] * self.hidden_layers + [num_pixels]
@@ -175,7 +175,7 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, targ
     `target` is `stack.frames_as` the dtype of the model, made here when
     None; training passes it, rounded once per stack rather than on every
     iteration. Returns
-    (loss, aux): aux carries the forward results (t_norm, frames, cache) so
+    (loss, aux): aux carries the forward results (frames, cache) so
     callers can reuse the pass, and "seeds", a (2, K, H, W) array laid out
     for SirenModel.backward. Its tangent half [1] holds the gradient of the
     loss with respect to the tangents the network emits (per t_norm); its
@@ -218,7 +218,7 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, targ
         resid *= -2.0 / n
         resid *= d  # d loss / d per-second tangent
         resid *= slope  # per second -> per t_norm
-    aux = {"t_norm": t_norm, "frames": frames, "cache": cache, "seeds": seeds}
+    aux = {"frames": frames, "cache": cache, "seeds": seeds}
     return float(sum_sq / n), aux
 
 
@@ -226,21 +226,17 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
                      grad_scale: float = 1.0):
     """Mean over x-sites of the squared forward difference Dx^2 plus mean
     over y-sites of Dy^2, averaged over the batch, with its exact gradient
-    with respect to the frames times `grad_scale`. Takes one frame (H, W)
-    or a batch (K, H, W) and computes in its float dtype; the gradient has
-    the input's shape and is written into `out` when given. Sums
-    accumulate in float64, block by block (see the module docstring).
+    with respect to the frames times `grad_scale`. Takes a (K, H, W) float
+    array and computes in its dtype; the gradient has its shape and is
+    written into `out` when given. Sums accumulate in float64, block by
+    block (see the module docstring).
     """
-    f = np.asarray(frames)
-    if not np.issubdtype(f.dtype, np.floating):
-        f = f.astype(np.float64)
-    if f.ndim not in (2, 3) or f.shape[-2] < 2 or f.shape[-1] < 2:
-        raise DegenerateFrame(f"need at least 2x2 frames, got shape {f.shape}")
-    frames = f if f.ndim == 3 else f[None]
+    if frames.ndim != 3 or frames.shape[1] < 2 or frames.shape[2] < 2:
+        raise DegenerateFrame(f"need (K, H, W) frames with H, W >= 2, got shape {frames.shape}")
     k, h, w = frames.shape
-    if out is not None and not (out.shape == f.shape and out.flags.c_contiguous):
-        raise ShapeMismatch(f"out must be a C-contiguous array of shape {f.shape}")
-    grad = (np.empty(f.shape, f.dtype) if out is None else out).reshape(frames.shape)
+    if out is not None and not (out.shape == frames.shape and out.flags.c_contiguous):
+        raise ShapeMismatch(f"out must be a C-contiguous array of shape {frames.shape}")
+    grad = np.empty(frames.shape, frames.dtype) if out is None else out
     nx = k * h * (w - 1)
     ny = k * (h - 1) * w
     # Each block runs as contiguous 1-D passes over its flattened frames.
@@ -250,7 +246,7 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
     # gradient element the bits of the whole-array pass (no element is
     # -0.0 where a zero is added).
     blocks = frame_blocks(frames)
-    diff = np.empty((blocks[0].stop, h, w), dtype=f.dtype)
+    diff = np.empty((blocks[0].stop, h, w), dtype=frames.dtype)
     square = np.empty_like(diff)
     sum_x = sum_y = 0.0
     for b in blocks:
@@ -270,8 +266,7 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
         g[w:] += dflat[:-w]
         g -= dflat
         g *= grad_scale
-    loss = float(sum_x / nx + sum_y / ny)
-    return loss, grad if f.ndim == 3 else grad[0]
+    return float(sum_x / nx + sum_y / ny), grad
 
 
 def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_reg: float,
@@ -281,7 +276,7 @@ def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_r
     l_reg, aux), where aux is temporal_loss's and aux["seeds"] now holds
     the gradient of the objective with respect to the frames over that
     with respect to the t_norm tangents, ready for
-    model.backward(aux["t_norm"], aux["seeds"], aux["cache"]).
+    model.backward(aux["seeds"], aux["cache"]).
     """
     l_temp, aux = temporal_loss(model, stack, frame_indices, target, buffers)
     seeds = aux["seeds"]
@@ -352,7 +347,7 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
                         partition=partition.index,
                     )
 
-                grads = model.backward(aux["t_norm"], aux["seeds"], aux["cache"])
+                grads = model.backward(aux["seeds"], aux["cache"])
             except (NonFiniteOutput, NonFiniteGradient) as exc:  # a float32 pass overflowed
                 raise DivergedTraining(it, str(exc), partition=partition.index) from None
         adam_step(adam, model.params, grads)

@@ -41,7 +41,7 @@ def temporal_loss(model, stack, frame_indices, target=None):
     loss = float(np.sum(np.multiply(resid, resid, out=scratch), dtype=np.float64) / n)
     resid *= -2.0 / n
     resid *= durs  # d loss / d per-second tangent
-    aux = {"t_norm": t_norm, "frames": frames, "cache": cache, "seeds": seeds}
+    aux = {"frames": frames, "cache": cache, "seeds": seeds}
     return loss, aux
 
 

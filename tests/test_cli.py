@@ -31,6 +31,7 @@ def test_threads_below_one_is_a_usage_error(command, value, capsys):
     (["simulate", "--out", "o"], "--threshold"),
     (["simulate", "--out", "o"], "--fps"),
     (["simulate", "--out", "o"], "--gamma"),
+    (["simulate", "--out", "o"], "--duration"),
 ])
 @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "fast"])
 def test_nonpositive_numbers_are_usage_errors(command, flag, value, capsys):
@@ -63,7 +64,7 @@ def test_simulate_reports_negative_noise_as_an_error(tmp_path, capsys):
     events = tmp_path / "events.txt"
     assert main(["simulate", "--size", "8x8", "--duration", "0.5", "--noise", "-1",
                  "--out", str(events)]) == 1
-    assert capsys.readouterr().err == "error: noise_rate must be >= 0\n"
+    assert capsys.readouterr().err == "error: noise_rate must be >= 0, got -1.0\n"
     assert not events.exists()
 
 
@@ -159,14 +160,34 @@ def test_manifests_record_workers_and_blas_threads(tmp_path):
 def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
-    (run / "partitions.json").write_text(json.dumps(
-        [{"index": 0, "core_span": [0.0, 1.0], "span": [0.0, 1.0],
-          "checkpoint": "partition_000.npz"}]))
+    entry = {"index": 0, "core_span": [0.0, 1.0], "span": [0.0, 1.0],
+             "checkpoint": "partition_000.npz"}
     np.savez(run / "partition_000.npz", version=np.asarray(2))
-    assert main(["enhance", "--checkpoints", str(run), "--window-dt", "0.05",
-                 "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "version 2" in err
+    no_core = {k: v for k, v in entry.items() if k != "core_span"}
+    for listing, reason in [(json.dumps([entry]), "version 2"),
+                            (json.dumps([entry])[:-3], "partitions.json: not a partition list"),
+                            (json.dumps([no_core]), "partitions.json: not a partition list "
+                                                    "(KeyError: 'core_span')")]:
+        (run / "partitions.json").write_text(listing)
+        assert main(["enhance", "--checkpoints", str(run), "--window-dt", "0.05",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
+def test_unreadable_event_files_are_errors(tmp_path, capsys, command):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("# width 2 height 2\n# caf\u00e9\n0.1 0 0 1\n".encode("latin-1"))
+    out = tmp_path / "out"
+    for events, reason in [(latin1, f"line 2: cannot parse event from '# caf\ufffd' "
+                                    f"({latin1} is not UTF-8 text)"),
+                           (tmp_path, f"Is a directory: '{tmp_path}'")]:
+        assert main([*command, "--events", str(events), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{reason}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line, reason", [("stages_s = 2", "unknown config key 'stages_s'"),
@@ -270,18 +291,18 @@ def test_a_stream_shorter_than_one_frame_gets_one_frame(tmp_path):
         assert json.loads((out / "manifest.json").read_text())["config"]["frames"] == 1
 
 
-def test_a_zero_width_uniform_bin_is_a_typed_error(tmp_path, capsys):
-    """A partition span a rounding error past a multiple of the bin width
-    leaves stack_uniform a zero-width bin: reconstruct reports it as an
-    error naming the bin instead of raising a bare ValueError."""
+def test_a_span_a_rounding_error_past_a_bin_multiple_reconstructs(tmp_path):
+    """The middle partition spans 32.00000000000001 bin widths: its final
+    sliver merges into the last bin instead of becoming a 33rd bin that
+    refinement splits to zero width."""
     events = tmp_path / "events.txt"
     assert main(["simulate", "--size", "32x32", "--duration", "2", "--seed", "1",
                  "--threshold", "0.25", "--out", str(events)]) == 0
     config = tmp_path / "run.cfg"
     config.write_text("total_iters = 60\nrefine_at_iters = 30\npartition_tau = 0.8\n"
                       "overlap = 0.2\nthreshold_C = 0.25\nhidden_features = 128\n")
-    capsys.readouterr()
+    rec = tmp_path / "rec"
     assert main(["reconstruct", "--events", str(events), "--config", str(config),
-                 "--out", str(tmp_path / "rec")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: bin ") and "every bin needs positive width" in err
+                 "--out", str(rec)]) == 0
+    rows = (rec / "report_001.csv").read_text().splitlines()
+    assert rows[1].endswith(",32") and rows[-1].endswith(",64")

@@ -56,6 +56,24 @@ def test_bin_count_is_ceiling():
     assert stack.edges[-1] == 1.9
 
 
+@given(st.sampled_from([1.0 / 32.0, 0.1, 0.3, 1.0 / 7.0]), st.integers(1, 80),
+       st.sampled_from([0.0, 0.1, 0.7, 1.3, 123.456]), st.integers(-4, 4))
+@example(1.0 / 32.0, 32, 0.7, 1)  # span / bin = 32.00000000000001
+@settings(deadline=None, max_examples=200)
+def test_a_span_within_ulps_of_a_bin_multiple_leaves_no_sliver(bin_duration, n, t0, ulps):
+    """n bins, whichever way rounding moved the window's end, and each of
+    them still about 1/16 bin wide after 4 refinements."""
+    t1 = t0 + n * bin_duration
+    for _ in range(abs(ulps)):
+        t1 = np.nextafter(t1, np.inf if ulps > 0 else -np.inf)
+    stream = make_stream([t0], [0], [0], [1], width=1, height=1, t_start=t0, t_end=float(t1))
+    stack = stack_uniform(stream, bin_duration, C=1.0)
+    assert stack.num_frames == n
+    for _ in range(4):
+        stack = refine_bins(stack, stream)
+    assert stack.durations.min() > bin_duration / 17
+
+
 def test_boundary_event_goes_to_later_interval():
     s = make_stream([0.5], [0], [0], [1], width=1, height=1, t_start=0.0, t_end=1.0)
     stack = stack_uniform(s, 0.5, 1.0)

@@ -46,11 +46,15 @@ def test_evaluate_reports_a_truncated_frame_as_an_error(tmp_path, capsys):
     frames = np.full((2, 16, 16), 128, np.uint8)
     for name in ("pred", "ref"):
         write_frame_dir(tmp_path / name, frames, np.array([0.0, 0.5]))
-    bad = tmp_path / "pred" / "frame_000000.pgm"
-    bad.write_bytes(bad.read_bytes()[:100])
     out = tmp_path / "scores.csv"
-    assert main(["evaluate", "--pred", str(tmp_path / "pred"), "--ref", str(tmp_path / "ref"),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "frame_000000.pgm: truncated PGM raster" in err
-    assert not out.exists()
+    bad = tmp_path / "pred" / "frame_000001.pgm"
+    for damage, reason in [(lambda: bad.write_bytes(bad.read_bytes()[:100]),
+                            "frame_000001.pgm: truncated PGM raster"),
+                           (lambda: write_pgm(bad, np.zeros((16, 12), np.uint8)),
+                            "frame_000001.pgm: frame is 12x16, frame_000000.pgm is 16x16")]:
+        damage()
+        assert main(["evaluate", "--pred", str(tmp_path / "pred"),
+                     "--ref", str(tmp_path / "ref"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err
+        assert not out.exists()

@@ -16,6 +16,7 @@ from evrecon.errors import (
 )
 from evrecon.frames import stack_uniform
 from evrecon.simulate import (
+    LOG_EPS,
     SCENE_KINDS,
     IntensityVideo,
     SimConfig,
@@ -164,7 +165,7 @@ def test_nonpositive_intensity_rejected():
 @settings(deadline=None, max_examples=40)
 @example(levels=[1.2339610194541027e-09, -1.0, 0.0, 1.2339610194541027e-09], C=0.25)
 def test_quantization_property_single_pixel(levels, C):
-    eps = 1e-3
+    eps = LOG_EPS
     times = np.linspace(0.0, 1.0, len(levels))
     frames = (np.exp(np.asarray(levels)) - eps).clip(min=1e-6)[:, None, None]
     video = IntensityVideo(frames, times)
@@ -174,7 +175,7 @@ def test_quantization_property_single_pixel(levels, C):
     assert abs(C * signed - (logs[-1, 0, 0] - logs[0, 0, 0])) < C + 1e-9
 
 
-@pytest.mark.parametrize("name", ["threshold_C", "log_eps"])
+@pytest.mark.parametrize("name", ["threshold_C"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_sim_config_rejects_a_nonfinite_threshold_or_log_eps(name, value):
     with pytest.raises(InvalidConfig, match=f"^{name} must be finite, got {value}$"):

@@ -15,6 +15,9 @@ from evrecon.errors import (
 from evrecon.metrics import BLOCK_PIXELS
 from evrecon.selftest import max_param_gradient_error
 from evrecon.siren import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     adam_step,
     all_finite,
@@ -22,6 +25,12 @@ from evrecon.siren import (
     load_checkpoint,
     save_checkpoint,
 )
+
+
+def backward_at(model, t, seeds):
+    """model.backward of `seeds` after a forward pass at times `t`."""
+    _, _, cache = model.forward_with_tangent(t, want_cache=True)
+    return model.backward(seeds, cache)
 
 
 def test_init_deterministic_per_seed():
@@ -150,7 +159,7 @@ def test_backward_matches_finite_differences(toy_model):
         f, tan = m.forward_with_tangent(t)
         return float(np.sum(gy * f.reshape(3, -1)) + np.sum(gydot * tan.reshape(3, -1)))
 
-    grads = toy_model.backward(t, np.stack([gy, gydot]))
+    grads = backward_at(toy_model, t, np.stack([gy, gydot]))
     assert max_param_gradient_error(toy_model, loss, grads) < 1e-3
 
 
@@ -208,7 +217,7 @@ def check_row_stacked_gemms(k, dtype):
     assert np.array_equal(frame, model.forward(t))
     assert np.array_equal(frame.reshape(k, -1), y)
     assert np.array_equal(tangent.reshape(k, -1), y_dot)
-    grads = model.backward(t, seeds, cache)
+    grads = model.backward(seeds, cache)
     assert np.array_equal(grads, ref_grads)
     assert np.array_equal(seeds, seeds_before)
 
@@ -237,9 +246,9 @@ def test_float32_model_computes_in_float32(toy_model):
     assert twin.forward(t).dtype == np.float32
     assert all(a.dtype == np.float32 for a in cache.inputs + cache.derivs)
     seeds = np.random.default_rng(6).standard_normal((2, 3, 4, 4)).astype(np.float32)
-    grads = twin.backward(t, seeds, cache)
+    grads = twin.backward(seeds, cache)
     assert grads.dtype == np.float32
-    assert np.array_equal(twin.backward(t, seeds.astype(np.float64)), grads)
+    assert np.array_equal(twin.backward(seeds.astype(np.float64), cache), grads)
 
 
 def test_float32_gradients_match_float64_within_float32_rounding():
@@ -252,25 +261,26 @@ def test_float32_gradients_match_float64_within_float32_rounding():
     frame32, tangent32 = twin.forward_with_tangent(t)
     assert np.allclose(frame32, frame, rtol=0, atol=1e-4 * np.abs(frame).max())
     assert np.allclose(tangent32, tangent, rtol=0, atol=1e-4 * np.abs(tangent).max())
-    grads = model.backward(t, seeds)
-    grads32 = twin.backward(t, seeds.astype(np.float32))
+    grads = backward_at(model, t, seeds)
+    grads32 = backward_at(twin, t, seeds.astype(np.float32))
     for (gw, gb), (gw32, gb32) in zip(model.layers(grads), model.layers(grads32)):
         assert np.linalg.norm(gw32 - gw) <= 1e-4 * np.linalg.norm(gw)
         assert np.linalg.norm(gb32 - gb) <= 1e-4 * np.linalg.norm(gb)
 
 
 def test_backward_takes_seeds_one_way(toy_model):
+    _, _, cache = toy_model.forward_with_tangent(0.2, want_cache=True)
     with pytest.raises(TypeError):
-        toy_model.backward(0.2)
+        toy_model.backward(np.zeros((2, 16)))  # the cache is required
     with pytest.raises(TypeError):
-        toy_model.backward(0.2, np.zeros((1, 16)), seeds=np.zeros((2, 16)))
+        toy_model.backward(np.zeros((2, 16)), cache, seeds=np.zeros((2, 16)))
     with pytest.raises(ShapeMismatch):
-        toy_model.backward(0.2, np.zeros((1, 16)))
+        toy_model.backward(np.zeros((1, 16)), cache)
 
 
 def test_backward_zero_seeds_zero_gradients(toy_model):
     zeros = np.zeros((2, 1, 16))
-    grads = toy_model.backward(0.2, zeros)
+    grads = backward_at(toy_model, 0.2, zeros)
     for g in grads:
         assert np.all(g == 0.0)
 
@@ -279,17 +289,17 @@ def test_backward_linear_in_frame_seed(toy_model):
     rng = np.random.default_rng(5)
     gy = rng.standard_normal((1, 16))
     seeds = np.stack([gy, np.zeros_like(gy)])
-    g1 = toy_model.backward(0.2, seeds)
-    g2 = toy_model.backward(0.2, 2.0 * seeds)
+    g1 = backward_at(toy_model, 0.2, seeds)
+    g2 = backward_at(toy_model, 0.2, 2.0 * seeds)
     for a, b in zip(g1, g2):
         assert np.allclose(b, 2.0 * a, rtol=1e-13, atol=0)
 
 
 def test_backward_shape_guards(toy_model):
     with pytest.raises(ShapeMismatch):
-        toy_model.backward(0.2, np.zeros((2, 7)))
+        backward_at(toy_model, 0.2, np.zeros((2, 7)))
     with pytest.raises(ShapeMismatch):
-        toy_model.backward(0.2, np.zeros((3, 16)))
+        backward_at(toy_model, 0.2, np.zeros((3, 16)))
 
 
 def test_output_bias_shift_moves_frame_not_tangent(toy_model):
@@ -324,7 +334,7 @@ def test_nan_seeds_give_a_nonfinite_gradient_error(toy_model, where):
     seeds = np.ones((2, 2, 4, 4))
     seeds[where, 1, 2, 3] = np.nan
     with pytest.raises(NonFiniteGradient):
-        toy_model.backward(t, seeds)
+        backward_at(toy_model, t, seeds)
 
 
 def test_invalid_architectures_rejected():
@@ -374,11 +384,11 @@ def test_adam_shape_guard():
 def adam_reference(state, params, grads):
     """The textbook whole-vector Adam step, one expression per line."""
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    params = params - state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.eps)
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads**2
+    params = params - state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)
     if state.decay_rate != 1.0 and state.step % state.decay_every == 0:
         state.lr *= state.decay_rate
     return params
@@ -465,7 +475,7 @@ def test_write_through_weight_view_changes_params_and_output(toy_model):
 
 
 def test_backward_returns_vector_shaped_like_params(toy_model):
-    grads = toy_model.backward(0.2, np.ones((2, 16)))
+    grads = backward_at(toy_model, 0.2, np.ones((2, 16)))
     assert grads.shape == toy_model.params.shape == (toy_model.params.size,)
 
 

@@ -171,19 +171,19 @@ def test_objective_fills_both_seed_halves(toy_model, toy_stack, lam):
 
 
 def test_spatial_reg_constant_frame():
-    loss, grad = spatial_reg_loss(np.full((5, 7), 3.3))
+    loss, grad = spatial_reg_loss(np.full((1, 5, 7), 3.3))
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
 
 def test_spatial_reg_two_by_two_example():
-    loss, _ = spatial_reg_loss(np.array([[0.0, 1.0], [0.0, 1.0]]))
+    loss, _ = spatial_reg_loss(np.array([[[0.0, 1.0], [0.0, 1.0]]]))
     assert loss == pytest.approx(1.0)
 
 
 def test_spatial_reg_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
-    frame = rng.standard_normal((5, 6))
+    frame = rng.standard_normal((1, 5, 6))
     _, grad = spatial_reg_loss(frame)
     h = 1e-5
     for idx in np.ndindex(frame.shape):
@@ -198,9 +198,11 @@ def test_spatial_reg_gradient_matches_finite_differences():
 
 def test_spatial_reg_rejects_degenerate_frames():
     with pytest.raises(DegenerateFrame):
-        spatial_reg_loss(np.zeros((1, 8)))
+        spatial_reg_loss(np.zeros((3, 1, 8)))
     with pytest.raises(DegenerateFrame):
-        spatial_reg_loss(np.zeros((8, 1)))
+        spatial_reg_loss(np.zeros((3, 8, 1)))
+    with pytest.raises(DegenerateFrame):
+        spatial_reg_loss(np.zeros((8, 8)))  # a single frame comes as a batch of one
 
 
 # -- partitioning ------------------------------------------------------------
@@ -386,7 +388,7 @@ def test_pixel_permutation_equivariance_with_zero_lambda():
     perm = rng.permutation(n_px)
 
     loss, _, aux = objective(model, stack, idx, cfg.lambda_reg)
-    grads = model.backward(aux["t_norm"], aux["seeds"], aux["cache"])
+    grads = model.backward(aux["seeds"], aux["cache"])
 
     permuted_counts = stack.counts.reshape(stack.num_frames, -1)[:, perm].reshape(
         stack.counts.shape)
@@ -395,7 +397,7 @@ def test_pixel_permutation_equivariance_with_zero_lambda():
     pmodel.weights[-1][:] = pmodel.weights[-1][perm]
     pmodel.biases[-1][:] = pmodel.biases[-1][perm]
     ploss, _, paux = objective(pmodel, pstack, idx, cfg.lambda_reg)
-    pgrads = pmodel.backward(paux["t_norm"], paux["seeds"], paux["cache"])
+    pgrads = pmodel.backward(paux["seeds"], paux["cache"])
 
     assert ploss == pytest.approx(loss, rel=1e-12)
     gw, gb = model.layers(grads)[-1]
