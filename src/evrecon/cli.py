@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EvreconError, InvalidCheckpoint, InvalidConfig, InvalidDimensions, MalformedLine
-from .events import check_times, parse_events, read_times, write_events
+from .events import check_times, parse_events, read_times, read_utf8, write_events
 from .pgm import read_frame_dir, write_frame_dir
 from .reconstruct import (
     LogVideo,
@@ -40,17 +40,16 @@ from .reconstruct import (
     tone_map,
 )
 from .metrics import evaluate_frames
+from .selftest import run_selftest
 from .simulate import SCENE_KINDS, SimConfig, log_intensity, render_scene, simulate_events
 from .siren import load_checkpoint, save_checkpoint
 from .training import Partition, TrainConfig, train_ensemble
 
 
-def _write_manifest(out, subcommand, config, inputs, outputs, seed, started) -> None:
-    """Write the run's reproducibility record atomically next to `out`: a
-    file target gets a sibling `<name>.manifest.json`, a directory a
-    `manifest.json` inside it."""
-    out = Path(out)
-    path = out.parent / (out.name + ".manifest.json") if out.suffix else out / "manifest.json"
+def _write_manifest(path: Path, subcommand, config, inputs, outputs, seed, started) -> None:
+    """Write the run's reproducibility record atomically to `path`: a
+    command that writes a file `<name>` puts it in `<name>.manifest.json`
+    beside it, one that writes a directory in `manifest.json` inside it."""
     record = {
         "subcommand": subcommand,
         "config": config,
@@ -84,7 +83,8 @@ def parse_config_file(path) -> dict:
     """
     defaults = {f.name: f.default for f in fields(TrainConfig)}
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = read_utf8(path, lambda n, line: InvalidConfig(f"{path}:{n}: not UTF-8 text: {line!r}"))
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -127,13 +127,8 @@ def _parse_size(text: str) -> tuple:
 
 
 def _read_stream(args):
-    data = Path(args.events).read_bytes()
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        line = data.split(b"\n")[lineno - 1].decode(errors="replace")
-        raise MalformedLine(lineno, line, f"{args.events} is not UTF-8 text") from None
+    text = read_utf8(args.events, lambda n, line: MalformedLine(
+        n, line, f"{args.events} is not UTF-8 text"))
     return parse_events(text, polarity_encoding=args.polarity, width=args.width,
                         height=args.height)
 
@@ -177,7 +172,8 @@ def cmd_simulate(args) -> int:
         "fps": args.fps, "threshold_C": args.threshold, "noise_rate": args.noise,
         "polarity": args.polarity, "events": len(stream),
     }
-    _write_manifest(out, "simulate", cfg, [], outputs, args.seed, started)
+    _write_manifest(out.with_name(out.name + ".manifest.json"), "simulate", cfg, [], outputs,
+                    args.seed, started)
     print(f"simulate: wrote {len(stream)} events to {out}")
     return 0
 
@@ -244,17 +240,10 @@ def cmd_reconstruct(args) -> int:
     bytes_ = tone_map(video, ToneMapConfig(args.gamma))
     write_frame_dir(out, bytes_, times)
     outputs.append(out / "times.txt")
-    _write_manifest(
-        out,
-        "reconstruct",
-        {**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)},
-         "gamma": args.gamma, "frames": len(times), "threads": args.threads,
-         **_threading(partitions)},
-        [args.events],
-        outputs,
-        cfg.seed,
-        started,
-    )
+    config = {**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}, "gamma": args.gamma,
+              "frames": len(times), "threads": args.threads, **_threading(partitions)}
+    _write_manifest(out / "manifest.json", "reconstruct", config, [args.events], outputs, cfg.seed,
+                    started)
     print(f"reconstruct: trained {len(partitions)} partition(s), "
           f"wrote {len(times)} frames to {out}")
     return 0
@@ -279,16 +268,9 @@ def cmd_enhance(args) -> int:
     out = Path(args.out)
     bytes_ = enhancement_to_bytes(grids, scale=args.scale)
     write_frame_dir(out, bytes_, times)
-    _write_manifest(
-        out,
-        "enhance",
-        {"window_dt": args.window_dt, "scale": args.scale, "frames": len(times),
-         **_threading(partitions)},
-        inputs,
-        [out],
-        args.seed,
-        started,
-    )
+    config = {"window_dt": args.window_dt, "scale": args.scale, "frames": len(times),
+              **_threading(partitions)}
+    _write_manifest(out / "manifest.json", "enhance", config, inputs, [out], args.seed, started)
     print(f"enhance: wrote {len(times)} enhancement frames to {out}")
     return 0
 
@@ -307,23 +289,15 @@ def cmd_evaluate(args) -> int:
             zip(pred_times, report.mse_per_frame, report.ssim_per_frame)
         ):
             wr.writerow([i, f"{t:.9f}", f"{m:.9g}", f"{s:.9g}"])
-    _write_manifest(
-        out,
-        "evaluate",
-        {"clahe": not args.no_clahe, "frames": report.num_frames},
-        [args.pred, args.ref],
-        [out],
-        None,
-        started,
-    )
+    _write_manifest(out.with_name(out.name + ".manifest.json"), "evaluate",
+                    {"clahe": not args.no_clahe, "frames": report.num_frames},
+                    [args.pred, args.ref], [out], None, started)
     print(f"evaluate: {report.num_frames} frames  "
           f"mean MSE {report.mean_mse:.6f}  mean SSIM {report.mean_ssim:.6f}")
     return 0
 
 
 def cmd_selftest(args) -> int:
-    from .selftest import run_selftest
-
     results = run_selftest(quick=args.quick, threads=args.threads, out=args.out)
     width = max(len(r.name) for r in results)
     ok = True

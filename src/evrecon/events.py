@@ -8,8 +8,10 @@ internally as {-1, +1}; inputs using {0, 1} are remapped at parse time.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -233,19 +235,31 @@ def write_events(stream: EventStream, polarity_encoding: str = "zero_one") -> st
     return "\n".join(out) + "\n"
 
 
+def read_utf8(path, error) -> str:
+    """The UTF-8 text of the file at `path`; at a byte that is not UTF-8,
+    raises error(line number, line) for its line, decoded with U+FFFD."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(lineno, data.split(b"\n")[lineno - 1].decode(errors="replace")) from None
+
+
 def read_times(path) -> np.ndarray:
     """Read a times.txt sidecar: one time (seconds) per line, strictly
     increasing. Raises InvalidTimestamps naming the file and line."""
+    text = read_utf8(path, lambda n, line: InvalidTimestamps(
+        f"{path}:{n}: not UTF-8 text: {line!r}"))
     vals, linenos = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                vals.append(float(line))
-            except ValueError:
-                raise InvalidTimestamps(f"{path}:{lineno}: not a time: {line.strip()!r}") from None
-            linenos.append(lineno)
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):  # as open() splits
+        if not line.strip():
+            continue
+        try:
+            vals.append(float(line))
+        except ValueError:
+            raise InvalidTimestamps(f"{path}:{lineno}: not a time: {line.strip()!r}") from None
+        linenos.append(lineno)
     try:
         return check_times(vals)
     except InvalidTimestamps as exc:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidPGM
+from .events import read_times, write_times
 
 
 def write_pgm(path, frame: np.ndarray) -> None:
@@ -75,8 +76,6 @@ def frame_filename(index: int) -> str:
 
 def write_frame_dir(out_dir, frames: np.ndarray, times: np.ndarray) -> None:
     """Write frames as frame_%06d.pgm plus a times.txt sidecar."""
-    from .events import write_times
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):
@@ -86,8 +85,6 @@ def write_frame_dir(out_dir, frames: np.ndarray, times: np.ndarray) -> None:
 
 def read_frame_dir(in_dir) -> tuple[np.ndarray, np.ndarray]:
     """Read a directory written by write_frame_dir. Returns (frames, times)."""
-    from .events import read_times
-
     src = Path(in_dir)
     paths = sorted(src.glob("frame_*.pgm"))
     if not paths:

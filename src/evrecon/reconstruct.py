@@ -76,7 +76,7 @@ def check_in_span(times: np.ndarray, t0: float, t1: float) -> None:
 def _batched_forward(partition, times: np.ndarray, tangent: bool, out=None):
     """One network's frames, or per-second time derivatives, at `times` in
     one batch; written into `out`, a C-contiguous (K, H, W) float64 array,
-    when given."""
+    when given, and else in the network's dtype."""
     model = partition.model
     t_norm = model.normalize_time(times)
     if tangent:
@@ -94,8 +94,8 @@ def _chained_offsets(partitions, lo, hi) -> np.ndarray:
         if hi[i] <= lo[i]:
             continue  # zero overlap: nothing measurable, keep offsets
         grid = np.linspace(lo[i], hi[i], _OVERLAP_MEAN_SAMPLES)
-        mean_a = float(np.mean(_batched_forward(partitions[i], grid, False)))
-        mean_b = float(np.mean(_batched_forward(partitions[i + 1], grid, False)))
+        mean_a = float(np.mean(_batched_forward(partitions[i], grid, False), dtype=np.float64))
+        mean_b = float(np.mean(_batched_forward(partitions[i + 1], grid, False), dtype=np.float64))
         offsets[i + 1] = offsets[i] + (mean_a - mean_b)
     return offsets
 
@@ -142,7 +142,7 @@ def _sample(partitions, times, tangent: bool) -> np.ndarray:
         run += offsets[i]
         if blend[a]:
             u = ((ts - lo[i]) / (hi[i] - lo[i]))[:, None, None]
-            fb = _batched_forward(partitions[i + 1], ts, tangent)
+            fb = _batched_forward(partitions[i + 1], ts, tangent, out=np.empty_like(run))
             fb += offsets[i + 1]
             run *= 1.0 - u
             fb *= u

@@ -28,6 +28,9 @@ SCENE_KINDS = ("translating_gradient", "moving_checker", "rotating_bars")
 
 _INTENSITY_HI = 1.0
 LOG_EPS = 1e-3  # log(I + LOG_EPS) keeps the log of near-black pixels bounded
+# Checked before any array is made, so a huge duration * fps is InvalidDimensions, not a
+# numpy error: a million 8x8 frames take 512 MB, and no scene in use has over 1,440 frames.
+MAX_FRAMES = 1_000_000
 
 
 @dataclass
@@ -95,6 +98,9 @@ def render_scene(
     if width < 8 or height < 8:
         raise InvalidDimensions(f"scene must be at least 8x8, got {width}x{height}")
     check_settings(InvalidDimensions, duration=duration, fps=fps)
+    if duration * fps > MAX_FRAMES:
+        raise InvalidDimensions(f"duration {duration} s at fps {fps} makes more than "
+                                f"{MAX_FRAMES} frames")
     n_frames = int(round(duration * fps))
     if n_frames < 2:
         raise InvalidDimensions("need fps * duration >= 2 frames")

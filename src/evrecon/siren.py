@@ -21,15 +21,15 @@ bit-identical to one GEMM per half; `_matmul_rows` keeps separate GEMMs
 for the small products where the BLAS would round them differently (see
 `_STACK_MIN_WORK`).
 
-Every pass computes in the dtype of the parameter vector: times, scratch
-arrays, frames, tangents and gradients all follow `params.dtype`. A float64
-model (what `init_siren` and `load_checkpoint` build) computes in float64;
-training runs one float32 copy, Adam moments included, and widens it back
-at the end (see `training.train_partition`). Layer l < L-1 computes
-a = sin(omega0 * (W x + b)); the output layer is affine. Initialization follows the sine-network
-convention: first layer U(-1/n_in, 1/n_in), later layers
-U(-sqrt(6/n_in)/omega0, +sqrt(6/n_in)/omega0), zero biases, so hidden
-sine arguments keep unit-scale variance at init.
+Every pass computes in the dtype of `params`, which times, scratch
+arrays, frames, tangents and gradients all follow. `init_siren` builds
+float64 networks; `training.build_partitions` rounds each to float32 once,
+and that model is trained, checkpointed and sampled. Layer l < L-1
+computes a = sin(omega0 * (W x + b)); the output layer is affine.
+Initialization follows the sine-network convention: first layer
+U(-1/n_in, 1/n_in), later layers U(-sqrt(6/n_in)/omega0,
++sqrt(6/n_in)/omega0), zero biases, so hidden sine arguments keep
+unit-scale variance at init.
 
 All parameters live in one flat vector, `params`: W0 (row-major, (n_out,
 n_in)), b0, W1, b1, ... . Gradients and Adam moments share this layout,
@@ -160,9 +160,9 @@ class SirenModel:
 
     def forward(self, t_norm, out=None) -> np.ndarray:
         """Frame(s) at normalized time(s): (H, W) for a scalar input,
-        (K, H, W) for a length-K array. `out`, a (K, num_pixels) array of
-        the dtype of params, receives the frames, and the returned frames
-        are a view into it."""
+        (K, H, W) for a length-K array. `out`, a (K, num_pixels) array,
+        receives the frames (widened, bias added in its dtype), and the
+        returned frames are a view into it."""
         x, scalar = self._as_batch(t_norm)
         *hidden, (w_out, b_out) = self.layers()
         a = x
@@ -262,7 +262,7 @@ class SirenModel:
         return grads
 
 
-def _zero_model(layer_sizes, omega0, height, width, t_domain) -> SirenModel:
+def _zero_model(layer_sizes, omega0, height, width, t_domain, dtype=np.float64) -> SirenModel:
     """A network with all parameters zero, after checking the architecture."""
     sizes = [int(n) for n in layer_sizes]
     if len(sizes) < 2 or any(n < 1 for n in sizes):
@@ -277,11 +277,11 @@ def _zero_model(layer_sizes, omega0, height, width, t_domain) -> SirenModel:
         raise InvalidArchitecture(
             f"output size {sizes[-1]} does not match {height}x{width} frame"
         )
-    lo, hi = t_domain
+    lo, hi = (float(t) for t in t_domain)
     if not hi > lo:
         raise InvalidArchitecture("t_domain must have positive length")
     count = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
-    return SirenModel(sizes, float(omega0), np.zeros(count), height, width, (float(lo), float(hi)))
+    return SirenModel(sizes, float(omega0), np.zeros(count, dtype), height, width, (lo, hi))
 
 
 def init_siren(
@@ -386,7 +386,7 @@ def save_checkpoint(model: SirenModel, path) -> None:
     """Write an npz checkpoint that round-trips the model bit-exactly.
 
     Layout: version, layer_sizes, omega0, t_domain, height, width, and
-    w{i}/b{i} arrays per layer.
+    w{i}/b{i} arrays per layer, in the dtype of params.
     """
     arrays = {
         "version": np.asarray(CHECKPOINT_VERSION),
@@ -419,21 +419,25 @@ def _read_npz(path) -> dict:
 
 
 def load_checkpoint(path) -> SirenModel:
-    """Read a save_checkpoint file; raises InvalidCheckpoint for a file
-    that is not a readable npz, another version, a missing array, or arrays
-    whose shapes do not fit layer_sizes."""
+    """Read a save_checkpoint file into a model of the dtype of its w0,
+    float32 or float64; raises InvalidCheckpoint for a file that is not a
+    readable npz, another version, a missing array, or parameter arrays
+    whose shapes do not fit layer_sizes or whose dtypes are not w0's."""
     data = _read_npz(path)
     try:
         if int(data["version"]) != CHECKPOINT_VERSION:
             raise InvalidCheckpoint(f"{path}: unsupported version {int(data['version'])}")
+        if data["w0"].dtype not in (np.float32, np.float64):
+            raise InvalidCheckpoint(f"{path}: w0 is {data['w0'].dtype}, need float32 or float64")
         model = _zero_model(data["layer_sizes"], float(data["omega0"]), int(data["height"]),
-                            int(data["width"]), tuple(float(v) for v in data["t_domain"]))
+                            int(data["width"]), tuple(float(v) for v in data["t_domain"]),
+                            data["w0"].dtype)
         for i, (w, b) in enumerate(model.layers()):
             for name, view in ((f"w{i}", w), (f"b{i}", b)):
                 stored = data[name]
-                if stored.shape != view.shape:
-                    raise InvalidCheckpoint(
-                        f"{path}: {name} has shape {stored.shape}, layer_sizes need {view.shape}")
+                if (stored.shape, stored.dtype) != (view.shape, view.dtype):
+                    raise InvalidCheckpoint(f"{path}: {name} is {stored.dtype} {stored.shape}, "
+                                            f"need {view.dtype} {view.shape}")
                 view[...] = stored
     except KeyError as exc:
         raise InvalidCheckpoint(f"{path}: no array {exc.args[0]!r}") from None

@@ -51,7 +51,7 @@ import ctypes
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -72,6 +72,14 @@ from .metrics import frame_blocks
 from .siren import AdamState, SirenModel, adam_step, init_siren
 
 _DIVERGENCE_FACTOR = 1e6
+
+
+def _whole(name: str, value) -> int:
+    """`value` as an int; InvalidConfig naming `name` when it has a
+    fractional part. Integral floats, however large, are whole."""
+    if isinstance(value, int) or float(value).is_integer():
+        return int(value)
+    raise InvalidConfig(f"{name} must be a whole number, got {value}")
 
 
 @dataclass
@@ -101,7 +109,6 @@ class TrainConfig:
     omega0: float = 30.0
 
     def __post_init__(self):
-        self.refine_at_iters = tuple(int(i) for i in self.refine_at_iters)
         check_settings(InvalidConfig, threshold_C=self.threshold_C, initial_bin=self.initial_bin,
                        lr=self.lr, lr_decay=self.lr_decay, partition_tau=self.partition_tau,
                        omega0=self.omega0)
@@ -112,6 +119,11 @@ class TrainConfig:
                        hidden_layers=self.hidden_layers)
         if self.batch_frames is not None:
             check_settings(InvalidConfig, 1, batch_frames=self.batch_frames)
+        for name in ("total_iters", "lr_decay_every", "seed", "hidden_features", "hidden_layers",
+                     "batch_frames"):
+            if getattr(self, name) is not None:  # batch_frames may be None
+                setattr(self, name, _whole(name, getattr(self, name)))
+        self.refine_at_iters = tuple(_whole("refine_at_iters", i) for i in self.refine_at_iters)
         if any(b <= a for a, b in zip(self.refine_at_iters, self.refine_at_iters[1:])):
             raise InvalidConfig("refine_at_iters must be strictly increasing")
         if self.refine_at_iters and self.refine_at_iters[-1] >= self.total_iters:
@@ -148,7 +160,7 @@ class Partition:
     index: int
     core_span: tuple  # [core start, core end): this partition owns these times
     span: tuple  # trained span including overlap margins
-    model: SirenModel
+    model: SirenModel  # float32 from build_partitions; training updates it in place
     stack: EventFrameStack | None = None
     events: EventStream | None = None  # the events inside span; refinement re-bins them
     report: TrainReport | None = None
@@ -295,22 +307,16 @@ def _sample_indices(num_frames: int, batch_frames, rng) -> np.ndarray:
 
 
 def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
-    """Run the full schedule on one partition, in place.
+    """Run the full schedule on one partition, training `partition.model`
+    in place in its dtype, Adam moments included.
 
     Each refinement re-bins `partition.events`, and the target C * counts
-    is rounded to float32 once per stack; the seed and output-row arrays
-    of the stage it ends are freed, and the next stage makes its own on
-    its first iteration. Forward, loss, backward and Adam
-    (with float32 moments) run on one float32 copy of the network. Adam
-    moves a weight by about lr per step (1e-4 decaying to 2e-5 by
-    default), 4-5 orders of magnitude above the float32 spacing of
-    weights of order 4e-3, so no float64 master copy is kept. When the
-    schedule ends, the parameters are widened exactly into the float64
-    `partition.model.params`. Raises DivergedTraining, leaving them as
-    they were, when the loss goes non-finite or explodes, or a pass
-    overflows.
+    is rounded to that dtype once per stack; the seed and output-row arrays
+    of the stage it ends are freed, and the next stage makes its own on its
+    first iteration. Raises DivergedTraining when the loss goes non-finite
+    or explodes, or a pass overflows.
     """
-    model = replace(partition.model, params=partition.model.params.astype(np.float32))
+    model = partition.model
     adam = AdamState.for_params(
         model.params, lr=cfg.lr, decay_rate=cfg.lr_decay, decay_every=cfg.lr_decay_every
     )
@@ -320,7 +326,7 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     initial_loss = None
 
     stack = partition.stack
-    target = stack.frames_as(np.float32)
+    target = stack.frames_as(model.params.dtype)
     buffers = {}  # this stage's seed and output-row arrays, reused every iteration
 
     for it in range(cfg.total_iters):
@@ -328,7 +334,7 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
             aux = None
             buffers.clear()  # free the finished stage's arrays before the next are made
             stack = partition.stack = refine_bins(stack, partition.events)
-            target = stack.frames_as(np.float32)
+            target = stack.frames_as(model.params.dtype)
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
         # A float32 overflow shows up as a non-finite value, which the
         # checks below turn into DivergedTraining; numpy need not warn first.
@@ -357,14 +363,15 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
         report.total.append(total)
         report.stack_sizes.append(stack.num_frames)
 
-    partition.model.params[...] = model.params
     partition.report = report
     return report
 
 
 def build_partitions(stream: EventStream, cfg: TrainConfig) -> list:
     """Cut the stream into N = ceil(duration / tau) partitions with fresh
-    stacks and networks.
+    stacks and float32 networks. Adam steps (about lr, 1e-4 decaying to
+    2e-5) are 4-5 orders of magnitude above the float32 spacing of weights
+    near 4e-3, so training needs no float64 master copy.
 
     Core spans tile the stream window; trained spans extend half the
     overlap past each interior boundary, so adjacent partitions share
@@ -385,14 +392,10 @@ def build_partitions(stream: EventStream, cfg: TrainConfig) -> list:
         span_hi = min(span_hi, stream.t_end)
         piece = stream.slice_time(span_lo, span_hi, include_hi=(i == n - 1))
         stack = stack_uniform(piece, cfg.initial_bin, cfg.threshold_C)
-        model = init_siren(
-            cfg.layer_sizes(stream.height * stream.width),
-            omega0=cfg.omega0,
-            seed=seeds[i],
-            height=stream.height,
-            width=stream.width,
-            t_domain=(span_lo, span_hi),
-        )
+        model = init_siren(cfg.layer_sizes(stream.height * stream.width), omega0=cfg.omega0,
+                           seed=seeds[i], height=stream.height, width=stream.width,
+                           t_domain=(span_lo, span_hi))
+        model.params = model.params.astype(np.float32)  # rounded once, then trained in place
         partitions.append(
             Partition(index=i, core_span=(core_lo, core_hi), span=(span_lo, span_hi),
                       model=model, stack=stack, events=piece)

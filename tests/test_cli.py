@@ -77,6 +77,14 @@ def test_simulate_reports_a_nonfinite_noise_rate_as_an_error(tmp_path, capsys, r
     assert not events.exists()
 
 
+def test_simulate_reports_too_many_frames_as_an_error(tmp_path, capsys):
+    events = tmp_path / "events.txt"
+    assert main(["simulate", "--size", "8x8", "--duration", "1e300", "--out", str(events)]) == 1
+    assert capsys.readouterr().err == ("error: duration 1e+300 s at fps 240.0 makes more than "
+                                       "1000000 frames\n")
+    assert not events.exists()
+
+
 @pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
 def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, command):
     def train_ensemble(*args, **kwargs):
@@ -91,10 +99,12 @@ def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, 
                               ("backwards.txt", "0.1\n\n0.15\n0.12\n",
                                "backwards.txt:4: frame times must be strictly increasing"),
                               ("endless.txt", "0.1\n0.2\ninf\n",
-                               "endless.txt:3: frame time inf is not finite")]:
+                               "endless.txt:3: frame time inf is not finite"),
+                              ("latin1.txt", "0.1\n0.15\u00e9\n",
+                               "latin1.txt:2: not UTF-8 text: '0.15\ufffd'")]:
         times = tmp_path / name
         if text is not None:
-            times.write_text(text)
+            times.write_bytes(text.encode("latin-1"))
         assert main([*command, "--events", str(events), "--timestamps", str(times),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -155,6 +165,21 @@ def test_manifests_record_workers_and_blas_threads(tmp_path):
     cfg = json.loads((reuse / "manifest.json").read_text())["config"]
     assert (cfg["workers"], cfg["blas_threads"]) == (None, None)
     assert blas_threads() == prev
+    # The checkpoints reproduce the networks they were written from.
+    frames = sorted(p.name for p in enh.glob("*.pgm"))
+    assert frames and frames == sorted(p.name for p in reuse.glob("*.pgm"))
+    assert all((enh / f).read_bytes() == (reuse / f).read_bytes() for f in frames)
+
+
+def test_file_outputs_without_a_suffix_get_a_manifest_beside_them(tmp_path):
+    sim, gt, scores = tmp_path / "sim", tmp_path / "gt", tmp_path / "scores"
+    assert main(["simulate", "--size", "16x16", "--duration", "0.5", "--dump-frames", str(gt),
+                 "--out", str(sim)]) == 0
+    assert main(["evaluate", "--pred", str(gt), "--ref", str(gt), "--out", str(scores)]) == 0
+    assert sim.is_file() and scores.is_file()
+    for out, command in [(sim, "simulate"), (scores, "evaluate")]:
+        manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+        assert manifest["subcommand"] == command and manifest["outputs"][0] == str(out)
 
 
 def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
@@ -205,11 +230,13 @@ def test_unreadable_event_files_are_errors(tmp_path, capsys, command):
                                           ("lr = 0", "lr must be positive"),
                                           ("lr_decay = -0.5", "lr_decay must be positive"),
                                           ("partition_tau = inf", "partition_tau must be finite"),
-                                          ("omega0 = inf", "omega0 must be finite")])
+                                          ("omega0 = inf", "omega0 must be finite"),
+                                          ("# caf\u00e9",
+                                           "old.cfg:5: not UTF-8 text: '# caf\ufffd'")])
 def test_reconstruct_reports_a_bad_config_as_an_error(tmp_path, capsys, line, reason):
     config = tmp_path / "old.cfg"
-    config.write_text("threshold_C = 0.25\nhidden_features = 4\ntotal_iters = 3\n"
-                      f"refine_at_iters = 1\n{line}\n")
+    config.write_bytes("threshold_C = 0.25\nhidden_features = 4\ntotal_iters = 3\n"
+                       f"refine_at_iters = 1\n{line}\n".encode("latin-1"))
     events = tmp_path / "events.txt"
     events.write_text("# width 2 height 2\n0.1 0 0 1\n0.2 1 1 0\n")
     assert main(["reconstruct", "--events", str(events), "--config", str(config),

@@ -17,6 +17,7 @@ from evrecon.errors import (
 from evrecon.frames import stack_uniform
 from evrecon.simulate import (
     LOG_EPS,
+    MAX_FRAMES,
     SCENE_KINDS,
     IntensityVideo,
     SimConfig,
@@ -50,6 +51,10 @@ def test_render_rejects_bad_dimensions():
         render_scene("translating_gradient", 4, 64, 1.0, 60.0)
     with pytest.raises(InvalidDimensions):
         render_scene("translating_gradient", 64, 64, 0.0, 60.0)
+    for duration, fps in [(1e300, 240.0), (1e300, 1e300), (MAX_FRAMES / 60.0 + 1.0, 60.0)]:
+        with pytest.raises(InvalidDimensions) as exc:
+            render_scene("translating_gradient", 8, 8, duration, fps)
+        assert f"duration {duration} s at fps {fps} makes more than" in str(exc.value)
     with pytest.raises(UnknownName):
         render_scene("nope", 64, 64, 1.0, 60.0)
 

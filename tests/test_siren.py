@@ -487,10 +487,11 @@ def test_copy_shares_no_memory(toy_model):
     assert np.any(toy_model.weights[0] != 0.0)
 
 
-def handmade_checkpoint(path, version=1, drop=None, truncate=None):
+def handmade_checkpoint(path, version=1, drop=None, truncate=None, dtypes=None):
     """An npz written without save_checkpoint, in its documented layout:
-    metadata plus w{i} of shape (n_out, n_in) and b{i} of shape (n_out,).
-    Returns the arrays written."""
+    metadata plus float64 w{i} of shape (n_out, n_in) and b{i} of shape
+    (n_out,), or of the dtype `dtypes` gives by name. Returns the arrays
+    written."""
     sizes = [1, 3, 2]
     arrays = {
         "version": np.asarray(version),
@@ -505,6 +506,8 @@ def handmade_checkpoint(path, version=1, drop=None, truncate=None):
         arrays[f"b{i}"] = -10.0 * i - np.arange(1.0, n_out + 1)
     if truncate is not None:
         arrays[truncate] = arrays[truncate][:-1]
+    for name, dtype in (dtypes or {}).items():
+        arrays[name] = arrays[name].astype(dtype)
     arrays.pop(drop, None)
     np.savez(path, **arrays)
     return arrays
@@ -522,7 +525,9 @@ def test_handmade_checkpoint_loads_in_w0_b0_w1_b1_order(tmp_path):
 
 
 @pytest.mark.parametrize("broken", [{"version": 2}, {"drop": "b1"}, {"truncate": "w0"},
-                                    {"truncate": "b1"}])
+                                    {"truncate": "b1"},
+                                    {"dtypes": dict.fromkeys(["w0", "b0", "w1", "b1"], np.int64)},
+                                    {"dtypes": {"w1": np.float32}}])
 def test_bad_checkpoint_raises_typed_error_at_load(tmp_path, broken):
     path = tmp_path / "bad.npz"
     handmade_checkpoint(path, **broken)
