@@ -13,14 +13,7 @@ __version__ = "0.1.0"
 from .events import EventStream, parse_events, write_events
 from .frames import EventFrameStack, refine_bins, stack_uniform
 from .metrics import MetricReport, clahe, evaluate_frames, mse, ssim
-from .reconstruct import (
-    LogVideo,
-    ToneMapConfig,
-    anchor_offset,
-    enhance_events,
-    sample_video,
-    tone_map,
-)
+from .reconstruct import LogVideo, anchor_offset, enhance_events, sample_video, tone_map
 from .simulate import IntensityVideo, SimConfig, log_intensity, render_scene, simulate_events
 from .siren import AdamState, SirenModel, adam_step, init_siren, load_checkpoint, save_checkpoint
 from .training import (
@@ -61,7 +54,6 @@ __all__ = [
     "train_ensemble",
     "train_partition",
     "LogVideo",
-    "ToneMapConfig",
     "sample_video",
     "anchor_offset",
     "tone_map",

@@ -27,11 +27,10 @@ import numpy as np
 
 from . import __version__
 from .errors import EvreconError, InvalidCheckpoint, InvalidConfig, InvalidDimensions, MalformedLine
-from .events import check_times, parse_events, read_times, read_utf8, write_events
+from .events import check_times, parse_events, read_times, read_utf8, text_lines, write_events
 from .pgm import read_frame_dir, write_frame_dir
 from .reconstruct import (
     LogVideo,
-    ToneMapConfig,
     anchor_offset,
     check_in_span,
     enhance_events,
@@ -84,7 +83,7 @@ def parse_config_file(path) -> dict:
     defaults = {f.name: f.default for f in fields(TrainConfig)}
     out = {}
     text = read_utf8(path, lambda n, line: InvalidConfig(f"{path}:{n}: not UTF-8 text: {line!r}"))
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -164,7 +163,7 @@ def cmd_simulate(args) -> int:
     out.write_text(write_events(stream, polarity_encoding=args.polarity))
     outputs = [out]
     if args.dump_frames:
-        bytes_ = tone_map(LogVideo(log_intensity(video), video.times), ToneMapConfig(args.gamma))
+        bytes_ = tone_map(LogVideo(log_intensity(video), video.times), args.gamma)
         write_frame_dir(args.dump_frames, bytes_, video.times)
         outputs.append(args.dump_frames)
     cfg = {
@@ -237,7 +236,7 @@ def cmd_reconstruct(args) -> int:
     partitions = train_ensemble(stream, cfg, threads=args.threads)
     outputs = _write_partitions(partitions, out)
     video = anchor_offset(sample_video(partitions, times))
-    bytes_ = tone_map(video, ToneMapConfig(args.gamma))
+    bytes_ = tone_map(video, args.gamma)
     write_frame_dir(out, bytes_, times)
     outputs.append(out / "times.txt")
     config = {**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}, "gamma": args.gamma,

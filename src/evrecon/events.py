@@ -8,7 +8,6 @@ internally as {-1, +1}; inputs using {0, 1} are remapped at parse time.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,12 +114,17 @@ class EventStream:
         )
 
 
-def check_increasing(t: np.ndarray) -> None:
-    """Raise InvalidTimestamps at the first of the 1-D times `t` that does
-    not exceed the one before it (NaN never does)."""
+def first_not_increasing(t: np.ndarray) -> int | None:
+    """Index of the first of the 1-D values `t` that does not exceed the
+    one before it (NaN never does), or None when they strictly increase."""
     bad = np.flatnonzero(~(np.diff(t) > 0))
-    if bad.size:
-        k = int(bad[0]) + 1
+    return int(bad[0]) + 1 if bad.size else None
+
+
+def check_increasing(t: np.ndarray) -> None:
+    """Raise InvalidTimestamps at `first_not_increasing(t)`."""
+    k = first_not_increasing(t)
+    if k is not None:
         raise InvalidTimestamps(
             f"frame times must be strictly increasing: {t[k]} follows {t[k - 1]}", index=k
         )
@@ -170,7 +174,7 @@ def parse_events(
     """
     ts, xs, ys, ps = [], [], [], []
     header_w = header_h = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -235,15 +239,22 @@ def write_events(stream: EventStream, polarity_encoding: str = "zero_one") -> st
     return "\n".join(out) + "\n"
 
 
+def text_lines(text: str) -> list:
+    """The lines of `text`, without their ends, split as open() splits
+    them: at "\\n", "\\r\\n" or a lone "\\r" (universal newlines)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_utf8(path, error) -> str:
     """The UTF-8 text of the file at `path`; at a byte that is not UTF-8,
-    raises error(line number, line) for its line, decoded with U+FFFD."""
+    raises error(line number, line) for its line (`text_lines`), decoded
+    with U+FFFD."""
     data = Path(path).read_bytes()
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise error(lineno, data.split(b"\n")[lineno - 1].decode(errors="replace")) from None
+        lineno = len(text_lines(data[:exc.start].decode()))
+        raise error(lineno, text_lines(data.decode(errors="replace"))[lineno - 1]) from None
 
 
 def read_times(path) -> np.ndarray:
@@ -252,7 +263,7 @@ def read_times(path) -> np.ndarray:
     text = read_utf8(path, lambda n, line: InvalidTimestamps(
         f"{path}:{n}: not UTF-8 text: {line!r}"))
     vals, linenos = [], []
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):  # as open() splits
+    for lineno, line in enumerate(text_lines(text), start=1):
         if not line.strip():
             continue
         try:

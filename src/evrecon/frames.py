@@ -19,15 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyStream, NonPositiveThreshold, ShapeMismatch, ZeroWidthBin, check_settings
-from .events import EventStream
+from .events import EventStream, first_not_increasing
 
 
 @dataclass
 class EventFrameStack:
     """T accumulated frames over the bins between T+1 edges.
 
-    frames[k] == threshold_C * counts[k]; counts holds exact signed event
-    counts per pixel (stored as float64 integers) over [edges[k], edges[k+1]).
+    Frame k, threshold_C * counts[k], is the log-intensity change over
+    [edges[k], edges[k+1]); counts holds the exact signed event counts per
+    pixel, stored as float64 integers.
     """
 
     counts: np.ndarray  # (T, H, W) signed event counts
@@ -42,24 +43,20 @@ class EventFrameStack:
         if len(self.counts) < 1:
             raise ShapeMismatch("need at least one frame")
         check_settings(NonPositiveThreshold, threshold_C=self.threshold_C)
-        bad = np.flatnonzero(~(np.diff(self.edges) > 0))  # also catches NaN edges
-        if len(bad):
-            k = int(bad[0])
-            raise ZeroWidthBin(f"bin {k} of {self.num_frames} spans [{float(self.edges[k])!r}, "
-                               f"{float(self.edges[k + 1])!r}]: every bin needs positive width")
+        k = first_not_increasing(self.edges)  # the right edge of the first bad bin
+        if k is not None:
+            raise ZeroWidthBin(f"bin {k - 1} of {self.num_frames} spans "
+                               f"[{float(self.edges[k - 1])!r}, {float(self.edges[k])!r}]: "
+                               "every bin needs positive width")
 
     @property
     def num_frames(self) -> int:
         return len(self.counts)
 
-    @property
-    def frames(self) -> np.ndarray:
-        """(T, H, W) log-intensity change per bin: C * signed counts."""
-        return self.frames_as(np.float64)
-
     def frames_as(self, dtype) -> np.ndarray:
-        """`frames` computed in float64 and rounded once to dtype, element
-        by element, with no whole-stack float64 temporary."""
+        """(T, H, W) log-intensity change per bin, C * signed counts,
+        computed in float64 and rounded once to dtype, element by element,
+        with no whole-stack float64 temporary."""
         return np.multiply(self.counts, self.threshold_C, out=np.empty(self.counts.shape, dtype))
 
     @property

@@ -80,11 +80,6 @@ def _frame_means(stack: np.ndarray) -> np.ndarray:
     return np.mean(stack.reshape(len(stack), -1), axis=1)
 
 
-def _as_stack(frames: np.ndarray) -> np.ndarray:
-    """A frame (H, W) as a stack of one; a stack (N, H, W) as it is."""
-    return frames.reshape((-1,) + frames.shape[-2:])
-
-
 def _gaussian_taps(radius: int, sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     w = np.exp(-0.5 * (x / sigma) ** 2)
@@ -99,17 +94,16 @@ def _window_mean(stack: np.ndarray, taps: np.ndarray, radius: int) -> np.ndarray
     return out[:, radius:-radius, radius:-radius]
 
 
-def ssim(pred: np.ndarray, ref: np.ndarray):
-    """Structural similarity on frames with values in [0, 1]: a float for
-    one (H, W) pair, an (N,) array of per-frame scores for (N, H, W)
-    stacks."""
+def ssim(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """(N,) per-frame structural similarity of two (N, H, W) stacks of
+    frames with values in [0, 1]."""
     a = np.asarray(pred, dtype=np.float64)
     b = np.asarray(ref, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
-    if a.ndim not in (2, 3):
-        raise ShapeMismatch("ssim expects 2-D frames or 3-D frame stacks")
-    if min(a.shape[-2:]) < SSIM_WINDOW:
+    if a.ndim != 3:
+        raise ShapeMismatch(f"ssim expects (N, H, W) frame stacks, got shape {a.shape}")
+    if min(a.shape[1:]) < SSIM_WINDOW:
         raise TooSmall(f"frames must be at least {SSIM_WINDOW} pixels on a side")
 
     radius = SSIM_WINDOW // 2
@@ -117,17 +111,15 @@ def ssim(pred: np.ndarray, ref: np.ndarray):
     c1 = SSIM_K1**2
     c2 = SSIM_K2**2
 
-    sa, sb = _as_stack(a), _as_stack(b)
-    mu_a = _window_mean(sa, taps, radius)
-    mu_b = _window_mean(sb, taps, radius)
-    var_a = _window_mean(sa * sa, taps, radius) - mu_a**2
-    var_b = _window_mean(sb * sb, taps, radius) - mu_b**2
-    cov = _window_mean(sa * sb, taps, radius) - mu_a * mu_b
+    mu_a = _window_mean(a, taps, radius)
+    mu_b = _window_mean(b, taps, radius)
+    var_a = _window_mean(a * a, taps, radius) - mu_a**2
+    var_b = _window_mean(b * b, taps, radius) - mu_b**2
+    cov = _window_mean(a * b, taps, radius) - mu_a * mu_b
 
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    scores = _frame_means(num / den)
-    return float(scores[0]) if a.ndim == 2 else scores
+    return _frame_means(num / den)
 
 
 def _tile_luts(hist: np.ndarray, clip_count: float):
@@ -167,8 +159,8 @@ def clahe(
     tiles: tuple = (8, 8),
     clip_limit: float = 2.0,
 ) -> np.ndarray:
-    """Contrast-limited adaptive histogram equalization of an 8-bit frame
-    (H, W) or of each frame of a stack (N, H, W).
+    """Contrast-limited adaptive histogram equalization of each frame of
+    an 8-bit (N, H, W) stack.
 
     The image is edge-extended to a multiple of the tile grid; each tile's
     256-bin histogram is clipped at clip_limit times the flat level and the
@@ -190,14 +182,13 @@ def clahe(
             img = img.astype(np.uint8)
         else:
             raise NotEightBit("clahe expects 8-bit frames")
-    if img.ndim not in (2, 3):
-        raise ShapeMismatch("clahe expects a 2-D frame or a 3-D frame stack")
-    stack = _as_stack(img)
-    n, h, w = stack.shape
+    if img.ndim != 3:
+        raise ShapeMismatch(f"clahe expects an (N, H, W) frame stack, got shape {img.shape}")
+    n, h, w = img.shape
     ty, tx = tiles
     tile_h = -(-h // ty)  # ceil division
     tile_w = -(-w // tx)
-    padded = np.pad(stack, ((0, 0), (0, tile_h * ty - h), (0, tile_w * tx - w)), mode="edge")
+    padded = np.pad(img, ((0, 0), (0, tile_h * ty - h), (0, tile_w * tx - w)), mode="edge")
 
     # key of each padded pixel: ((frame * ty + tile row) * tx + tile column) * 256 + level
     tile_of = (np.arange(tile_h * ty) // tile_h)[:, None] * tx + np.arange(tile_w * tx) // tile_w
@@ -230,7 +221,7 @@ def clahe(
     wy = np.clip(gy - y0, 0.0, 1.0)[:, None]
     wx = np.clip(gx - x0, 0.0, 1.0)[None, :]
 
-    levels = frame_base * 256 + stack  # each pixel's entry in its frame's first LUT
+    levels = frame_base * 256 + img  # each pixel's entry in its frame's first LUT
 
     def mapped(rows, cols):
         """Each pixel through the LUT of tile (rows[y], cols[x]) of its frame."""
@@ -246,8 +237,7 @@ def clahe(
     top = mapped(y0, x0) * (1.0 - wx) + mapped(y0, x1) * wx
     bot = mapped(y1, x0) * (1.0 - wx) + mapped(y1, x1) * wx
     out = top * (1.0 - wy) + bot * wy
-    out = np.clip(np.round(out), 0, 255).astype(np.uint8)
-    return out[0] if img.ndim == 2 else out
+    return np.clip(np.round(out), 0, 255).astype(np.uint8)
 
 
 def evaluate_frames(

@@ -55,16 +55,6 @@ class LogVideo:
             raise NonFiniteFrames("log video must be finite")
 
 
-@dataclass
-class ToneMapConfig:
-    """Display mapping contrast; gamma compresses the Reinhard output."""
-
-    gamma: float = 0.6
-
-    def __post_init__(self):
-        check_settings(NonPositiveSetting, gamma=self.gamma)
-
-
 def check_in_span(times: np.ndarray, t0: float, t1: float) -> None:
     """Raise TimeOutOfRange naming the first of `times` outside the
     trained span [t0, t1]; NaN is outside too."""
@@ -80,7 +70,7 @@ def _batched_forward(partition, times: np.ndarray, tangent: bool, out=None):
     model = partition.model
     t_norm = model.normalize_time(times)
     if tangent:
-        _, tan = model.forward_with_tangent(t_norm)
+        _, tan, _ = model.forward_with_tangent(t_norm)
         return np.multiply(tan, model.time_slope, out=out)
     return model.forward(t_norm, out=None if out is None else out.reshape(len(times), -1))
 
@@ -166,19 +156,21 @@ def anchor_offset(video: LogVideo) -> LogVideo:
     return LogVideo(video.frames - np.median(video.frames), video.times)
 
 
-def tone_map(video: LogVideo, cfg: ToneMapConfig = ToneMapConfig()) -> np.ndarray:
+def tone_map(video: LogVideo, gamma: float = 0.6) -> np.ndarray:
     """(N, H, W) uint8 frames: Reinhard-compressed intensity.
 
-    I = exp(L); value = (I / (I + 1))**gamma, quantized to 8 bits. Strictly
+    I = exp(L); value = (I / (I + 1))**gamma, quantized to 8 bits; gamma
+    must be positive and sets the display contrast. Strictly
     monotone in L before quantization; an L whose exp overflows maps to
     255. Works one block of whole frames at a time (`frame_blocks`), so
     its temporaries stay a few blocks in size.
     """
+    check_settings(NonPositiveSetting, gamma=gamma)
     out = np.empty(video.frames.shape, dtype=np.uint8)
     for s in frame_blocks(video.frames):
         with np.errstate(over="ignore"):  # exp(L) = inf, which reinhard takes
             block = np.exp(video.frames[s])
-        reinhard(block, cfg.gamma, out=block)
+        reinhard(block, gamma, out=block)
         block *= 255.0
         _quantize(block, out[s])
     return out

@@ -60,9 +60,8 @@ def aligned_log_prediction(video: IntensityVideo, partitions):
 
 
 def closed_loop_scores(video: IntensityVideo, partitions, ssim_stride: int = 1):
-    """(log-MSE, mean SSIM after tone mapping with the default
-    ToneMapConfig) of a trained ensemble against the video that generated
-    its events."""
+    """(log-MSE, mean SSIM after tone mapping with the default gamma) of
+    a trained ensemble against the video that generated its events."""
     aligned, gt = aligned_log_prediction(video, partitions)
     log_mse = float(np.mean((aligned - gt) ** 2))
     tm_pred = tone_map(LogVideo(aligned, video.times))
@@ -117,8 +116,8 @@ def gradient_oracle_errors():
     worst_param = max_param_gradient_error(model, loss_of, grads)
 
     worst_tan = 0.0
-    for t in rng.uniform(-1.0, 1.0, 10):
-        _, tan = model.forward_with_tangent(t)
+    for t in rng.uniform(-1.0, 1.0, (10, 1)):  # one time per batch
+        _, tan, _ = model.forward_with_tangent(t)
         h = 1e-4
         fd = (model.forward(t + h) - model.forward(t - h)) / (2.0 * h)
         worst_tan = max(worst_tan, np.linalg.norm(tan - fd) / np.linalg.norm(fd))
@@ -213,17 +212,14 @@ def run_selftest(quick: bool = False, threads: int = 1, out=None) -> list:
         "tone map", byte == 168 and mono, f"L=0 -> byte {byte} (want 168), monotone={mono}"))
 
     rng = np.random.default_rng(0)
-    img = rng.uniform(0.0, 1.0, (32, 32))
+    img = rng.uniform(0.0, 1.0, (1, 32, 32))
     a, b = 0.3, 0.8
     c1 = 0.01**2
     expected = (2 * a * b + c1) / (a * a + b * b + c1)
-    got = ssim(np.full((16, 16), a), np.full((16, 16), b))
-    metric_ok = (
-        mse(img, img) == 0.0
-        and abs(ssim(img, img) - 1.0) < 1e-9
-        and abs(got - expected) < 1e-9
-    )
+    got = ssim(np.full((1, 16, 16), a), np.full((1, 16, 16), b))[0]
+    same = ssim(img, img)[0]
+    metric_ok = mse(img, img) == 0.0 and abs(same - 1.0) < 1e-9 and abs(got - expected) < 1e-9
     results.append(CheckResult(
         "metric sanity", metric_ok,
-        f"ssim(a,a)-1={ssim(img, img)-1.0:.1e}, const-vs-const err {abs(got-expected):.1e}"))
+        f"ssim(a,a)-1={same-1.0:.1e}, const-vs-const err {abs(got-expected):.1e}"))
     return results

@@ -175,7 +175,9 @@ def simulate_events(video: IntensityVideo, cfg: SimConfig) -> EventStream:
 
     ref = L[0].reshape(-1).copy()
     flat_prev = L[0].reshape(-1)
-    ts_parts, px_parts, p_parts = [], [], []
+    ts_parts = [np.empty(0, dtype=np.float64)]
+    px_parts = [np.empty(0, dtype=np.int64)]
+    p_parts = [np.empty(0, dtype=np.int64)]
 
     for k in range(1, len(L)):
         flat_cur = L[k].reshape(-1)
@@ -203,23 +205,16 @@ def simulate_events(video: IntensityVideo, cfg: SimConfig) -> EventStream:
             ref[active] += sgn * reps * C
         flat_prev = flat_cur
 
-    if ts_parts:
-        t_all = np.concatenate(ts_parts)
-        px_all = np.concatenate(px_parts)
-        p_all = np.concatenate(p_parts)
-    else:
-        t_all = np.empty(0, dtype=np.float64)
-        px_all = np.empty(0, dtype=np.int64)
-        p_all = np.empty(0, dtype=np.int64)
-
     if cfg.noise_rate > 0:
         rng = np.random.default_rng(cfg.rng_seed)
         t0, t1 = float(video.times[0]), float(video.times[-1])
         n_noise = rng.poisson(cfg.noise_rate * (t1 - t0) * n_px)
-        if n_noise:
-            t_all = np.concatenate([t_all, rng.uniform(t0, t1, size=n_noise)])
-            px_all = np.concatenate([px_all, rng.integers(0, n_px, size=n_noise)])
-            p_all = np.concatenate([p_all, rng.choice((-1, 1), size=n_noise)])
+        ts_parts.append(rng.uniform(t0, t1, size=n_noise))
+        px_parts.append(rng.integers(0, n_px, size=n_noise))
+        p_parts.append(rng.choice((-1, 1), size=n_noise))
+    t_all = np.concatenate(ts_parts)
+    px_all = np.concatenate(px_parts)
+    p_all = np.concatenate(p_parts)
 
     x_all = px_all % w
     y_all = px_all // w

@@ -65,7 +65,11 @@ CHECKPOINT_VERSION = 1
 # that round differently from its blocked kernel, and numpy sends one-row
 # products to GEMV. The blocked kernel gives every output element the same
 # bits whatever M is, so value and tangent rows share one GEMM only where
-# each half alone is past this size.
+# each half alone is past this size. Whether the split is also faster is
+# unresolved: on the `hires128` benchmark workload (hidden width 64, whose
+# products at T = 64 and 128 it splits) one set of 10 alternating pairs
+# read 5.82 s with it against 6.38 s with one GEMM for every product, and
+# another set of 6 read 7.11 s against 6.59 s (2 vCPUs, OpenBLAS 0.3.31).
 _STACK_MIN_WORK = 100**3
 
 
@@ -153,35 +157,29 @@ class SirenModel:
 
     # -- forward passes -----------------------------------------------------
 
-    def _as_batch(self, t_norm) -> tuple[np.ndarray, bool]:
-        t = np.asarray(t_norm, dtype=self.params.dtype)
-        scalar = t.ndim == 0
-        return t.reshape(-1, 1), scalar
-
     def forward(self, t_norm, out=None) -> np.ndarray:
-        """Frame(s) at normalized time(s): (H, W) for a scalar input,
-        (K, H, W) for a length-K array. `out`, a (K, num_pixels) array,
-        receives the frames (widened, bias added in its dtype), and the
-        returned frames are a view into it."""
-        x, scalar = self._as_batch(t_norm)
+        """(K, H, W) frames at a batch of K normalized times; a 0-d time is
+        a batch of one. `out`, a (K, num_pixels) array, receives the frames
+        (widened, bias added in its dtype), and the returned frames are a
+        view into it."""
+        a = np.asarray(t_norm, dtype=self.params.dtype).reshape(-1, 1)
         *hidden, (w_out, b_out) = self.layers()
-        a = x
         for w, b in hidden:
             a = np.sin(self.omega0 * (a @ w.T + b))
         y = np.matmul(a, w_out.T, out=out)
         y += b_out
         if not all_finite(y):
             raise NonFiniteOutput("forward pass produced NaN/Inf")
-        y = y.reshape(-1, self.height, self.width)
-        return y[0] if scalar else y
+        return y.reshape(-1, self.height, self.width)
 
-    def forward_with_tangent(self, t_norm, want_cache: bool = False, out=None):
-        """(frame, dframe/dt_norm) at the given time(s); the frame matches
-        forward() bit for bit. Optionally returns the cache for backward.
-        `out`, a (2K, num_pixels) array of the dtype of params, receives
-        the K frame rows over the K tangent rows, and the returned frame
-        and tangent are views into it."""
-        x, scalar = self._as_batch(t_norm)
+    def forward_with_tangent(self, t_norm, out=None):
+        """(frames, dframes/dt_norm, cache) at a batch of K normalized
+        times, like forward(): two (K, H, W) stacks, the frames bit for bit
+        those of forward(), and the cache that backward() takes. `out`, a
+        (2K, num_pixels) array of the dtype of params, receives the K frame
+        rows over the K tangent rows, and the returned stacks are views
+        into it."""
+        x = np.asarray(t_norm, dtype=self.params.dtype).reshape(-1, 1)
         k = len(x)
         omega = self.omega0
         *hidden, (w_out, b_out) = self.layers()
@@ -203,12 +201,8 @@ class SirenModel:
         yy[:k] += b_out
         if not all_finite(yy):
             raise NonFiniteOutput("tangent pass produced NaN/Inf")
-        shape = (self.height, self.width) if scalar else (-1, self.height, self.width)
-        frame = yy[:k].reshape(shape)
-        tangent = yy[k:].reshape(shape)
-        if want_cache:
-            return frame, tangent, ForwardCache(inputs, derivs)
-        return frame, tangent
+        halves = yy.reshape(2, k, self.height, self.width)
+        return halves[0], halves[1], ForwardCache(inputs, derivs)
 
     # -- reverse pass -------------------------------------------------------
 
@@ -216,7 +210,7 @@ class SirenModel:
         """Parameter gradients of
         loss = sum(seeds[:K] * frame) + sum(seeds[K:] * tangent),
         where frame, tangent and the batch size K are those of the
-        forward_with_tangent(..., want_cache=True) call that made `cache`.
+        forward_with_tangent call that made `cache`.
         Returns one flat vector in the layout of params.
 
         seeds holds 2K frames, the frame seeds over the tangent seeds
@@ -271,8 +265,6 @@ def _zero_model(layer_sizes, omega0, height, width, t_domain, dtype=np.float64) 
         raise InvalidArchitecture("time-conditioned network needs exactly 1 input")
     if omega0 <= 0:
         raise InvalidArchitecture("omega0 must be positive")
-    if height is None or width is None:
-        height, width = 1, sizes[-1]
     if height * width != sizes[-1]:
         raise InvalidArchitecture(
             f"output size {sizes[-1]} does not match {height}x{width} frame"
@@ -288,14 +280,15 @@ def init_siren(
     layer_sizes,
     omega0: float = 30.0,
     seed: int = 0,
-    height: int | None = None,
-    width: int | None = None,
+    *,
+    height: int,
+    width: int,
     t_domain: tuple = (-1.0, 1.0),
 ) -> SirenModel:
     """Build a network with sine-net initialization, deterministic per seed.
 
-    layer_sizes runs input through output, e.g. [1, 512, 512, 512, H*W].
-    height/width default to a 1 x n_out frame when not given.
+    layer_sizes runs input through output, e.g. [1, 512, 512, 512, H*W],
+    for frames of height x width pixels.
     """
     model = _zero_model(layer_sizes, omega0, height, width, t_domain)
     rng = np.random.default_rng(seed)

@@ -210,7 +210,7 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, targ
     t_norm = model.normalize_time(stack.midpoints[idx])
     rows = (None if buffers is None
             else _reused(buffers, "rows", (2 * k, model.num_pixels), model.params.dtype))
-    frames, tangents, cache = model.forward_with_tangent(t_norm, want_cache=True, out=rows)
+    frames, tangents, cache = model.forward_with_tangent(t_norm, out=rows)
     seeds = _reused(buffers, "seeds", (2, *frames.shape), frames.dtype)
     durs = stack.durations[idx].astype(frames.dtype)[:, None, None]
     if target is None:

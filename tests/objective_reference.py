@@ -29,13 +29,14 @@ def temporal_loss(model, stack, frame_indices, target=None):
             f"indices outside [0, {stack.num_frames}): {idx.min()}..{idx.max()}"
         )
     t_norm = model.normalize_time(stack.midpoints[idx])
-    frames, tangents, cache = model.forward_with_tangent(t_norm, want_cache=True)
+    frames, tangents, cache = model.forward_with_tangent(t_norm)
     durs = stack.durations[idx].astype(frames.dtype)[:, None, None]
     seeds = np.empty((2, *frames.shape), dtype=frames.dtype)
     scratch, resid = seeds
     np.multiply(tangents, model.time_slope, out=resid)
     resid *= durs  # predicted ΔL
-    scratch[...] = (stack.frames if target is None else target)[idx]  # target ΔL, rounded here
+    scratch[...] = (stack.frames_as(np.float64) if target is None
+                    else target)[idx]  # target ΔL, rounded here
     np.subtract(scratch, resid, out=resid)  # residual
     n = resid.size
     loss = float(np.sum(np.multiply(resid, resid, out=scratch), dtype=np.float64) / n)

@@ -36,7 +36,7 @@ def _batched_forward(partition, times: np.ndarray, tangent: bool):
     model = partition.model
     t_norm = model.normalize_time(times)
     if tangent:
-        _, tan = model.forward_with_tangent(t_norm)
+        _, tan, _ = model.forward_with_tangent(t_norm)
         return tan * model.time_slope
     return forward(model, t_norm)
 

@@ -101,7 +101,9 @@ def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, 
                               ("endless.txt", "0.1\n0.2\ninf\n",
                                "endless.txt:3: frame time inf is not finite"),
                               ("latin1.txt", "0.1\n0.15\u00e9\n",
-                               "latin1.txt:2: not UTF-8 text: '0.15\ufffd'")]:
+                               "latin1.txt:2: not UTF-8 text: '0.15\ufffd'"),
+                              ("old_mac.txt", "0.1\r0.2\r0.3\u00e9\n",
+                               "old_mac.txt:3: not UTF-8 text: '0.3\ufffd'")]:
         times = tmp_path / name
         if text is not None:
             times.write_bytes(text.encode("latin-1"))
@@ -205,9 +207,13 @@ def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
 def test_unreadable_event_files_are_errors(tmp_path, capsys, command):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("# width 2 height 2\n# caf\u00e9\n0.1 0 0 1\n".encode("latin-1"))
+    old_mac = tmp_path / "old_mac.txt"
+    old_mac.write_bytes("0.1 0 0 1\r0.2 0 0 1\r0.3 0 0 1\u00e9\n".encode("latin-1"))
     out = tmp_path / "out"
     for events, reason in [(latin1, f"line 2: cannot parse event from '# caf\ufffd' "
                                     f"({latin1} is not UTF-8 text)"),
+                           (old_mac, f"line 3: cannot parse event from '0.3 0 0 1\ufffd' "
+                                     f"({old_mac} is not UTF-8 text)"),
                            (tmp_path, f"Is a directory: '{tmp_path}'")]:
         assert main([*command, "--events", str(events), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -232,7 +238,9 @@ def test_unreadable_event_files_are_errors(tmp_path, capsys, command):
                                           ("partition_tau = inf", "partition_tau must be finite"),
                                           ("omega0 = inf", "omega0 must be finite"),
                                           ("# caf\u00e9",
-                                           "old.cfg:5: not UTF-8 text: '# caf\ufffd'")])
+                                           "old.cfg:5: not UTF-8 text: '# caf\ufffd'"),
+                                          ("lambda_reg = 0.1\rseed = 2\u00e9",
+                                           "old.cfg:6: not UTF-8 text: 'seed = 2\ufffd'")])
 def test_reconstruct_reports_a_bad_config_as_an_error(tmp_path, capsys, line, reason):
     config = tmp_path / "old.cfg"
     config.write_bytes("threshold_C = 0.25\nhidden_features = 4\ntotal_iters = 3\n"

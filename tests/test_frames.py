@@ -24,22 +24,22 @@ def simple_stream():
 def test_stack_accumulates_polarity_times_C():
     stack = stack_uniform(simple_stream(), 0.5, C=1.0)
     assert stack.num_frames == 2
-    assert stack.frames[0][0, 0] == 2.0
-    assert stack.frames[1][0, 0] == -1.0
+    assert stack.frames_as(np.float64)[0][0, 0] == 2.0
+    assert stack.frames_as(np.float64)[1][0, 0] == -1.0
 
 
 def test_stack_linear_in_C():
     stack = stack_uniform(simple_stream(), 0.5, C=0.25)
-    assert stack.frames[0][0, 0] == 0.5
-    assert stack.frames[1][0, 0] == -0.25
+    assert stack.frames_as(np.float64)[0][0, 0] == 0.5
+    assert stack.frames_as(np.float64)[1][0, 0] == -0.25
     base = stack_uniform(simple_stream(), 0.5, C=1.0)
-    assert np.array_equal(stack.frames, 0.25 * base.frames)
+    assert np.array_equal(stack.frames_as(np.float64), 0.25 * base.frames_as(np.float64))
 
 
 def test_pixels_without_events_are_zero():
     stack = stack_uniform(simple_stream(), 0.5, C=1.0)
-    assert np.all(stack.frames[:, 1, :] == 0.0)
-    assert np.all(stack.frames[:, :, 1] == 0.0)
+    assert np.all(stack.frames_as(np.float64)[:, 1, :] == 0.0)
+    assert np.all(stack.frames_as(np.float64)[:, :, 1] == 0.0)
 
 
 def test_stack_empty_stream_raises():
@@ -77,14 +77,14 @@ def test_a_span_within_ulps_of_a_bin_multiple_leaves_no_sliver(bin_duration, n, 
 def test_boundary_event_goes_to_later_interval():
     s = make_stream([0.5], [0], [0], [1], width=1, height=1, t_start=0.0, t_end=1.0)
     stack = stack_uniform(s, 0.5, 1.0)
-    assert stack.frames[0][0, 0] == 0.0
-    assert stack.frames[1][0, 0] == 1.0
+    assert stack.frames_as(np.float64)[0][0, 0] == 0.0
+    assert stack.frames_as(np.float64)[1][0, 0] == 1.0
 
 
 def test_last_interval_includes_endpoint():
     s = make_stream([1.0], [0], [0], [1], width=1, height=1, t_start=0.0, t_end=1.0)
     stack = stack_uniform(s, 0.5, 1.0)
-    assert stack.frames[1][0, 0] == 1.0
+    assert stack.frames_as(np.float64)[1][0, 0] == 1.0
 
 
 def test_midpoints_and_tiling():

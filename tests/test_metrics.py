@@ -43,41 +43,41 @@ def test_mse_symmetry_and_scaling(a, b, alpha):
 
 def test_ssim_identical_is_one():
     rng = np.random.default_rng(0)
-    img = rng.uniform(0, 1, (32, 32))
-    assert abs(ssim(img, img) - 1.0) < 1e-9
+    img = rng.uniform(0, 1, (1, 32, 32))
+    assert abs(ssim(img, img)[0] - 1.0) < 1e-9
 
 
 def test_ssim_constant_frames_closed_form():
     a, b = 0.3, 0.8
     c1 = 0.01**2
     expected = (2 * a * b + c1) / (a * a + b * b + c1)
-    got = ssim(np.full((16, 16), a), np.full((16, 16), b))
-    assert abs(got - expected) < 1e-9
+    got = ssim(np.full((1, 16, 16), a), np.full((1, 16, 16), b))
+    assert abs(got[0] - expected) < 1e-9
 
 
 def test_ssim_inverted_texture_negative():
     yy, xx = np.mgrid[0:24, 0:24]
-    ref = 0.5 + 0.45 * np.sign(np.sin(xx * 1.3) * np.sin(yy * 1.1))
+    ref = 0.5 + 0.45 * np.sign(np.sin(xx * 1.3) * np.sin(yy * 1.1))[None]
     pred = 1.0 - ref
-    assert ssim(pred, ref) < 0.0
+    assert ssim(pred, ref)[0] < 0.0
 
 
 def test_ssim_symmetric():
     rng = np.random.default_rng(1)
-    a = rng.uniform(0, 1, (20, 20))
-    b = rng.uniform(0, 1, (20, 20))
-    assert ssim(a, b) == pytest.approx(ssim(b, a), abs=1e-15)
+    a = rng.uniform(0, 1, (1, 20, 20))
+    b = rng.uniform(0, 1, (1, 20, 20))
+    assert ssim(a, b)[0] == pytest.approx(ssim(b, a)[0], abs=1e-15)
 
 
 def test_ssim_range_and_guards():
     rng = np.random.default_rng(2)
-    a = rng.uniform(0, 1, (16, 16))
-    b = rng.uniform(0, 1, (16, 16))
-    assert -1.0 <= ssim(a, b) <= 1.0
+    a = rng.uniform(0, 1, (1, 16, 16))
+    b = rng.uniform(0, 1, (1, 16, 16))
+    assert -1.0 <= ssim(a, b)[0] <= 1.0
     with pytest.raises(TooSmall):
-        ssim(np.zeros((8, 8)), np.zeros((8, 8)))
+        ssim(np.zeros((1, 8, 8)), np.zeros((1, 8, 8)))
     with pytest.raises(ShapeMismatch):
-        ssim(np.zeros((16, 16)), np.zeros((16, 17)))
+        ssim(np.zeros((1, 16, 16)), np.zeros((1, 16, 17)))
 
 
 def test_ssim_matches_skimage_oracle():
@@ -90,7 +90,7 @@ def test_ssim_matches_skimage_oracle():
             a, b, data_range=1.0, gaussian_weights=True, sigma=1.5,
             use_sample_covariance=False, win_size=11,
         )
-        assert ssim(a, b) == pytest.approx(want, abs=1e-9)
+        assert ssim(a[None], b[None])[0] == pytest.approx(want, abs=1e-9)
 
 
 # -- clahe ----------------------------------------------------------------------
@@ -98,21 +98,21 @@ def test_ssim_matches_skimage_oracle():
 
 @pytest.mark.parametrize("value", [0, 1, 127, 128, 254, 255])
 def test_clahe_uniform_frame_nearly_identity(value):
-    img = np.full((64, 64), value, dtype=np.uint8)
+    img = np.full((1, 64, 64), value, dtype=np.uint8)
     out = clahe(img)
     assert np.abs(out.astype(int) - int(value)).max() <= 1
 
 
 def test_clahe_output_range_and_type():
     rng = np.random.default_rng(4)
-    img = rng.integers(0, 256, (50, 70)).astype(np.uint8)
+    img = rng.integers(0, 256, (1, 50, 70)).astype(np.uint8)
     out = clahe(img)
     assert out.dtype == np.uint8
     assert out.shape == img.shape
 
 
 def test_clahe_stretches_low_contrast_ramp():
-    ramp = np.tile(np.linspace(100, 140, 64).astype(np.uint8), (64, 1))
+    ramp = np.tile(np.linspace(100, 140, 64).astype(np.uint8), (1, 64, 1))
     out = clahe(ramp)
     assert out.astype(float).std() > ramp.astype(float).std()
 
@@ -125,31 +125,31 @@ def test_clahe_nearly_idempotent_on_ramp():
     # default 8x8 tiles and clip_limit=2.0 the Zuiderveld oracle moves 100%
     # of this ramp's pixels by more than one level on the second pass
     # (clahe: 42%), so the default grid is not asserted idempotent here.
-    ramp = np.tile(np.linspace(100, 140, 64).astype(np.uint8), (64, 1))
-    for equalize in (clahe, zuiderveld_clahe):
+    ramp = np.tile(np.linspace(100, 140, 64).astype(np.uint8), (1, 64, 1))
+    for equalize in (clahe, lambda f, **kw: zuiderveld_clahe(f[0], **kw)[None]):
         once = equalize(ramp, tiles=(1, 1), clip_limit=256.0)
         twice = equalize(once, tiles=(1, 1), clip_limit=256.0)
         changed = np.abs(twice.astype(int) - once.astype(int)) > 1
-        assert changed.mean() < 0.02, equalize.__name__
+        assert changed.mean() < 0.02, equalize
 
     # At the default grid, tiles with flat histograms are a fixed point: each
     # 16x16 tile of this 128x128 frame is a permutation of 0..255.
     rows = np.random.default_rng(8).permuted(np.tile(np.arange(256, dtype=np.uint8), (64, 1)), axis=1)
-    flat = rows.reshape(8, 8, 16, 16).transpose(0, 2, 1, 3).reshape(128, 128)
+    flat = rows.reshape(8, 8, 16, 16).transpose(0, 2, 1, 3).reshape(1, 128, 128)
     assert np.array_equal(clahe(flat), flat)
 
 
 def test_clahe_deterministic():
     rng = np.random.default_rng(5)
-    img = rng.integers(0, 256, (48, 48)).astype(np.uint8)
+    img = rng.integers(0, 256, (1, 48, 48)).astype(np.uint8)
     assert np.array_equal(clahe(img), clahe(img))
 
 
 def test_clahe_handles_non_divisible_sizes():
     rng = np.random.default_rng(6)
-    img = rng.integers(0, 256, (37, 53)).astype(np.uint8)
+    img = rng.integers(0, 256, (1, 37, 53)).astype(np.uint8)
     out = clahe(img)
-    assert out.shape == (37, 53)
+    assert out.shape == (1, 37, 53)
 
 
 # -- evaluate_frames -----------------------------------------------------------
@@ -180,12 +180,12 @@ def _assert_blocks_match_oracle(pred, ref, tiles=(8, 8), clip_limit=2.0):
     got = clahe(pred, tiles, clip_limit)
     assert got.dtype == np.uint8
     assert np.array_equal(got, np.stack([clahe_frame(f, tiles, clip_limit) for f in pred]))
-    assert np.array_equal(clahe(pred[0], tiles, clip_limit), got[0])
+    assert np.array_equal(clahe(pred[:1], tiles, clip_limit), got[:1])
     a, b = pred / 255.0, ref / 255.0
     scores = ssim(a, b)
     assert scores.shape == (len(pred),)
     assert scores.tolist() == [ssim_frame(x, y) for x, y in zip(a, b)]
-    assert ssim(a[0], b[0]) == scores[0]
+    assert ssim(a[:1], b[:1]).tolist() == scores[:1].tolist()
     for apply_clahe in (True, False):
         report = evaluate_frames(pred, ref, apply_clahe=apply_clahe)
         mses, ssims = evaluate_frame_by_frame(pred, ref, apply_clahe)
@@ -272,18 +272,18 @@ def test_frame_blocks_cover_the_stack_in_order_within_the_budget(shape):
         assert len(frames[b]) == max(1, BLOCK_PIXELS // frames[0].size)
 
 
-@pytest.mark.parametrize("frames", [np.zeros((8, 8), np.float64), np.full((8, 8), 256),
+@pytest.mark.parametrize("frames", [np.zeros((1, 8, 8), np.float64), np.full((1, 8, 8), 256),
                                     np.full((2, 8, 8), -1)])
 def test_clahe_rejects_frames_that_are_not_8_bit(frames):
     with pytest.raises(NotEightBit):
         clahe(frames)
 
 
-@pytest.mark.parametrize("shape", [(64,), (1, 2, 16, 16)])
+@pytest.mark.parametrize("shape", [(64,), (16, 16), (1, 2, 16, 16)])
 def test_clahe_and_ssim_reject_other_dimensions(shape):
-    with pytest.raises(ShapeMismatch, match="2-D"):
+    with pytest.raises(ShapeMismatch, match=r"\(N, H, W\)"):
         clahe(np.zeros(shape, np.uint8))
-    with pytest.raises(ShapeMismatch, match="2-D"):
+    with pytest.raises(ShapeMismatch, match=r"\(N, H, W\)"):
         ssim(np.zeros(shape), np.zeros(shape))
 
 

@@ -20,7 +20,6 @@ import output_reference as ref
 from evrecon.metrics import BLOCK_PIXELS
 from evrecon.reconstruct import (
     LogVideo,
-    ToneMapConfig,
     anchor_offset,
     enhance_events,
     enhancement_to_bytes,
@@ -85,7 +84,7 @@ def test_streamed_output_matches_the_whole_array_reference(ensemble, gamma, wind
     assert same_bits(grids, ref.enhance_events(parts, times, window_dt))
 
     anchored = anchor_offset(video)
-    assert same_bits(tone_map(anchored, ToneMapConfig(gamma)),
+    assert same_bits(tone_map(anchored, gamma),
                      ref.tone_map(anchored.frames, gamma))
     assert same_bits(enhancement_to_bytes(grids), ref.enhancement_to_bytes(grids))
     assert same_bits(enhancement_to_bytes(grids, scale=window_dt),

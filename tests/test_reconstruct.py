@@ -14,7 +14,6 @@ from evrecon.errors import (
 from evrecon.events import read_times, write_times
 from evrecon.reconstruct import (
     LogVideo,
-    ToneMapConfig,
     anchor_offset,
     enhance_events,
     enhancement_to_bytes,
@@ -68,7 +67,7 @@ def chain(n=3, overlap=0.5, same_network=False):
 
 def rate(p, t):
     """Per-second derivative of one partition alone at the given times."""
-    _, tan = p.model.forward_with_tangent(p.model.normalize_time(np.asarray(t)))
+    _, tan, _ = p.model.forward_with_tangent(p.model.normalize_time(np.asarray(t)))
     return tan * p.model.time_slope
 
 
@@ -176,13 +175,13 @@ def test_anchor_idempotent():
 
 def test_tone_map_reference_bytes():
     video = LogVideo(np.zeros((1, 2, 2)), [0.0])
-    assert tone_map(video, ToneMapConfig(gamma=1.0))[0, 0, 0] == 128
-    assert tone_map(video, ToneMapConfig(gamma=0.6))[0, 0, 0] == 168
+    assert tone_map(video, gamma=1.0)[0, 0, 0] == 128
+    assert tone_map(video, gamma=0.6)[0, 0, 0] == 168
 
 
 def test_anchored_constant_video_tone_maps_to_mid_tone():
     video = anchor_offset(LogVideo(np.full((2, 3, 3), 3.7), np.arange(2.0)))
-    bytes_ = tone_map(video, ToneMapConfig(gamma=0.6))
+    bytes_ = tone_map(video, gamma=0.6)
     assert np.all(bytes_ == round(0.5**0.6 * 255))
 
 
@@ -194,7 +193,7 @@ def test_tone_map_dark_limit():
 def test_tone_map_monotone():
     ramp = np.linspace(-60.0, 60.0, 10_000)
     video = LogVideo(ramp[:, None, None], np.arange(10_000.0))
-    out = tone_map(video, ToneMapConfig(0.6)).reshape(-1).astype(np.int64)
+    out = tone_map(video, 0.6).reshape(-1).astype(np.int64)
     assert np.all(np.diff(out) >= 0)
     assert out[0] == 0 and out[-1] == 255
 
@@ -216,8 +215,9 @@ def test_overflowing_intensities_come_out_white():
     (lambda: LogVideo(np.zeros((2, 3, 3)), [1.0, 1.0]), InvalidTimestamps),
     (lambda: LogVideo(np.full((1, 2, 2), np.nan), [0.0]), NonFiniteFrames),
     (lambda: LogVideo(np.full((1, 2, 2), -np.inf), [0.0]), NonFiniteFrames),
-    (lambda: ToneMapConfig(gamma=0.0), NonPositiveSetting),
-    (lambda: ToneMapConfig(gamma=float("nan")), NonPositiveSetting),
+    (lambda: tone_map(LogVideo(np.zeros((1, 2, 2)), [0.0]), gamma=0.0), NonPositiveSetting),
+    (lambda: tone_map(LogVideo(np.zeros((1, 2, 2)), [0.0]), gamma=float("nan")),
+     NonPositiveSetting),
     (lambda: enhance_events([one_partition()], [0.5], -1.0), NonPositiveSetting),
 ])
 def test_output_errors_are_typed_value_errors(make, error):
@@ -256,7 +256,7 @@ def test_enhance_constant_model_is_zero():
 def test_enhance_uses_per_second_tangent():
     p = one_partition(t_domain=(0.0, 4.0))  # slope = 0.5
     t = np.asarray([1.0])
-    _, tan = p.model.forward_with_tangent(p.model.normalize_time(t))
+    _, tan, _ = p.model.forward_with_tangent(p.model.normalize_time(t))
     grids = enhance_events([p], t, window_dt=0.01)
     assert np.allclose(grids[0], tan * p.model.time_slope * 0.01)
 

@@ -29,14 +29,14 @@ from evrecon.siren import (
 
 def backward_at(model, t, seeds):
     """model.backward of `seeds` after a forward pass at times `t`."""
-    _, _, cache = model.forward_with_tangent(t, want_cache=True)
+    _, _, cache = model.forward_with_tangent(t)
     return model.backward(seeds, cache)
 
 
 def test_init_deterministic_per_seed():
-    a = init_siren([1, 16, 16, 8], seed=5)
-    b = init_siren([1, 16, 16, 8], seed=5)
-    c = init_siren([1, 16, 16, 8], seed=6)
+    a = init_siren([1, 16, 16, 8], seed=5, height=2, width=4)
+    b = init_siren([1, 16, 16, 8], seed=5, height=2, width=4)
+    c = init_siren([1, 16, 16, 8], seed=6, height=2, width=4)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
     assert not np.array_equal(a.weights[0], c.weights[0])
@@ -51,7 +51,7 @@ def test_parameter_count_for_default_architecture():
 
 def test_init_bounds_and_zero_biases():
     omega0 = 30.0
-    model = init_siren([1, 64, 64, 32], omega0=omega0, seed=1)
+    model = init_siren([1, 64, 64, 32], omega0=omega0, seed=1, height=4, width=8)
     assert np.abs(model.weights[0]).max() <= 1.0  # first layer: U(-1/n_in, 1/n_in)
     for w, n_in in zip(model.weights[1:], (64, 64)):
         assert np.abs(w).max() <= np.sqrt(6.0 / n_in) / omega0
@@ -63,7 +63,7 @@ def test_hidden_preactivation_variance_order_one():
     # sine arguments of layers past the first stay near unit variance at
     # init; the first layer is deliberately broadband (its sine argument
     # spans many periods for inputs in [-1, 1]).
-    model = init_siren([1, 256, 256, 256, 64], seed=0)
+    model = init_siren([1, 256, 256, 256, 64], seed=0, height=8, width=8)
     rng = np.random.default_rng(1)
     x = rng.uniform(-1.0, 1.0, (10_000, 1))
     a = x
@@ -79,10 +79,16 @@ def test_hidden_preactivation_variance_order_one():
 
 def test_forward_finite_and_bounded(toy_model):
     frame = toy_model.forward(0.0)
-    assert frame.shape == (4, 4)
     assert np.all(np.isfinite(frame))
     bound = np.abs(toy_model.weights[-1]).sum(axis=1) + np.abs(toy_model.biases[-1])
     assert np.all(np.abs(frame.reshape(-1)) <= bound)
+
+
+@pytest.mark.parametrize("t", [0.3, np.array([0.3])])
+def test_one_time_is_a_batch_of_one(toy_model, t):
+    """A 0-d time and a one-element batch both give (1, H, W) stacks."""
+    frames, tangents, _ = toy_model.forward_with_tangent(t)
+    assert toy_model.forward(t).shape == frames.shape == tangents.shape == (1, 4, 4)
 
 
 def test_identical_parameters_identical_outputs(toy_model):
@@ -113,7 +119,7 @@ def test_forward_continuous_in_t(toy_model):
     rng = np.random.default_rng(2)
     h = 1e-7
     for t in rng.uniform(-1, 1, 5):
-        f0, tan = toy_model.forward_with_tangent(t)
+        f0, tan, _ = toy_model.forward_with_tangent(t)
         f1 = toy_model.forward(t + h)
         assert np.allclose(f1 - f0, tan * h, atol=1e-9)
 
@@ -122,7 +128,7 @@ def test_tangent_matches_finite_differences(toy_model):
     rng = np.random.default_rng(3)
     h = 1e-4
     for t in rng.uniform(-1, 1, 10):
-        _, tan = toy_model.forward_with_tangent(t)
+        _, tan, _ = toy_model.forward_with_tangent(t)
         fd = (toy_model.forward(t + h) - toy_model.forward(t - h)) / (2 * h)
         assert np.linalg.norm(tan - fd) / np.linalg.norm(fd) < 1e-4
 
@@ -130,22 +136,22 @@ def test_tangent_matches_finite_differences(toy_model):
 def test_tangent_zero_when_output_weights_zero(toy_model):
     model = toy_model.copy()
     model.weights[-1][:] = 0.0
-    _, tan = model.forward_with_tangent(0.3)
+    _, tan, _ = model.forward_with_tangent(0.3)
     assert np.all(tan == 0.0)
 
 
 def test_tangent_linear_in_output_weights(toy_model):
     doubled = toy_model.copy()
     doubled.weights[-1][:] *= 2.0
-    _, tan = toy_model.forward_with_tangent(0.3)
-    _, tan2 = doubled.forward_with_tangent(0.3)
+    _, tan, _ = toy_model.forward_with_tangent(0.3)
+    _, tan2, _ = doubled.forward_with_tangent(0.3)
     assert np.allclose(tan2, 2.0 * tan, rtol=0, atol=1e-15)
 
 
 def test_frame_identical_between_forward_paths(toy_model):
     t = np.array([-0.9, 0.1, 0.77])
     frames = toy_model.forward(t)
-    frames2, _ = toy_model.forward_with_tangent(t)
+    frames2, _, _ = toy_model.forward_with_tangent(t)
     assert np.array_equal(frames, frames2)
 
 
@@ -156,7 +162,7 @@ def test_backward_matches_finite_differences(toy_model):
     gydot = rng.standard_normal((3, 16))
 
     def loss(m):
-        f, tan = m.forward_with_tangent(t)
+        f, tan, _ = m.forward_with_tangent(t)
         return float(np.sum(gy * f.reshape(3, -1)) + np.sum(gydot * tan.reshape(3, -1)))
 
     grads = backward_at(toy_model, t, np.stack([gy, gydot]))
@@ -211,7 +217,7 @@ def check_row_stacked_gemms(k, dtype):
     t = rng.uniform(-1.0, 1.0, k)
     seeds = rng.standard_normal((2, k, 64, 64)).astype(dtype)
     seeds_before = seeds.copy()
-    frame, tangent, cache = model.forward_with_tangent(t, want_cache=True)
+    frame, tangent, cache = model.forward_with_tangent(t)
     y, y_dot, ref_grads = two_gemm_forward_backward(
         model, t, seeds[0].reshape(k, -1), seeds[1].reshape(k, -1))
     assert np.array_equal(frame, model.forward(t))
@@ -241,7 +247,7 @@ def test_float32_model_computes_in_float32(toy_model):
     the GEMMs."""
     twin = as_float32(toy_model)
     t = np.array([-0.4, 0.1, 0.8])
-    frame, tangent, cache = twin.forward_with_tangent(t, want_cache=True)
+    frame, tangent, cache = twin.forward_with_tangent(t)
     assert frame.dtype == tangent.dtype == np.float32
     assert twin.forward(t).dtype == np.float32
     assert all(a.dtype == np.float32 for a in cache.inputs + cache.derivs)
@@ -257,8 +263,8 @@ def test_float32_gradients_match_float64_within_float32_rounding():
     rng = np.random.default_rng(8)
     t = rng.uniform(-1.0, 1.0, 32)
     seeds = rng.standard_normal((2, 32, 16, 16))
-    frame, tangent = model.forward_with_tangent(t)
-    frame32, tangent32 = twin.forward_with_tangent(t)
+    frame, tangent, _ = model.forward_with_tangent(t)
+    frame32, tangent32, _ = twin.forward_with_tangent(t)
     assert np.allclose(frame32, frame, rtol=0, atol=1e-4 * np.abs(frame).max())
     assert np.allclose(tangent32, tangent, rtol=0, atol=1e-4 * np.abs(tangent).max())
     grads = backward_at(model, t, seeds)
@@ -269,7 +275,7 @@ def test_float32_gradients_match_float64_within_float32_rounding():
 
 
 def test_backward_takes_seeds_one_way(toy_model):
-    _, _, cache = toy_model.forward_with_tangent(0.2, want_cache=True)
+    _, _, cache = toy_model.forward_with_tangent(0.2)
     with pytest.raises(TypeError):
         toy_model.backward(np.zeros((2, 16)))  # the cache is required
     with pytest.raises(TypeError):
@@ -305,8 +311,8 @@ def test_backward_shape_guards(toy_model):
 def test_output_bias_shift_moves_frame_not_tangent(toy_model):
     shifted = toy_model.copy()
     shifted.biases[-1][:] += 2.5
-    f0, t0 = toy_model.forward_with_tangent(0.4)
-    f1, t1 = shifted.forward_with_tangent(0.4)
+    f0, t0, _ = toy_model.forward_with_tangent(0.4)
+    f1, t1, _ = shifted.forward_with_tangent(0.4)
     assert np.array_equal(f1, f0 + 2.5)
     assert np.array_equal(t0, t1)
 
@@ -339,11 +345,11 @@ def test_nan_seeds_give_a_nonfinite_gradient_error(toy_model, where):
 
 def test_invalid_architectures_rejected():
     with pytest.raises(InvalidArchitecture):
-        init_siren([2, 8, 4])  # multi-input not supported
+        init_siren([2, 8, 4], height=2, width=2)  # multi-input not supported
     with pytest.raises(InvalidArchitecture):
-        init_siren([1])
+        init_siren([1], height=1, width=1)
     with pytest.raises(InvalidArchitecture):
-        init_siren([1, 8, 4], omega0=-1.0)
+        init_siren([1, 8, 4], omega0=-1.0, height=2, width=2)
     with pytest.raises(InvalidArchitecture):
         init_siren([1, 8, 5], height=2, width=2)
 

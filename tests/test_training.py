@@ -121,14 +121,12 @@ class LinearTimeModel:
         lo, hi = self.t_domain
         return (np.asarray(t) - lo) * (2.0 / (hi - lo)) - 1.0
 
-    def forward_with_tangent(self, t_norm, want_cache=False, out=None):
+    def forward_with_tangent(self, t_norm, out=None):
         t_norm = np.asarray(t_norm).reshape(-1)
         k = len(t_norm)
         frames = np.broadcast_to(t_norm[:, None, None], (k, self.height, self.width))
         tangent = np.full((k, self.height, self.width), self.a / self.time_slope)
-        if want_cache:
-            return frames * (self.a / self.time_slope), tangent, None
-        return frames, tangent
+        return frames * (self.a / self.time_slope), tangent, None
 
 
 def test_temporal_loss_zero_for_exact_linear_model():
