@@ -49,7 +49,12 @@ class InvalidDimensions(EvreconError, ValueError):
 
 
 class NonPositiveIntensity(EvreconError, ValueError):
-    """Intensity video contains values <= 0; log intensity is undefined."""
+    """Intensity video contains values that are not finite and positive;
+    log intensity is undefined there."""
+
+
+class InvalidCounts(EvreconError, ValueError):
+    """Event counts that are not whole numbers within int32's range."""
 
 
 class ZeroWidthBin(EvreconError, ValueError):

@@ -3,8 +3,8 @@
 Bins are given by one increasing vector of T+1 edges. Each frame k holds
 C * (signed event count) per pixel over bin k = [edges[k], edges[k+1]);
 the final bin also includes its right edge, so the bins tile the window
-[edges[0], edges[-1]] exactly. Signed counts are kept alongside the scaled
-frames so conservation checks stay exact.
+[edges[0], edges[-1]] exactly. The stack stores the signed counts, as
+int32, and scales them on demand, so conservation checks stay exact.
 
 `refine_bins` bisects every bin at the median event time, which doubles
 the temporal resolution while balancing the event count between
@@ -18,8 +18,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStream, NonPositiveThreshold, ShapeMismatch, ZeroWidthBin, check_settings
+from .errors import (
+    EmptyStream,
+    InvalidCounts,
+    NonPositiveThreshold,
+    ShapeMismatch,
+    ZeroWidthBin,
+    check_settings,
+)
 from .events import EventStream, first_not_increasing
+
+_COUNT_RANGE = np.iinfo(np.int32)
+
+
+def _as_counts(values) -> np.ndarray:
+    """`values` as an int32 array; InvalidCounts when one is not a whole
+    number within int32's range (NaN and infinities included)."""
+    counts = np.asarray(values)
+    if counts.dtype == np.int32:
+        return counts
+    if counts.size and not (counts.min() >= _COUNT_RANGE.min and counts.max() <= _COUNT_RANGE.max):
+        raise InvalidCounts(f"event counts must lie in [{_COUNT_RANGE.min}, {_COUNT_RANGE.max}], "
+                            f"got [{counts.min()}, {counts.max()}]")
+    whole = counts.astype(np.int32)
+    if not np.array_equal(whole, counts):
+        raise InvalidCounts("event counts must be whole numbers")
+    return whole
 
 
 @dataclass
@@ -28,15 +52,16 @@ class EventFrameStack:
 
     Frame k, threshold_C * counts[k], is the log-intensity change over
     [edges[k], edges[k+1]); counts holds the exact signed event counts per
-    pixel, stored as float64 integers.
+    pixel as int32, and any other whole numbers in int32's range are
+    converted (InvalidCounts otherwise).
     """
 
-    counts: np.ndarray  # (T, H, W) signed event counts
+    counts: np.ndarray  # (T, H, W) signed event counts, int32
     edges: np.ndarray  # (T+1,) seconds, strictly increasing
     threshold_C: float
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.float64)
+        self.counts = _as_counts(self.counts)
         self.edges = np.asarray(self.edges, dtype=np.float64)
         if self.counts.ndim != 3 or self.edges.shape != (len(self.counts) + 1,):
             raise ShapeMismatch("counts must be (T,H,W) with matching (T+1,) edges")
@@ -57,7 +82,8 @@ class EventFrameStack:
         """(T, H, W) log-intensity change per bin, C * signed counts,
         computed in float64 and rounded once to dtype, element by element,
         with no whole-stack float64 temporary."""
-        return np.multiply(self.counts, self.threshold_C, out=np.empty(self.counts.shape, dtype))
+        return np.multiply(self.counts, float(self.threshold_C),
+                           out=np.empty(self.counts.shape, dtype))
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -69,7 +95,7 @@ class EventFrameStack:
 
     def pixel_sums(self) -> np.ndarray:
         """Per-pixel sum of ΔL over all bins (the conserved quantity)."""
-        return self.counts.sum(axis=0) * self.threshold_C
+        return self.counts.sum(axis=0, dtype=np.float64) * self.threshold_C
 
 
 def _first_events(t: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -82,8 +108,8 @@ def _first_events(t: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(stream: EventStream, edges: np.ndarray) -> np.ndarray:
-    """(T, H, W) signed event counts for the bins between edges, in one
-    bincount over (bin, pixel) keys."""
+    """(T, H, W) int32 signed event counts for the bins between edges, in
+    one bincount over (bin, pixel) keys."""
     first = _first_events(stream.t, edges)
     T = len(edges) - 1
     h, w = stream.height, stream.width
@@ -92,7 +118,7 @@ def _accumulate(stream: EventStream, edges: np.ndarray) -> np.ndarray:
     keys = bins * (h * w) + stream.y[sl] * w + stream.x[sl]
     counts = np.bincount(keys, weights=stream.polarity[sl].astype(np.float64),
                          minlength=T * h * w)
-    return counts.reshape(T, h, w)
+    return counts.reshape(T, h, w).astype(np.int32)  # sums of +-1.0: exact whole numbers
 
 
 def stack_uniform(stream: EventStream, bin_duration: float, C: float) -> EventFrameStack:

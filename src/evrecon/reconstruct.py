@@ -11,10 +11,10 @@ whole video's median log intensity to zero.
 
 Sample times must be strictly increasing. Sampling writes each network's
 output straight into the one (N, H, W) float64 array of the `LogVideo`,
-and tone mapping and the enhancement display mapping work one block of
-whole frames at a time, so besides that array and the uint8 output only
-batch- and block-sized temporaries are made (`anchor_offset` adds a
-second video-sized array for its result and its median's copy).
+`anchor_offset` finds the median by counting passes over blocks and
+shifts that array in place, and tone mapping and the enhancement display
+mapping work one block of whole frames at a time, so besides that array
+and the uint8 output only batch- and block-sized temporaries are made.
 """
 
 from __future__ import annotations
@@ -31,10 +31,16 @@ from .errors import (
     check_settings,
 )
 from .events import check_increasing, check_times
-from .metrics import frame_blocks
+from .metrics import BLOCK_PIXELS, frame_blocks
 from .siren import all_finite
 
 _OVERLAP_MEAN_SAMPLES = 9
+# The median search resolves this many bits of the order key per counting
+# pass, and gathers the keys of the median's bin once it holds this few.
+_KEY_BITS = 16
+_GATHER_MAX = BLOCK_PIXELS
+_SIGN = np.int64(-(2**63))
+_MAGNITUDE = np.int64(2**63 - 1)
 
 
 @dataclass
@@ -152,8 +158,98 @@ def sample_video(partitions, times) -> LogVideo:
 
 def anchor_offset(video: LogVideo) -> LogVideo:
     """Fix the free global constant: shift so the video-wide median log
-    intensity is zero (exp(0) = 1 sits at the tone mapper's mid-tone)."""
-    return LogVideo(video.frames - np.median(video.frames), video.times)
+    intensity is zero (exp(0) = 1 sits at the tone mapper's mid-tone).
+
+    Shifts `video` in place and returns it. The shift is np.median of the
+    frames (see `_median`); NonFiniteFrames when subtracting it overflows,
+    which leaves `video` shifted as far as it got.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        median = _median(video.frames)
+        video.frames -= median
+    if not all_finite(video.frames):
+        raise NonFiniteFrames(f"shifting the log video by its median {median!r} overflows")
+    return video
+
+
+def _flip(bits: np.ndarray) -> np.ndarray:
+    """float64 bit patterns, as int64, mapped to int64 that order like the
+    floats (-0.0 just below +0.0): a negative value's magnitude bits are
+    inverted. Applied twice it gives the bits back."""
+    flipped = bits >> 63
+    flipped &= _MAGNITUDE
+    flipped ^= bits
+    return flipped
+
+
+def _order_keys(values: np.ndarray) -> np.ndarray:
+    """Flat uint64 keys of float64 values that order like the values."""
+    keys = _flip(values.view(np.int64))
+    keys ^= _SIGN
+    return keys.view(np.uint64).reshape(-1)
+
+
+def _key_value(key) -> float:
+    """The float64 value whose order key is `key`."""
+    bits = np.array([key], dtype=np.uint64).view(np.int64) ^ _SIGN
+    return float(_flip(bits).view(np.float64)[0])
+
+
+def _median(frames: np.ndarray) -> float:
+    """np.median(frames) of a finite float64 array, without a copy of it.
+
+    A radix select on the order keys. Each counting pass takes one block
+    of frames at a time and counts the next _KEY_BITS bits of the keys
+    that share the lower middle value's known leading bits, until that
+    value's bin holds at most _GATHER_MAX keys, which a last pass gathers
+    and sorts, or a single value. The upper middle value of an even count
+    is the next key in that bin, or else the least key above it, which the
+    last pass also finds. As in np.median, the result is the middle value
+    of an odd count and (a + b) / 2 of the two middle values of an even
+    one. Only a zero median may differ from np.median's, in its sign,
+    which np.median's partition order decides.
+    """
+    n = frames.size
+    if n <= _GATHER_MAX:
+        return float(np.median(frames))
+    blocks = [frames[s] for s in frame_blocks(frames)]
+    rank, below = (n - 1) // 2, 0  # below: how many keys lie under the bin
+    prefix, shift, count = 0, 64, n  # the bin: keys k with k >> shift == prefix
+    while shift and count > _GATHER_MAX:
+        shift -= _KEY_BITS
+        hist = np.zeros(1 << _KEY_BITS, dtype=np.int64)
+        for keys in map(_order_keys, blocks):
+            if shift + _KEY_BITS < 64:
+                keys = keys[keys >> (shift + _KEY_BITS) == prefix]
+            keys >>= shift
+            keys &= (1 << _KEY_BITS) - 1
+            hist += np.bincount(keys.view(np.int64), minlength=1 << _KEY_BITS)
+        ends = np.cumsum(hist)
+        digit = int(np.searchsorted(ends, rank - below, side="right"))
+        below += int(ends[digit - 1]) if digit else 0
+        count = int(hist[digit])
+        prefix = (prefix << _KEY_BITS) | digit
+
+    gather = shift > 0  # else every key in the bin is `prefix`
+    above_bin = n % 2 == 0 and rank + 1 == below + count
+    in_bin, above = [], []
+    if gather or above_bin:
+        for keys in map(_order_keys, blocks):
+            top = keys >> shift
+            if gather:
+                in_bin.append(keys[top == prefix])
+            if above_bin and np.any(top > prefix):
+                above.append(keys[top > prefix].min())
+    in_bin = np.sort(np.concatenate(in_bin)) if gather else None
+
+    def in_bin_key(r):  # the key of rank r, which the bin holds
+        return in_bin[r - below] if gather else prefix
+
+    low = _key_value(in_bin_key(rank))
+    if n % 2:
+        return low
+    high = _key_value(min(above) if above_bin else in_bin_key(rank + 1))
+    return (low + high) / 2.0
 
 
 def tone_map(video: LogVideo, gamma: float = 0.6) -> np.ndarray:

@@ -49,8 +49,9 @@ class IntensityVideo:
         if len(self.frames) < 2:
             raise InvalidDimensions("need at least 2 frames")
         check_increasing(self.times)
-        if np.any(self.frames <= 0):
-            raise NonPositiveIntensity("intensities must be positive")
+        # Two reductions, no boolean video; NaN fails both comparisons.
+        if self.frames.size and not (self.frames.min() > 0 and self.frames.max() < np.inf):
+            raise NonPositiveIntensity("intensities must be finite and positive")
 
     @property
     def height(self) -> int:
@@ -91,7 +92,8 @@ def render_scene(
     Frames land on t = i / fps for i in [0, round(duration * fps)), all
     values inside [0.05, 1.0], deterministic per seed. Patterns move
     enough that every pixel sweeps most of the intensity range, which
-    keeps the per-pixel event supervision informative.
+    keeps the per-pixel event supervision informative. InvalidDimensions
+    when numpy cannot allocate a video of that many frames and pixels.
     """
     if kind not in SCENE_KINDS:
         raise UnknownName(f"unknown scene {kind!r}; choose from {SCENE_KINDS}")
@@ -105,6 +107,11 @@ def render_scene(
     if n_frames < 2:
         raise InvalidDimensions("need fps * duration >= 2 frames")
 
+    try:
+        frames = np.empty((n_frames, height, width))
+    except MemoryError:
+        raise InvalidDimensions(f"cannot allocate {n_frames} frames of {width}x{height} "
+                                "pixels") from None
     rng = np.random.default_rng(seed)
     times = np.arange(n_frames, dtype=np.float64) / fps
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
@@ -115,28 +122,33 @@ def render_scene(
     # ~1.5 periods per second: per-pixel log trajectories then swing fast
     # relative to their spatial gradients, which keeps the event supervision
     # informative at fine bin widths instead of being drowned by spatial
-    # smoothing. The video is computed in place in one (N, H, W) array
-    # (two for the products of moving_checker and rotating_bars).
+    # smoothing. The video is computed in place in its one (N, H, W)
+    # array; the second factor of a product is made one frame at a time.
+    factor = np.empty((height, width))
     if kind == "translating_gradient":
         lo = 0.5
         theta = rng.uniform(0.0, 2.0 * np.pi)
         wavelength = 4.0 * span
         u = (xx * np.cos(theta) + yy * np.sin(theta)) / wavelength
-        frames = _sine(np.add(u[None], 1.5 * times[:, None, None]), phase0)
+        _sine(np.add(u[None], 1.5 * times[:, None, None], out=frames), phase0)
         frames *= 0.5
     elif kind == "moving_checker":
         lo = 0.35
         wavelength = 1.5 * span
-        frames = _sine(np.add(xx[None] / wavelength, 1.0 * times[:, None, None]), phase0)
+        _sine(np.add(xx[None] / wavelength, 1.0 * times[:, None, None], out=frames), phase0)
         frames *= 0.5
-        frames *= _sine(np.add(yy[None] / wavelength, 0.7 * times[:, None, None]), -phase0)
+        y_cycles, shifts = yy / wavelength, 0.7 * times
+        for frame, shift in zip(frames, shifts):
+            frame *= _sine(np.add(y_cycles, shift, out=factor), -phase0)
     else:  # rotating_bars
         lo = 0.35
         wavelength = 2.0 * span
         cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
         alpha = phase0 + 2.0 * np.pi * 0.15 * times
-        frames = np.multiply(xx[None] - cx, np.cos(alpha)[:, None, None])
-        frames += np.multiply(yy[None] - cy, np.sin(alpha)[:, None, None])
+        np.multiply(xx[None] - cx, np.cos(alpha)[:, None, None], out=frames)
+        y_offsets = yy - cy
+        for frame, sin_a in zip(frames, np.sin(alpha)):
+            frame += np.multiply(y_offsets, sin_a, out=factor)
         frames *= 2.0 * np.pi
         frames /= wavelength
         np.sin(frames, out=frames)
@@ -167,20 +179,24 @@ def simulate_events(video: IntensityVideo, cfg: SimConfig) -> EventStream:
     Reference levels start at the first frame's log intensity. Crossing
     times are linearly interpolated inside each frame interval. Optional
     Poisson noise events are appended. Output is sorted by (t, y, x, p).
+    Log frames are made one at a time, as `log_intensity` makes them.
     """
-    L = log_intensity(video)
     h, w = video.height, video.width
     n_px = h * w
     C = cfg.threshold_C
 
-    ref = L[0].reshape(-1).copy()
-    flat_prev = L[0].reshape(-1)
+    def log_frame(k, out):
+        np.add(video.frames[k].reshape(-1), LOG_EPS, out=out)
+        return np.log(out, out=out)
+
+    flat_prev, flat_cur = log_frame(0, np.empty(n_px)), np.empty(n_px)
+    ref = flat_prev.copy()
     ts_parts = [np.empty(0, dtype=np.float64)]
     px_parts = [np.empty(0, dtype=np.int64)]
     p_parts = [np.empty(0, dtype=np.int64)]
 
-    for k in range(1, len(L)):
-        flat_cur = L[k].reshape(-1)
+    for k in range(1, len(video.frames)):
+        log_frame(k, flat_cur)
         ta, tb = video.times[k - 1], video.times[k]
         d = flat_cur - ref
         n_ev = np.floor(np.abs(d) / C).astype(np.int64)
@@ -203,7 +219,7 @@ def simulate_events(video: IntensityVideo, cfg: SimConfig) -> EventStream:
             px_parts.append(px)
             p_parts.append(sgn_rep.astype(np.int64))
             ref[active] += sgn * reps * C
-        flat_prev = flat_cur
+        flat_prev, flat_cur = flat_cur, flat_prev
 
     if cfg.noise_rate > 0:
         rng = np.random.default_rng(cfg.rng_seed)

@@ -86,6 +86,21 @@ def _matmul_rows(stacked: np.ndarray, w: np.ndarray, k: int, out=None) -> np.nda
     return out
 
 
+def _row_blocks(m: int, n: int, k: int) -> list:
+    """Slices splitting the M rows of an (M, k) @ (k, n) product into
+    blocks of about 16 * BLOCK_PIXELS output elements (2 MB of float32).
+    Every block keeps at least 2 rows and more than _STACK_MIN_WORK
+    multiply-adds, so the blocked kernel gives each element the bits of
+    one whole GEMM; a product too small to split that way stays one block.
+    Smaller blocks cost time: the 480 x 64 x 16384 product of the
+    `hires128` benchmark took 22 ms whole, 32 ms in these blocks and 60 ms
+    in blocks a quarter their size (2 vCPUs, OpenBLAS 0.3.31)."""
+    least = max(2, _STACK_MIN_WORK // (n * k) + 1)
+    count = max(1, min(m // least, -(-m * n // (16 * BLOCK_PIXELS))))
+    bounds = [m * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def all_finite(a: np.ndarray) -> bool:
     """True when `a` holds no NaN or Inf. The max propagates NaN and meets
     +Inf, the min meets -Inf, so no array-sized mask is made."""
@@ -161,12 +176,19 @@ class SirenModel:
         """(K, H, W) frames at a batch of K normalized times; a 0-d time is
         a batch of one. `out`, a (K, num_pixels) array, receives the frames
         (widened, bias added in its dtype), and the returned frames are a
-        view into it."""
+        view into it. An `out` of another dtype than params is written a
+        block of rows at a time (`_row_blocks`), so the product's own
+        dtype needs only a block-sized temporary."""
         a = np.asarray(t_norm, dtype=self.params.dtype).reshape(-1, 1)
         *hidden, (w_out, b_out) = self.layers()
         for w, b in hidden:
             a = np.sin(self.omega0 * (a @ w.T + b))
-        y = np.matmul(a, w_out.T, out=out)
+        if out is None or out.dtype == a.dtype:
+            y = np.matmul(a, w_out.T, out=out)
+        else:
+            y = out
+            for rows in _row_blocks(len(a), *w_out.shape):
+                np.matmul(a[rows], w_out.T, out=y[rows])
         y += b_out
         if not all_finite(y):
             raise NonFiniteOutput("forward pass produced NaN/Inf")

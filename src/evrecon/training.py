@@ -18,9 +18,10 @@ runs on blocks of whole frames (`metrics.frame_blocks`) while a
 block is in L2 cache, not as a dozen passes over (K, H*W) arrays. Every
 element sees the operations of a whole-array pass in the same order, so
 seeds, gradients, parameters and frames keep their bits; only the float64
-loss sums regroup by block (about 1e-16 relative). Training keeps one
-seed array and one output-row array per ladder stage, reused by each of
-its iterations and freed at the refinement that ends it.
+loss sums regroup by block (about 1e-16 relative). The seeds overwrite
+the network's output rows they are computed from, so training keeps one
+(2K, H*W) array per ladder stage, reused by each of its iterations and
+freed, with the stage's target, at the refinement that ends it.
 
 Training is coarse-to-fine: the stack starts at the configured uniform bin
 width and is bisected at the scheduled iterations, doubling its temporal
@@ -188,16 +189,18 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, targ
     None; training passes it, rounded once per stack rather than on every
     iteration. Returns
     (loss, aux): aux carries the forward results (frames, cache) so
-    callers can reuse the pass, and "seeds", a (2, K, H, W) array laid out
-    for SirenModel.backward. Its tangent half [1] holds the gradient of the
-    loss with respect to the tangents the network emits (per t_norm); its
-    frame half [0] is left for the caller to fill (see `objective`).
+    callers can reuse the pass, and "seeds", a (2, K, H, W) view of the
+    network's output rows laid out for SirenModel.backward. Its tangent
+    half [1] holds the gradient of the loss with respect to the tangents
+    the network emitted (per t_norm), written over them; its frame half
+    [0] holds the frames, aux["frames"], for the caller to turn into
+    seeds (see `objective`).
 
     The work runs block by block (see the module docstring). With
-    `buffers`, a dict kept across calls, the seeds and the network's output
-    rows live in its "seeds" and "rows" arrays, reused while K and the
-    dtype stay the same and replaced when they change; aux then views
-    arrays that the next such call overwrites.
+    `buffers`, a dict kept across calls, the output rows live in its
+    "rows" array, reused while K and the dtype stay the same and replaced
+    when they change; aux then views an array that the next such call
+    overwrites.
     """
     idx = np.asarray(frame_indices, dtype=np.int64)
     if idx.ndim != 1 or len(idx) == 0:
@@ -208,10 +211,9 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, targ
         )
     k = len(idx)
     t_norm = model.normalize_time(stack.midpoints[idx])
-    rows = (None if buffers is None
-            else _reused(buffers, "rows", (2 * k, model.num_pixels), model.params.dtype))
+    rows = _reused(buffers, "rows", (2 * k, model.num_pixels), model.params.dtype)
     frames, tangents, cache = model.forward_with_tangent(t_norm, out=rows)
-    seeds = _reused(buffers, "seeds", (2, *frames.shape), frames.dtype)
+    seeds = rows.reshape(2, *frames.shape)  # the frame rows over the tangent rows
     durs = stack.durations[idx].astype(frames.dtype)[:, None, None]
     if target is None:
         target = stack.frames_as(frames.dtype)
@@ -240,8 +242,8 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
     over y-sites of Dy^2, averaged over the batch, with its exact gradient
     with respect to the frames times `grad_scale`. Takes a (K, H, W) float
     array and computes in its dtype; the gradient has its shape and is
-    written into `out` when given. Sums accumulate in float64, block by
-    block (see the module docstring).
+    written into `out` when given, which may be `frames` itself. Sums
+    accumulate in float64, block by block (see the module docstring).
     """
     if frames.ndim != 3 or frames.shape[1] < 2 or frames.shape[2] < 2:
         raise DegenerateFrame(f"need (K, H, W) frames with H, W >= 2, got shape {frames.shape}")
@@ -252,31 +254,34 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
     nx = k * h * (w - 1)
     ny = k * (h - 1) * w
     # Each block runs as contiguous 1-D passes over its flattened frames.
-    # diff holds Dx, then Dy, at the pixel each difference starts from,
+    # dx and dy hold Dx and Dy at the pixel each difference starts from,
     # and a zero at pixels with no right (lower) neighbour: the zeros add
     # nothing to the sums, and adding or subtracting them leaves every
     # gradient element the bits of the whole-array pass (no element is
-    # -0.0 where a zero is added).
+    # -0.0 where a zero is added). Both are taken before the block's
+    # gradient is written, so `out` may overwrite the frames.
     blocks = frame_blocks(frames)
-    diff = np.empty((blocks[0].stop, h, w), dtype=frames.dtype)
-    square = np.empty_like(diff)
+    dx = np.empty((blocks[0].stop, h, w), dtype=frames.dtype)
+    dy, square = np.empty_like(dx), np.empty_like(dx)
     sum_x = sum_y = 0.0
     for b in blocks:
-        d, sq = diff[:b.stop - b.start], square[:b.stop - b.start]
-        fb, g, dflat = frames[b].reshape(-1), grad[b].reshape(-1), d.reshape(-1)
-        np.subtract(fb[1:], fb[:-1], out=dflat[:-1])
-        d[:, :, -1] = 0.0
-        sum_x += np.sum(np.multiply(d, d, out=sq), dtype=np.float64)
-        d *= 2.0 / nx
+        m = b.stop - b.start
+        fb, g = frames[b].reshape(-1), grad[b].reshape(-1)
+        x, y, sq = dx[:m], dy[:m], square[:m]
+        xflat, yflat = x.reshape(-1), y.reshape(-1)
+        np.subtract(fb[1:], fb[:-1], out=xflat[:-1])
+        x[:, :, -1] = 0.0
+        np.subtract(fb[w:], fb[:-w], out=yflat[:-w])
+        y[:, -1, :] = 0.0
+        sum_x += np.sum(np.multiply(x, x, out=sq), dtype=np.float64)
+        sum_y += np.sum(np.multiply(y, y, out=sq), dtype=np.float64)
+        x *= 2.0 / nx
+        y *= 2.0 / ny
         g[0] = 0.0
-        np.add(0.0, dflat[:-1], out=g[1:])
-        g -= dflat
-        np.subtract(fb[w:], fb[:-w], out=dflat[:-w])
-        d[:, -1, :] = 0.0
-        sum_y += np.sum(np.multiply(d, d, out=sq), dtype=np.float64)
-        d *= 2.0 / ny
-        g[w:] += dflat[:-w]
-        g -= dflat
+        np.add(0.0, xflat[:-1], out=g[1:])
+        g -= xflat
+        g[w:] += yflat[:-w]
+        g -= yflat
         g *= grad_scale
     return float(sum_x / nx + sum_y / ny), grad
 
@@ -285,15 +290,15 @@ def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_r
               target=None, buffers: dict | None = None):
     """The training objective L_temp + lambda_reg * L_reg on the selected
     bins, with temporal_loss's `target` and `buffers`. Returns (l_temp,
-    l_reg, aux), where aux is temporal_loss's and aux["seeds"] now holds
-    the gradient of the objective with respect to the frames over that
-    with respect to the t_norm tangents, ready for
-    model.backward(aux["seeds"], aux["cache"]).
+    l_reg, aux), where aux is temporal_loss's without "frames": aux["seeds"]
+    holds the gradient of the objective with respect to the frames,
+    written over them, over that with respect to the t_norm tangents,
+    ready for model.backward(aux["seeds"], aux["cache"]).
     """
     l_temp, aux = temporal_loss(model, stack, frame_indices, target, buffers)
-    seeds = aux["seeds"]
+    frames, seeds = aux.pop("frames"), aux["seeds"]
     if lambda_reg > 0:
-        l_reg, _ = spatial_reg_loss(aux["frames"], out=seeds[0], grad_scale=lambda_reg)
+        l_reg, _ = spatial_reg_loss(frames, out=seeds[0], grad_scale=lambda_reg)
     else:
         l_reg = 0.0
         seeds[0] = 0.0
@@ -311,10 +316,10 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     in place in its dtype, Adam moments included.
 
     Each refinement re-bins `partition.events`, and the target C * counts
-    is rounded to that dtype once per stack; the seed and output-row arrays
-    of the stage it ends are freed, and the next stage makes its own on its
-    first iteration. Raises DivergedTraining when the loss goes non-finite
-    or explodes, or a pass overflows.
+    is rounded to that dtype once per stack; the output rows and target of
+    the stage it ends are freed first, and the next stage makes its own
+    rows on its first iteration. Raises DivergedTraining when the loss
+    goes non-finite or explodes, or a pass overflows.
     """
     model = partition.model
     adam = AdamState.for_params(
@@ -327,11 +332,11 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
 
     stack = partition.stack
     target = stack.frames_as(model.params.dtype)
-    buffers = {}  # this stage's seed and output-row arrays, reused every iteration
+    buffers = {}  # this stage's output rows, reused every iteration
 
     for it in range(cfg.total_iters):
         if it in refine_at:
-            aux = None
+            aux = target = None
             buffers.clear()  # free the finished stage's arrays before the next are made
             stack = partition.stack = refine_bins(stack, partition.events)
             target = stack.frames_as(model.params.dtype)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,15 @@ def make_stream(t, x, y, p, width=None, height=None, t_start=None, t_end=None):
         t_start=t_start if t_start is not None else float(t[0]),
         t_end=t_end if t_end is not None else float(t[-1]),
     )
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes traced while fn ran); the arguments were made
+    before tracing started, so only fn's allocations count."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

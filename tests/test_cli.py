@@ -85,6 +85,16 @@ def test_simulate_reports_too_many_frames_as_an_error(tmp_path, capsys):
     assert not events.exists()
 
 
+def test_simulate_reports_a_size_numpy_cannot_allocate(tmp_path, capsys):
+    """numpy refuses the 14.6 TiB video at once, without touching memory."""
+    events = tmp_path / "events.txt"
+    assert main(["simulate", "--size", "1000000x1000000", "--duration", "0.01", "--fps", "200",
+                 "--out", str(events)]) == 1
+    assert capsys.readouterr().err == ("error: cannot allocate 2 frames of 1000000x1000000 "
+                                       "pixels\n")
+    assert not events.exists()
+
+
 @pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
 def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, command):
     def train_ensemble(*args, **kwargs):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from evrecon.errors import (
     EmptyStream,
     EvreconError,
+    InvalidCounts,
     NonPositiveThreshold,
     ShapeMismatch,
     ZeroWidthBin,
@@ -134,6 +135,50 @@ def test_refinement_preserves_pixel_sums_bit_exactly():
     for _ in range(3):
         stack = refine_bins(stack, s)
         assert np.array_equal(stack.pixel_sums(), sums)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.25, 1.0, 3.7]))
+@settings(deadline=None, max_examples=30)
+def test_refinement_keeps_int32_pixel_sums_exact(seed, C):
+    """Counts stay int32 through four refinements, their per-pixel sums
+    equal the stream's signed event counts, and the float32 and float64
+    frames are those of scaling the counts widened to float64."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 3000))
+    t = np.sort(rng.choice(rng.uniform(0.0, 2.0, max(1, n // 4)), n))  # heavy ties
+    s = make_stream(t, rng.integers(0, 5, n), rng.integers(0, 3, n), rng.choice([-1, 1], n),
+                    width=5, height=3, t_start=0.0, t_end=2.0)
+    signed = np.zeros((3, 5), dtype=np.int64)
+    np.add.at(signed, (s.y, s.x), s.polarity)
+    stack = stack_uniform(s, 0.3, C=C)
+    for _ in range(5):
+        assert stack.counts.dtype == np.int32
+        assert np.array_equal(stack.counts.sum(axis=0), signed)
+        assert np.array_equal(stack.pixel_sums(), signed.astype(np.float64) * C)
+        for dtype in (np.float32, np.float64):
+            want = np.multiply(stack.counts.astype(np.float64), C,
+                               out=np.empty(stack.counts.shape, dtype))
+            assert stack.frames_as(dtype).tobytes() == want.tobytes()
+        stack = refine_bins(stack, s)
+
+
+@pytest.mark.parametrize("counts", [
+    [[[0.5]], [[1.0]]],
+    [[[np.nan]], [[1.0]]],
+    [[[np.inf]], [[1.0]]],
+    [[[2.0**31]], [[0.0]]],
+    np.array([[[-(2**31) - 1]], [[0]]], dtype=np.int64),
+])
+def test_stack_rejects_counts_that_are_not_int32_whole_numbers(counts):
+    with pytest.raises(InvalidCounts):
+        EventFrameStack(counts, [0.0, 0.5, 1.0], threshold_C=1.0)
+
+
+def test_stack_stores_whole_number_counts_as_int32():
+    counts = np.array([[[2.0**31 - 1]], [[-(2.0**31)]]])
+    stack = EventFrameStack(counts, [0.0, 0.5, 1.0], threshold_C=1.0)
+    assert stack.counts.dtype == np.int32
+    assert np.array_equal(stack.counts, counts)
 
 
 def test_two_refinements_quadruple_T():

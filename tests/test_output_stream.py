@@ -2,14 +2,13 @@
 memory.
 
 `sample_video`, `enhance_events`, `tone_map` and `enhancement_to_bytes`
-write into one output array, run by run and block by block. Each element
+write into one output array, run by run and block by block, and
+`anchor_offset` shifts that array in place. Each element
 sees the arithmetic of the whole-array code kept in `output_reference.py`
 and every network batch holds the same times, so log frames, enhancement
 grids and bytes must match it bit for bit. The memory tests read the peak
 that `tracemalloc` traces, which counts numpy's data buffers.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import output_reference as ref
+from conftest import traced_peak
 from evrecon.metrics import BLOCK_PIXELS
 from evrecon.reconstruct import (
     LogVideo,
@@ -83,7 +83,7 @@ def test_streamed_output_matches_the_whole_array_reference(ensemble, gamma, wind
     grids = enhance_events(parts, times, window_dt)
     assert same_bits(grids, ref.enhance_events(parts, times, window_dt))
 
-    anchored = anchor_offset(video)
+    anchored = anchor_offset(video)  # shifts video in place
     assert same_bits(tone_map(anchored, gamma),
                      ref.tone_map(anchored.frames, gamma))
     assert same_bits(enhancement_to_bytes(grids), ref.enhancement_to_bytes(grids))
@@ -108,18 +108,6 @@ def test_byte_maps_match_the_reference_wherever_exp_is_finite(shape, n, spread, 
     assert same_bits(enhancement_to_bytes(values), ref.enhancement_to_bytes(values))
     assert same_bits(enhancement_to_bytes(values, scale=spread),
                      ref.enhancement_to_bytes(values, scale=spread))
-
-
-def traced_peak(fn, *args):
-    """(result, peak bytes traced while fn ran); the arguments were made
-    before tracing started, so only fn's allocations count."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 # Allowance for the small arrays around the video: times, masks, offsets.
@@ -163,3 +151,23 @@ def test_sampling_overlaps_adds_one_pair_run():
     frame_bytes = video.frames[0].nbytes
     assert peak <= (video.frames.nbytes + pair_run * frame_bytes
                     + activation_bytes(times, 32) + SLACK)
+
+
+def test_sampling_a_float32_model_holds_the_video_plus_blocks():
+    """The float32 output layer's product is widened into the float64
+    video a block of rows at a time, not through one float32 video."""
+    (part,) = chain(1, 0.0, 64, 64, seed=5, hidden=32)
+    part.model.params = part.model.params.astype(np.float32)
+    times = np.linspace(0.0, 1.0, 600)
+    video, peak = traced_peak(sample_video, [part], times)
+    block_bytes = 16 * BLOCK_PIXELS * 4  # siren._row_blocks, float32
+    assert peak <= video.frames.nbytes + block_bytes + activation_bytes(times, 32) + SLACK
+    assert peak < 1.25 * video.frames.nbytes  # a whole float32 product is 1.5 videos
+
+
+def test_anchoring_traces_under_an_eighth_of_the_video():
+    frames = np.random.default_rng(1).standard_normal((180, 128, 128))
+    video = LogVideo(frames, np.arange(180.0))
+    anchored, peak = traced_peak(anchor_offset, video)
+    assert anchored is video
+    assert peak < video.frames.nbytes / 8

@@ -1,7 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evrecon.errors import (
     EvreconError,
@@ -11,7 +14,9 @@ from evrecon.errors import (
     ShapeMismatch,
     TimeOutOfRange,
 )
+from evrecon import reconstruct
 from evrecon.events import read_times, write_times
+from evrecon.metrics import BLOCK_PIXELS
 from evrecon.reconstruct import (
     LogVideo,
     anchor_offset,
@@ -171,6 +176,58 @@ def test_anchor_idempotent():
     twice = anchor_offset(once)
     assert np.array_equal(once.frames, twice.frames)
     assert np.median(once.frames) == 0.0
+
+
+def median_input(kind: str, n: int, rng) -> np.ndarray:
+    """n finite values of one family that the median search must get
+    exactly right."""
+    if kind == "normal":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5)
+    if kind == "ties":  # a few values, each many times
+        return rng.choice(rng.standard_normal(int(rng.integers(1, 4))), n)
+    if kind == "signed zeros":
+        return rng.choice([-0.0, 0.0, 5e-324, -1.0, 2.0], n)
+    if kind == "subnormal":
+        return rng.integers(-40, 40, n) * 5e-324
+    if kind == "huge":  # near the float64 limits, where sums overflow
+        return rng.choice([-1.7976931348623157e308, -1e308, 1e308, 1.7976931348623157e308,
+                           0.0, 1.0], n)
+    return np.full(n, rng.standard_normal())  # all equal
+
+
+@given(st.sampled_from(["normal", "ties", "signed zeros", "subnormal", "huge", "equal"]),
+       st.sampled_from([(1, 1, 1), (1, 1, 2), (2, 1, 1), (3, 3, 5), (4, 3, 5), (5, 64, 64),
+                        (8, 64, 64), (3, 181, 183)]),
+       st.sampled_from([1, 64, BLOCK_PIXELS]), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=120)
+def test_anchor_shifts_by_exactly_numpys_median(kind, shape, gather_max, seed):
+    """Odd and even sizes, one element, two values, heavy ties, signed
+    zeros, subnormals and values near +-1e308, with the median's bin
+    gathered at several sizes (1 resolves every key bit by counting).
+    Only the sign of a zero median is left to np.median's partition order,
+    so a zero median is compared by value."""
+    frames = median_input(kind, int(np.prod(shape)), np.random.default_rng(seed)).reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # as anchor_offset allows and checks
+        median = np.median(frames)
+        want = frames - median
+    video = LogVideo(frames.copy(), np.arange(float(shape[0])))
+    with mock.patch.object(reconstruct, "_GATHER_MAX", gather_max):
+        if not np.all(np.isfinite(want)):
+            with pytest.raises(NonFiniteFrames):
+                anchor_offset(video)
+            return
+        anchored = anchor_offset(video)
+    assert anchored is video
+    if median == 0.0:
+        assert np.array_equal(anchored.frames, want)
+    else:
+        assert anchored.frames.tobytes() == want.tobytes()
+
+
+def test_anchoring_past_the_float64_range_is_nonfinite_frames():
+    video = LogVideo(np.array([-1e308, 1e308, 1e308]).reshape(3, 1, 1), np.arange(3.0))
+    with pytest.raises(NonFiniteFrames, match="overflows"):
+        anchor_offset(video)
 
 
 def test_tone_map_reference_bytes():

@@ -1,9 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import traced_peak
 
 from evrecon.errors import (
     EvreconError,
@@ -59,17 +59,33 @@ def test_render_rejects_bad_dimensions():
         render_scene("nope", 64, 64, 1.0, 60.0)
 
 
+# Allowance for the small arrays around the frames: times, phases, lists.
+SLACK = 64 << 10
+
+
 @pytest.mark.parametrize("kind", SCENE_KINDS)
-def test_render_holds_at_most_two_videos(kind):
-    """The scene is computed in place: its traced peak stays within two
-    output-sized arrays (the products of two waves need a second one)."""
-    tracemalloc.start()
-    try:
-        video = render_scene(kind, 64, 64, 1.0, 240.0, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * video.frames.nbytes + 2**20
+def test_render_holds_its_output_plus_a_few_frames(kind):
+    """The scene is computed in place in its one video; the coordinate
+    grids and the second factor of a product are frame-sized."""
+    video, peak = traced_peak(render_scene, kind, 64, 64, 1.0, 240.0, 1)
+    assert peak <= video.frames.nbytes + 8 * video.frames[0].nbytes + SLACK
+
+
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+def test_simulate_holds_its_events_plus_a_few_frames(kind):
+    """Log frames are made one at a time, not as a log video: besides a
+    few frames the peak is the events, in their parts, joined and sorted."""
+    video = render_scene(kind, 64, 64, 1.0, 240.0, seed=1)
+    stream, peak = traced_peak(simulate_events, video, SimConfig(threshold_C=0.25,
+                                                                 noise_rate=1.0))
+    event_bytes = sum(a.nbytes for a in (stream.t, stream.x, stream.y, stream.polarity))
+    assert peak <= 5 * event_bytes + 8 * video.frames[0].nbytes + SLACK
+    assert peak < video.frames.nbytes
+
+
+def test_render_reports_a_video_numpy_cannot_allocate():
+    with pytest.raises(InvalidDimensions, match="2 frames of 1000000x1000000 pixels"):
+        render_scene("translating_gradient", 1_000_000, 1_000_000, 0.01, 200.0)
 
 
 @pytest.mark.parametrize("frames, times, error", [
@@ -161,6 +177,16 @@ def test_output_sorted_with_deterministic_tiebreak():
 def test_nonpositive_intensity_rejected():
     with pytest.raises(NonPositiveIntensity):
         IntensityVideo(np.zeros((3, 2, 2)), np.linspace(0, 1, 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.5])
+def test_intensities_must_be_finite_and_positive(bad):
+    """NaN compares false to everything, so a `<= 0` test let it through
+    to simulate_events, which died with a raw numpy error."""
+    frames = np.full((3, 4, 4), 0.7)
+    frames[1, 2, 3] = bad
+    with pytest.raises(NonPositiveIntensity, match="intensities must be finite and positive"):
+        IntensityVideo(frames, np.linspace(0, 1, 3))
 
 
 @given(

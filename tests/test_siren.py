@@ -15,10 +15,12 @@ from evrecon.errors import (
 from evrecon.metrics import BLOCK_PIXELS
 from evrecon.selftest import max_param_gradient_error
 from evrecon.siren import (
+    _STACK_MIN_WORK,
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
+    _row_blocks,
     adam_step,
     all_finite,
     init_siren,
@@ -105,6 +107,39 @@ def test_forward_writes_into_out(toy_model):
     frames = toy_model.forward(t, out=out)
     assert np.shares_memory(frames, out)
     assert frames.tobytes() == toy_model.forward(t).tobytes()
+
+
+@pytest.mark.parametrize("m, n, k", [(1, 16384, 64), (2, 16384, 64), (480, 16384, 64),
+                                     (480, 4096, 512), (1440, 1024, 128), (7, 100, 100),
+                                     (300, 10, 10), (1000, 4096, 32)])
+def test_row_blocks_keep_every_product_on_the_blocked_kernel(m, n, k):
+    blocks = _row_blocks(m, n, k)
+    assert blocks[0].start == 0 and blocks[-1].stop == m
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    if len(blocks) > 1:
+        assert all(b.stop - b.start >= 2 for b in blocks)
+        assert all((b.stop - b.start) * n * k > _STACK_MIN_WORK for b in blocks)
+        assert all((b.stop - b.start) * n <= 16 * BLOCK_PIXELS for b in blocks)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 300])
+def test_float32_forward_into_float64_out_has_the_bits_of_one_gemm(k):
+    """Blocked or not, the widened frames are those of one float32 GEMM
+    over every row, widened, with the bias added in float64."""
+    model = init_siren([1, 32, 32, 4096], seed=4, height=64, width=64)
+    model = replace(model, params=model.params.astype(np.float32))
+    t = np.linspace(-1.0, 1.0, k)
+    out = np.empty((k, 4096))
+    frames = model.forward(t, out=out)
+    *hidden, (w_out, b_out) = model.layers()
+    a = t.astype(np.float32).reshape(-1, 1)
+    for w, b in hidden:
+        a = np.sin(model.omega0 * (a @ w.T + b))
+    want = (a @ w_out.T).astype(np.float64)
+    want += b_out
+    assert len(_row_blocks(k, 4096, 32)) == (3 if k == 300 else 1)
+    assert np.shares_memory(frames, out)
+    assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

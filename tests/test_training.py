@@ -110,7 +110,9 @@ class LinearTimeModel:
     def __init__(self, slope_a, h, w, t_domain):
         self.a = slope_a
         self.height, self.width = h, w
+        self.num_pixels = h * w
         self.t_domain = t_domain
+        self.params = np.zeros(0)  # no parameters; computes in float64
 
     @property
     def time_slope(self):
@@ -130,13 +132,13 @@ class LinearTimeModel:
 
 
 def test_temporal_loss_zero_for_exact_linear_model():
+    """Bin k lasts counts[k] units of 1/13 s, and each event is a step of
+    C = a / 13, so every bin's target is a times its duration."""
     a = 1.7
-    rng = np.random.default_rng(0)
-    edges = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, 5)), [1.0]])
-    durations = edges[1:] - edges[:-1]
-    C = 1.0
-    counts = np.broadcast_to((a * durations)[:, None, None], (6, 3, 3)).copy()
-    stack = EventFrameStack(counts, edges, threshold_C=C)
+    per_bin = np.array([1, 3, 2, 4, 1, 2])
+    edges = np.concatenate([[0.0], np.cumsum(per_bin) / 13.0])
+    counts = np.broadcast_to(per_bin[:, None, None], (6, 3, 3))
+    stack = EventFrameStack(counts, edges, threshold_C=a / 13.0)
     model = LinearTimeModel(a, 3, 3, (0.0, 1.0))
     loss, aux = temporal_loss(model, stack, np.arange(6))
     assert loss < 1e-28
@@ -167,7 +169,7 @@ def test_objective_fills_both_seed_halves(toy_model, toy_stack, lam):
     idx = np.arange(toy_stack.num_frames)
     l_temp, l_reg, aux = objective(toy_model, toy_stack, idx, lam)
     ref_loss, ref = temporal_loss(toy_model, toy_stack, idx)
-    reg, grad = spatial_reg_loss(aux["frames"])
+    reg, grad = spatial_reg_loss(ref["frames"])
     assert l_temp == ref_loss
     assert l_reg == (reg if lam > 0 else 0.0)
     assert np.array_equal(aux["seeds"][1], ref["seeds"][1])
@@ -284,10 +286,11 @@ def test_losses_keep_float32_of_a_float32_model(toy_model, toy_stack):
     assert isinstance(loss, float)
     assert aux["frames"].dtype == aux["seeds"].dtype == np.float32
     assert spatial_reg_loss(aux["frames"])[1].dtype == np.float32
+    frames = aux["frames"].copy()  # the gradient is written over aux["frames"]
     l_reg, grad = spatial_reg_loss(aux["frames"], out=aux["seeds"][0])
     assert isinstance(l_reg, float)
     assert np.shares_memory(grad, aux["seeds"][0])
-    l_ref, grad_ref = spatial_reg_loss(aux["frames"].astype(np.float64))
+    l_ref, grad_ref = spatial_reg_loss(frames.astype(np.float64))
     assert l_reg == pytest.approx(l_ref, rel=1e-5)
     assert np.allclose(grad, grad_ref, rtol=1e-5, atol=1e-6 * np.abs(grad_ref).max())
 
