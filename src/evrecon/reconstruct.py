@@ -162,8 +162,11 @@ def anchor_offset(video: LogVideo) -> LogVideo:
 
     Shifts `video` in place and returns it. The shift is np.median of the
     frames (see `_median`); NonFiniteFrames when subtracting it overflows,
-    which leaves `video` shifted as far as it got.
+    which leaves `video` shifted as far as it got. An empty video has no
+    median and is returned as it is.
     """
+    if not video.frames.size:
+        return video
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         median = _median(video.frames)
         video.frames -= median
@@ -202,16 +205,14 @@ def _median(frames: np.ndarray) -> float:
     of frames at a time and counts the next _KEY_BITS bits of the keys
     that share the lower middle value's known leading bits, until that
     value's bin holds at most _GATHER_MAX keys, which a last pass gathers
-    and sorts, or a single value. The upper middle value of an even count
-    is the next key in that bin, or else the least key above it, which the
-    last pass also finds. As in np.median, the result is the middle value
+    and sorts, or a single value; a small input takes no counting pass.
+    The upper middle value of an even count is the next key in that bin,
+    or else the least key above it, which the last pass also finds. As in np.median, the result is the middle value
     of an odd count and (a + b) / 2 of the two middle values of an even
     one. Only a zero median may differ from np.median's, in its sign,
     which np.median's partition order decides.
     """
     n = frames.size
-    if n <= _GATHER_MAX:
-        return float(np.median(frames))
     blocks = [frames[s] for s in frame_blocks(frames)]
     rank, below = (n - 1) // 2, 0  # below: how many keys lie under the bin
     prefix, shift, count = 0, 64, n  # the bin: keys k with k >> shift == prefix

@@ -169,7 +169,12 @@ def _sine(cycles: np.ndarray, phase: float) -> np.ndarray:
 def log_intensity(video: IntensityVideo) -> np.ndarray:
     """(N, H, W) log frames, log(I + LOG_EPS): the simulator's working
     domain and the ground truth for closed-loop comparisons."""
-    logs = video.frames + LOG_EPS
+    return _log(video.frames)
+
+
+def _log(intensities: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log(intensities + LOG_EPS), written into `out` when given."""
+    logs = np.add(intensities, LOG_EPS, out=out)
     return np.log(logs, out=logs)
 
 
@@ -184,19 +189,14 @@ def simulate_events(video: IntensityVideo, cfg: SimConfig) -> EventStream:
     h, w = video.height, video.width
     n_px = h * w
     C = cfg.threshold_C
-
-    def log_frame(k, out):
-        np.add(video.frames[k].reshape(-1), LOG_EPS, out=out)
-        return np.log(out, out=out)
-
-    flat_prev, flat_cur = log_frame(0, np.empty(n_px)), np.empty(n_px)
+    flat_prev, flat_cur = _log(video.frames[0].reshape(-1)), np.empty(n_px)
     ref = flat_prev.copy()
     ts_parts = [np.empty(0, dtype=np.float64)]
     px_parts = [np.empty(0, dtype=np.int64)]
     p_parts = [np.empty(0, dtype=np.int64)]
 
     for k in range(1, len(video.frames)):
-        log_frame(k, flat_cur)
+        _log(video.frames[k].reshape(-1), flat_cur)
         ta, tb = video.times[k - 1], video.times[k]
         d = flat_cur - ref
         n_ev = np.floor(np.abs(d) / C).astype(np.int64)

@@ -173,9 +173,10 @@ def test_anchor_idempotent():
     rng = np.random.default_rng(0)
     video = LogVideo(rng.standard_normal((5, 5, 5)), np.arange(5.0))
     once = anchor_offset(video)
+    before = once.frames.copy()  # anchoring shifts in place and returns its input
     twice = anchor_offset(once)
-    assert np.array_equal(once.frames, twice.frames)
-    assert np.median(once.frames) == 0.0
+    assert np.array_equal(before, twice.frames)
+    assert np.median(twice.frames) == 0.0
 
 
 def median_input(kind: str, n: int, rng) -> np.ndarray:
@@ -222,6 +223,11 @@ def test_anchor_shifts_by_exactly_numpys_median(kind, shape, gather_max, seed):
         assert np.array_equal(anchored.frames, want)
     else:
         assert anchored.frames.tobytes() == want.tobytes()
+
+
+def test_anchor_returns_an_empty_video_as_it_is():
+    video = LogVideo(np.zeros((2, 0, 3)), np.arange(2.0))
+    assert anchor_offset(video) is video
 
 
 def test_anchoring_past_the_float64_range_is_nonfinite_frames():

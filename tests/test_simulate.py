@@ -84,8 +84,10 @@ def test_simulate_holds_its_events_plus_a_few_frames(kind):
 
 
 def test_render_reports_a_video_numpy_cannot_allocate():
-    with pytest.raises(InvalidDimensions, match="2 frames of 1000000x1000000 pixels"):
-        render_scene("translating_gradient", 1_000_000, 1_000_000, 0.01, 200.0)
+    """142 PiB: past any 64-bit address space, yet within numpy's size
+    limit, so allocating fails with MemoryError in every overcommit mode."""
+    with pytest.raises(InvalidDimensions, match="2 frames of 100000000x100000000 pixels"):
+        render_scene("translating_gradient", 100_000_000, 100_000_000, 0.01, 200.0)
 
 
 @pytest.mark.parametrize("frames, times, error", [
