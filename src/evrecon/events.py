@@ -233,10 +233,9 @@ def write_events(stream: EventStream, polarity_encoding: str = "zero_one") -> st
         p_out = (stream.polarity > 0).astype(np.int64)
     else:
         p_out = stream.polarity
-    out = [f"# width {stream.width} height {stream.height}"]
-    for t, x, y, p in zip(stream.t, stream.x, stream.y, p_out):
-        out.append(f"{t:.9f} {x} {y} {p}")
-    return "\n".join(out) + "\n"
+    lines = map("{:.9f} {} {} {}".format,
+                stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), p_out.tolist())
+    return "\n".join([f"# width {stream.width} height {stream.height}", *lines]) + "\n"
 
 
 def text_lines(text: str) -> list:

@@ -27,6 +27,7 @@ from .errors import (
     check_settings,
 )
 from .events import EventStream, first_not_increasing
+from .metrics import BLOCK_PIXELS
 
 _COUNT_RANGE = np.iinfo(np.int32)
 
@@ -108,17 +109,24 @@ def _first_events(t: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(stream: EventStream, edges: np.ndarray) -> np.ndarray:
-    """(T, H, W) int32 signed event counts for the bins between edges, in
-    one bincount over (bin, pixel) keys."""
+    """(T, H, W) int32 signed event counts for the bins between edges:
+    one bincount over (bin, pixel) keys per chunk of bins holding at most
+    BLOCK_PIXELS pixels (and at least one bin), written straight into the
+    stack."""
     first = _first_events(stream.t, edges)
     T = len(edges) - 1
     h, w = stream.height, stream.width
-    sl = slice(first[0], first[-1])
-    bins = np.repeat(np.arange(T), np.diff(first))
-    keys = bins * (h * w) + stream.y[sl] * w + stream.x[sl]
-    counts = np.bincount(keys, weights=stream.polarity[sl].astype(np.float64),
-                         minlength=T * h * w)
-    return counts.reshape(T, h, w).astype(np.int32)  # sums of +-1.0: exact whole numbers
+    counts = np.empty((T, h, w), dtype=np.int32)
+    step = max(1, BLOCK_PIXELS // (h * w))
+    for k in range(0, T, step):
+        m = min(step, T - k)
+        sl = slice(first[k], first[k + m])
+        bins = np.repeat(np.arange(m), np.diff(first[k:k + m + 1]))
+        keys = bins * (h * w) + stream.y[sl] * w + stream.x[sl]
+        # sums of +-1.0: exact whole numbers
+        counts[k:k + m] = np.bincount(keys, weights=stream.polarity[sl].astype(np.float64),
+                                      minlength=m * h * w).reshape(m, h, w)
+    return counts
 
 
 def stack_uniform(stream: EventStream, bin_duration: float, C: float) -> EventFrameStack:

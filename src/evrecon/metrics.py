@@ -6,7 +6,12 @@ local moments, averaged over valid windows only. CLAHE clips each tile's
 histogram, redistributes the excess uniformly, equalizes against the
 clipped CDF, and blends neighboring tile mappings bilinearly. Both
 prediction and reference are CLAHE'd before scoring unless disabled,
-since reconstruction only determines intensity up to contrast.
+since reconstruction only determines intensity up to contrast. Scoring
+works on blocks of whole frames (`frame_blocks`), and CLAHE on chunks of
+whole frames whose histogram and LUT entries, 256 per tile, are bounded
+too (`CLAHE_ENTRIES`): frames are independent, so a frame's bytes and
+scores do not depend on the stack around it, and the working set does
+not grow with the number of frames.
 
 CLAHE is not idempotent while the clip limit binds: the clip bounds how
 far one pass stretches a low-contrast frame, so running it again
@@ -34,6 +39,11 @@ SSIM_K2 = 0.03
 # blocks of whole frames that training, tone mapping and scoring work on
 # (`frame_blocks`), and the chunks Adam updates the parameters in.
 BLOCK_PIXELS = 1 << 15
+# Histogram entries (frames x tiles x 256) and pixels per `clahe` chunk:
+# four 32x32 frames under 8x8 tiles, whose LUT arrays take 0.5 MB each.
+# Equalizing 1,440 such frames in chunks of 4 to 32 frames took within 10%
+# of the same time, and chunks of 1 or 2 took 14-60% longer (2 vCPUs).
+CLAHE_ENTRIES = 2 * BLOCK_PIXELS
 
 
 @dataclass
@@ -137,11 +147,15 @@ def _tile_luts(hist: np.ndarray, clip_count: float):
     each level back exactly.
     """
     h = hist.astype(np.float64)
-    excess = np.sum(np.maximum(h - clip_count, 0.0), axis=1, keepdims=True)
-    h = np.where(excess > 0, np.minimum(h, clip_count) + excess / 256, h)
-    mid = np.cumsum(h, axis=1)
-    mid -= 0.5 * h
+    work = np.subtract(h, clip_count)
+    excess = np.sum(np.maximum(work, 0.0, out=work), axis=1, keepdims=True)
+    clipped = np.minimum(h, clip_count, out=work)
+    clipped += excess / 256
+    np.copyto(h, clipped, where=excess > 0)
     occupied = h != 0
+    mid = np.cumsum(h, axis=1, out=work)
+    h *= 0.5
+    mid -= h
     first = np.argmax(occupied, axis=1)[:, None]
     last = 255 - np.argmax(occupied[:, ::-1], axis=1)[:, None]
     lo = np.take_along_axis(mid, first, axis=1)[:, 0]
@@ -165,9 +179,14 @@ def clahe(
     The image is edge-extended to a multiple of the tile grid; each tile's
     256-bin histogram is clipped at clip_limit times the flat level and the
     excess spread uniformly; pixels are remapped by bilinear interpolation
-    between the four surrounding tile mappings. Every tile histogram of
-    the stack comes from one bincount over (frame, tile, level) keys, and
-    each pixel's four mappings from flat gathers into the stack's LUTs.
+    between the four surrounding tile mappings. Frames are equalized in
+    chunks of whole frames holding at most CLAHE_ENTRIES histogram entries
+    (frames x tiles x 256) and pixels, and at least one frame each: every
+    tile histogram of a chunk comes from one bincount over (frame, tile,
+    level) keys, each pixel's four mappings from flat gathers into the
+    chunk's LUTs, and each chunk's bytes go straight into the output. So
+    the working set stays a few chunks in size whatever N is, and each
+    frame gets the bytes it would get alone.
 
     A second pass is not idempotent while the clip binds, since each pass
     stretches a low-contrast frame further, and the blend can ripple a
@@ -184,6 +203,17 @@ def clahe(
             raise NotEightBit("clahe expects 8-bit frames")
     if img.ndim != 3:
         raise ShapeMismatch(f"clahe expects an (N, H, W) frame stack, got shape {img.shape}")
+    n, h, w = img.shape
+    ty, tx = tiles
+    out = np.empty(img.shape, dtype=np.uint8)
+    step = max(1, CLAHE_ENTRIES // max(ty * tx * 256, h * w))
+    for k in range(0, n, step):
+        _clahe_chunk(img[k:k + step], tiles, clip_limit, out[k:k + step])
+    return out
+
+
+def _clahe_chunk(img: np.ndarray, tiles: tuple, clip_limit: float, out: np.ndarray) -> None:
+    """`clahe` of one chunk of frames, written into `out`."""
     n, h, w = img.shape
     ty, tx = tiles
     tile_h = -(-h // ty)  # ceil division
@@ -234,10 +264,25 @@ def clahe(
             np.clip(lut, 0.0, 255.0, out=lut)
         return lut
 
-    top = mapped(y0, x0) * (1.0 - wx) + mapped(y0, x1) * wx
-    bot = mapped(y1, x0) * (1.0 - wx) + mapped(y1, x1) * wx
-    out = top * (1.0 - wy) + bot * wy
-    return np.clip(np.round(out), 0, 255).astype(np.uint8)
+    top = _lerp(mapped(y0, x0), mapped(y0, x1), wx)
+    bot = _lerp(mapped(y1, x0), mapped(y1, x1), wx)
+    quantize(_lerp(top, bot, wy), out)
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """a * (1 - t) + b * t, written into `a`; scales `b` in place."""
+    a *= 1.0 - t
+    b *= t
+    a += b
+    return a
+
+
+def quantize(values: np.ndarray, out: np.ndarray) -> None:
+    """Round, clamp to 0-255 and store as bytes in `out`; rounds and
+    clamps `values` in place."""
+    np.round(values, out=values)
+    np.clip(values, 0, 255, out=values)
+    np.copyto(out, values, casting="unsafe")
 
 
 def evaluate_frames(

@@ -31,7 +31,7 @@ from .errors import (
     check_settings,
 )
 from .events import check_increasing, check_times
-from .metrics import BLOCK_PIXELS, frame_blocks
+from .metrics import BLOCK_PIXELS, frame_blocks, quantize
 from .siren import all_finite
 
 _OVERLAP_MEAN_SAMPLES = 9
@@ -72,13 +72,14 @@ def check_in_span(times: np.ndarray, t0: float, t1: float) -> None:
 def _batched_forward(partition, times: np.ndarray, tangent: bool, out=None):
     """One network's frames, or per-second time derivatives, at `times` in
     one batch; written into `out`, a C-contiguous (K, H, W) float64 array,
-    when given, and else in the network's dtype."""
+    which derivatives need. Frames without `out` come in the network's
+    dtype."""
     model = partition.model
     t_norm = model.normalize_time(times)
+    rows = None if out is None else out.reshape(len(times), -1)
     if tangent:
-        _, tan, _ = model.forward_with_tangent(t_norm)
-        return np.multiply(tan, model.time_slope, out=out)
-    return model.forward(t_norm, out=None if out is None else out.reshape(len(times), -1))
+        return model.time_derivative(t_norm, rows)
+    return model.forward(t_norm, out=rows)
 
 
 def _chained_offsets(partitions, lo, hi) -> np.ndarray:
@@ -269,7 +270,7 @@ def tone_map(video: LogVideo, gamma: float = 0.6) -> np.ndarray:
             block = np.exp(video.frames[s])
         reinhard(block, gamma, out=block)
         block *= 255.0
-        _quantize(block, out[s])
+        quantize(block, out[s])
     return out
 
 
@@ -281,14 +282,6 @@ def reinhard(intensity, gamma: float, out=None) -> np.ndarray:
     i = np.minimum(intensity, np.finfo(np.float64).max, out=out)
     i /= i + 1.0
     return np.power(i, gamma, out=i)
-
-
-def _quantize(values: np.ndarray, out: np.ndarray) -> None:
-    """Round, clamp to 0-255 and store as bytes in `out`; rounds and
-    clamps `values` in place."""
-    np.round(values, out=values)
-    np.clip(values, 0, 255, out=values)
-    np.copyto(out, values, casting="unsafe")
 
 
 def enhance_events(partitions, times, window_dt: float) -> np.ndarray:
@@ -320,5 +313,5 @@ def enhancement_to_bytes(grids: np.ndarray, scale: float | None = None) -> np.nd
         block = np.multiply(g[s], 128.0)
         block /= scale
         block += 128.0
-        _quantize(block, out[s])
+        quantize(block, out[s])
     return out

@@ -92,6 +92,9 @@ def _row_blocks(m: int, n: int, k: int) -> list:
     Every block keeps at least 2 rows and more than _STACK_MIN_WORK
     multiply-adds, so the blocked kernel gives each element the bits of
     one whole GEMM; a product too small to split that way stays one block.
+    That holds for float32 only: float64 products split by rows round some
+    rows differently (hidden width 8, 17 rows of 33,123 pixels), so only
+    float32 products are split.
     Smaller blocks cost time: the 480 x 64 x 16384 product of the
     `hires128` benchmark took 22 ms whole, 32 ms in these blocks and 60 ms
     in blocks a quarter their size (2 vCPUs, OpenBLAS 0.3.31)."""
@@ -201,13 +204,50 @@ class SirenModel:
         (2K, num_pixels) array of the dtype of params, receives the K frame
         rows over the K tangent rows, and the returned stacks are views
         into it."""
+        cache = self._hidden_with_tangent(t_norm)
+        k = len(cache.inputs[0]) // 2
+        w_out, b_out = self.layers()[-1]
+        yy = _matmul_rows(cache.inputs[-1], w_out.T, k, out)
+        yy[:k] += b_out
+        if not all_finite(yy):
+            raise NonFiniteOutput("tangent pass produced NaN/Inf")
+        halves = yy.reshape(2, k, self.height, self.width)
+        return halves[0], halves[1], cache
+
+    def time_derivative(self, t_norm, out) -> np.ndarray:
+        """(K, H, W) per-second derivatives of the frames at a batch of K
+        normalized times: the tangents of forward_with_tangent, bit for
+        bit, times time_slope in the dtype of params, written into `out`,
+        a (K, num_pixels) array. An `out` of another dtype than params is
+        written a block of output rows at a time (`_row_blocks`), as in
+        forward(), so only a block of tangents is made and the frames are
+        not computed; otherwise they are forward_with_tangent's own."""
+        if out.dtype == self.params.dtype:
+            _, tangents, _ = self.forward_with_tangent(t_norm)
+            np.multiply(tangents.reshape(out.shape), self.time_slope, out=out)
+            return out.reshape(-1, self.height, self.width)
+        cache = self._hidden_with_tangent(t_norm)
+        k = len(cache.inputs[0]) // 2
+        tangent_in = cache.inputs[-1][k:]
+        w_out = self.layers()[-1][0]
+        for rows in _row_blocks(k, *w_out.shape):
+            tangents = tangent_in[rows] @ w_out.T
+            if not all_finite(tangents):
+                raise NonFiniteOutput("tangent pass produced NaN/Inf")
+            np.multiply(tangents, self.time_slope, out=out[rows])
+            del tangents  # before the next block's is made
+        return out.reshape(-1, self.height, self.width)
+
+    def _hidden_with_tangent(self, t_norm) -> ForwardCache:
+        """The hidden layers of forward_with_tangent at a batch of K
+        normalized times: the cache, whose last input is the output
+        layer's [a; da/dt_norm]."""
         x = np.asarray(t_norm, dtype=self.params.dtype).reshape(-1, 1)
         k = len(x)
         omega = self.omega0
-        *hidden, (w_out, b_out) = self.layers()
         act = np.concatenate([x, np.ones_like(x)])
         inputs, derivs = [act], []
-        for w, b in hidden:
+        for w, b in self.layers()[:-1]:
             zz = _matmul_rows(act, w.T, k)
             z, z_dot = zz[:k], zz[k:]
             z += b
@@ -219,12 +259,7 @@ class SirenModel:
             np.multiply(z, z_dot, out=act[k:])
             inputs.append(act)
             derivs.append(zz)
-        yy = _matmul_rows(act, w_out.T, k, out)
-        yy[:k] += b_out
-        if not all_finite(yy):
-            raise NonFiniteOutput("tangent pass produced NaN/Inf")
-        halves = yy.reshape(2, k, self.height, self.width)
-        return halves[0], halves[1], ForwardCache(inputs, derivs)
+        return ForwardCache(inputs, derivs)
 
     # -- reverse pass -------------------------------------------------------
 

@@ -99,6 +99,44 @@ def test_write_three_events_three_lines():
     assert len(lines) == 3
 
 
+def _write_per_event(stream, polarity_encoding):
+    """The writer before it formatted in one pass: one f-string per event
+    over numpy scalars."""
+    p_out = (stream.polarity > 0).astype(np.int64) if polarity_encoding == "zero_one" \
+        else stream.polarity
+    out = [f"# width {stream.width} height {stream.height}"]
+    for t, x, y, p in zip(stream.t, stream.x, stream.y, p_out):
+        out.append(f"{t:.9f} {x} {y} {p}")
+    return "\n".join(out) + "\n"
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-1e6, 1e6, allow_subnormal=True),
+            st.integers(min_value=0, max_value=2**40),
+            st.integers(min_value=0, max_value=79),
+            st.sampled_from([-1, 1]),
+        ),
+        max_size=30,
+    ),
+    st.sampled_from(["signed", "zero_one"]),
+)
+@settings(deadline=None, max_examples=80)
+def test_writer_matches_the_per_event_writer_byte_for_byte(raw, encoding):
+    """Any times (negative, -0.0, subnormal, past 9 decimals), wide
+    coordinates and both encodings; an empty stream is its header line."""
+    raw.sort(key=lambda r: r[0])
+    t = [r[0] for r in raw]
+    s = make_stream(t, [r[1] for r in raw], [r[2] for r in raw], [r[3] for r in raw],
+                    width=2**40 + 1, height=80, t_start=t[0] if t else 0.0,
+                    t_end=t[-1] if t else 0.0)
+    text = write_events(s, polarity_encoding=encoding)
+    assert text == _write_per_event(s, encoding)
+    if not raw:
+        assert text == "# width 1099511627777 height 80\n"
+
+
 def test_round_trip_preserves_ties_order():
     s = make_stream([0.5, 0.5, 0.5], [3, 1, 2], [0, 0, 0], [1, -1, 1])
     back = parse_events(write_events(s))

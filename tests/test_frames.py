@@ -12,8 +12,9 @@ from evrecon.errors import (
     ZeroWidthBin,
 )
 from evrecon.frames import EventFrameStack, refine_bins, stack_uniform
+from evrecon.metrics import BLOCK_PIXELS
 
-from conftest import make_stream
+from conftest import make_stream, traced_peak
 
 
 def simple_stream():
@@ -345,6 +346,41 @@ def test_vectorized_binning_matches_per_bin_loop(case):
         stack = refine_bins(stack, stream)
         assert np.array_equal(stack.edges, edges)
         assert np.array_equal(stack.counts, counts)
+
+
+@pytest.mark.parametrize("shape, bins", [((64, 170), 11), ((1, BLOCK_PIXELS + 1), 3),
+                                         ((2, 3), 5)])
+def test_binning_in_chunks_of_bins_matches_the_per_bin_loop(shape, bins):
+    """Frames of 64x170 pixels take 3 bins per bincount chunk, so 11 bins
+    end in a partial chunk; a frame over BLOCK_PIXELS takes one bin per
+    chunk, and tiny frames take every bin in one."""
+    h, w = shape
+    rng = np.random.default_rng(14)
+    n = 20_000
+    t = np.sort(rng.choice(rng.uniform(0.0, 1.0, n // 3), n))  # ties
+    s = make_stream(t, rng.integers(0, w, n), rng.integers(0, h, n), rng.choice([-1, 1], n),
+                    width=w, height=h, t_start=0.0, t_end=1.0)
+    stack = stack_uniform(s, 1.0 / bins, C=0.5)
+    assert stack.num_frames == bins
+    assert np.array_equal(stack.counts, _ref_counts(s, stack.edges))
+    fine = refine_bins(stack, s)
+    assert np.array_equal(fine.counts, _ref_counts(s, fine.edges))
+
+
+def test_binning_traces_the_stack_plus_one_chunk():
+    """A float64 stack cast to int32 traced 3x the stack; chunked, the
+    stack and one chunk's float64 sums (BLOCK_PIXELS values) and events."""
+    rng = np.random.default_rng(15)
+    n = 100_000
+    t = np.sort(rng.uniform(0.0, 2.0, n))
+    s = make_stream(t, rng.integers(0, 128, n), rng.integers(0, 128, n), rng.choice([-1, 1], n),
+                    width=128, height=128, t_start=0.0, t_end=2.0)
+    stack, peak = traced_peak(stack_uniform, s, 2.0 / 256, 0.25)
+    assert stack.num_frames == 256
+    signed = np.zeros((128, 128), dtype=np.int64)
+    np.add.at(signed, (s.y, s.x), s.polarity)
+    assert np.array_equal(stack.counts.sum(axis=0), signed)
+    assert peak <= stack.counts.nbytes + BLOCK_PIXELS * 8 + (64 << 10)
 
 
 def test_invalid_stacks_raise_typed_errors():

@@ -5,9 +5,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evrecon.errors import NotEightBit, ShapeMismatch, TooSmall
-from evrecon.metrics import BLOCK_PIXELS, clahe, evaluate_frames, frame_blocks, mse, ssim
+from evrecon.metrics import (
+    BLOCK_PIXELS,
+    CLAHE_ENTRIES,
+    clahe,
+    evaluate_frames,
+    frame_blocks,
+    mse,
+    ssim,
+)
 
 from clahe_oracle import zuiderveld_clahe
+from conftest import traced_peak
 from metrics_reference import clahe_frame, evaluate_frame_by_frame, ssim_frame
 
 
@@ -207,10 +216,21 @@ def frame_pairs(draw):
 
 
 @given(frame_pairs(), st.sampled_from([(8, 8), (1, 1), (3, 5), (4, 2)]),
-       st.sampled_from([2.0, 0.5, 256.0]))
+       st.sampled_from([2.0, 0.5, 1.3, 256.0]), st.integers(0, 2), st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=60)
-def test_stacks_match_the_frame_at_a_time_oracle_bit_for_bit(pair, tiles, clip_limit):
-    _assert_blocks_match_oracle(*pair, tiles=tiles, clip_limit=clip_limit)
+def test_stacks_match_the_frame_at_a_time_oracle_bit_for_bit(pair, tiles, clip_limit, chunks,
+                                                             seed):
+    """The drawn pair is scored against the oracle; then the drawn frames
+    follow `chunks` whole `clahe` chunks of random frames, so the stack
+    spans up to three chunks and its last chunk may be partial."""
+    pred, ref = pair
+    _assert_blocks_match_oracle(pred, ref, tiles=tiles, clip_limit=clip_limit)
+    n, h, w = pred.shape
+    per_chunk = max(1, CLAHE_ENTRIES // max(tiles[0] * tiles[1] * 256, h * w))
+    ahead = np.random.default_rng(seed).integers(0, 256, (chunks * per_chunk, h, w))
+    stack = np.concatenate([ahead.astype(np.uint8), pred])
+    want = np.stack([clahe_frame(f, tiles, clip_limit) for f in stack])
+    assert np.array_equal(clahe(stack, tiles, clip_limit), want)
 
 
 @pytest.mark.parametrize("shape", [(1, 32, 32), (1, 11, 11), (3, 37, 53), (2, 11, 40)])
@@ -230,6 +250,15 @@ def test_stacks_longer_than_one_block_match_the_oracle():
     ref = rng.integers(0, 256, pred.shape).astype(np.uint8)
     assert len(frame_blocks(pred)) == 3
     _assert_blocks_match_oracle(pred, ref)
+
+
+def test_clahe_of_a_long_stack_traces_a_few_chunks():
+    """The histogram and LUT arrays of 128 frames of 32x32 under 8x8 tiles
+    hold 16 entries per pixel; equalized all at once they traced 68.5 MB."""
+    frames = np.random.default_rng(13).integers(0, 256, (128, 32, 32)).astype(np.uint8)
+    out, peak = traced_peak(clahe, frames)
+    assert np.array_equal(out[-3:], clahe(frames[-3:]))
+    assert peak < 5 << 20
 
 
 @pytest.mark.parametrize("value", [0, 255])

@@ -132,6 +132,12 @@ def activation_bytes(times, hidden: int) -> int:
     return 8 * len(times) * hidden * 8
 
 
+def float32_partition(h, w, hidden):
+    (part,) = chain(1, 0.0, h, w, seed=5, hidden=hidden)
+    part.model.params = part.model.params.astype(np.float32)
+    return part
+
+
 def test_sampling_one_partition_holds_one_video_plus_activations():
     (part,) = chain(1, 0.0, 64, 64, seed=5, hidden=32)
     times = np.linspace(0.0, 1.0, 150)
@@ -156,13 +162,36 @@ def test_sampling_overlaps_adds_one_pair_run():
 def test_sampling_a_float32_model_holds_the_video_plus_blocks():
     """The float32 output layer's product is widened into the float64
     video a block of rows at a time, not through one float32 video."""
-    (part,) = chain(1, 0.0, 64, 64, seed=5, hidden=32)
-    part.model.params = part.model.params.astype(np.float32)
+    part = float32_partition(64, 64, 32)
     times = np.linspace(0.0, 1.0, 600)
     video, peak = traced_peak(sample_video, [part], times)
     block_bytes = 16 * BLOCK_PIXELS * 4  # siren._row_blocks, float32
     assert peak <= video.frames.nbytes + block_bytes + activation_bytes(times, 32) + SLACK
     assert peak < 1.25 * video.frames.nbytes  # a whole float32 product is 1.5 videos
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.5])
+def test_enhancing_float32_networks_in_blocks_matches_the_reference(overlap):
+    """Derivatives of float32 networks are made a block of rows at a time
+    (two partitions, 64x64, 500 times); each block has the bits of the
+    whole tangent product."""
+    parts = chain(2, overlap, 64, 64, seed=6, hidden=32)
+    for part in parts:
+        part.model.params = part.model.params.astype(np.float32)
+    times = np.linspace(0.0, 2.0, 500)
+    assert same_bits(enhance_events(parts, times, 0.01), ref.enhance_events(parts, times, 0.01))
+
+
+def test_enhancing_a_float32_model_holds_the_grids_plus_one_block():
+    """forward_with_tangent made a float32 array of frame and tangent rows
+    for the whole run (3.3x the grids with the cache); the tangents are
+    now made one block of rows at a time."""
+    part = float32_partition(64, 64, 32)
+    times = np.linspace(0.0, 1.0, 600)
+    grids, peak = traced_peak(enhance_events, [part], times, 0.01)
+    block_bytes = 16 * BLOCK_PIXELS * 4  # siren._row_blocks, float32
+    assert peak <= grids.nbytes + block_bytes + activation_bytes(times, 32) + SLACK
+    assert peak < 1.25 * grids.nbytes
 
 
 def test_anchoring_traces_under_an_eighth_of_the_video():

@@ -142,6 +142,33 @@ def test_float32_forward_into_float64_out_has_the_bits_of_one_gemm(k):
     assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 300])
+def test_time_derivative_is_the_scaled_tangent_bit_for_bit(k, dtype):
+    """Into a float64 out, a float32 network's derivatives are made a block
+    of rows at a time (three blocks at k = 300), a float64 network's in
+    one product; both are forward_with_tangent's tangents times
+    time_slope, computed in the network's dtype."""
+    model = init_siren([1, 32, 32, 4096], seed=4, height=64, width=64, t_domain=(0.5, 3.0))
+    model = replace(model, params=model.params.astype(dtype))
+    t = np.linspace(-1.0, 1.0, k)
+    out = np.empty((k, 4096))
+    rates = model.time_derivative(t, out)
+    _, tangents, _ = model.forward_with_tangent(t)
+    want = (tangents * dtype(model.time_slope)).astype(np.float64)
+    assert rates.shape == (k, 64, 64) and np.shares_memory(rates, out)
+    assert out.tobytes() == want.tobytes()
+
+
+def test_time_derivative_detects_nonfinite_tangents(toy_model):
+    """The blocked float32 path: at t_norm = 0 a huge first layer
+    overflows the tangents only."""
+    broken = replace(toy_model, params=toy_model.params.astype(np.float32))
+    broken.weights[0][:] = 1e38
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteOutput):
+        broken.time_derivative(np.zeros(3), np.empty((3, 16)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_all_finite_finds_each_nonfinite_value(bad):
     values = np.arange(12.0).reshape(3, 4)
