@@ -199,11 +199,13 @@ class SirenModel:
 
     def forward_with_tangent(self, t_norm, out=None):
         """(frames, dframes/dt_norm, cache) at a batch of K normalized
-        times, like forward(): two (K, H, W) stacks, the frames bit for bit
-        those of forward(), and the cache that backward() takes. `out`, a
-        (2K, num_pixels) array of the dtype of params, receives the K frame
-        rows over the K tangent rows, and the returned stacks are views
-        into it."""
+        times, like forward(): two (K, H, W) stacks and the cache that
+        backward() takes. A float32 network's frames are bit for bit those
+        of forward(); a float64 network's may differ in the last bits,
+        because its stacked 2K-row GEMM can round rows differently from
+        forward()'s K-row one. `out`, a (2K, num_pixels) array of the dtype
+        of params, receives the K frame rows over the K tangent rows, and
+        the returned stacks are views into it."""
         cache = self._hidden_with_tangent(t_norm)
         k = len(cache.inputs[0]) // 2
         w_out, b_out = self.layers()[-1]
@@ -274,6 +276,12 @@ class SirenModel:
         (e.g. shape (2, K, H, W)), narrowed to the dtype of params. Seeds
         that already have that dtype are read in place, without a copy,
         and left unchanged.
+
+        A float32 network's weight gradients are made one `_row_blocks`
+        block of rows at a time, so the tangent half's product needs a
+        temporary of one block (2 MB for the 64x64 selftest network)
+        rather than one the size of the output layer's weights; a float64
+        network keeps one product per half.
         """
         k = len(cache.inputs[0]) // 2
         if np.size(seeds) != 2 * k * self.num_pixels:
@@ -284,6 +292,7 @@ class SirenModel:
 
         omega = self.omega0
         layers = self.layers()
+        blocked = self.params.dtype == np.float32  # see _row_blocks
         grads = np.empty_like(self.params)
         grad_layers = self.layers(grads)
 
@@ -302,8 +311,9 @@ class SirenModel:
                 u_dot *= omega_cos
             a = cache.inputs[l]
             gw, gb = grad_layers[l]
-            np.matmul(uu[:k].T, a[:k], out=gw)
-            gw += uu[k:].T @ a[k:]
+            for rows in _row_blocks(*gw.shape, k) if blocked else [slice(None)]:
+                g = np.matmul(uu[:k, rows].T, a[:k], out=gw[rows])
+                g += uu[k:, rows].T @ a[k:]
             np.sum(uu[:k], axis=0, out=gb)
             if l > 0:
                 uu = _matmul_rows(uu, layers[l][0], k)

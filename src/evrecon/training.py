@@ -21,7 +21,9 @@ seeds, gradients, parameters and frames keep their bits; only the float64
 loss sums regroup by block (about 1e-16 relative). The seeds overwrite
 the network's output rows they are computed from, so training keeps one
 (2K, H*W) array per ladder stage, reused by each of its iterations and
-freed, with the stage's target, at the refinement that ends it.
+freed, with the stage's target, at the refinement that ends it. No
+iteration's gradient or forward cache outlives that iteration: both are
+dropped after its Adam step, before the next forward pass makes its own.
 
 Training is coarse-to-fine: the stack starts at the configured uniform bin
 width and is bisected at the scheduled iterations, doubling its temporal
@@ -318,7 +320,8 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     Each refinement re-bins `partition.events`, and the target C * counts
     is rounded to that dtype once per stack; the output rows and target of
     the stage it ends are freed first, and the next stage makes its own
-    rows on its first iteration. Raises DivergedTraining when the loss
+    rows on its first iteration. No iteration's gradient or cache
+    outlives that iteration. Raises DivergedTraining when the loss
     goes non-finite or explodes, or a pass overflows.
     """
     model = partition.model
@@ -336,7 +339,7 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
 
     for it in range(cfg.total_iters):
         if it in refine_at:
-            aux = target = None
+            target = None
             buffers.clear()  # free the finished stage's arrays before the next are made
             stack = partition.stack = refine_bins(stack, partition.events)
             target = stack.frames_as(model.params.dtype)
@@ -362,6 +365,7 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
             except (NonFiniteOutput, NonFiniteGradient) as exc:  # a float32 pass overflowed
                 raise DivergedTraining(it, str(exc), partition=partition.index) from None
         adam_step(adam, model.params, grads)
+        del aux, grads  # before the next iteration makes its own
 
         report.temporal.append(l_temp)
         report.regularization.append(l_reg)

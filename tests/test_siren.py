@@ -160,6 +160,25 @@ def test_time_derivative_is_the_scaled_tangent_bit_for_bit(k, dtype):
     assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tangent_pass_frames_against_forward(dtype):
+    """A float32 network's tangent-pass frames are forward()'s bit for
+    bit. A float64 network's agree within the rounding of a dot product
+    of 8 terms, not bitwise: its stacked 34-row output GEMM may round
+    rows differently from forward()'s 17-row one."""
+    model = init_siren([1, 8, 8, 33123], seed=0, height=181, width=183)
+    model = replace(model, params=model.params.astype(dtype))
+    t = np.linspace(-1.0, 1.0, 17)
+    frames, _, cache = model.forward_with_tangent(t)
+    want = model.forward(t)
+    if dtype == np.float32:
+        assert frames.tobytes() == want.tobytes()
+    else:
+        w_out = model.layers()[-1][0]
+        terms = (np.abs(cache.inputs[-1][:17]) @ np.abs(w_out.T)).reshape(want.shape)
+        assert np.all(np.abs(frames - want) <= 2 * 8 * np.finfo(dtype).eps * terms)
+
+
 def test_time_derivative_detects_nonfinite_tangents(toy_model):
     """The blocked float32 path: at t_norm = 0 a huge first layer
     overflows the tangents only."""
@@ -272,12 +291,12 @@ def as_float32(model):
     return replace(model, params=model.params.astype(np.float32))
 
 
-def check_row_stacked_gemms(k, dtype):
-    model = init_siren([1, 256, 256, 4096], seed=7, height=64, width=64)
+def check_row_stacked_gemms(k, dtype, hidden=256, height=64, width=64):
+    model = init_siren([1, hidden, hidden, height * width], seed=7, height=height, width=width)
     model = replace(model, params=model.params.astype(dtype))
     rng = np.random.default_rng(k)
     t = rng.uniform(-1.0, 1.0, k)
-    seeds = rng.standard_normal((2, k, 64, 64)).astype(dtype)
+    seeds = rng.standard_normal((2, k, height, width)).astype(dtype)
     seeds_before = seeds.copy()
     frame, tangent, cache = model.forward_with_tangent(t)
     y, y_dot, ref_grads = two_gemm_forward_backward(
@@ -288,6 +307,12 @@ def check_row_stacked_gemms(k, dtype):
     grads = model.backward(seeds, cache)
     assert np.array_equal(grads, ref_grads)
     assert np.array_equal(seeds, seeds_before)
+    # The output layer's weight gradient, which a float32 network makes one
+    # row block at a time, has the bits of the whole products on the cache.
+    a, uu = cache.inputs[-1], seeds.reshape(2 * k, -1)
+    whole = uu[:k].T @ a[:k]
+    whole += uu[k:].T @ a[k:]
+    assert model.layers(grads)[-1][0].tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64, 130])
@@ -297,10 +322,20 @@ def test_row_stacked_gemms_match_two_gemm_reference(k):
     check_row_stacked_gemms(k, np.float64)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 64, 130])
-def test_row_stacked_gemms_match_two_gemm_reference_float32(k):
-    """The same bit-for-bit agreement when the model computes in float32."""
-    check_row_stacked_gemms(k, np.float32)
+@pytest.mark.parametrize("k, hidden, height, width", [
+    *(pytest.param(k, 256, 64, 64, id=str(k)) for k in (1, 2, 3, 5, 16, 64, 130)),
+    # four equal row blocks of the output layer's gradient
+    pytest.param(64, 512, 64, 64, id="64-hidden512"),
+    # 4,095 pixels: blocks of 1,023 and 1,024 rows
+    pytest.param(96, 512, 63, 65, id="96-hidden512-63x65"),
+])
+def test_row_stacked_gemms_match_two_gemm_reference_float32(k, hidden, height, width):
+    """The same bit-for-bit agreement when the model computes in float32,
+    also where backward splits the output layer's gradient into blocks."""
+    if hidden == 512:
+        sizes = [b.stop - b.start for b in _row_blocks(height * width, hidden, k)]
+        assert sizes == ([1024] * 4 if height * width == 4096 else [1023, 1024, 1024, 1024])
+    check_row_stacked_gemms(k, np.float32, hidden, height, width)
 
 
 def test_float32_model_computes_in_float32(toy_model):

@@ -5,7 +5,9 @@ import pytest
 
 from evrecon.errors import DegenerateFrame, DivergedTraining, IndexOutOfRange, InvalidConfig
 from evrecon.frames import EventFrameStack, stack_uniform
+from evrecon.metrics import BLOCK_PIXELS
 from evrecon import training
+from evrecon.selftest import make_fixture
 from evrecon.simulate import SimConfig, render_scene, simulate_events
 from evrecon.siren import init_siren, load_checkpoint, save_checkpoint
 from evrecon.training import (
@@ -20,7 +22,7 @@ from evrecon.training import (
     train_partition,
 )
 
-from conftest import make_stream
+from conftest import make_stream, traced_peak
 
 
 def test_defaults_match_published_schedule():
@@ -342,6 +344,29 @@ def test_training_resolution_ladder():
     assert rep.stack_sizes[8] == 2 * rep.stack_sizes[7]
     assert rep.stack_sizes[-1] == 4 * rep.stack_sizes[0]
     assert all(np.isfinite(v) and v >= 0 for v in rep.total)
+
+
+def test_training_holds_one_iteration_at_a_time():
+    """Training traces no more than the Adam moments, one gradient, the
+    last stage's output rows, target, stack and forward cache, and one
+    row block of backward's float32 products (16 x BLOCK_PIXELS values):
+    no iteration's gradient or cache outlives it. The bound is 20.2 MB
+    for this 4.2 MB network, which traces 20.0 MB; a gradient held into
+    the next iteration's backward adds 4.2 MB."""
+    _, stream = make_fixture(size=32, duration=1.0)
+    cfg = TrainConfig(threshold_C=0.25, total_iters=6, refine_at_iters=(2, 4))
+    (part,) = build_partitions(stream, cfg)
+    report, peak = traced_peak(train_partition, part, cfg)
+    assert report.stack_sizes == [32, 32, 64, 64, 128, 128]
+    stack, params = part.stack, part.model.params
+    buffers = {}
+    _, _, aux = objective(part.model, stack, np.arange(stack.num_frames), cfg.lambda_reg,
+                          buffers=buffers)
+    cache = aux["cache"]
+    held = (3 * params.nbytes + buffers["rows"].nbytes + stack.frames_as(params.dtype).nbytes
+            + stack.counts.nbytes + sum(a.nbytes for a in cache.inputs + cache.derivs))
+    block = 16 * BLOCK_PIXELS * params.itemsize
+    assert peak <= held + block + 2**18  # and 256 KB for indices, durations, Adam's scratch
 
 
 def test_lambda_zero_is_pure_temporal():
