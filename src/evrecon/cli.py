@@ -339,7 +339,7 @@ def _add_threads(p):
              "together, numpy's OpenBLAS runs its threads // N per GEMM (at least "
              "1) and is restored afterwards, because partition threads and BLAS "
              "threads competing for the same cores slow every GEMM (2 cores, six "
-             "partitions: 26.6 s oversubscribed, 11.7 s pinned). A single "
+             "partitions: 15.1 s oversubscribed, 9.0 s pinned). A single "
              "partition keeps all BLAS threads.")
 
 

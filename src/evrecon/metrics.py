@@ -13,6 +13,19 @@ too (`CLAHE_ENTRIES`): frames are independent, so a frame's bytes and
 scores do not depend on the stack around it, and the working set does
 not grow with the number of frames.
 
+SSIM's five window means are one separable Gaussian filter in numpy
+(`_valid_correlate`), first down each column, then along each row, in
+float64. It computes only the fully valid windows, the only ones scored,
+and each in the order of `scipy.ndimage.correlate1d`'s loop for
+symmetric taps: the centre tap first, then each pair of mirrored pixels
+summed before its tap weights it, outermost pair first. So the scores
+are the bytes the scipy filter gave, and the package needs numpy alone:
+with scipy.ndimage, `import evrecon.cli` loaded 87 scipy modules and
+took 54.9 MB of peak RSS and 0.57 s, against 28.8 MB and 0.17 s without
+(2 vCPUs, scipy 1.17.1), in every process, scoring or not. A matrix
+product, `np.convolve` or a sum over `sliding_window_view` rounds
+differently.
+
 CLAHE is not idempotent while the clip limit binds: the clip bounds how
 far one pass stretches a low-contrast frame, so running it again
 stretches that frame further. The bilinear LUT blend can also ripple a
@@ -26,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import NotEightBit, ShapeMismatch, TooSmall
 
@@ -98,10 +110,29 @@ def _gaussian_taps(radius: int, sigma: float) -> np.ndarray:
 
 def _window_mean(stack: np.ndarray, taps: np.ndarray, radius: int) -> np.ndarray:
     """Separable Gaussian filter of each frame, restricted to fully valid
-    windows."""
-    out = correlate1d(stack, taps, axis=1, mode="constant")
-    out = correlate1d(out, taps, axis=2, mode="constant")
-    return out[:, radius:-radius, radius:-radius]
+    windows: along axis 1, then along axis 2."""
+    return _valid_correlate(_valid_correlate(stack, taps, radius, 1), taps, radius, 2)
+
+
+def _valid_correlate(x: np.ndarray, taps: np.ndarray, radius: int, axis: int) -> np.ndarray:
+    """Correlation of `x` with symmetric `taps` along `axis`, at the
+    positions whose window lies inside `x`, in the order of scipy's
+    symmetric-filter loop: x[i] * w[0], then for j = radius down to 1,
+    plus (x[i - j] + x[i + j]) * w[j], where w[j] = taps[radius - j]."""
+    n = x.shape[axis]
+
+    def shifted(j):
+        index = [slice(None)] * x.ndim
+        index[axis] = slice(radius + j, n - radius + j)
+        return x[tuple(index)]
+
+    out = shifted(0) * taps[radius]
+    pair = np.empty_like(out)
+    for j in range(radius, 0, -1):
+        np.add(shifted(-j), shifted(j), out=pair)
+        pair *= taps[radius - j]
+        out += pair
+    return out
 
 
 def ssim(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:

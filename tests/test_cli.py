@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evrecon
 from evrecon.cli import build_parser, main, parse_config_file
+from evrecon.pgm import write_frame_dir
 from evrecon.siren import init_siren, save_checkpoint
 from evrecon.training import TrainConfig, blas_threads
 
@@ -352,3 +358,32 @@ def test_a_span_a_rounding_error_past_a_bin_multiple_reconstructs(tmp_path):
                  "--out", str(rec)]) == 0
     rows = (rec / "report_001.csv").read_text().splitlines()
     assert rows[1].endswith(",32") and rows[-1].endswith(",64")
+
+
+def _python(*args):
+    """A fresh interpreter that finds this `evrecon` package, run on args."""
+    src = str(Path(evrecon.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_evaluate_runs_with_scipy_unimportable(tmp_path):
+    """`sys.modules["scipy"] = None` makes every scipy import raise, so the
+    package and its scoring path load numpy alone."""
+    frames = tmp_path / "frames"
+    rng = np.random.default_rng(0)
+    write_frame_dir(frames, rng.integers(0, 256, (2, 16, 16)).astype(np.uint8),
+                    np.array([0.0, 0.1]))
+    scores = tmp_path / "scores.csv"
+    argv = ["evaluate", "--pred", str(frames), "--ref", str(frames), "--out", str(scores)]
+    run = _python("-c", "import sys; sys.modules['scipy'] = None; from evrecon.cli import main; "
+                        f"raise SystemExit(main({argv!r}))")
+    assert run.returncode == 0, run.stderr
+    assert len(scores.read_text().splitlines()) == 3
+
+
+def test_python_dash_m_evrecon_runs_the_command_line():
+    run = _python("-m", "evrecon", "--version")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"evrecon {evrecon.__version__}\n"

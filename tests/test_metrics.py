@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.ndimage import correlate1d
 
 from evrecon.errors import NotEightBit, ShapeMismatch, TooSmall
 from evrecon.metrics import (
     BLOCK_PIXELS,
     CLAHE_ENTRIES,
+    _gaussian_taps,
+    _window_mean,
     clahe,
     evaluate_frames,
     frame_blocks,
@@ -100,6 +103,33 @@ def test_ssim_matches_skimage_oracle():
             use_sample_covariance=False, win_size=11,
         )
         assert ssim(a[None], b[None])[0] == pytest.approx(want, abs=1e-9)
+
+
+def _window_values(rng, kind, shape):
+    """Values as SSIM filters them: uniform in [0, 1] or 8-bit levels / 255."""
+    if kind == "uniform":
+        return rng.uniform(0, 1, shape)
+    return rng.integers(0, 256, shape) / 255.0
+
+
+@given(st.integers(1, 3),
+       st.one_of(st.tuples(st.integers(11, 70), st.integers(11, 70)), st.just((181, 183))),
+       st.lists(st.sampled_from(["uniform", "levels"]), min_size=1, max_size=2),
+       st.integers(0, 2**32 - 1))
+@example(3, (181, 183), ["uniform", "levels"], 0)
+@settings(deadline=None, max_examples=60)
+def test_window_mean_is_scipys_correlate1d_bit_for_bit(n, side, factors, seed):
+    """The numpy filter gives the bytes of scipy's, cropped to the valid
+    windows, on values and on products of two stacks of values."""
+    rng = np.random.default_rng(seed)
+    stack = np.prod([_window_values(rng, kind, (n, *side)) for kind in factors], axis=0)
+    radius = 5
+    taps = _gaussian_taps(radius, 1.5)
+    want = correlate1d(stack, taps, axis=1, mode="constant")
+    want = correlate1d(want, taps, axis=2, mode="constant")[:, radius:-radius, radius:-radius]
+    got = _window_mean(stack, taps, radius)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # -- clahe ----------------------------------------------------------------------
