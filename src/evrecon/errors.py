@@ -36,8 +36,8 @@ class EmptyStream(EvreconError, ValueError):
 
 
 class InvalidWindow(EvreconError, ValueError):
-    """An event stream window [t_start, t_end] that is reversed or does not
-    hold the stream's events."""
+    """An event stream window [t_start, t_end] that is reversed, not
+    finite, or does not hold the stream's events."""
 
 
 class UnknownName(EvreconError, ValueError):
@@ -128,8 +128,9 @@ class DivergedTraining(EvreconError, RuntimeError):
 
 class InvalidTimestamps(EvreconError, ValueError):
     """Frame times that are empty, not 1-D, not finite or not strictly
-    increasing, or a times.txt line that is not a number. `index` is the position of the
-    offending time, when one is to blame."""
+    increasing, a times.txt line that is not a number, or an event time
+    that is not finite. `index` is the position of the offending time,
+    when one is to blame."""
 
     def __init__(self, msg: str, index: int | None = None):
         self.index = index

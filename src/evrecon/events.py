@@ -35,7 +35,8 @@ class EventStream:
     Columns are stored as parallel arrays (t float64 seconds, x/y int64,
     polarity int64 in {-1,+1}) for vectorized accumulation. `t_start` and
     `t_end` bound the observation window; they may extend beyond the first
-    and last event.
+    and last event. Every time is finite: InvalidTimestamps names the first
+    event time that is not, InvalidWindow a window bound that is not.
     """
 
     t: np.ndarray
@@ -57,7 +58,13 @@ class EventStream:
             raise ShapeMismatch("event columns must have equal length")
         if self.width < 1 or self.height < 1:
             raise InvalidDimensions(f"sensor must be at least 1x1, got {self.width}x{self.height}")
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise InvalidWindow(f"window [{self.t_start}, {self.t_end}] is not finite")
         if n:
+            bad = np.flatnonzero(~np.isfinite(self.t))
+            if bad.size:
+                raise InvalidTimestamps(f"event time {self.t[bad[0]]} at index {bad[0]} is not "
+                                        "finite", index=int(bad[0]))
             if np.any(np.diff(self.t) < 0):
                 raise UnsortedStream("event timestamps decrease")
             if not np.all((self.polarity == 1) | (self.polarity == -1)):
@@ -97,21 +104,17 @@ class EventStream:
     def slice_time(self, lo: float, hi: float, include_hi: bool = False) -> "EventStream":
         """Events with t in [lo, hi), or [lo, hi] when include_hi.
 
-        The returned stream's window is exactly [lo, hi].
+        The returned stream's window is exactly [lo, hi]. Its columns are
+        read-only views of this stream's, not copies: writing to them
+        raises, and a write to this stream shows through them.
         """
         side = "right" if include_hi else "left"
         i0 = np.searchsorted(self.t, lo, side="left")
         i1 = np.searchsorted(self.t, hi, side=side)
-        return EventStream(
-            t=self.t[i0:i1].copy(),
-            x=self.x[i0:i1].copy(),
-            y=self.y[i0:i1].copy(),
-            polarity=self.polarity[i0:i1].copy(),
-            width=self.width,
-            height=self.height,
-            t_start=lo,
-            t_end=hi,
-        )
+        cols = [col[i0:i1] for col in (self.t, self.x, self.y, self.polarity)]
+        for col in cols:
+            col.flags.writeable = False
+        return EventStream(*cols, width=self.width, height=self.height, t_start=lo, t_end=hi)
 
 
 def first_not_increasing(t: np.ndarray) -> int | None:

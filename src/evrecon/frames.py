@@ -4,7 +4,8 @@ Bins are given by one increasing vector of T+1 edges. Each frame k holds
 C * (signed event count) per pixel over bin k = [edges[k], edges[k+1]);
 the final bin also includes its right edge, so the bins tile the window
 [edges[0], edges[-1]] exactly. The stack stores the signed counts, as
-int32, and scales them on demand, so conservation checks stay exact.
+int32, and scales them on demand (`frames_as`, whole or a few rows at a
+time), so conservation checks stay exact.
 
 `refine_bins` bisects every bin at the median event time, which doubles
 the temporal resolution while balancing the event count between
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DtypeMismatch,
     EmptyStream,
     InvalidCounts,
     NonPositiveThreshold,
@@ -79,12 +81,22 @@ class EventFrameStack:
     def num_frames(self) -> int:
         return len(self.counts)
 
-    def frames_as(self, dtype) -> np.ndarray:
+    def frames_as(self, dtype, rows=None, out: np.ndarray | None = None) -> np.ndarray:
         """(T, H, W) log-intensity change per bin, C * signed counts,
         computed in float64 and rounded once to dtype, element by element,
-        with no whole-stack float64 temporary."""
-        return np.multiply(self.counts, float(self.threshold_C),
-                           out=np.empty(self.counts.shape, dtype))
+        with no float64 temporary. With `rows`, any index into the bins,
+        only those frames: the bits of frames_as(dtype)[rows]. They are
+        written into `out` when given, which must have their shape
+        (ShapeMismatch) and dtype (DtypeMismatch); training fills one block
+        of its scratch this way, so no whole-stack copy is made."""
+        counts = self.counts if rows is None else self.counts[rows]
+        if out is None:
+            out = np.empty(counts.shape, dtype)
+        elif out.shape != counts.shape:
+            raise ShapeMismatch(f"out must have shape {counts.shape}, got {out.shape}")
+        elif out.dtype != dtype:
+            raise DtypeMismatch(f"out must be {np.dtype(dtype)}, got {out.dtype}")
+        return np.multiply(counts, float(self.threshold_C), out=out)
 
     @property
     def midpoints(self) -> np.ndarray:

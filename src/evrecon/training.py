@@ -18,12 +18,15 @@ runs on blocks of whole frames (`metrics.frame_blocks`) while a
 block is in L2 cache, not as a dozen passes over (K, H*W) arrays. Every
 element sees the operations of a whole-array pass in the same order, so
 seeds, gradients, parameters and frames keep their bits; only the float64
-loss sums regroup by block (about 1e-16 relative). The seeds overwrite
-the network's output rows they are computed from, so training keeps one
-(2K, H*W) array per ladder stage, reused by each of its iterations and
-freed, with the stage's target, at the refinement that ends it. No
-iteration's gradient or forward cache outlives that iteration: both are
-dropped after its Adam step, before the next forward pass makes its own.
+loss sums regroup by block (about 1e-16 relative). The target, C times
+the stack's int32 counts, is made per block, rounded straight into the
+block's scratch (`EventFrameStack.frames_as`), so no float copy of the
+stack exists. The seeds overwrite the network's output rows they are
+computed from, so training keeps one (2K, H*W) array per ladder stage,
+reused by each of its iterations and freed at the refinement that ends
+it. No iteration's gradient or forward cache outlives that iteration:
+both are dropped after its Adam step, before the next forward pass makes
+its own.
 
 Training is coarse-to-fine: the stack starts at the configured uniform bin
 width and is bisected at the scheduled iterations, doubling its temporal
@@ -157,7 +160,9 @@ class Partition:
     """One sub-sequence: its time spans, event stack, and network.
 
     stack and events are None for partitions rehydrated from checkpoints
-    (sampling needs only the model and spans).
+    (sampling needs only the model and spans). events views the arrays of
+    the stream the partitions were cut from, read-only, so no partition
+    copies its events.
     """
 
     index: int
@@ -181,15 +186,14 @@ def _reused(buffers, name: str, shape: tuple, dtype) -> np.ndarray:
     return arr
 
 
-def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, target=None,
+def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
                   buffers: dict | None = None):
     """Mean squared temporal residual over the selected bins.
 
     For each index k the network's per-second tangent at the bin midpoint
     is scaled by the bin duration to predict that bin's ΔL, C * counts[k].
-    `target` is `stack.frames_as` the dtype of the model, made here when
-    None; training passes it, rounded once per stack rather than on every
-    iteration. Returns
+    That target is `stack.frames_as` the dtype of the model, made for one
+    block of the selected bins at a time in the block's scratch. Returns
     (loss, aux): aux carries the forward results (frames, cache) so
     callers can reuse the pass, and "seeds", a (2, K, H, W) view of the
     network's output rows laid out for SirenModel.backward. Its tangent
@@ -217,8 +221,6 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, targ
     frames, tangents, cache = model.forward_with_tangent(t_norm, out=rows)
     seeds = rows.reshape(2, *frames.shape)  # the frame rows over the tangent rows
     durs = stack.durations[idx].astype(frames.dtype)[:, None, None]
-    if target is None:
-        target = stack.frames_as(frames.dtype)
     blocks = frame_blocks(frames)
     scratch = np.empty((blocks[0].stop, *frames.shape[1:]), dtype=frames.dtype)
     slope = model.time_slope
@@ -228,7 +230,7 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices, targ
         resid, s, d = seeds[1, b], scratch[:b.stop - b.start], durs[b]
         np.multiply(tangents[b], slope, out=resid)
         resid *= d  # predicted ΔL
-        np.take(target, idx[b], axis=0, out=s)  # target ΔL
+        stack.frames_as(frames.dtype, rows=idx[b], out=s)  # target ΔL
         np.subtract(s, resid, out=resid)  # residual
         sum_sq += np.sum(np.multiply(resid, resid, out=s), dtype=np.float64)
         resid *= -2.0 / n
@@ -289,15 +291,15 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
 
 
 def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_reg: float,
-              target=None, buffers: dict | None = None):
+              buffers: dict | None = None):
     """The training objective L_temp + lambda_reg * L_reg on the selected
-    bins, with temporal_loss's `target` and `buffers`. Returns (l_temp,
-    l_reg, aux), where aux is temporal_loss's without "frames": aux["seeds"]
-    holds the gradient of the objective with respect to the frames,
-    written over them, over that with respect to the t_norm tangents,
-    ready for model.backward(aux["seeds"], aux["cache"]).
+    bins, with temporal_loss's `buffers`. Returns (l_temp, l_reg, aux),
+    where aux is temporal_loss's without "frames": aux["seeds"] holds the
+    gradient of the objective with respect to the frames, written over
+    them, over that with respect to the t_norm tangents, ready for
+    model.backward(aux["seeds"], aux["cache"]).
     """
-    l_temp, aux = temporal_loss(model, stack, frame_indices, target, buffers)
+    l_temp, aux = temporal_loss(model, stack, frame_indices, buffers)
     frames, seeds = aux.pop("frames"), aux["seeds"]
     if lambda_reg > 0:
         l_reg, _ = spatial_reg_loss(frames, out=seeds[0], grad_scale=lambda_reg)
@@ -317,12 +319,13 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     """Run the full schedule on one partition, training `partition.model`
     in place in its dtype, Adam moments included.
 
-    Each refinement re-bins `partition.events`, and the target C * counts
-    is rounded to that dtype once per stack; the output rows and target of
-    the stage it ends are freed first, and the next stage makes its own
-    rows on its first iteration. No iteration's gradient or cache
-    outlives that iteration. Raises DivergedTraining when the loss
-    goes non-finite or explodes, or a pass overflows.
+    Each refinement re-bins `partition.events`; the output rows of the
+    stage it ends are freed first, and the next stage makes its own rows
+    on its first iteration. The target C * counts is rounded to the
+    model's dtype block by block inside each iteration (`temporal_loss`),
+    so the int32 stack is the only copy of the counts. No iteration's
+    gradient or cache outlives that iteration. Raises DivergedTraining
+    when the loss goes non-finite or explodes, or a pass overflows.
     """
     model = partition.model
     adam = AdamState.for_params(
@@ -334,21 +337,18 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     initial_loss = None
 
     stack = partition.stack
-    target = stack.frames_as(model.params.dtype)
     buffers = {}  # this stage's output rows, reused every iteration
 
     for it in range(cfg.total_iters):
         if it in refine_at:
-            target = None
-            buffers.clear()  # free the finished stage's arrays before the next are made
+            buffers.clear()  # free the finished stage's rows before the next are made
             stack = partition.stack = refine_bins(stack, partition.events)
-            target = stack.frames_as(model.params.dtype)
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
         # A float32 overflow shows up as a non-finite value, which the
         # checks below turn into DivergedTraining; numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                l_temp, l_reg, aux = objective(model, stack, idx, cfg.lambda_reg, target, buffers)
+                l_temp, l_reg, aux = objective(model, stack, idx, cfg.lambda_reg, buffers)
                 total = l_temp + cfg.lambda_reg * l_reg
 
                 if not math.isfinite(total):

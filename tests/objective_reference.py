@@ -18,7 +18,7 @@ import numpy as np
 from evrecon.errors import DegenerateFrame, IndexOutOfRange
 
 
-def temporal_loss(model, stack, frame_indices, target=None):
+def temporal_loss(model, stack, frame_indices):
     """Mean squared temporal residual; aux["seeds"][1] holds the gradient
     with respect to the per-second tangents, aux["seeds"][0] is scratch."""
     idx = np.asarray(frame_indices, dtype=np.int64)
@@ -35,8 +35,7 @@ def temporal_loss(model, stack, frame_indices, target=None):
     scratch, resid = seeds
     np.multiply(tangents, model.time_slope, out=resid)
     resid *= durs  # predicted ΔL
-    scratch[...] = (stack.frames_as(np.float64) if target is None
-                    else target)[idx]  # target ΔL, rounded here
+    scratch[...] = stack.frames_as(np.float64)[idx]  # target ΔL, rounded here
     np.subtract(scratch, resid, out=resid)  # residual
     n = resid.size
     loss = float(np.sum(np.multiply(resid, resid, out=scratch), dtype=np.float64) / n)
@@ -75,9 +74,9 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None):
     return loss, grad if f.ndim == 3 else grad[0]
 
 
-def objective(model, stack, frame_indices, lambda_reg: float, target=None):
+def objective(model, stack, frame_indices, lambda_reg: float):
     """(l_temp, l_reg, aux) with aux["seeds"] ready for model.backward."""
-    l_temp, aux = temporal_loss(model, stack, frame_indices, target)
+    l_temp, aux = temporal_loss(model, stack, frame_indices)
     seeds = aux["seeds"]
     seeds[1] *= model.time_slope  # per second -> per t_norm
     if lambda_reg > 0:

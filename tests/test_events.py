@@ -180,6 +180,42 @@ def test_slice_time_half_open():
     assert (last.t_start, last.t_end) == (0.5, 1.0)
 
 
+def test_slice_time_views_the_stream_read_only():
+    s = make_stream([0.0, 0.5, 1.0], [0, 1, 2], [0, 0, 0], [1, -1, 1])
+    piece = s.slice_time(0.25, 1.0, include_hi=True)
+    for name in ("t", "x", "y", "polarity"):
+        col = getattr(piece, name)
+        assert np.shares_memory(col, getattr(s, name)) and not col.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = col[-1]
+    assert piece.polarity.tolist() == [-1, 1] and s.polarity.tolist() == [1, -1, 1]
+    s.t[1] = 0.75  # the caller's stream stays writeable, and the view shows the write
+    assert piece.t[0] == 0.75
+
+
+@pytest.mark.parametrize("t, t_start, t_end, error, index", [
+    ([0.1, np.nan, 0.3], 0.0, 1.0, InvalidTimestamps, 1),
+    ([0.1, 0.2, np.inf], 0.0, 1.0, InvalidTimestamps, 2),
+    ([-np.inf, 0.2], 0.0, 1.0, InvalidTimestamps, 0),
+    ([np.nan], 0.0, 1.0, InvalidTimestamps, 0),
+    ([0.1, 0.3], np.nan, 1.0, InvalidWindow, None),
+    ([0.1, 0.3], 0.0, np.nan, InvalidWindow, None),
+    ([], np.nan, np.nan, InvalidWindow, None),
+    ([], 0.0, np.inf, InvalidWindow, None),
+])
+def test_stream_rejects_times_that_are_not_finite(t, t_start, t_end, error, index):
+    n = len(t)
+    with pytest.raises(error, match="not finite") as info:
+        EventStream(t, [0] * n, [0] * n, [1] * n, 1, 1, t_start, t_end)
+    assert getattr(info.value, "index", None) == index
+
+
+def test_slice_time_rejects_a_nan_bound():
+    s = make_stream([0.1, 0.2, 0.3], [0, 0, 0], [0, 0, 0], [1, 1, 1])
+    with pytest.raises(InvalidWindow, match="not finite"):
+        s.slice_time(np.nan, 0.5)
+
+
 @pytest.mark.parametrize("times, index", [([], None), ([[0.0, 1.0]], None), (0.5, None),
                                           ([0.0, np.nan, 1.0], 1), ([0.0, np.inf], 1),
                                           ([0.0, 1.0, 1.0], 2), ([0.0, 2.0, 1.0], 2)])

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evrecon.errors import (
+    DtypeMismatch,
     EmptyStream,
     EvreconError,
     InvalidCounts,
@@ -180,6 +181,36 @@ def test_stack_stores_whole_number_counts_as_int32():
     stack = EventFrameStack(counts, [0.0, 0.5, 1.0], threshold_C=1.0)
     assert stack.counts.dtype == np.int32
     assert np.array_equal(stack.counts, counts)
+
+
+@given(st.integers(1, 9), st.sampled_from([0.1, 0.25, 1.0, 0.37]),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=60)
+def test_frames_as_rows_into_out_match_the_whole_stack(num_frames, C, dtype, seed):
+    """frames_as(dtype, rows, out) fills out with the bytes of
+    frames_as(dtype)[rows], for any index rows (repeats and unsorted
+    included) and counts up to +-(2**31 - 1)."""
+    rng = np.random.default_rng(seed)
+    extreme = np.array([2**31 - 1, -(2**31 - 1), -(2**31), 0])
+    counts = rng.choice(np.concatenate([extreme, rng.integers(-2**31, 2**31, 8)]),
+                        size=(num_frames, 3, 5))
+    stack = EventFrameStack(counts, np.arange(num_frames + 1) * 0.5, threshold_C=C)
+    rows = rng.integers(0, num_frames, size=rng.integers(1, 2 * num_frames + 1))
+    want = stack.frames_as(dtype)[rows]
+    out = np.full(want.shape, np.nan, dtype)
+    got = stack.frames_as(dtype, rows=rows, out=out)
+    assert got is out and out.tobytes() == want.tobytes()
+    sl = slice(num_frames // 2, num_frames)
+    assert stack.frames_as(dtype, rows=sl).tobytes() == stack.frames_as(dtype)[sl].tobytes()
+
+
+@pytest.mark.parametrize("out, error", [(np.empty((2, 1, 1), np.float64), DtypeMismatch),
+                                        (np.empty((3, 1, 1), np.float32), ShapeMismatch),
+                                        (np.empty((2, 1, 2), np.float32), ShapeMismatch)])
+def test_frames_as_rejects_an_out_of_another_shape_or_dtype(out, error):
+    stack = EventFrameStack(np.ones((3, 1, 1)), [0.0, 0.5, 1.0, 1.5], threshold_C=0.1)
+    with pytest.raises(error):
+        stack.frames_as(np.float32, rows=[0, 2], out=out)
 
 
 def test_two_refinements_quadruple_T():

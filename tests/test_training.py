@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evrecon.errors import DegenerateFrame, DivergedTraining, IndexOutOfRange, InvalidConfig
-from evrecon.frames import EventFrameStack, stack_uniform
+from evrecon.frames import EventFrameStack, refine_bins, stack_uniform
 from evrecon.metrics import BLOCK_PIXELS
 from evrecon import training
 from evrecon.selftest import make_fixture
@@ -22,6 +22,7 @@ from evrecon.training import (
     train_partition,
 )
 
+import objective_reference
 from conftest import make_stream, traced_peak
 
 
@@ -262,6 +263,32 @@ def test_partition_spans_share_exactly_overlap():
     assert [p.core_span[0] for p in parts] == [0.0, 5.0, 10.0, 15.0]
 
 
+def test_partition_events_are_read_only_views_of_the_stream():
+    """Each partition's events share the stream's memory, cannot be
+    written through, and bin and refine to the bytes of copied events."""
+    cfg = TrainConfig(partition_tau=5.0, overlap=0.5, hidden_features=8,
+                      hidden_layers=1, refine_at_iters=(), total_iters=10)
+    stream = spread_stream(20.0)
+    parts = build_partitions(stream, cfg)
+    assert len(parts) == 4
+    for p in parts:
+        piece = p.events
+        for name in ("t", "x", "y", "polarity"):
+            col = getattr(piece, name)
+            assert np.shares_memory(col, getattr(stream, name))
+            with pytest.raises(ValueError, match="read-only"):
+                col[:1] = 0
+        copied = make_stream(piece.t.copy(), piece.x.copy(), piece.y.copy(),
+                             piece.polarity.copy(), width=piece.width, height=piece.height,
+                             t_start=piece.t_start, t_end=piece.t_end)
+        want = stack_uniform(copied, cfg.initial_bin, cfg.threshold_C)
+        assert p.stack.counts.tobytes() == want.counts.tobytes()
+        assert p.stack.edges.tobytes() == want.edges.tobytes()
+        got, want = refine_bins(p.stack, piece), refine_bins(want, copied)
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert got.edges.tobytes() == want.edges.tobytes()
+
+
 def test_partition_models_use_span_domain():
     cfg = TrainConfig(partition_tau=5.0, overlap=0.5, hidden_features=8,
                       hidden_layers=1, refine_at_iters=(), total_iters=10)
@@ -298,19 +325,16 @@ def test_losses_keep_float32_of_a_float32_model(toy_model, toy_stack):
 
 
 def test_a_rounded_target_gives_the_same_bits(toy_model, toy_stack):
-    """A target rounded once per stack, as training passes it, gives the
-    loss and seeds of rounding the gathered C * counts on every call."""
+    """The target temporal_loss rounds block by block from the int32
+    counts gives the loss and seeds of the whole stack rounded once."""
     twin = replace(toy_model, params=toy_model.params.astype(np.float32))
     counts = np.random.default_rng(0).integers(-40, 41, size=toy_stack.counts.shape)
     stack = EventFrameStack(counts, toy_stack.edges, threshold_C=0.1)
     idx = np.array([3, 0, 5])
-    target = stack.frames_as(np.float32)
-    per_call = np.empty((len(idx), 4, 4), dtype=np.float32)
-    np.multiply(stack.counts[idx], stack.threshold_C, out=per_call)
-    assert np.array_equal(target[idx], per_call)
     loss, aux = temporal_loss(twin, stack, idx)
-    loss_t, aux_t = temporal_loss(twin, stack, idx, target)
-    assert loss_t == loss and np.array_equal(aux_t["seeds"][1], aux["seeds"][1])
+    ref_loss, ref_aux = objective_reference.temporal_loss(twin, stack, idx)
+    ref_aux["seeds"][1] *= twin.time_slope  # per second -> per t_norm, as objective does
+    assert loss == ref_loss and aux["seeds"][1].tobytes() == ref_aux["seeds"][1].tobytes()
 
 
 def test_trained_float32_parameters_are_the_model_and_round_trip(tmp_path):
@@ -348,11 +372,12 @@ def test_training_resolution_ladder():
 
 def test_training_holds_one_iteration_at_a_time():
     """Training traces no more than the Adam moments, one gradient, the
-    last stage's output rows, target, stack and forward cache, and one
-    row block of backward's float32 products (16 x BLOCK_PIXELS values):
-    no iteration's gradient or cache outlives it. The bound is 20.2 MB
-    for this 4.2 MB network, which traces 20.0 MB; a gradient held into
-    the next iteration's backward adds 4.2 MB."""
+    last stage's output rows, stack and forward cache, and one row block
+    of backward's float32 products (16 x BLOCK_PIXELS values): no
+    iteration's gradient or cache outlives it, and no float copy of the
+    counts is made. The bound is 19.7 MB for this 4.2 MB network, which
+    traces 19.5 MB; a gradient held into the next iteration's backward
+    adds 4.2 MB, and a float32 target for the whole stack 0.5 MB."""
     _, stream = make_fixture(size=32, duration=1.0)
     cfg = TrainConfig(threshold_C=0.25, total_iters=6, refine_at_iters=(2, 4))
     (part,) = build_partitions(stream, cfg)
@@ -363,8 +388,8 @@ def test_training_holds_one_iteration_at_a_time():
     _, _, aux = objective(part.model, stack, np.arange(stack.num_frames), cfg.lambda_reg,
                           buffers=buffers)
     cache = aux["cache"]
-    held = (3 * params.nbytes + buffers["rows"].nbytes + stack.frames_as(params.dtype).nbytes
-            + stack.counts.nbytes + sum(a.nbytes for a in cache.inputs + cache.derivs))
+    held = (3 * params.nbytes + buffers["rows"].nbytes + stack.counts.nbytes
+            + sum(a.nbytes for a in cache.inputs + cache.derivs))
     block = 16 * BLOCK_PIXELS * params.itemsize
     assert peak <= held + block + 2**18  # and 256 KB for indices, durations, Adam's scratch
 
