@@ -40,7 +40,14 @@ from .reconstruct import (
 )
 from .metrics import evaluate_frames
 from .selftest import run_selftest
-from .simulate import SCENE_KINDS, SimConfig, log_intensity, render_scene, simulate_events
+from .simulate import (
+    MAX_FRAMES,
+    SCENE_KINDS,
+    SimConfig,
+    log_intensity,
+    render_scene,
+    simulate_events,
+)
 from .siren import load_checkpoint, save_checkpoint
 from .training import Partition, TrainConfig, train_ensemble
 
@@ -134,11 +141,15 @@ def _read_stream(args):
 
 def _requested_times(args, t_start, t_end) -> np.ndarray:
     """The output frame times, from --timestamps or --fps, checked against
-    the span [t_start, t_end] the networks cover before any training."""
+    the span [t_start, t_end] the networks cover before any training;
+    InvalidDimensions when --fps asks for more than MAX_FRAMES frames."""
     if args.timestamps:
         times = read_times(args.timestamps)
     else:
         fps = args.fps or 30.0
+        if (t_end - t_start) * fps >= MAX_FRAMES:
+            raise InvalidDimensions(f"--fps {fps} over the span [{t_start}, {t_end}] makes "
+                                    f"more than {MAX_FRAMES} frames")
         n = int(math.floor((t_end - t_start) * fps)) + 1
         times = check_times(t_start + np.arange(n) / fps)
     check_in_span(times, t_start, t_end)
@@ -201,18 +212,36 @@ def _write_partitions(partitions, out_dir: Path) -> list:
     return [out_dir / m["checkpoint"] for m in meta]
 
 
+def _listing_problem(meta) -> str | None:
+    """Why a partitions.json listing of (index, core_span, span, checkpoint)
+    is unusable, or None: each index must be an int and each span two
+    finite numbers lo < hi."""
+    for index, *spans, _ in meta:
+        if type(index) is not int:
+            return f"index {index!r} is not an integer"
+        for key, v in zip(("core_span", "span"), spans):
+            if not (type(v) is list and len(v) == 2 and {type(x) for x in v} <= {int, float}
+                    and -math.inf < float(v[0]) < float(v[1]) < math.inf):
+                return f"{key} {v!r} is not two finite numbers lo < hi"
+    return None if meta else "no partitions"
+
+
 def load_partitions(run_dir) -> list:
     """Rehydrate trained partitions from a reconstruct output directory.
     Raises InvalidCheckpoint naming partitions.json when it is not JSON
-    text listing each partition's index, core_span, span and checkpoint."""
+    text listing at least one partition, each with an int index, a
+    core_span and a span of two finite numbers lo < hi, and a checkpoint."""
     path = Path(run_dir) / "partitions.json"
     try:
-        meta = [(m["index"], tuple(m["core_span"]), tuple(m["span"]), str(m["checkpoint"]))
+        meta = [(m["index"], m["core_span"], m["span"], str(m["checkpoint"]))
                 for m in json.loads(path.read_bytes())]
-    except (ValueError, KeyError, TypeError) as exc:
-        detail = f"{type(exc).__name__}: {exc}"
-        raise InvalidCheckpoint(f"{path}: not a partition list ({detail})") from None
-    return [Partition(index=i, core_span=core, span=span, model=load_checkpoint(path.parent / name))
+        problem = _listing_problem(meta)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        problem = f"{type(exc).__name__}: {exc}"
+    if problem:
+        raise InvalidCheckpoint(f"{path}: not a partition list ({problem})")
+    return [Partition(index=i, core_span=tuple(map(float, core)), span=tuple(map(float, span)),
+                      model=load_checkpoint(path.parent / name))
             for i, core, span, name in meta]
 
 

@@ -29,7 +29,7 @@ from .errors import (
     check_settings,
 )
 from .events import EventStream, first_not_increasing
-from .metrics import BLOCK_PIXELS
+from .metrics import blocks
 
 _COUNT_RANGE = np.iinfo(np.int32)
 
@@ -122,16 +122,14 @@ def _first_events(t: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def _accumulate(stream: EventStream, edges: np.ndarray) -> np.ndarray:
     """(T, H, W) int32 signed event counts for the bins between edges:
-    one bincount over (bin, pixel) keys per chunk of bins holding at most
-    BLOCK_PIXELS pixels (and at least one bin), written straight into the
-    stack."""
+    one bincount over (bin, pixel) keys per `metrics.blocks` chunk of
+    bins, written straight into the stack."""
     first = _first_events(stream.t, edges)
     T = len(edges) - 1
     h, w = stream.height, stream.width
     counts = np.empty((T, h, w), dtype=np.int32)
-    step = max(1, BLOCK_PIXELS // (h * w))
-    for k in range(0, T, step):
-        m = min(step, T - k)
+    for chunk in blocks(T, h * w):
+        k, m = chunk.start, chunk.stop - chunk.start
         sl = slice(first[k], first[k + m])
         bins = np.repeat(np.arange(m), np.diff(first[k:k + m + 1]))
         keys = bins * (h * w) + stream.y[sl] * w + stream.x[sl]

@@ -6,9 +6,8 @@ local moments, averaged over valid windows only. CLAHE clips each tile's
 histogram, redistributes the excess uniformly, equalizes against the
 clipped CDF, and blends neighboring tile mappings bilinearly. Both
 prediction and reference are CLAHE'd before scoring unless disabled,
-since reconstruction only determines intensity up to contrast. Scoring
-works on blocks of whole frames (`frame_blocks`), and CLAHE on chunks of
-whole frames whose histogram and LUT entries, 256 per tile, are bounded
+since reconstruction only determines intensity up to contrast. Both work
+on `blocks` of whole frames, CLAHE's bounded in histogram and LUT entries
 too (`CLAHE_ENTRIES`): frames are independent, so a frame's bytes and
 scores do not depend on the stack around it, and the working set does
 not grow with the number of frames.
@@ -48,8 +47,8 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 # Elements per cache-sized pass (six float32 slices of it fit in L2): the
-# blocks of whole frames that training, tone mapping and scoring work on
-# (`frame_blocks`), and the chunks Adam updates the parameters in.
+# default budget of `blocks`, which sizes the frames training, tone mapping
+# and scoring work on, the bins events are counted in, and Adam's chunks.
 BLOCK_PIXELS = 1 << 15
 # Histogram entries (frames x tiles x 256) and pixels per `clahe` chunk:
 # four 32x32 frames under 8x8 tiles, whose LUT arrays take 0.5 MB each.
@@ -87,13 +86,19 @@ def mse(pred: np.ndarray, ref: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
+def blocks(count: int, cost: int, budget: int = BLOCK_PIXELS) -> list:
+    """Slices, with stops clipped to `count`, that cut `count` items of
+    `cost` each in order into blocks costing at most `budget` and holding
+    at least one item each; every block but the last is full."""
+    step = max(1, budget // max(1, cost))
+    return [slice(k, min(k + step, count)) for k in range(0, count, step)]
+
+
 def frame_blocks(frames: np.ndarray) -> list:
-    """Slices, with stops clipped to N, that cut an (N, H, W) stack in
-    order into blocks of whole frames holding at most BLOCK_PIXELS pixels,
-    and at least one frame each; every block but the last is full."""
+    """`blocks` of whole frames of an (N, H, W) stack, each holding at
+    most BLOCK_PIXELS pixels."""
     n, h, w = frames.shape
-    step = max(1, BLOCK_PIXELS // max(1, h * w))
-    return [slice(k, min(k + step, n)) for k in range(0, n, step)]
+    return blocks(n, h * w)
 
 
 def _frame_means(stack: np.ndarray) -> np.ndarray:
@@ -163,19 +168,17 @@ def ssim(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return _frame_means(num / den)
 
 
-def _tile_luts(hist: np.ndarray, clip_count: float):
-    """Equalization LUTs of M tiles' clipped histograms (M, 256), as
-    (mid, lo, scale): entry level of tile m is
-    clip((mid[m * 256 + level] - lo[m]) * scale[m], 0, 255), which `clahe`
-    computes for small tiles only at the entries its blend gathers.
+def _tile_luts(hist: np.ndarray, clip_count: float) -> np.ndarray:
+    """Flat float64 equalization LUTs of M tiles' histograms (M, 256),
+    256 entries per tile, from which `clahe`'s blend gathers.
 
-    Uses the midpoint CDF (each bin maps to the center of its own mass)
-    normalized between the first and last occupied bins: a flat histogram
-    maps to the identity ramp exactly, so a uniform tile stays put to
-    within quantization. Only tiles whose histogram exceeds the clip are
-    clipped, and a tile with fewer than two occupied levels maps to the
-    identity: its mid row is the levels, lo 0 and scale 1, which gives
-    each level back exactly.
+    Uses the midpoint CDF (each bin maps to the center of its own mass) of
+    the clipped histogram, stretched from the first to the last occupied
+    bin onto [0, 255] and clipped there: a flat histogram maps to the
+    identity ramp exactly, so a uniform tile stays put to within
+    quantization. Only tiles whose histogram exceeds the clip are clipped,
+    and a tile with fewer than two occupied levels maps each level to
+    itself exactly.
     """
     h = hist.astype(np.float64)
     work = np.subtract(h, clip_count)
@@ -184,19 +187,19 @@ def _tile_luts(hist: np.ndarray, clip_count: float):
     clipped += excess / 256
     np.copyto(h, clipped, where=excess > 0)
     occupied = h != 0
-    mid = np.cumsum(h, axis=1, out=work)
+    luts = np.cumsum(h, axis=1, out=work)
     h *= 0.5
-    mid -= h
+    luts -= h  # the midpoint CDF
     first = np.argmax(occupied, axis=1)[:, None]
     last = 255 - np.argmax(occupied[:, ::-1], axis=1)[:, None]
-    lo = np.take_along_axis(mid, first, axis=1)[:, 0]
-    hi = np.take_along_axis(mid, last, axis=1)[:, 0]
-    identity = ~occupied.any(axis=1) | (hi <= lo)
-    scale = 255.0 / np.where(identity, 1.0, hi - lo)
-    mid[identity] = np.arange(256, dtype=np.float64)
-    lo[identity] = 0.0
-    scale[identity] = 1.0
-    return mid.reshape(-1), lo, scale
+    lo = np.take_along_axis(luts, first, axis=1)
+    hi = np.take_along_axis(luts, last, axis=1)
+    identity = ~occupied.any(axis=1) | (hi <= lo)[:, 0]
+    luts -= lo
+    luts *= 255.0 / np.where(identity[:, None], 1.0, hi - lo)
+    np.clip(luts, 0.0, 255.0, out=luts)
+    luts[identity] = np.arange(256, dtype=np.float64)
+    return luts.reshape(-1)
 
 
 def clahe(
@@ -211,13 +214,14 @@ def clahe(
     256-bin histogram is clipped at clip_limit times the flat level and the
     excess spread uniformly; pixels are remapped by bilinear interpolation
     between the four surrounding tile mappings. Frames are equalized in
-    chunks of whole frames holding at most CLAHE_ENTRIES histogram entries
-    (frames x tiles x 256) and pixels, and at least one frame each: every
-    tile histogram of a chunk comes from one bincount over (frame, tile,
-    level) keys, each pixel's four mappings from flat gathers into the
-    chunk's LUTs, and each chunk's bytes go straight into the output. So
-    the working set stays a few chunks in size whatever N is, and each
-    frame gets the bytes it would get alone.
+    `blocks` of whole frames holding at most CLAHE_ENTRIES histogram
+    entries (frames x tiles x 256) and pixels, and at least one frame
+    each: every tile histogram of a chunk comes from one bincount over
+    (frame, tile, level) keys, all its LUTs are finished at once
+    (`_tile_luts`), each pixel's four mappings are flat gathers into them,
+    and each chunk's bytes go straight into the output. So the working set
+    stays a few chunks in size whatever N is, and each frame gets the
+    bytes it would get alone.
 
     A second pass is not idempotent while the clip binds, since each pass
     stretches a low-contrast frame further, and the blend can ripple a
@@ -237,9 +241,8 @@ def clahe(
     n, h, w = img.shape
     ty, tx = tiles
     out = np.empty(img.shape, dtype=np.uint8)
-    step = max(1, CLAHE_ENTRIES // max(ty * tx * 256, h * w))
-    for k in range(0, n, step):
-        _clahe_chunk(img[k:k + step], tiles, clip_limit, out[k:k + step])
+    for chunk in blocks(n, max(ty * tx * 256, h * w), CLAHE_ENTRIES):
+        _clahe_chunk(img[chunk], tiles, clip_limit, out[chunk])
     return out
 
 
@@ -257,24 +260,11 @@ def _clahe_chunk(img: np.ndarray, tiles: tuple, clip_limit: float, out: np.ndarr
     keys = (frame_base + tile_of) * 256 + padded
     hist = np.bincount(keys.reshape(-1), minlength=n * ty * tx * 256)
 
-    area = tile_h * tile_w
-    clip_count = clip_limit * area / 256.0
-    mid, lo, scale = _tile_luts(hist.reshape(-1, 256), clip_count)
-    # The blend reads four LUT entries per pixel. Tiles of more than 64
-    # pixels hold fewer entries than that, so their LUTs are finished
-    # whole, once; smaller tiles finish only the entries read.
-    whole = 4 * area > 256
-    if whole:
-        luts = mid.reshape(-1, 256)
-        luts -= lo[:, None]
-        luts *= scale[:, None]
-        np.clip(luts, 0.0, 255.0, out=luts)
+    luts = _tile_luts(hist.reshape(-1, 256), clip_limit * (tile_h * tile_w) / 256.0)
 
     # bilinear blend of tile mappings, indexed by distance to tile centers
-    yy = np.arange(h, dtype=np.float64)
-    xx = np.arange(w, dtype=np.float64)
-    gy = (yy - (tile_h - 1) / 2.0) / tile_h
-    gx = (xx - (tile_w - 1) / 2.0) / tile_w
+    gy = (np.arange(h, dtype=np.float64) - (tile_h - 1) / 2.0) / tile_h
+    gx = (np.arange(w, dtype=np.float64) - (tile_w - 1) / 2.0) / tile_w
     y0 = np.clip(np.floor(gy).astype(np.int64), 0, ty - 1)
     x0 = np.clip(np.floor(gx).astype(np.int64), 0, tx - 1)
     y1 = np.minimum(y0 + 1, ty - 1)
@@ -286,14 +276,7 @@ def _clahe_chunk(img: np.ndarray, tiles: tuple, clip_limit: float, out: np.ndarr
 
     def mapped(rows, cols):
         """Each pixel through the LUT of tile (rows[y], cols[x]) of its frame."""
-        pattern = rows[:, None] * tx + cols[None, :]
-        lut = mid.take(levels + pattern * 256)
-        if not whole:
-            tile = frame_base + pattern
-            lut -= lo.take(tile)
-            lut *= scale.take(tile)
-            np.clip(lut, 0.0, 255.0, out=lut)
-        return lut
+        return luts.take(levels + (rows[:, None] * tx + cols[None, :]) * 256)
 
     top = _lerp(mapped(y0, x0), mapped(y0, x1), wx)
     bot = _lerp(mapped(y1, x0), mapped(y1, x1), wx)

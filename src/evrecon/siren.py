@@ -19,7 +19,9 @@ dloss/dtangent, which `training.objective` fills. Stacking along rows
 leaves every output element's reduction unchanged, so the results are
 bit-identical to one GEMM per half; `_matmul_rows` keeps separate GEMMs
 for the small products where the BLAS would round them differently (see
-`_STACK_MIN_WORK`).
+`_STACK_MIN_WORK`). forward(), time_derivative() and backward() multiply
+by the output layer, the widest, one `_row_blocks` block of rows at a
+time, whatever the dtype.
 
 Every pass computes in the dtype of `params`, which times, scratch
 arrays, frames, tangents and gradients all follow. `init_siren` builds
@@ -57,7 +59,7 @@ from .errors import (
     NonFiniteOutput,
     ShapeMismatch,
 )
-from .metrics import BLOCK_PIXELS
+from .metrics import BLOCK_PIXELS, blocks
 
 CHECKPOINT_VERSION = 1
 
@@ -66,10 +68,8 @@ CHECKPOINT_VERSION = 1
 # products to GEMV. The blocked kernel gives every output element the same
 # bits whatever M is, so value and tangent rows share one GEMM only where
 # each half alone is past this size. Whether the split is also faster is
-# unresolved: on the `hires128` benchmark workload (hidden width 64, whose
-# products at T = 64 and 128 it splits) one set of 10 alternating pairs
-# read 5.82 s with it against 6.38 s with one GEMM for every product, and
-# another set of 6 read 7.11 s against 6.59 s (2 vCPUs, OpenBLAS 0.3.31).
+# unresolved: two sets of alternating `hires128` pairs (hidden width 64,
+# split at T = 64 and 128) disagreed, 5.82 vs 6.38 s and 7.11 vs 6.59 s.
 _STACK_MIN_WORK = 100**3
 
 
@@ -92,9 +92,9 @@ def _row_blocks(m: int, n: int, k: int) -> list:
     Every block keeps at least 2 rows and more than _STACK_MIN_WORK
     multiply-adds, so the blocked kernel gives each element the bits of
     one whole GEMM; a product too small to split that way stays one block.
-    That holds for float32 only: float64 products split by rows round some
-    rows differently (hidden width 8, 17 rows of 33,123 pixels), so only
-    float32 products are split.
+    That holds for float32, the dtype trained and sampled: float64 products
+    split by rows can round some rows differently (hidden width 8, 17 rows
+    of 33,123 pixels).
     Smaller blocks cost time: the 480 x 64 x 16384 product of the
     `hires128` benchmark took 22 ms whole, 32 ms in these blocks and 60 ms
     in blocks a quarter their size (2 vCPUs, OpenBLAS 0.3.31)."""
@@ -179,19 +179,16 @@ class SirenModel:
         """(K, H, W) frames at a batch of K normalized times; a 0-d time is
         a batch of one. `out`, a (K, num_pixels) array, receives the frames
         (widened, bias added in its dtype), and the returned frames are a
-        view into it. An `out` of another dtype than params is written a
-        block of rows at a time (`_row_blocks`), so the product's own
-        dtype needs only a block-sized temporary."""
+        view into it; without `out` they come in the dtype of params. The
+        output layer runs one `_row_blocks` block of rows at a time, so a
+        wider `out` needs only a block-sized temporary."""
         a = np.asarray(t_norm, dtype=self.params.dtype).reshape(-1, 1)
         *hidden, (w_out, b_out) = self.layers()
         for w, b in hidden:
             a = np.sin(self.omega0 * (a @ w.T + b))
-        if out is None or out.dtype == a.dtype:
-            y = np.matmul(a, w_out.T, out=out)
-        else:
-            y = out
-            for rows in _row_blocks(len(a), *w_out.shape):
-                np.matmul(a[rows], w_out.T, out=y[rows])
+        y = np.empty((len(a), len(w_out)), a.dtype) if out is None else out
+        for rows in _row_blocks(len(a), *w_out.shape):
+            np.matmul(a[rows], w_out.T, out=y[rows])
         y += b_out
         if not all_finite(y):
             raise NonFiniteOutput("forward pass produced NaN/Inf")
@@ -203,7 +200,7 @@ class SirenModel:
         backward() takes. A float32 network's frames are bit for bit those
         of forward(); a float64 network's may differ in the last bits,
         because its stacked 2K-row GEMM can round rows differently from
-        forward()'s K-row one. `out`, a (2K, num_pixels) array of the dtype
+        forward()'s row blocks. `out`, a (2K, num_pixels) array of the dtype
         of params, receives the K frame rows over the K tangent rows, and
         the returned stacks are views into it."""
         cache = self._hidden_with_tangent(t_norm)
@@ -218,16 +215,10 @@ class SirenModel:
 
     def time_derivative(self, t_norm, out) -> np.ndarray:
         """(K, H, W) per-second derivatives of the frames at a batch of K
-        normalized times: the tangents of forward_with_tangent, bit for
-        bit, times time_slope in the dtype of params, written into `out`,
-        a (K, num_pixels) array. An `out` of another dtype than params is
-        written a block of output rows at a time (`_row_blocks`), as in
-        forward(), so only a block of tangents is made and the frames are
-        not computed; otherwise they are forward_with_tangent's own."""
-        if out.dtype == self.params.dtype:
-            _, tangents, _ = self.forward_with_tangent(t_norm)
-            np.multiply(tangents.reshape(out.shape), self.time_slope, out=out)
-            return out.reshape(-1, self.height, self.width)
+        normalized times, written into `out`, a (K, num_pixels) array: the
+        tangents of forward_with_tangent (bit for bit for a float32
+        network) times time_slope in the dtype of params. Only tangent
+        rows are made, one `_row_blocks` block at a time."""
         cache = self._hidden_with_tangent(t_norm)
         k = len(cache.inputs[0]) // 2
         tangent_in = cache.inputs[-1][k:]
@@ -277,11 +268,10 @@ class SirenModel:
         that already have that dtype are read in place, without a copy,
         and left unchanged.
 
-        A float32 network's weight gradients are made one `_row_blocks`
-        block of rows at a time, so the tangent half's product needs a
-        temporary of one block (2 MB for the 64x64 selftest network)
-        rather than one the size of the output layer's weights; a float64
-        network keeps one product per half.
+        Weight gradients are made one `_row_blocks` block of rows at a
+        time, so the tangent half's product needs a temporary of one block
+        (2 MB for the 64x64 selftest network) rather than one the size of
+        the output layer's weights.
         """
         k = len(cache.inputs[0]) // 2
         if np.size(seeds) != 2 * k * self.num_pixels:
@@ -292,7 +282,6 @@ class SirenModel:
 
         omega = self.omega0
         layers = self.layers()
-        blocked = self.params.dtype == np.float32  # see _row_blocks
         grads = np.empty_like(self.params)
         grad_layers = self.layers(grads)
 
@@ -311,7 +300,7 @@ class SirenModel:
                 u_dot *= omega_cos
             a = cache.inputs[l]
             gw, gb = grad_layers[l]
-            for rows in _row_blocks(*gw.shape, k) if blocked else [slice(None)]:
+            for rows in _row_blocks(*gw.shape, k):
                 g = np.matmul(uu[:k, rows].T, a[:k], out=gw[rows])
                 g += uu[k:, rows].T @ a[k:]
             np.sum(uu[:k], axis=0, out=gb)
@@ -401,7 +390,7 @@ def adam_step(state: AdamState, params, grads):
     """One in-place Adam update with bias correction; returns (params, state).
 
     params, grads and the moments are flat vectors of one dtype, updated
-    BLOCK_PIXELS elements at a time through two chunk-sized scratch arrays;
+    in `blocks` of BLOCK_PIXELS elements through two chunk-sized arrays;
     each element sees the arithmetic of the textbook whole-vector update,
     in the same order, in that dtype. Raises DtypeMismatch when grads or
     the moments have another dtype than params. The learning rate is
@@ -418,10 +407,9 @@ def adam_step(state: AdamState, params, grads):
     bc1 = 1.0 - b1**state.step
     bc2 = 1.0 - b2**state.step
     scratch = np.empty((2, min(params.size, BLOCK_PIXELS)), dtype=params.dtype)
-    for lo in range(0, params.size, BLOCK_PIXELS):
-        hi = min(lo + BLOCK_PIXELS, params.size)
-        m, v, g = state.m[lo:hi], state.v[lo:hi], grads[lo:hi]
-        step, denom = scratch[:, :hi - lo]
+    for chunk in blocks(params.size, 1):
+        m, v, g = state.m[chunk], state.v[chunk], grads[chunk]
+        step, denom = scratch[:, :len(g)]
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2
@@ -433,7 +421,7 @@ def adam_step(state: AdamState, params, grads):
         np.sqrt(denom, out=denom)
         denom += eps
         step /= denom
-        params[lo:hi] -= step
+        params[chunk] -= step
     if state.decay_rate != 1.0 and state.step % state.decay_every == 0:
         state.lr *= state.decay_rate
     return params, state

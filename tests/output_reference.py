@@ -5,11 +5,13 @@ This is the output path `evrecon.reconstruct` used before it streamed:
 each partition's and each overlap pair's frames come back from the network
 as new arrays, are offset and blended out of place and scattered into the
 video through a boolean mask, and the byte mappings run over the whole
-video at once. `forward` is `SirenModel.forward` as it was, with the
-output bias added out of place. The streamed code must reproduce all of it
-bit for bit, since every element sees the same floating-point operations
-in the same order and every network batch holds the same times. Only the
-tests use it.
+video at once. `forward` is `SirenModel.forward` as it was, with one
+output-layer product for the whole batch and the bias added out of
+place; for a float32 network, whose products keep their bits in row
+blocks, that is the arithmetic of the blocked code. The streamed code
+must reproduce all of it bit for bit, since every element sees the same
+floating-point operations in the same order and every network batch
+holds the same times. Only the tests use it.
 """
 
 from __future__ import annotations
@@ -21,18 +23,21 @@ from evrecon.reconstruct import check_in_span
 _OVERLAP_MEAN_SAMPLES = 9
 
 
-def forward(model, t_norm) -> np.ndarray:
-    """(K, H, W) frames at a length-K array of normalized times."""
+def forward(model, t_norm, dtype=np.float64) -> np.ndarray:
+    """(K, H, W) frames at a length-K array of normalized times: the
+    output layer's product, computed in the network's dtype, widened to
+    `dtype`, with the bias added in `dtype`."""
     x = np.asarray(t_norm, dtype=model.params.dtype).reshape(-1, 1)
     *hidden, (w_out, b_out) = model.layers()
     a = x
     for w, b in hidden:
         a = np.sin(model.omega0 * (a @ w.T + b))
-    y = a @ w_out.T + b_out
+    y = (a @ w_out.T).astype(dtype) + b_out
     return y.reshape(-1, model.height, model.width)
 
 
 def _batched_forward(partition, times: np.ndarray, tangent: bool):
+    """Frames widened to float64, or derivatives in the network's dtype."""
     model = partition.model
     t_norm = model.normalize_time(times)
     if tangent:
@@ -47,8 +52,9 @@ def _chained_offsets(partitions, lo, hi) -> np.ndarray:
         if hi[i] <= lo[i]:
             continue  # zero overlap: nothing measurable, keep offsets
         grid = np.linspace(lo[i], hi[i], _OVERLAP_MEAN_SAMPLES)
-        mean_a = float(np.mean(_batched_forward(partitions[i], grid, False)))
-        mean_b = float(np.mean(_batched_forward(partitions[i + 1], grid, False)))
+        mean_a, mean_b = (float(np.mean(forward(p.model, p.model.normalize_time(grid),
+                                                p.model.params.dtype), dtype=np.float64))
+                          for p in partitions[i:i + 2])
         offsets[i + 1] = offsets[i] + (mean_a - mean_b)
     return offsets
 

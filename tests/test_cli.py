@@ -132,6 +132,23 @@ def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
+def test_too_many_frames_at_the_fps_fail_before_training(tmp_path, capsys, monkeypatch, command):
+    """numpy cannot make the times of 1e300 frames per second."""
+    def train_ensemble(*args, **kwargs):
+        raise AssertionError("trained before counting the requested frames")
+
+    monkeypatch.setattr("evrecon.cli.train_ensemble", train_ensemble)
+    events = tmp_path / "events.txt"
+    events.write_text("# width 2 height 2\n0.1 0 0 1\n0.2 1 1 0\n")
+    out = tmp_path / "out"
+    for fps in ["1e300", "2e7"]:
+        assert main([*command, "--events", str(events), "--fps", fps, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: --fps {float(fps)} over the span [0.1, 0.2] "
+                                           "makes more than 1000000 frames\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
 def test_times_outside_the_stream_fail_before_training(tmp_path, capsys, monkeypatch, command):
     def train_ensemble(*args, **kwargs):
         raise AssertionError("trained before checking the requested times")
@@ -208,10 +225,21 @@ def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
              "checkpoint": "partition_000.npz"}
     np.savez(run / "partition_000.npz", version=np.asarray(2))
     no_core = {k: v for k, v in entry.items() if k != "core_span"}
-    for listing, reason in [(json.dumps([entry]), "version 2"),
-                            (json.dumps([entry])[:-3], "partitions.json: not a partition list"),
-                            (json.dumps([no_core]), "partitions.json: not a partition list "
-                                                    "(KeyError: 'core_span')")]:
+    bad = "partitions.json: not a partition list"
+    listings = [(json.dumps([entry]), "version 2"),
+                (json.dumps([entry])[:-3], bad),
+                (json.dumps([no_core]), f"{bad} (KeyError: 'core_span')"),
+                ("[]", f"{bad} (no partitions)"),
+                (json.dumps([{**entry, "index": 0.0}]), f"{bad} (index 0.0 is not an integer)"),
+                (json.dumps([{**entry, "index": True}]), f"{bad} (index True is not an integer)")]
+    for span in [["a", "b"], [0.0], [1.0, 0.0], [0.0, float("inf")], 1.0]:
+        listings.append((json.dumps([{**entry, "span": span}]),
+                         f"{bad} (span {span!r} is not two finite numbers lo < hi)"))
+    listings.append((json.dumps([{**entry, "core_span": [0.0, float("nan")]}]),
+                     f"{bad} (core_span [0.0, nan] is not two finite numbers lo < hi)"))
+    listings.append((json.dumps([{**entry, "span": [0, 10**400]}]),
+                     f"{bad} (OverflowError: int too large to convert to float)"))
+    for listing, reason in listings:
         (run / "partitions.json").write_text(listing)
         assert main(["enhance", "--checkpoints", str(run), "--window-dt", "0.05",
                      "--out", str(tmp_path / "out")]) == 1

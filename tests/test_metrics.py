@@ -11,6 +11,7 @@ from evrecon.metrics import (
     CLAHE_ENTRIES,
     _gaussian_taps,
     _window_mean,
+    blocks,
     clahe,
     evaluate_frames,
     frame_blocks,
@@ -263,7 +264,10 @@ def test_stacks_match_the_frame_at_a_time_oracle_bit_for_bit(pair, tiles, clip_l
     assert np.array_equal(clahe(stack, tiles, clip_limit), want)
 
 
-@pytest.mark.parametrize("shape", [(1, 32, 32), (1, 11, 11), (3, 37, 53), (2, 11, 40)])
+# The workloads' frames, 32x32, 64x64 and 128x128, and 16x16 frames, whose
+# 8x8 tiles of 4 pixels hold 64 LUT entries per pixel.
+@pytest.mark.parametrize("shape", [(1, 32, 32), (1, 11, 11), (3, 37, 53), (2, 11, 40),
+                                   (2, 64, 64), (1, 128, 128), (5, 16, 16)])
 def test_stacks_match_the_oracle_on_edge_sizes(shape):
     rng = np.random.default_rng(9)
     pred = rng.integers(0, 256, shape).astype(np.uint8)
@@ -318,17 +322,24 @@ EXACT_BOUNDS = {
 @pytest.mark.parametrize("shape", [(1, 5, 5), (7, 37, 53), (300, 11, 11), (2, 128, 128),
                                    (0, 32, 32), *EXACT_BOUNDS])
 def test_frame_blocks_cover_the_stack_in_order_within_the_budget(shape):
-    frames = np.zeros(shape, dtype=np.uint8)
-    blocks = frame_blocks(frames)
-    assert [k for b in blocks for k in range(b.start, b.stop)] == list(range(shape[0]))
+    """frame_blocks, then `blocks` at the cost and budget of clahe's chunks
+    under 8x8 tiles and at Adam's cost of one element per item."""
+    n, h, w = shape
+    slices = frame_blocks(np.zeros(shape, dtype=np.uint8))
     if shape in EXACT_BOUNDS:
-        assert [(b.start, b.stop) for b in blocks] == EXACT_BOUNDS[shape]
-    for b in blocks:
-        block = frames[b]
-        assert len(block) >= 1
-        assert block[0].size * len(block) <= BLOCK_PIXELS or len(block) == 1
-    for b in blocks[:-1]:  # every block but the last holds as many frames as fit
-        assert len(frames[b]) == max(1, BLOCK_PIXELS // frames[0].size)
+        assert [(b.start, b.stop) for b in slices] == EXACT_BOUNDS[shape]
+    clahe_cost = max(8 * 8 * 256, h * w)
+    for got, count, cost, budget in [
+        (slices, n, h * w, BLOCK_PIXELS),
+        (blocks(n, clahe_cost, CLAHE_ENTRIES), n, clahe_cost, CLAHE_ENTRIES),
+        (blocks(n * h * w, 1), n * h * w, 1, BLOCK_PIXELS),
+    ]:
+        assert [k for b in got for k in range(b.start, b.stop)] == list(range(count))
+        for b in got:
+            assert b.stop - b.start >= 1
+            assert (b.stop - b.start) * cost <= budget or b.stop - b.start == 1
+        for b in got[:-1]:  # every block but the last holds as many items as fit
+            assert b.stop - b.start == max(1, budget // cost)
 
 
 @pytest.mark.parametrize("frames", [np.zeros((1, 8, 8), np.float64), np.full((1, 8, 8), 256),

@@ -40,16 +40,17 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def chain(n, overlap, h, w, seed, hidden=8):
+def chain(n, overlap, h, w, seed, hidden=8, dtype=np.float64):
     """n partitions with cores [i, i+1) over [0, n] and spans reaching half
     the overlap past each interior core edge, as build_partitions lays
-    them out; each has its own network."""
+    them out; each has its own network, rounded to `dtype`."""
     half = overlap / 2.0
     parts = []
     for i in range(n):
         span = (max(i - half, 0.0), min(i + 1 + half, float(n)))
         model = init_siren([1, hidden, hidden, h * w], seed=seed + i, height=h, width=w,
                            t_domain=span)
+        model.params = model.params.astype(dtype)
         parts.append(Partition(index=i, core_span=(float(i), float(i + 1)), span=span,
                                model=model))
     return parts
@@ -57,8 +58,10 @@ def chain(n, overlap, h, w, seed, hidden=8):
 
 @st.composite
 def ensembles(draw):
-    """Partitions and strictly increasing times over their window: core
-    and overlap edges, uniform times, or both; sometimes a single frame."""
+    """Float32 partitions, as reconstruct trains and samples them, and
+    strictly increasing times over their window: core and overlap edges,
+    uniform times, or both; sometimes a single frame. (A float64 network's
+    row-blocked products may round differently from one whole product.)"""
     n = draw(st.integers(1, 3))
     overlap = draw(st.sampled_from([0.0, 0.3, 0.5]))
     h, w = draw(st.sampled_from(SHAPES))
@@ -71,7 +74,7 @@ def ensembles(draw):
     times = np.unique(np.concatenate([special, uniform]))
     if len(times) == 0:
         times = np.array([draw(st.sampled_from(edges))])
-    return chain(n, overlap, h, w, seed), times
+    return chain(n, overlap, h, w, seed, dtype=np.float32), times
 
 
 @given(ensembles(), st.sampled_from([0.25, 0.6, 1.0]), st.floats(0.003, 0.4))
@@ -133,8 +136,7 @@ def activation_bytes(times, hidden: int) -> int:
 
 
 def float32_partition(h, w, hidden):
-    (part,) = chain(1, 0.0, h, w, seed=5, hidden=hidden)
-    part.model.params = part.model.params.astype(np.float32)
+    (part,) = chain(1, 0.0, h, w, seed=5, hidden=hidden, dtype=np.float32)
     return part
 
 
@@ -175,9 +177,7 @@ def test_enhancing_float32_networks_in_blocks_matches_the_reference(overlap):
     """Derivatives of float32 networks are made a block of rows at a time
     (two partitions, 64x64, 500 times); each block has the bits of the
     whole tangent product."""
-    parts = chain(2, overlap, 64, 64, seed=6, hidden=32)
-    for part in parts:
-        part.model.params = part.model.params.astype(np.float32)
+    parts = chain(2, overlap, 64, 64, seed=6, hidden=32, dtype=np.float32)
     times = np.linspace(0.0, 2.0, 500)
     assert same_bits(enhance_events(parts, times, 0.01), ref.enhance_events(parts, times, 0.01))
 

@@ -124,40 +124,43 @@ def test_row_blocks_keep_every_product_on_the_blocked_kernel(m, n, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 17, 300])
 def test_float32_forward_into_float64_out_has_the_bits_of_one_gemm(k):
-    """Blocked or not, the widened frames are those of one float32 GEMM
-    over every row, widened, with the bias added in float64."""
+    """Blocked or not, the frames are those of one float32 GEMM over every
+    row, widened to the dtype of `out` (float64, float32, or float32
+    without one), with the bias added in that dtype."""
     model = init_siren([1, 32, 32, 4096], seed=4, height=64, width=64)
     model = replace(model, params=model.params.astype(np.float32))
     t = np.linspace(-1.0, 1.0, k)
-    out = np.empty((k, 4096))
-    frames = model.forward(t, out=out)
     *hidden, (w_out, b_out) = model.layers()
     a = t.astype(np.float32).reshape(-1, 1)
     for w, b in hidden:
         a = np.sin(model.omega0 * (a @ w.T + b))
-    want = (a @ w_out.T).astype(np.float64)
-    want += b_out
     assert len(_row_blocks(k, 4096, 32)) == (3 if k == 300 else 1)
-    assert np.shares_memory(frames, out)
-    assert out.tobytes() == want.tobytes()
+    for out_dtype in [np.float64, np.float32, None]:
+        out = None if out_dtype is None else np.empty((k, 4096), out_dtype)
+        frames = model.forward(t, out=out)
+        want = (a @ w_out.T).astype(out_dtype or np.float32)
+        want += b_out
+        assert out is None or np.shares_memory(frames, out)
+        assert frames.dtype == want.dtype and frames.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k", [1, 2, 3, 17, 300])
 def test_time_derivative_is_the_scaled_tangent_bit_for_bit(k, dtype):
-    """Into a float64 out, a float32 network's derivatives are made a block
-    of rows at a time (three blocks at k = 300), a float64 network's in
-    one product; both are forward_with_tangent's tangents times
-    time_slope, computed in the network's dtype."""
+    """Into a float64 out, and into an out of the network's own dtype, the
+    derivatives are made a block of rows at a time (three blocks at
+    k = 300): forward_with_tangent's tangents times time_slope, computed
+    in the network's dtype."""
     model = init_siren([1, 32, 32, 4096], seed=4, height=64, width=64, t_domain=(0.5, 3.0))
     model = replace(model, params=model.params.astype(dtype))
     t = np.linspace(-1.0, 1.0, k)
-    out = np.empty((k, 4096))
-    rates = model.time_derivative(t, out)
     _, tangents, _ = model.forward_with_tangent(t)
-    want = (tangents * dtype(model.time_slope)).astype(np.float64)
-    assert rates.shape == (k, 64, 64) and np.shares_memory(rates, out)
-    assert out.tobytes() == want.tobytes()
+    for out_dtype in {np.float64, dtype}:
+        out = np.empty((k, 4096), out_dtype)
+        rates = model.time_derivative(t, out)
+        want = (tangents * dtype(model.time_slope)).astype(out_dtype)
+        assert rates.shape == (k, 64, 64) and np.shares_memory(rates, out)
+        assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -165,7 +168,7 @@ def test_tangent_pass_frames_against_forward(dtype):
     """A float32 network's tangent-pass frames are forward()'s bit for
     bit. A float64 network's agree within the rounding of a dot product
     of 8 terms, not bitwise: its stacked 34-row output GEMM may round
-    rows differently from forward()'s 17-row one."""
+    rows differently from forward()'s blocks of 8 and 9 rows."""
     model = init_siren([1, 8, 8, 33123], seed=0, height=181, width=183)
     model = replace(model, params=model.params.astype(dtype))
     t = np.linspace(-1.0, 1.0, 17)
@@ -180,8 +183,7 @@ def test_tangent_pass_frames_against_forward(dtype):
 
 
 def test_time_derivative_detects_nonfinite_tangents(toy_model):
-    """The blocked float32 path: at t_norm = 0 a huge first layer
-    overflows the tangents only."""
+    """At t_norm = 0 a huge first layer overflows the tangents only."""
     broken = replace(toy_model, params=toy_model.params.astype(np.float32))
     broken.weights[0][:] = 1e38
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteOutput):
@@ -307,8 +309,8 @@ def check_row_stacked_gemms(k, dtype, hidden=256, height=64, width=64):
     grads = model.backward(seeds, cache)
     assert np.array_equal(grads, ref_grads)
     assert np.array_equal(seeds, seeds_before)
-    # The output layer's weight gradient, which a float32 network makes one
-    # row block at a time, has the bits of the whole products on the cache.
+    # The output layer's weight gradient, made one row block at a time, has
+    # the bits of the whole products on the cache.
     a, uu = cache.inputs[-1], seeds.reshape(2 * k, -1)
     whole = uu[:k].T @ a[:k]
     whole += uu[k:].T @ a[k:]
