@@ -9,9 +9,10 @@ video at once. `forward` is `SirenModel.forward` as it was, with one
 output-layer product for the whole batch and the bias added out of
 place; for a float32 network, whose products keep their bits in row
 blocks, that is the arithmetic of the blocked code. The streamed code
-must reproduce all of it bit for bit, since every element sees the same
-floating-point operations in the same order and every network batch
-holds the same times. Only the tests use it.
+must reproduce all of it bit for bit for float32 networks, since every
+element sees the same floating-point operations in the same order and
+every network batch holds the same times; a float64 network's row blocks
+may round its products differently. Only the tests use it.
 """
 
 from __future__ import annotations
