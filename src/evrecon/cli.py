@@ -213,28 +213,39 @@ def _write_partitions(partitions, out_dir: Path) -> list:
 
 
 def _listing_problem(meta) -> str | None:
-    """Why a partitions.json listing of (index, core_span, span, checkpoint)
-    is unusable, or None: each index must be an int and each span two
-    finite numbers lo < hi."""
-    for index, *spans, _ in meta:
+    """Why a partitions.json listing of (index, core_span, span, checkpoint),
+    sorted by index, is unusable, or None: the indices must be the ints
+    0..n-1, each span two finite numbers lo < hi that contains its core
+    span, and each core span must end where the next one starts."""
+    if not meta:
+        return "no partitions"
+    for index, core, span, _ in meta:
         if type(index) is not int:
             return f"index {index!r} is not an integer"
-        for key, v in zip(("core_span", "span"), spans):
+        for key, v in (("core_span", core), ("span", span)):
             if not (type(v) is list and len(v) == 2 and {type(x) for x in v} <= {int, float}
                     and -math.inf < float(v[0]) < float(v[1]) < math.inf):
                 return f"{key} {v!r} is not two finite numbers lo < hi"
-    return None if meta else "no partitions"
+        if not span[0] <= core[0] < core[1] <= span[1]:
+            return f"span {span!r} of partition {index} does not contain its core_span {core!r}"
+    indices = [m[0] for m in meta]
+    if indices != list(range(len(meta))):
+        return f"indices {indices} are not 0..{len(meta) - 1}"
+    for (i, core, *_), (_, after, *_) in zip(meta, meta[1:]):
+        if core[1] != after[0]:
+            return f"core_span {core!r} of partition {i} does not end where {after!r} starts"
+    return None
 
 
 def load_partitions(run_dir) -> list:
-    """Rehydrate trained partitions from a reconstruct output directory.
-    Raises InvalidCheckpoint naming partitions.json when it is not JSON
-    text listing at least one partition, each with an int index, a
-    core_span and a span of two finite numbers lo < hi, and a checkpoint."""
+    """Rehydrate trained partitions from a reconstruct output directory,
+    in index order. Raises InvalidCheckpoint naming partitions.json when it
+    is not JSON text listing at least one partition with a checkpoint, or
+    when `_listing_problem` finds the listing unusable."""
     path = Path(run_dir) / "partitions.json"
     try:
-        meta = [(m["index"], m["core_span"], m["span"], str(m["checkpoint"]))
-                for m in json.loads(path.read_bytes())]
+        meta = sorted(((m["index"], m["core_span"], m["span"], str(m["checkpoint"]))
+                       for m in json.loads(path.read_bytes())), key=lambda m: m[0])
         problem = _listing_problem(meta)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         problem = f"{type(exc).__name__}: {exc}"

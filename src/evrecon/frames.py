@@ -7,9 +7,10 @@ the final bin also includes its right edge, so the bins tile the window
 int32, and scales them on demand (`frames_as`, whole or a few rows at a
 time), so conservation checks stay exact.
 
-`refine_bins` bisects every bin at the median event time, which doubles
-the temporal resolution while balancing the event count between
-children. This is the coarse-to-fine ladder the trainer climbs.
+`refine_bins` bisects every bin at its midpoint, doubling the temporal
+resolution: the coarse-to-fine ladder the trainer climbs. No event time
+places an edge, so each child is half its parent however many events
+share a timestamp.
 """
 
 from __future__ import annotations
@@ -111,20 +112,14 @@ class EventFrameStack:
         return self.counts.sum(axis=0, dtype=np.float64) * self.threshold_C
 
 
-def _first_events(t: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """(T+1,) event indices: bin k holds events first[k]:first[k+1]. An
-    event on an edge goes to the later bin; the final bin keeps its right
-    endpoint."""
-    first = np.searchsorted(t, edges, side="left")
-    first[-1] = np.searchsorted(t, edges[-1], side="right")
-    return first
-
-
 def _accumulate(stream: EventStream, edges: np.ndarray) -> np.ndarray:
     """(T, H, W) int32 signed event counts for the bins between edges:
     one bincount over (bin, pixel) keys per `metrics.blocks` chunk of
-    bins, written straight into the stack."""
-    first = _first_events(stream.t, edges)
+    bins, written straight into the stack. Bin k holds events
+    first[k]:first[k+1]; an event on an edge goes to the later bin, and
+    the final bin keeps its right endpoint."""
+    first = np.searchsorted(stream.t, edges, side="left")
+    first[-1] = np.searchsorted(stream.t, edges[-1], side="right")
     T = len(edges) - 1
     h, w = stream.height, stream.width
     counts = np.empty((T, h, w), dtype=np.int32)
@@ -159,24 +154,11 @@ def stack_uniform(stream: EventStream, bin_duration: float, C: float) -> EventFr
 
 
 def refine_bins(stack: EventFrameStack, stream: EventStream) -> EventFrameStack:
-    """Bisect every bin at its median event time, doubling T.
-
-    A bin with m >= 2 events splits at the midpoint of its two middle
-    event times; a bin with fewer events, or whose split would not lie
-    strictly inside it, splits at its own midpoint. Children hold event
-    counts differing by at most one (exact ties in timestamps can skew
-    this, since the boundary is a single time). Per-pixel ΔL sums are
-    preserved exactly: children partition the parent's events.
+    """Bisect every bin at its midpoint, doubling T, and count the
+    stream's events into the new bins. Per-pixel ΔL sums are preserved
+    exactly: children partition the parent's events.
     """
-    lo, hi = stack.edges[:-1], stack.edges[1:]
-    mid = 0.5 * (lo + hi)
-    first = _first_events(stream.t, stack.edges)
-    m = np.diff(first)
-    k = np.flatnonzero(m >= 2)
-    split = mid.copy()
-    split[k] = 0.5 * (stream.t[first[k] + (m[k] - 1) // 2] + stream.t[first[k] + m[k] // 2])
-    split = np.where((lo < split) & (split < hi), split, mid)
     edges = np.empty(2 * stack.num_frames + 1)
     edges[0::2] = stack.edges
-    edges[1::2] = split
+    edges[1::2] = stack.midpoints
     return EventFrameStack(_accumulate(stream, edges), edges, stack.threshold_C)

@@ -239,6 +239,16 @@ def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
                      f"{bad} (core_span [0.0, nan] is not two finite numbers lo < hi)"))
     listings.append((json.dumps([{**entry, "span": [0, 10**400]}]),
                      f"{bad} (OverflowError: int too large to convert to float)"))
+    # Two partitions whose spans leave a gap, and the same two with their
+    # indices swapped: the window must come from index order.
+    first = {**entry, "core_span": [0.0, 0.5], "span": [0.0, 0.6]}
+    second = {**entry, "index": 1, "core_span": [0.5, 1.0], "span": [0.4, 1.0]}
+    listings.append((json.dumps([first, {**second, "span": [0.9, 0.99]}]),
+                     f"{bad} (span [0.9, 0.99] of partition 1 does not contain its "
+                     "core_span [0.5, 1.0])"))
+    listings.append((json.dumps([{**first, "index": 1}, {**second, "index": 0}]),
+                     f"{bad} (core_span [0.5, 1.0] of partition 0 does not end where "
+                     "[0.0, 0.5] starts)"))
     for listing, reason in listings:
         (run / "partitions.json").write_text(listing)
         assert main(["enhance", "--checkpoints", str(run), "--window-dt", "0.05",

@@ -14,6 +14,8 @@ from evrecon.errors import (
 )
 from evrecon.frames import EventFrameStack, refine_bins, stack_uniform
 from evrecon.metrics import BLOCK_PIXELS
+from evrecon.simulate import SimConfig, render_scene, simulate_events
+from evrecon.training import TrainConfig, build_partitions
 
 from conftest import make_stream, traced_peak
 
@@ -97,14 +99,16 @@ def test_midpoints_and_tiling():
     assert stack.edges[0] == 0.0 and stack.edges[-1] == 1.0
 
 
-def test_refine_splits_at_median_pair_midpoint():
-    s = make_stream([0.1, 0.2, 0.3, 0.4], [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1],
-                    width=1, height=1, t_start=0.0, t_end=1.0)
-    stack = stack_uniform(s, 1.0, C=1.0)
-    fine = refine_bins(stack, s)
-    assert fine.num_frames == 2
-    assert fine.edges[1] == pytest.approx(0.25)
-    assert fine.counts[0][0, 0] == 2 and fine.counts[1][0, 0] == 2
+def test_refine_splits_every_bin_at_its_midpoint():
+    """Event times place no edge: four events in [0.1, 0.4] and two tied on
+    the bin's start both split [0, 1] at 0.5."""
+    for t in ([0.1, 0.2, 0.3, 0.4], [0.0, 0.0]):
+        n = len(t)
+        s = make_stream(t, [0] * n, [0] * n, [1] * n, width=1, height=1, t_start=0.0, t_end=1.0)
+        fine = refine_bins(stack_uniform(s, 1.0, C=1.0), s)
+        assert fine.num_frames == 2
+        assert fine.edges[1] == 0.5
+        assert fine.counts[0][0, 0] == n and fine.counts[1][0, 0] == 0
 
 
 def test_refine_empty_interval_splits_at_midpoint():
@@ -116,14 +120,17 @@ def test_refine_empty_interval_splits_at_midpoint():
     assert np.all(fine.counts[2:] == 0.0)
 
 
-def test_refine_clamps_degenerate_split_to_midpoint():
-    # both median events sit on the interval start; split must stay interior
-    s = make_stream([0.0, 0.0], [0, 0], [0, 0], [1, 1], width=1, height=1,
-                    t_start=0.0, t_end=1.0)
-    stack = stack_uniform(s, 1.0, C=1.0)
-    fine = refine_bins(stack, s)
-    assert fine.edges[1] == pytest.approx(0.5)
-    assert np.all(fine.durations > 0)
+@pytest.mark.parametrize("scene_seed", [10, 14, 15])
+def test_refining_tie_heavy_partitions_leaves_no_short_bin(scene_seed):
+    """The benchmark's multipart32 scene at scene seeds whose timestamp
+    ties made median splits zero-wide: two refinements of every
+    partition leave each bin at least 1 ms wide."""
+    video = render_scene("moving_checker", 32, 32, 12.0, 120.0, seed=scene_seed)
+    stream = simulate_events(video, SimConfig(threshold_C=0.25, noise_rate=0.5, rng_seed=1))
+    cfg = TrainConfig(threshold_C=0.25, partition_tau=2.0, overlap=0.5, hidden_features=8)
+    for part in build_partitions(stream, cfg):
+        stack = refine_bins(refine_bins(part.stack, part.events), part.events)
+        assert stack.durations.min() >= 1e-3
 
 
 def test_refinement_preserves_pixel_sums_bit_exactly():
@@ -254,17 +261,6 @@ def test_conservation_and_tiling_properties(raw, C):
     assert fine.edges[-1] == stack.edges[-1]
 
 
-def test_refine_balances_distinct_timestamps():
-    rng = np.random.default_rng(7)
-    t = np.sort(rng.uniform(0.0, 1.0, 31))  # distinct with probability 1
-    s = make_stream(t, np.zeros(31, int), np.zeros(31, int), np.ones(31, int),
-                    width=1, height=1, t_start=0.0, t_end=1.0)
-    stack = stack_uniform(s, 1.0, C=1.0)
-    fine = refine_bins(stack, s)
-    left, right = fine.counts[0][0, 0], fine.counts[1][0, 0]
-    assert abs(left - right) <= 1
-
-
 def test_stack_rejects_nan_and_nonincreasing_edges():
     counts = np.zeros((2, 1, 1))
     for edges in ([0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [0.0, 0.5, 0.5], [0.0, 0.7, 0.5]):
@@ -297,14 +293,7 @@ def _ref_counts(stream, edges):
 
 
 def _ref_split_time(times, lo, hi):
-    mid = 0.5 * (lo + hi)
-    m = len(times)
-    if m < 2:
-        return mid
-    split = 0.5 * (times[(m - 1) // 2] + times[m // 2])
-    if not (lo < split < hi):
-        return mid
-    return split
+    return 0.5 * (lo + hi)
 
 
 def _ref_refine(edges, stream):
@@ -347,8 +336,9 @@ def tie_heavy_binnings(draw):
     return stream, lo * unit, hi * unit, bin_duration, draw(st.integers(1, 4))
 
 
-# Four events tied at 0.9 split the bin from 3 * 0.3 = 0.8999999999999999
-# one ulp wide; the next refinement makes it zero-wide and both raise.
+# Four events tied at 0.9, one ulp past the edge 3 * 0.3 =
+# 0.8999999999999999: a split at the median event time would leave a bin
+# one ulp wide, and the next refinement a zero-wide one. Midpoints do not.
 _ONE_ULP_TIE = (make_stream(np.array([1, 5, 9, 9, 9, 9, 12, 15]) * 0.1, [0] * 8, [0] * 8,
                             [1] * 8, width=1, height=1, t_start=0.0, t_end=2.0),
                 0.0, 2.0, 0.3, 3)
@@ -368,15 +358,15 @@ def test_vectorized_binning_matches_per_bin_loop(case):
     assert stack.edges[0] == lo and stack.edges[-1] == hi
     assert np.array_equal(stack.counts, _ref_counts(piece, stack.edges))
     for _ in range(refinements):
-        try:
-            edges, counts = _ref_refine(stack.edges, stream)
-        except ValueError:
-            with pytest.raises(ValueError):
-                refine_bins(stack, stream)
-            return
-        stack = refine_bins(stack, stream)
-        assert np.array_equal(stack.edges, edges)
-        assert np.array_equal(stack.counts, counts)
+        edges, counts = _ref_refine(stack.edges, stream)
+        fine = refine_bins(stack, stream)
+        assert np.array_equal(fine.edges, edges)
+        assert np.array_equal(fine.counts, counts)
+        # Each child is half its parent, to the rounding of its right edge.
+        assert np.all(fine.durations > 0)
+        half = np.repeat(stack.durations, 2) / 2
+        assert np.all(np.abs(fine.durations - half) <= 2 * np.spacing(fine.edges[1:]))
+        stack = fine
 
 
 @pytest.mark.parametrize("shape, bins", [((64, 170), 11), ((1, BLOCK_PIXELS + 1), 3),
