@@ -241,7 +241,9 @@ def load_partitions(run_dir) -> list:
     """Rehydrate trained partitions from a reconstruct output directory,
     in index order. Raises InvalidCheckpoint naming partitions.json when it
     is not JSON text listing at least one partition with a checkpoint, or
-    when `_listing_problem` finds the listing unusable."""
+    when `_listing_problem` finds the listing unusable; and naming a
+    checkpoint whose t_domain is not its listed span, or whose frame size
+    is not partition 0's."""
     path = Path(run_dir) / "partitions.json"
     try:
         meta = sorted(((m["index"], m["core_span"], m["span"], str(m["checkpoint"]))
@@ -251,9 +253,21 @@ def load_partitions(run_dir) -> list:
         problem = f"{type(exc).__name__}: {exc}"
     if problem:
         raise InvalidCheckpoint(f"{path}: not a partition list ({problem})")
-    return [Partition(index=i, core_span=tuple(map(float, core)), span=tuple(map(float, span)),
-                      model=load_checkpoint(path.parent / name))
-            for i, core, span, name in meta]
+    partitions = [Partition(index=i, core_span=tuple(map(float, core)),
+                            span=tuple(map(float, span)), model=load_checkpoint(path.parent / name))
+                  for i, core, span, name in meta]
+    # Sampling routes times by the listed span and the network normalizes
+    # them by its own t_domain; JSON round-trips floats, so both are exact.
+    size = (partitions[0].model.height, partitions[0].model.width)
+    for p, (*_, name) in zip(partitions, meta):
+        m = p.model
+        if (m.height, m.width) != size:
+            raise InvalidCheckpoint(f"{path.parent / name}: frames are {m.width}x{m.height}, "
+                                    f"partition 0's are {size[1]}x{size[0]}")
+        if m.t_domain != p.span:
+            raise InvalidCheckpoint(f"{path.parent / name}: t_domain {list(m.t_domain)} is not "
+                                    f"its listed span {list(p.span)}")
+    return partitions
 
 
 def _threading(partitions) -> dict:
@@ -377,10 +391,8 @@ def _add_threads(p):
         help="threads that train independent partitions at once (default: all "
              "cores). Cores go to partitions first: while N > 1 partitions train "
              "together, numpy's OpenBLAS runs its threads // N per GEMM (at least "
-             "1) and is restored afterwards, because partition threads and BLAS "
-             "threads competing for the same cores slow every GEMM (2 cores, six "
-             "partitions: 15.1 s oversubscribed, 9.0 s pinned). A single "
-             "partition keeps all BLAS threads.")
+             "1) and is restored afterwards. A single partition keeps all BLAS "
+             "threads.")
 
 
 def _add_train_and_frames(p, events_help: str, events_required: bool):

@@ -108,11 +108,11 @@ def gradient_oracle_errors():
     lam = 0.05
 
     def loss_of(m):
-        lt, lr_, _ = objective(m, stack, np.arange(T), lam)
+        lt, lr_, _, _ = objective(m, stack, np.arange(T), lam)
         return lt + lam * lr_
 
-    _, _, aux = objective(model, stack, np.arange(T), lam)
-    grads = model.backward(aux["seeds"], aux["cache"])
+    _, _, seeds, cache = objective(model, stack, np.arange(T), lam)
+    grads = model.backward(seeds, cache)
     worst_param = max_param_gradient_error(model, loss_of, grads)
 
     worst_tan = 0.0
@@ -189,13 +189,13 @@ def run_selftest(quick: bool = False, threads: int = 1, out=None) -> list:
     base_stack = partitions[0].stack
     idx = np.arange(min(8, base_stack.num_frames))
     worst_shift = 0.0
-    lt0, aux0 = temporal_loss(model, base_stack, idx)
-    lr0, _ = spatial_reg_loss(aux0["frames"])
+    lt0, seeds0, _ = temporal_loss(model, base_stack, idx)
+    lr0, _ = spatial_reg_loss(seeds0[0])
     for c in (-3.0, 0.7, 10.0):
         shifted = model.copy()
         shifted.biases[-1][:] += c
-        lt1, aux1 = temporal_loss(shifted, base_stack, idx)
-        lr1, _ = spatial_reg_loss(aux1["frames"])
+        lt1, seeds1, _ = temporal_loss(shifted, base_stack, idx)
+        lr1, _ = spatial_reg_loss(seeds1[0])
         worst_shift = max(
             worst_shift,
             abs(lt1 - lt0) / max(abs(lt0), 1e-300),

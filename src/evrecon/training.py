@@ -22,11 +22,11 @@ loss sums regroup by block (about 1e-16 relative). The target, C times
 the stack's int32 counts, is made per block, rounded straight into the
 block's scratch (`EventFrameStack.frames_as`), so no float copy of the
 stack exists. The seeds overwrite the network's output rows they are
-computed from, so training keeps one (2K, H*W) array per ladder stage,
-reused by each of its iterations and freed at the refinement that ends
-it. No iteration's gradient or forward cache outlives that iteration:
-both are dropped after its Adam step, before the next forward pass makes
-its own.
+computed from, in the `rows` array the caller passes, so training keeps
+one (2K, H*W) array per ladder stage, reused by each of its iterations
+and freed at the refinement that ends it. No iteration's gradient or
+forward cache outlives that iteration: both are dropped after its Adam
+step, before the next forward pass makes its own.
 
 Training is coarse-to-fine: the stack starts at the configured uniform bin
 width and is bisected at the scheduled iterations, doubling its temporal
@@ -35,18 +35,17 @@ resolution each time. Long streams are cut into fixed-length partitions
 so reconstruction can stitch them seamlessly.
 
 Threading policy: cores go to partitions first, and BLAS gets what is
-left. Partitions are independent, so `train_ensemble` trains them on
-`workers = min(threads, partitions)` threads. While more than one worker
-runs, numpy's OpenBLAS is set to `max(1, previous // workers)` threads and
-restored after the pool has joined: partition threads and BLAS threads
-competing for the same cores slow every GEMM. On a 2-vCPU VM (OpenBLAS
-0.3.31, float32 passes) six 32x32 partitions with hidden width 128 (the
-benchmark's multipart32 workload) reconstruct in a median 9.0 s this way
-(10 runs), against 15.1 s with two partition threads each running 2-thread
-GEMMs and 10.4 s with serial partitions on 2 BLAS threads (3 runs each);
-the scores are identical. A single partition keeps all BLAS threads,
-because pinning BLAS to one thread for the whole process slowed the
-one-partition 64x64 selftest workload from 28.5 to 33.8 s. When numpy's
+left. Partitions are independent, so `train_ensemble` trains them on a
+pool of `workers = min(threads, partitions)` threads. While more than one
+worker runs, numpy's OpenBLAS is set to `max(1, previous // workers)`
+threads and restored after the pool has joined: partition threads and
+BLAS threads competing for the same cores slow every GEMM. On a 2-vCPU VM
+(OpenBLAS 0.3.31, float32 passes) the six 32x32 partitions of the
+benchmark's multipart32 workload trained in 5.7, 6.1 and 6.5 s on two
+partition threads with one BLAS thread each, against 7.6, 7.9 and 8.3 s
+on one partition thread with two BLAS threads. A single partition keeps
+all BLAS threads: the one-partition 64x64 selftest fixture trained in 19.9
+and 19.8 s on two, against 29.7 and 28.9 s pinned to one. When numpy's
 OpenBLAS cannot be found through ctypes, the BLAS thread count is left
 alone.
 """
@@ -174,39 +173,23 @@ class Partition:
     report: TrainReport | None = None
 
 
-def _reused(buffers, name: str, shape: tuple, dtype) -> np.ndarray:
-    """buffers[name] when it has this shape and dtype, else a new array that
-    replaces it there (a fresh one every call when buffers is None)."""
-    if buffers is None:
-        return np.empty(shape, dtype)
-    arr = buffers.get(name)
-    if arr is None or arr.shape != shape or arr.dtype != dtype:
-        buffers[name] = arr = None  # free the stale array before making its replacement
-        arr = buffers[name] = np.empty(shape, dtype)
-    return arr
-
-
 def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
-                  buffers: dict | None = None):
+                  rows: np.ndarray | None = None):
     """Mean squared temporal residual over the selected bins.
 
     For each index k the network's per-second tangent at the bin midpoint
     is scaled by the bin duration to predict that bin's ΔL, C * counts[k].
     That target is `stack.frames_as` the dtype of the model, made for one
-    block of the selected bins at a time in the block's scratch. Returns
-    (loss, aux): aux carries the forward results (frames, cache) so
-    callers can reuse the pass, and "seeds", a (2, K, H, W) view of the
-    network's output rows laid out for SirenModel.backward. Its tangent
-    half [1] holds the gradient of the loss with respect to the tangents
-    the network emitted (per t_norm), written over them; its frame half
-    [0] holds the frames, aux["frames"], for the caller to turn into
-    seeds (see `objective`).
+    block of the selected bins at a time in the block's scratch. The work
+    runs block by block (see the module docstring).
 
-    The work runs block by block (see the module docstring). With
-    `buffers`, a dict kept across calls, the output rows live in its
-    "rows" array, reused while K and the dtype stay the same and replaced
-    when they change; aux then views an array that the next such call
-    overwrites.
+    `rows` is a (2K, H*W) array of the model's dtype, made when None. The
+    network writes its K frame rows over its K tangent rows into it, and
+    the tangent rows are then overwritten with the gradient of the loss
+    with respect to the tangents the network emitted (per t_norm). Returns
+    (loss, seeds, cache): seeds is `rows` viewed as (2, K, H, W), the
+    frames over that gradient, and cache is the forward pass's, for
+    SirenModel.backward once `objective` has turned the frames into seeds.
     """
     idx = np.asarray(frame_indices, dtype=np.int64)
     if idx.ndim != 1 or len(idx) == 0:
@@ -217,7 +200,8 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
         )
     k = len(idx)
     t_norm = model.normalize_time(stack.midpoints[idx])
-    rows = _reused(buffers, "rows", (2 * k, model.num_pixels), model.params.dtype)
+    if rows is None:
+        rows = np.empty((2 * k, model.num_pixels), model.params.dtype)
     frames, tangents, cache = model.forward_with_tangent(t_norm, out=rows)
     seeds = rows.reshape(2, *frames.shape)  # the frame rows over the tangent rows
     durs = stack.durations[idx].astype(frames.dtype)[:, None, None]
@@ -236,8 +220,7 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
         resid *= -2.0 / n
         resid *= d  # d loss / d per-second tangent
         resid *= slope  # per second -> per t_norm
-    aux = {"frames": frames, "cache": cache, "seeds": seeds}
-    return float(sum_sq / n), aux
+    return float(sum_sq / n), seeds, cache
 
 
 def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
@@ -291,22 +274,20 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
 
 
 def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_reg: float,
-              buffers: dict | None = None):
+              rows: np.ndarray | None = None):
     """The training objective L_temp + lambda_reg * L_reg on the selected
-    bins, with temporal_loss's `buffers`. Returns (l_temp, l_reg, aux),
-    where aux is temporal_loss's without "frames": aux["seeds"] holds the
-    gradient of the objective with respect to the frames, written over
-    them, over that with respect to the t_norm tangents, ready for
-    model.backward(aux["seeds"], aux["cache"]).
+    bins, computed in temporal_loss's `rows`. Returns (l_temp, l_reg,
+    seeds, cache): seeds holds the gradient of the objective with respect
+    to the frames, written over them, over that with respect to the t_norm
+    tangents, ready for model.backward(seeds, cache).
     """
-    l_temp, aux = temporal_loss(model, stack, frame_indices, buffers)
-    frames, seeds = aux.pop("frames"), aux["seeds"]
+    l_temp, seeds, cache = temporal_loss(model, stack, frame_indices, rows)
     if lambda_reg > 0:
-        l_reg, _ = spatial_reg_loss(frames, out=seeds[0], grad_scale=lambda_reg)
+        l_reg, _ = spatial_reg_loss(seeds[0], out=seeds[0], grad_scale=lambda_reg)
     else:
         l_reg = 0.0
         seeds[0] = 0.0
-    return l_temp, l_reg, aux
+    return l_temp, l_reg, seeds, cache
 
 
 def _sample_indices(num_frames: int, batch_frames, rng) -> np.ndarray:
@@ -337,18 +318,20 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     initial_loss = None
 
     stack = partition.stack
-    buffers = {}  # this stage's output rows, reused every iteration
+    rows = None  # this stage's output rows, reused by each of its iterations
 
     for it in range(cfg.total_iters):
         if it in refine_at:
-            buffers.clear()  # free the finished stage's rows before the next are made
+            rows = None  # free the finished stage's rows before the next are made
             stack = partition.stack = refine_bins(stack, partition.events)
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
+        if rows is None:
+            rows = np.empty((2 * len(idx), model.num_pixels), model.params.dtype)
         # A float32 overflow shows up as a non-finite value, which the
         # checks below turn into DivergedTraining; numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                l_temp, l_reg, aux = objective(model, stack, idx, cfg.lambda_reg, buffers)
+                l_temp, l_reg, seeds, cache = objective(model, stack, idx, cfg.lambda_reg, rows)
                 total = l_temp + cfg.lambda_reg * l_reg
 
                 if not math.isfinite(total):
@@ -361,11 +344,11 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
                         partition=partition.index,
                     )
 
-                grads = model.backward(aux["seeds"], aux["cache"])
+                grads = model.backward(seeds, cache)
             except (NonFiniteOutput, NonFiniteGradient) as exc:  # a float32 pass overflowed
                 raise DivergedTraining(it, str(exc), partition=partition.index) from None
         adam_step(adam, model.params, grads)
-        del aux, grads  # before the next iteration makes its own
+        del seeds, cache, grads  # before the next iteration makes its own
 
         report.temporal.append(l_temp)
         report.regularization.append(l_reg)
@@ -444,7 +427,7 @@ def blas_threads() -> int | None:
 
 
 def train_ensemble(stream: EventStream, cfg: TrainConfig, threads: int = 1) -> list:
-    """Train one network per partition on up to `threads` threads.
+    """Train one network per partition on a pool of up to `threads` threads.
 
     Partitions are independent, so any thread count yields the same
     result. With more than one worker, BLAS threads are divided among the
@@ -455,21 +438,13 @@ def train_ensemble(stream: EventStream, cfg: TrainConfig, threads: int = 1) -> l
     """
     partitions = build_partitions(stream, cfg)
     workers = max(1, min(threads, len(partitions)))
-
-    def run(p: Partition):
-        train_partition(p, cfg)
-
     prev = blas_threads() if workers > 1 else None
     pinned = max(1, prev // workers) if prev is not None and prev > 1 else None
     if pinned is not None:
         _openblas_threads_api()[1](pinned)
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, partitions))
-        else:
-            for p in partitions:
-                run(p)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda p: train_partition(p, cfg), partitions))
     finally:
         if pinned is not None:
             _openblas_threads_api()[1](prev)

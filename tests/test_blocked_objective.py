@@ -67,37 +67,30 @@ def cases(draw):
         idx = np.arange(k)
     else:
         idx = np.sort(rng.choice(num_frames, size=k, replace=False))
-    stale = draw(st.sampled_from(["none", "empty", "bigger", "smaller", "other dtype"]))
-    other = np.float64 if dtype == np.float32 else np.float32
-    buffers = {
-        "none": None,
-        "empty": {},
-        "bigger": {"rows": np.ones((2 * k + 2, h * w), dtype)},
-        "smaller": {"rows": np.ones((2, h * w), dtype)},
-        "other dtype": {"rows": np.ones((2 * k, h * w), other)},
-    }[stale]
+    # A fitting array the caller passes, filled with NaN so that nothing of
+    # its old contents can reach the seeds unnoticed.
+    rows = np.full((2 * k, h * w), np.nan, dtype) if draw(st.booleans()) else None
     lam = draw(st.sampled_from([0.0, 0.05, 1.7]))
-    return model, stack, idx, buffers, lam
+    return model, stack, idx, rows, lam
 
 
 @given(cases())
 @settings(deadline=None, max_examples=60)
 def test_blocked_objective_matches_the_whole_array_reference(case):
-    model, stack, idx, buffers, lam = case
-    l_temp, l_reg, aux = objective(model, stack, idx, lam, buffers)
+    model, stack, idx, rows, lam = case
+    l_temp, l_reg, seeds, cache = objective(model, stack, idx, lam, rows)
     r_temp, r_reg, raux = ref.objective(model, stack, idx, lam)
     assert close(l_temp, r_temp)
     assert close(l_reg, r_reg) and (l_reg == 0.0 or lam > 0)
-    assert same_bits(aux["seeds"], raux["seeds"])
-    grads = model.backward(aux["seeds"], aux["cache"])
+    assert same_bits(seeds, raux["seeds"])
+    grads = model.backward(seeds, cache)
     assert same_bits(grads, model.backward(raux["seeds"], raux["cache"]))
-    assert same_bits(temporal_loss(model, stack, idx)[1]["frames"], raux["frames"])
-    if buffers is not None:  # a stale array was replaced, a fitting one is kept
+    assert same_bits(temporal_loss(model, stack, idx)[1][0], raux["frames"])
+    if rows is not None:  # the seeds view the given array, with the bits of a fresh one
         k, (h, w) = len(idx), stack.counts.shape[1:]
-        assert list(buffers) == ["rows"] and buffers["rows"].shape == (2 * k, h * w)
-        assert aux["seeds"].shape == (2, k, h, w) and aux["seeds"].base is buffers["rows"]
-        again = objective(model, stack, idx, lam, buffers)[2]
-        assert again["seeds"].base is aux["seeds"].base
+        assert seeds.shape == (2, k, h, w) and seeds.base is rows
+        fresh = objective(model, stack, idx, lam)
+        assert fresh[:2] == (l_temp, l_reg) and same_bits(fresh[2], seeds)
 
 
 @given(st.sampled_from(SHAPES), st.integers(1, 12), st.sampled_from([np.float32, np.float64]),
@@ -129,8 +122,9 @@ def test_regularizer_rejects_an_out_it_cannot_write_in_place():
 # -- training ------------------------------------------------------------------
 
 
-def _reference_objective(model, stack, frame_indices, lambda_reg, buffers=None):
-    return ref.objective(model, stack, frame_indices, lambda_reg)
+def _reference_objective(model, stack, frame_indices, lambda_reg, rows=None):
+    l_temp, l_reg, aux = ref.objective(model, stack, frame_indices, lambda_reg)
+    return l_temp, l_reg, aux["seeds"], aux["cache"]
 
 
 def _train(monkeypatch, objective_fn, batch_frames):
@@ -153,8 +147,7 @@ def test_training_keeps_the_bits_of_the_whole_array_objective(monkeypatch, batch
 
     def recording(*args):
         out = objective(*args)
-        buffers = args[4]
-        assert list(buffers) == ["rows"] and out[2]["seeds"].base is buffers["rows"]
+        assert out[2].base is args[4]  # the seeds view train_partition's rows
         seen.append(out[2])
         return out
 
@@ -169,6 +162,6 @@ def test_training_keeps_the_bits_of_the_whole_array_objective(monkeypatch, batch
     # made afresh at each refinement, also when K stays the same.
     stages = [seen[0:3], seen[3:6], seen[6:9]]
     for stage in stages:
-        assert all(aux["seeds"].base is stage[0]["seeds"].base for aux in stage)
+        assert all(seeds.base is stage[0].base for seeds in stage)
     for a, b in zip(stages, stages[1:]):
-        assert not np.shares_memory(a[0]["seeds"], b[0]["seeds"])
+        assert not np.shares_memory(a[0], b[0])

@@ -249,6 +249,18 @@ def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
     listings.append((json.dumps([{**first, "index": 1}, {**second, "index": 0}]),
                      f"{bad} (core_span [0.5, 1.0] of partition 0 does not end where "
                      "[0.0, 0.5] starts)"))
+    # Checkpoints that fit the listing's format but not its spans or each
+    # other: two files swapped, and a network of another frame size.
+    for name, span, size in [("early.npz", (0.0, 0.6), 4), ("late.npz", (0.4, 1.0), 4),
+                             ("small.npz", (0.4, 1.0), 3)]:
+        save_checkpoint(init_siren([1, 8, size * size], seed=0, height=size, width=size,
+                                   t_domain=span), run / name)
+    early, late = {**first, "checkpoint": "early.npz"}, {**second, "checkpoint": "late.npz"}
+    listings.append((json.dumps([{**early, "checkpoint": "late.npz"},
+                                 {**late, "checkpoint": "early.npz"}]),
+                     f"{run / 'late.npz'}: t_domain [0.4, 1.0] is not its listed span [0.0, 0.6]"))
+    listings.append((json.dumps([early, {**late, "checkpoint": "small.npz"}]),
+                     f"{run / 'small.npz'}: frames are 3x3, partition 0's are 4x4"))
     for listing, reason in listings:
         (run / "partitions.json").write_text(listing)
         assert main(["enhance", "--checkpoints", str(run), "--window-dt", "0.05",

@@ -102,9 +102,9 @@ def test_temporal_loss_zero_for_zero_model_and_stack():
     stack = EventFrameStack(counts, edges, threshold_C=1.0)
     model = init_siren([1, 8, 8, 8, 4], seed=0, height=2, width=2, t_domain=(0.0, 1.0))
     model.weights[-1][:] = 0.0
-    loss, aux = temporal_loss(model, stack, np.arange(4))
+    loss, seeds, _ = temporal_loss(model, stack, np.arange(4))
     assert loss == 0.0
-    assert np.all(aux["seeds"][1] == 0.0)
+    assert np.all(seeds[1] == 0.0)
 
 
 class LinearTimeModel:
@@ -143,9 +143,9 @@ def test_temporal_loss_zero_for_exact_linear_model():
     counts = np.broadcast_to(per_bin[:, None, None], (6, 3, 3))
     stack = EventFrameStack(counts, edges, threshold_C=a / 13.0)
     model = LinearTimeModel(a, 3, 3, (0.0, 1.0))
-    loss, aux = temporal_loss(model, stack, np.arange(6))
+    loss, seeds, _ = temporal_loss(model, stack, np.arange(6))
     assert loss < 1e-28
-    assert np.allclose(aux["seeds"][1], 0.0, atol=1e-13)
+    assert np.allclose(seeds[1], 0.0, atol=1e-13)
 
 
 def test_temporal_loss_index_guard(toy_model, toy_stack):
@@ -159,9 +159,9 @@ def test_temporal_loss_quadratic_in_C(toy_stack):
     model = init_siren([1, 8, 8, 8, 16], seed=0, height=4, width=4, t_domain=(0.0, 1.0))
     model.weights[-1][:] = 0.0
     model.biases[-1][:] = 0.0
-    loss1, _ = temporal_loss(model, toy_stack, np.arange(toy_stack.num_frames))
+    loss1, _, _ = temporal_loss(model, toy_stack, np.arange(toy_stack.num_frames))
     scaled = EventFrameStack(toy_stack.counts, toy_stack.edges, toy_stack.threshold_C * 3.0)
-    loss3, _ = temporal_loss(model, scaled, np.arange(scaled.num_frames))
+    loss3, _, _ = temporal_loss(model, scaled, np.arange(scaled.num_frames))
     assert loss3 == pytest.approx(9.0 * loss1, rel=1e-12)
 
 
@@ -170,13 +170,13 @@ def test_objective_fills_both_seed_halves(toy_model, toy_stack, lam):
     """The tangent half is temporal_loss's (per t_norm), the frame half
     lambda times the regularizer gradient (zero at lambda = 0)."""
     idx = np.arange(toy_stack.num_frames)
-    l_temp, l_reg, aux = objective(toy_model, toy_stack, idx, lam)
-    ref_loss, ref = temporal_loss(toy_model, toy_stack, idx)
-    reg, grad = spatial_reg_loss(ref["frames"])
+    l_temp, l_reg, seeds, _ = objective(toy_model, toy_stack, idx, lam)
+    ref_loss, ref, _ = temporal_loss(toy_model, toy_stack, idx)
+    reg, grad = spatial_reg_loss(ref[0])
     assert l_temp == ref_loss
     assert l_reg == (reg if lam > 0 else 0.0)
-    assert np.array_equal(aux["seeds"][1], ref["seeds"][1])
-    assert np.array_equal(aux["seeds"][0], lam * grad)
+    assert np.array_equal(seeds[1], ref[1])
+    assert np.array_equal(seeds[0], lam * grad)
 
 
 # -- spatial regularization ---------------------------------------------------
@@ -311,14 +311,14 @@ def test_training_is_deterministic():
 
 def test_losses_keep_float32_of_a_float32_model(toy_model, toy_stack):
     twin = replace(toy_model, params=toy_model.params.astype(np.float32))
-    loss, aux = temporal_loss(twin, toy_stack, np.arange(toy_stack.num_frames))
+    loss, seeds, _ = temporal_loss(twin, toy_stack, np.arange(toy_stack.num_frames))
     assert isinstance(loss, float)
-    assert aux["frames"].dtype == aux["seeds"].dtype == np.float32
-    assert spatial_reg_loss(aux["frames"])[1].dtype == np.float32
-    frames = aux["frames"].copy()  # the gradient is written over aux["frames"]
-    l_reg, grad = spatial_reg_loss(aux["frames"], out=aux["seeds"][0])
+    assert seeds.dtype == np.float32
+    assert spatial_reg_loss(seeds[0])[1].dtype == np.float32
+    frames = seeds[0].copy()  # the gradient is written over the frames, seeds[0]
+    l_reg, grad = spatial_reg_loss(seeds[0], out=seeds[0])
     assert isinstance(l_reg, float)
-    assert np.shares_memory(grad, aux["seeds"][0])
+    assert np.shares_memory(grad, seeds[0])
     l_ref, grad_ref = spatial_reg_loss(frames.astype(np.float64))
     assert l_reg == pytest.approx(l_ref, rel=1e-5)
     assert np.allclose(grad, grad_ref, rtol=1e-5, atol=1e-6 * np.abs(grad_ref).max())
@@ -331,10 +331,10 @@ def test_a_rounded_target_gives_the_same_bits(toy_model, toy_stack):
     counts = np.random.default_rng(0).integers(-40, 41, size=toy_stack.counts.shape)
     stack = EventFrameStack(counts, toy_stack.edges, threshold_C=0.1)
     idx = np.array([3, 0, 5])
-    loss, aux = temporal_loss(twin, stack, idx)
+    loss, seeds, _ = temporal_loss(twin, stack, idx)
     ref_loss, ref_aux = objective_reference.temporal_loss(twin, stack, idx)
     ref_aux["seeds"][1] *= twin.time_slope  # per second -> per t_norm, as objective does
-    assert loss == ref_loss and aux["seeds"][1].tobytes() == ref_aux["seeds"][1].tobytes()
+    assert loss == ref_loss and seeds[1].tobytes() == ref_aux["seeds"][1].tobytes()
 
 
 def test_trained_float32_parameters_are_the_model_and_round_trip(tmp_path):
@@ -384,11 +384,8 @@ def test_training_holds_one_iteration_at_a_time():
     report, peak = traced_peak(train_partition, part, cfg)
     assert report.stack_sizes == [32, 32, 64, 64, 128, 128]
     stack, params = part.stack, part.model.params
-    buffers = {}
-    _, _, aux = objective(part.model, stack, np.arange(stack.num_frames), cfg.lambda_reg,
-                          buffers=buffers)
-    cache = aux["cache"]
-    held = (3 * params.nbytes + buffers["rows"].nbytes + stack.counts.nbytes
+    _, _, seeds, cache = objective(part.model, stack, np.arange(stack.num_frames), cfg.lambda_reg)
+    held = (3 * params.nbytes + seeds.nbytes + stack.counts.nbytes
             + sum(a.nbytes for a in cache.inputs + cache.derivs))
     block = 16 * BLOCK_PIXELS * params.itemsize
     assert peak <= held + block + 2**18  # and 256 KB for indices, durations, Adam's scratch
@@ -430,13 +427,13 @@ def test_loss_invariant_to_output_bias_shift():
     model = replace(parts[0].model, params=parts[0].model.params.astype(np.float64))
     stack = parts[0].stack
     idx = np.arange(stack.num_frames)
-    lt0, aux0 = temporal_loss(model, stack, idx)
-    lr0, _ = spatial_reg_loss(aux0["frames"])
+    lt0, seeds0, _ = temporal_loss(model, stack, idx)
+    lr0, _ = spatial_reg_loss(seeds0[0])
     for c in (-3.0, 0.7, 10.0):
         shifted = model.copy()
         shifted.biases[-1][:] += c
-        lt1, aux1 = temporal_loss(shifted, stack, idx)
-        lr1, _ = spatial_reg_loss(aux1["frames"])
+        lt1, seeds1, _ = temporal_loss(shifted, stack, idx)
+        lr1, _ = spatial_reg_loss(seeds1[0])
         assert abs(lt1 - lt0) <= 1e-12 * max(abs(lt0), 1e-300)
         assert abs(lr1 - lr0) <= 1e-12 * max(abs(lr0), 1e-12)
 
@@ -453,8 +450,8 @@ def test_pixel_permutation_equivariance_with_zero_lambda():
     rng = np.random.default_rng(9)
     perm = rng.permutation(n_px)
 
-    loss, _, aux = objective(model, stack, idx, cfg.lambda_reg)
-    grads = model.backward(aux["seeds"], aux["cache"])
+    loss, _, seeds, cache = objective(model, stack, idx, cfg.lambda_reg)
+    grads = model.backward(seeds, cache)
 
     permuted_counts = stack.counts.reshape(stack.num_frames, -1)[:, perm].reshape(
         stack.counts.shape)
@@ -462,8 +459,8 @@ def test_pixel_permutation_equivariance_with_zero_lambda():
     pmodel = model.copy()
     pmodel.weights[-1][:] = pmodel.weights[-1][perm]
     pmodel.biases[-1][:] = pmodel.biases[-1][perm]
-    ploss, _, paux = objective(pmodel, pstack, idx, cfg.lambda_reg)
-    pgrads = pmodel.backward(paux["seeds"], paux["cache"])
+    ploss, _, pseeds, pcache = objective(pmodel, pstack, idx, cfg.lambda_reg)
+    pgrads = pmodel.backward(pseeds, pcache)
 
     assert ploss == pytest.approx(loss, rel=1e-12)
     gw, gb = model.layers(grads)[-1]
@@ -502,10 +499,10 @@ def test_temporal_loss_scales_quadratically_at_zero_model():
     model.weights[-1][:] = 0.0
     model.biases[-1][:] = 0.0
     idx = np.arange(stack.num_frames)
-    loss1, _ = temporal_loss(model, stack, idx)
+    loss1, _, _ = temporal_loss(model, stack, idx)
     alpha = 4.0
     scaled = EventFrameStack(stack.counts, stack.edges, stack.threshold_C * alpha)
-    loss2, _ = temporal_loss(model, scaled, idx)
+    loss2, _, _ = temporal_loss(model, scaled, idx)
     assert loss2 == pytest.approx(alpha**2 * loss1, rel=1e-12)
 
 
