@@ -388,11 +388,10 @@ def _positive_float(text: str) -> float:
 def _add_threads(p):
     p.add_argument(
         "--threads", type=_positive_int, default=os.cpu_count() or 1,
-        help="threads that train independent partitions at once (default: all "
-             "cores). Cores go to partitions first: while N > 1 partitions train "
-             "together, numpy's OpenBLAS runs its threads // N per GEMM (at least "
-             "1) and is restored afterwards. A single partition keeps all BLAS "
-             "threads.")
+        help="partitions trained at once (default: all cores). Cores go to "
+             "partitions first: while N > 1 partitions train together, numpy's "
+             "OpenBLAS runs its threads // N per GEMM (at least 1) and is restored "
+             "afterwards. A single partition keeps all BLAS threads.")
 
 
 def _add_train_and_frames(p, events_help: str, events_required: bool):

@@ -7,8 +7,24 @@ or the precise failure they care about; `check_settings` raises them.
 import math
 
 
+def _rebuild(cls, args, state):
+    """An error of type `cls` with `args` and attributes `state`, made
+    without calling its `__init__`."""
+    error = cls.__new__(cls, *args)  # BaseException.__new__ stores args
+    error.__dict__.update(state)
+    return error
+
+
 class EvreconError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Pickling keeps the type, message and attributes of every subclass, so
+    an error raised in a partition worker process reaches the caller
+    intact, whatever arguments the subclass's own `__init__` takes.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class MalformedLine(EvreconError, ValueError):
@@ -124,6 +140,11 @@ class DivergedTraining(EvreconError, RuntimeError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+
+class WorkerLost(EvreconError, RuntimeError):
+    """A partition worker process exited without returning its partitions
+    (killed, for example, when the machine ran out of memory)."""
 
 
 class InvalidTimestamps(EvreconError, ValueError):

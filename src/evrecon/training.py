@@ -35,19 +35,25 @@ resolution each time. Long streams are cut into fixed-length partitions
 so reconstruction can stitch them seamlessly.
 
 Threading policy: cores go to partitions first, and BLAS gets what is
-left. Partitions are independent, so `train_ensemble` trains them on a
-pool of `workers = min(threads, partitions)` threads. While more than one
-worker runs, numpy's OpenBLAS is set to `max(1, previous // workers)`
-threads and restored after the pool has joined: partition threads and
-BLAS threads competing for the same cores slow every GEMM. On a 2-vCPU VM
-(OpenBLAS 0.3.31, float32 passes) the six 32x32 partitions of the
-benchmark's multipart32 workload trained in 5.7, 6.1 and 6.5 s on two
-partition threads with one BLAS thread each, against 7.6, 7.9 and 8.3 s
-on one partition thread with two BLAS threads. A single partition keeps
-all BLAS threads: the one-partition 64x64 selftest fixture trained in 19.9
-and 19.8 s on two, against 29.7 and 28.9 s pinned to one. When numpy's
-OpenBLAS cannot be found through ctypes, the BLAS thread count is left
-alone.
+left. Partitions are independent, so `train_ensemble` trains `workers =
+min(threads, partitions)` of them at once: the calling thread trains its
+share as worker 0, and workers 1..n-1 are helper processes, each with its
+own interpreter lock (partition threads took turns on one lock in
+`adam_step`). Helpers are forked, so they start with the built
+partitions and the pinned BLAS count instead of a fresh import; where the
+"fork" start method does not exist, one worker trains every partition.
+While more than one worker runs, numpy's OpenBLAS is set to `max(1,
+previous // workers)` threads before the helpers are forked, and
+restored after they have exited: partition workers and BLAS threads
+competing for the same cores slow every GEMM. On a 2-vCPU VM (OpenBLAS
+0.3.31, float32 passes) the six 32x32 partitions of the benchmark's
+multipart32 workload trained in 4.7-5.1 s on two workers with one BLAS
+thread each, against 5.1-6.0 s on the two partition threads this
+replaced and 7.2-8.2 s on one worker with two BLAS threads (4 runs each).
+A single partition keeps all BLAS threads: the one-partition 64x64
+selftest fixture trained in 19.7 and 21.3 s on two, against 27.5 and
+27.3 s pinned to one. When numpy's OpenBLAS cannot be found through
+ctypes, the BLAS thread count is left alone.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +75,7 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteOutput,
     ShapeMismatch,
+    WorkerLost,
     check_settings,
 )
 from .events import EventStream
@@ -426,29 +433,79 @@ def blas_threads() -> int | None:
     return None if api is None else int(api[0]())
 
 
-def train_ensemble(stream: EventStream, cfg: TrainConfig, threads: int = 1) -> list:
-    """Train one network per partition on a pool of up to `threads` threads.
+def _train_share(share: list, cfg: TrainConfig, workers: int, pinned: int | None) -> None:
+    """Train `share` in order in this process. Each report records
+    `workers` and, while BLAS is pinned, the BLAS threads this process has
+    when that partition starts training."""
+    for p in share:
+        threads = blas_threads() if pinned is not None else None
+        report = train_partition(p, cfg)
+        report.workers, report.blas_threads = workers, threads
 
-    Partitions are independent, so any thread count yields the same
-    result. With more than one worker, BLAS threads are divided among the
-    workers for the duration (see the module docstring); the thread count
-    of numpy's OpenBLAS is process-wide, so no other thread may run BLAS
-    calls while this one trains in parallel. Each report records `workers`
-    and the `blas_threads` used.
+
+def _helper(share: list, cfg: TrainConfig, workers: int, pinned: int | None, conn) -> None:
+    """Body of a forked helper process: train `share`, then send each
+    partition's (params, stack, report), or the exception that stopped it."""
+    try:
+        _train_share(share, cfg, workers, pinned)
+        conn.send([(p.model.params, p.stack, p.report) for p in share])
+    except Exception as exc:  # the caller raises it; an interrupt just ends the helper
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
+def train_ensemble(stream: EventStream, cfg: TrainConfig, threads: int = 1) -> list:
+    """Train one network per partition, up to `threads` partitions at once.
+
+    Partition i goes to worker i % workers, workers = min(threads,
+    partitions). The calling thread is worker 0 and trains its share
+    itself; workers 1..n-1 are processes forked after BLAS is pinned (see
+    the module docstring), whose trained parameters, final stacks and
+    reports are written into the returned partitions. One worker starts no
+    process; without the "fork" start method there is one worker. Any
+    worker count yields the same bits.
+
+    No helper outlives this call. The first failure in worker order is
+    raised: a helper's DivergedTraining keeps its partition and iteration,
+    and a helper that dies without answering raises WorkerLost. numpy's
+    OpenBLAS thread count is process-wide, so no other thread may run BLAS
+    calls meanwhile.
     """
     partitions = build_partitions(stream, cfg)
-    workers = max(1, min(threads, len(partitions)))
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    workers = max(1, min(threads, len(partitions))) if fork else 1
     prev = blas_threads() if workers > 1 else None
     pinned = max(1, prev // workers) if prev is not None and prev > 1 else None
     if pinned is not None:
         _openblas_threads_api()[1](pinned)
+    helpers = []
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda p: train_partition(p, cfg), partitions))
+        for w in range(1, workers):
+            ctx = multiprocessing.get_context("fork")
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_helper, daemon=True,
+                               args=(partitions[w::workers], cfg, workers, pinned, send))
+            proc.start()
+            helpers.append((proc, recv))
+            send.close()  # the helper holds the only write end, so its exit reads as EOF
+        _train_share(partitions[::workers], cfg, workers, pinned)
+        for w, (proc, recv) in enumerate(helpers, start=1):
+            try:
+                result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise WorkerLost(f"partition worker {w} exited with code {proc.exitcode} "
+                                 "before returning its partitions") from None
+            if isinstance(result, Exception):
+                raise result
+            for p, (params, stack, report) in zip(partitions[w::workers], result):
+                p.model.params, p.stack, p.report = params, stack, report
     finally:
+        for proc, recv in helpers:
+            recv.close()
+            proc.terminate()  # stops a helper still training when the caller failed
+            proc.join()
         if pinned is not None:
             _openblas_threads_api()[1](prev)
-    for p in partitions:
-        p.report.workers = workers
-        p.report.blas_threads = pinned
     return partitions

@@ -1,9 +1,12 @@
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from evrecon.errors import DegenerateFrame, DivergedTraining, IndexOutOfRange, InvalidConfig
+from evrecon.errors import (DegenerateFrame, DivergedTraining, IndexOutOfRange, InvalidConfig,
+                            WorkerLost)
 from evrecon.frames import EventFrameStack, refine_bins, stack_uniform
 from evrecon.metrics import BLOCK_PIXELS
 from evrecon import training
@@ -549,7 +552,8 @@ def blas_at_4():
 
 
 def _record_blas_threads(monkeypatch):
-    """Wrap train_partition to record the BLAS thread count each call sees."""
+    """Wrap train_partition to record the BLAS thread count each call sees
+    (calls made in the calling process only)."""
     seen = []
     inner = training.train_partition
 
@@ -561,25 +565,76 @@ def _record_blas_threads(monkeypatch):
     return seen
 
 
-def test_parallel_partitions_pin_blas_and_restore(blas_at_4, monkeypatch):
-    seen = _record_blas_threads(monkeypatch)
+def test_parallel_partitions_pin_blas_and_restore(blas_at_4):
     _, stream = small_fixture(duration=1.0)
     parts = train_ensemble(stream, tiny_cfg(partition_tau=0.5, overlap=0.1), threads=2)
     assert len(parts) == 2
-    assert seen == [2, 2]
     assert blas_threads() == blas_at_4
+    # each report's count was read by the process that trained the partition
     assert all(p.report.workers == 2 and p.report.blas_threads == 2 for p in parts)
 
 
 @pytest.mark.filterwarnings("error")
 def test_blas_threads_restored_after_divergence(blas_at_4, monkeypatch):
-    seen = _record_blas_threads(monkeypatch)
+    inner = training.train_partition
+
+    def diverge_on_1(part, cfg):  # patched before the fork, so the helper runs it
+        if part.index != 1:
+            return inner(part, cfg)
+        raise DivergedTraining(0, f"on {blas_threads()} BLAS threads", partition=1)
+
+    monkeypatch.setattr(training, "train_partition", diverge_on_1)
     _, stream = small_fixture(duration=1.0)
-    with pytest.raises(DivergedTraining):
-        train_ensemble(stream, tiny_cfg(partition_tau=0.5, overlap=0.1, lr=1e8),
-                       threads=2)
-    assert seen and all(n == 2 for n in seen)  # map may cancel the second partition
+    with pytest.raises(DivergedTraining, match="^partition 1: .* on 2 BLAS threads$"):
+        train_ensemble(stream, tiny_cfg(partition_tau=0.5, overlap=0.1), threads=2)
     assert blas_threads() == blas_at_4
+
+
+def test_helper_processes_give_the_bits_of_one_worker():
+    _, stream = small_fixture(duration=1.5)
+    cfg = tiny_cfg(partition_tau=0.5, overlap=0.1)
+    seq = train_ensemble(stream, cfg, threads=1)
+    par = train_ensemble(stream, cfg, threads=2)  # the caller trains 0 and 2, a helper 1
+    assert len(seq) == 3 and multiprocessing.active_children() == []
+    for a, b in zip(seq, par):
+        assert np.array_equal(a.model.params, b.model.params)
+        assert np.array_equal(a.stack.counts, b.stack.counts)
+        assert np.array_equal(a.stack.edges, b.stack.edges)
+        for key in ("temporal", "regularization", "total", "stack_sizes"):
+            assert getattr(a.report, key) == getattr(b.report, key)
+        assert (a.report.workers, b.report.workers) == (1, 2)
+
+
+def test_helper_divergence_reaches_the_caller(monkeypatch):
+    _, stream = small_fixture(duration=1.5)
+    cfg = tiny_cfg(partition_tau=0.5, overlap=0.1)
+    wild = replace(cfg, lr=1e8)
+    with pytest.raises(DivergedTraining) as alone:
+        train_partition(build_partitions(stream, cfg)[1], wild)
+    inner = training.train_partition
+    monkeypatch.setattr(training, "train_partition",
+                        lambda part, c: inner(part, wild if part.index == 1 else c))
+    with pytest.raises(DivergedTraining) as pooled:
+        train_ensemble(stream, cfg, threads=2)
+    assert pooled.value.partition == 1
+    assert pooled.value.iteration == alone.value.iteration
+    assert str(pooled.value) == str(alone.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_helper_that_dies_raises_worker_lost(monkeypatch):
+    inner = training.train_partition
+
+    def die_on_1(part, cfg):  # patched before the fork, so only the helper exits
+        if part.index == 1:
+            os._exit(3)
+        return inner(part, cfg)
+
+    monkeypatch.setattr(training, "train_partition", die_on_1)
+    _, stream = small_fixture(duration=1.0)
+    with pytest.raises(WorkerLost, match="worker 1 exited with code 3"):
+        train_ensemble(stream, tiny_cfg(partition_tau=0.5, overlap=0.1), threads=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_without_blas_control_partitions_still_run_in_parallel(monkeypatch):
