@@ -193,12 +193,7 @@ def _write_partitions(partitions, out_dir: Path) -> list:
     for p in partitions:
         name = f"partition_{p.index:03d}.npz"
         save_checkpoint(p.model, out_dir / name)
-        meta.append({
-            "index": p.index,
-            "core_span": list(p.core_span),
-            "span": list(p.span),
-            "checkpoint": name,
-        })
+        meta.append({"index": p.index, "checkpoint": name})
         if p.report is not None:
             with open(out_dir / f"report_{p.index:03d}.csv", "w", newline="") as fh:
                 wr = csv.writer(fh)
@@ -212,61 +207,41 @@ def _write_partitions(partitions, out_dir: Path) -> list:
     return [out_dir / m["checkpoint"] for m in meta]
 
 
-def _listing_problem(meta) -> str | None:
-    """Why a partitions.json listing of (index, core_span, span, checkpoint),
-    sorted by index, is unusable, or None: the indices must be the ints
-    0..n-1, each span two finite numbers lo < hi that contains its core
-    span, and each core span must end where the next one starts."""
-    if not meta:
-        return "no partitions"
-    for index, core, span, _ in meta:
-        if type(index) is not int:
-            return f"index {index!r} is not an integer"
-        for key, v in (("core_span", core), ("span", span)):
-            if not (type(v) is list and len(v) == 2 and {type(x) for x in v} <= {int, float}
-                    and -math.inf < float(v[0]) < float(v[1]) < math.inf):
-                return f"{key} {v!r} is not two finite numbers lo < hi"
-        if not span[0] <= core[0] < core[1] <= span[1]:
-            return f"span {span!r} of partition {index} does not contain its core_span {core!r}"
-    indices = [m[0] for m in meta]
-    if indices != list(range(len(meta))):
-        return f"indices {indices} are not 0..{len(meta) - 1}"
-    for (i, core, *_), (_, after, *_) in zip(meta, meta[1:]):
-        if core[1] != after[0]:
-            return f"core_span {core!r} of partition {i} does not end where {after!r} starts"
-    return None
-
-
 def load_partitions(run_dir) -> list:
     """Rehydrate trained partitions from a reconstruct output directory,
-    in index order. Raises InvalidCheckpoint naming partitions.json when it
-    is not JSON text listing at least one partition with a checkpoint, or
-    when `_listing_problem` finds the listing unusable; and naming a
-    checkpoint whose t_domain is not its listed span, or whose frame size
-    is not partition 0's."""
+    in index order. partitions.json lists {"index": i, "checkpoint": file}
+    for i = 0..n-1, n >= 1, in any order; other keys, such as the spans
+    older versions wrote, are ignored: a partition's span is its network's
+    t_domain. Raises InvalidCheckpoint naming partitions.json when it is
+    not such a list, and naming a checkpoint whose frame size is not
+    partition 0's or whose t_domain d does not follow the previous one p
+    as p.lo < d.lo <= p.hi <= d.hi, the chain in which sampling evaluates
+    each network inside its t_domain only."""
     path = Path(run_dir) / "partitions.json"
+    bad = f"{path}: not a partition list"
     try:
-        meta = sorted(((m["index"], m["core_span"], m["span"], str(m["checkpoint"]))
-                       for m in json.loads(path.read_bytes())), key=lambda m: m[0])
-        problem = _listing_problem(meta)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        problem = f"{type(exc).__name__}: {exc}"
-    if problem:
-        raise InvalidCheckpoint(f"{path}: not a partition list ({problem})")
-    partitions = [Partition(index=i, core_span=tuple(map(float, core)),
-                            span=tuple(map(float, span)), model=load_checkpoint(path.parent / name))
-                  for i, core, span, name in meta]
-    # Sampling routes times by the listed span and the network normalizes
-    # them by its own t_domain; JSON round-trips floats, so both are exact.
-    size = (partitions[0].model.height, partitions[0].model.width)
-    for p, (*_, name) in zip(partitions, meta):
-        m = p.model
-        if (m.height, m.width) != size:
-            raise InvalidCheckpoint(f"{path.parent / name}: frames are {m.width}x{m.height}, "
-                                    f"partition 0's are {size[1]}x{size[0]}")
-        if m.t_domain != p.span:
-            raise InvalidCheckpoint(f"{path.parent / name}: t_domain {list(m.t_domain)} is not "
-                                    f"its listed span {list(p.span)}")
+        meta = sorted((m["index"], str(m["checkpoint"])) for m in json.loads(path.read_bytes()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidCheckpoint(f"{bad} ({type(exc).__name__}: {exc})") from None
+    indices = [i for i, _ in meta]
+    if not meta or [(type(i), i) for i in indices] != [(int, i) for i in range(len(meta))]:
+        raise InvalidCheckpoint(f"{bad} (indices {indices} are not the ints 0..n-1 of n >= 1 "
+                                "partitions)")
+    partitions = []
+    for i, name in meta:
+        file = path.parent / name
+        m = load_checkpoint(file)
+        d = m.t_domain
+        if partitions:
+            first, b = partitions[0].model, partitions[-1].span
+            if (m.height, m.width) != (first.height, first.width):
+                raise InvalidCheckpoint(f"{file}: frames are {m.width}x{m.height}, "
+                                        f"partition 0's are {first.width}x{first.height}")
+            if not b[0] < d[0] <= b[1] <= d[1]:
+                raise InvalidCheckpoint(f"{file}: t_domain {list(d)} of partition {i} does not "
+                                        f"follow partition {i - 1}'s {list(b)}: need "
+                                        f"{b[0]} < {d[0]} <= {b[1]} <= {d[1]}")
+        partitions.append(Partition(index=i, span=d, model=m))
     return partitions
 
 

@@ -149,6 +149,8 @@ def ssim(pred: np.ndarray, ref: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
     if a.ndim != 3:
         raise ShapeMismatch(f"ssim expects (N, H, W) frame stacks, got shape {a.shape}")
+    if not len(a):
+        raise ShapeMismatch("ssim: need at least one frame")
     if min(a.shape[1:]) < SSIM_WINDOW:
         raise TooSmall(f"frames must be at least {SSIM_WINDOW} pixels on a side")
 
@@ -313,6 +315,8 @@ def evaluate_frames(
         raise ShapeMismatch(f"prediction {p.shape} vs reference {r.shape}")
     if p.ndim != 3:
         raise ShapeMismatch("expected (N, H, W) frame stacks")
+    if not len(p):
+        raise ShapeMismatch("need at least one frame to score")
     report = MetricReport()
     for block in frame_blocks(p):
         a, b = p[block], r[block]

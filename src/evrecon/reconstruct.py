@@ -7,7 +7,9 @@ removes the per-partition disagreement by chaining pairwise corrections
 measured over the shared overlap windows (after which the per-pair
 "subtract each mean, add the pair average" alignment is the identity),
 and `anchor_offset` pins the one remaining global constant by driving the
-whole video's median log intensity to zero.
+whole video's median log intensity to zero. A time inside the overlap of
+two neighboring spans crossfades their networks; any other time takes the
+last partition whose span starts at or before it.
 
 Sample times must be strictly increasing. Sampling writes each network's
 output straight into the one (N, H, W) float64 array of the `LogVideo`,
@@ -103,13 +105,13 @@ def _sample(partitions, times, tangent: bool) -> np.ndarray:
     tangent=False samples offset-corrected log frames; tangent=True samples
     per-second time derivatives (offsets drop out of derivatives). A time
     inside the overlap of partitions i and i+1 (the first such pair) blends
-    the two with weight u toward i+1; any other time takes the partition
-    whose core span holds it, the later one on a core edge.
+    the two with weight u toward i+1; any other time takes the last
+    partition whose span starts at or before it.
 
-    The times one source takes (a partition's core, or an overlap pair)
-    form one run, for partitions laid out as `build_partitions` lays them
-    out. Each run is evaluated in one batch straight into its slice of the
-    output, and a pair's run blends in place with one run-sized temporary.
+    The times one source takes (a partition alone, or an overlap pair)
+    form one run, for spans that start and end in index order. Each run is
+    evaluated in one batch straight into its slice of the output, and a
+    pair's run blends in place with one run-sized temporary.
     """
     partitions = sorted(partitions, key=lambda p: p.index)
     h, w = partitions[0].model.height, partitions[0].model.width
@@ -124,17 +126,16 @@ def _sample(partitions, times, tangent: bool) -> np.ndarray:
     # of True makes it len(lo) for times in no overlap.
     pair = np.column_stack([in_overlap, np.ones(len(times), dtype=bool)]).argmax(axis=1)
     blend = pair < len(lo)
-    edges = np.array([p.core_span[0] for p in partitions[1:]])
-    core = np.searchsorted(edges, times, side="right")
+    alone = np.searchsorted(lo, times, side="right")
     offsets = np.zeros(len(partitions)) if tangent else _chained_offsets(partitions, lo, hi)
     out = np.empty((len(times), h, w), dtype=np.float64)
 
-    # A time's source: its core partition i, or len(partitions) + its pair i.
-    source = np.where(blend, len(partitions) + pair, core)
+    # A time's source: its partition i alone, or len(partitions) + its pair i.
+    source = np.where(blend, len(partitions) + pair, alone)
     starts = np.flatnonzero(np.diff(source, prepend=-1))
     for a, b in zip(starts, np.append(starts[1:], len(times))):
         run, ts = out[a:b], times[a:b]
-        i = pair[a] if blend[a] else core[a]
+        i = pair[a] if blend[a] else alone[a]
         _batched_forward(partitions[i], ts, tangent, out=run)
         run += offsets[i]
         if blend[a]:
@@ -151,8 +152,9 @@ def _sample(partitions, times, tangent: bool) -> np.ndarray:
 def sample_video(partitions, times) -> LogVideo:
     """Stitched log-intensity video at the requested times.
 
-    Times in exactly one core span take that network's output; times inside
-    an overlap crossfade linearly between the two offset-aligned neighbors.
+    Times outside every overlap take the network of the last span starting
+    at or before them; times inside an overlap crossfade linearly between
+    the two offset-aligned neighbors.
     """
     return LogVideo(_sample(partitions, times, tangent=False), times)
 

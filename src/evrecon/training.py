@@ -163,16 +163,15 @@ class TrainReport:
 
 @dataclass
 class Partition:
-    """One sub-sequence: its time spans, event stack, and network.
+    """One sub-sequence: its time span (its network's t_domain, by which
+    sampling routes times), event stack, and network.
 
-    stack and events are None for partitions rehydrated from checkpoints
-    (sampling needs only the model and spans). events views the arrays of
-    the stream the partitions were cut from, read-only, so no partition
-    copies its events.
+    stack and events are None for partitions rehydrated from checkpoints.
+    events views the arrays of the stream the partitions were cut from,
+    read-only, so no partition copies its events.
     """
 
     index: int
-    core_span: tuple  # [core start, core end): this partition owns these times
     span: tuple  # trained span including overlap margins
     model: SirenModel  # float32 from build_partitions; training updates it in place
     stack: EventFrameStack | None = None
@@ -239,8 +238,8 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
     written into `out` when given, which may be `frames` itself. Sums
     accumulate in float64, block by block (see the module docstring).
     """
-    if frames.ndim != 3 or frames.shape[1] < 2 or frames.shape[2] < 2:
-        raise DegenerateFrame(f"need (K, H, W) frames with H, W >= 2, got shape {frames.shape}")
+    if frames.ndim != 3 or frames.shape[0] < 1 or min(frames.shape[1:]) < 2:
+        raise DegenerateFrame(f"need (K, H, W) frames, K >= 1, H, W >= 2, got {frames.shape}")
     k, h, w = frames.shape
     if out is not None and not (out.shape == frames.shape and out.flags.c_contiguous):
         raise ShapeMismatch(f"out must be a C-contiguous array of shape {frames.shape}")
@@ -372,9 +371,11 @@ def build_partitions(stream: EventStream, cfg: TrainConfig) -> list:
     2e-5) are 4-5 orders of magnitude above the float32 spacing of weights
     near 4e-3, so training needs no float64 master copy.
 
-    Core spans tile the stream window; trained spans extend half the
-    overlap past each interior boundary, so adjacent partitions share
-    exactly `overlap` seconds. Streams shorter than tau yield N = 1.
+    Core edges t_start + i * tau cut the stream window into N pieces;
+    each trained span reaches half the overlap past each interior edge,
+    clamped to the window, so adjacent partitions share exactly `overlap`
+    seconds where the window does not clamp them. Only the spans are kept.
+    Streams shorter than tau yield N = 1.
     """
     if stream.duration <= 0:
         raise InvalidConfig("stream window must have positive duration")
@@ -396,8 +397,7 @@ def build_partitions(stream: EventStream, cfg: TrainConfig) -> list:
                            t_domain=(span_lo, span_hi))
         model.params = model.params.astype(np.float32)  # rounded once, then trained in place
         partitions.append(
-            Partition(index=i, core_span=(core_lo, core_hi), span=(span_lo, span_hi),
-                      model=model, stack=stack, events=piece)
+            Partition(index=i, span=(span_lo, span_hi), model=model, stack=stack, events=piece)
         )
     return partitions
 
@@ -433,26 +433,44 @@ def blas_threads() -> int | None:
     return None if api is None else int(api[0]())
 
 
-def _train_share(share: list, cfg: TrainConfig, workers: int, pinned: int | None) -> None:
-    """Train `share` in order in this process. Each report records
-    `workers` and, while BLAS is pinned, the BLAS threads this process has
-    when that partition starts training."""
-    for p in share:
-        threads = blas_threads() if pinned is not None else None
-        report = train_partition(p, cfg)
-        report.workers, report.blas_threads = workers, threads
+def _train(p: Partition, cfg: TrainConfig, workers: int, pinned: int | None) -> None:
+    """Train `p` in this process. Its report records `workers` and, while
+    BLAS is pinned, the BLAS threads this process has when it starts."""
+    threads = blas_threads() if pinned is not None else None
+    report = train_partition(p, cfg)
+    report.workers, report.blas_threads = workers, threads
 
 
 def _helper(share: list, cfg: TrainConfig, workers: int, pinned: int | None, conn) -> None:
     """Body of a forked helper process: train `share`, then send each
     partition's (params, stack, report), or the exception that stopped it."""
     try:
-        _train_share(share, cfg, workers, pinned)
+        for p in share:
+            _train(p, cfg, workers, pinned)
         conn.send([(p.model.params, p.stack, p.report) for p in share])
     except Exception as exc:  # the caller raises it; an interrupt just ends the helper
         conn.send(exc)
     finally:
         conn.close()
+
+
+def _collect(ready: list, pending: dict, partitions: list, workers: int) -> None:
+    """Read each helper pipe in `ready`, in order, and drop it from
+    `pending` (read end -> (worker, process)): write the helper's results
+    into `partitions`, or raise the exception it sent, or WorkerLost when
+    it exited without answering."""
+    for recv in ready:
+        w, proc = pending.pop(recv)
+        try:
+            result = recv.recv()
+        except EOFError:
+            proc.join()
+            raise WorkerLost(f"partition worker {w} exited with code {proc.exitcode} "
+                             "before returning its partitions") from None
+        if isinstance(result, Exception):
+            raise result
+        for p, (params, stack, report) in zip(partitions[w::workers], result):
+            p.model.params, p.stack, p.report = params, stack, report
 
 
 def train_ensemble(stream: EventStream, cfg: TrainConfig, threads: int = 1) -> list:
@@ -466,11 +484,15 @@ def train_ensemble(stream: EventStream, cfg: TrainConfig, threads: int = 1) -> l
     process; without the "fork" start method there is one worker. Any
     worker count yields the same bits.
 
-    No helper outlives this call. The first failure in worker order is
-    raised: a helper's DivergedTraining keeps its partition and iteration,
-    and a helper that dies without answering raises WorkerLost. numpy's
-    OpenBLAS thread count is process-wide, so no other thread may run BLAS
-    calls meanwhile.
+    No helper outlives this call. The first failure seen is raised: after
+    each partition it trains the caller reads every helper that has
+    answered, so a helper's early failure ends the caller's share, and then
+    waits for the rest in worker order. A helper's DivergedTraining keeps
+    its partition and iteration, and a helper that dies without answering
+    raises WorkerLost. numpy's OpenBLAS thread count
+    is process-wide, so no other thread may run BLAS calls meanwhile.
+    Forking after BLAS calls is safe: OpenBLAS's fork handler joins its
+    thread pool first, so each helper starts from a single-threaded process.
     """
     partitions = build_partitions(stream, cfg)
     fork = "fork" in multiprocessing.get_all_start_methods()
@@ -489,18 +511,12 @@ def train_ensemble(stream: EventStream, cfg: TrainConfig, threads: int = 1) -> l
             proc.start()
             helpers.append((proc, recv))
             send.close()  # the helper holds the only write end, so its exit reads as EOF
-        _train_share(partitions[::workers], cfg, workers, pinned)
-        for w, (proc, recv) in enumerate(helpers, start=1):
-            try:
-                result = recv.recv()
-            except EOFError:
-                proc.join()
-                raise WorkerLost(f"partition worker {w} exited with code {proc.exitcode} "
-                                 "before returning its partitions") from None
-            if isinstance(result, Exception):
-                raise result
-            for p, (params, stack, report) in zip(partitions[w::workers], result):
-                p.model.params, p.stack, p.report = params, stack, report
+        pending = {recv: (w, proc) for w, (proc, recv) in enumerate(helpers, start=1)}
+        for p in partitions[::workers]:
+            _train(p, cfg, workers, pinned)
+            # Helpers that have answered, so that a failure ends this share.
+            _collect([recv for recv in pending if recv.poll()], pending, partitions, workers)
+        _collect(list(pending), pending, partitions, workers)
     finally:
         for proc, recv in helpers:
             recv.close()

@@ -12,7 +12,11 @@ blocks, that is the arithmetic of the blocked code. The streamed code
 must reproduce all of it bit for bit for float32 networks, since every
 element sees the same floating-point operations in the same order and
 every network batch holds the same times; a float64 network's row blocks
-may round its products differently. Only the tests use it.
+may round its products differently. A time outside every overlap goes
+to the partition whose core holds it, by the interior core edges the
+caller passes, as the code routed times when partitions kept their cores;
+the streamed code routes by span starts, which must pick the same
+partition since each edge lies inside its overlap. Only the tests use it.
 """
 
 from __future__ import annotations
@@ -60,9 +64,10 @@ def _chained_offsets(partitions, lo, hi) -> np.ndarray:
     return offsets
 
 
-def sample(partitions, times: np.ndarray, tangent: bool) -> np.ndarray:
+def sample(partitions, times: np.ndarray, tangent: bool, edges) -> np.ndarray:
     """Offset-corrected log frames (tangent=False) or per-second time
-    derivatives (tangent=True) of the stitched ensemble."""
+    derivatives (tangent=True) of the stitched ensemble, whose partition i
+    + 1's core starts at edges[i]."""
     partitions = sorted(partitions, key=lambda p: p.index)
     h, w = partitions[0].model.height, partitions[0].model.width
     t0, t1 = partitions[0].span[0], partitions[-1].span[1]
@@ -72,8 +77,7 @@ def sample(partitions, times: np.ndarray, tangent: bool) -> np.ndarray:
     in_overlap = (times[:, None] >= lo) & (times[:, None] <= hi) & (hi > lo)
     pair = np.column_stack([in_overlap, np.ones(len(times), dtype=bool)]).argmax(axis=1)
     blend = pair < len(lo)
-    edges = np.array([p.core_span[0] for p in partitions[1:]])
-    core = np.searchsorted(edges, times, side="right")
+    core = np.searchsorted(np.asarray(edges, dtype=np.float64), times, side="right")
     offsets = np.zeros(len(partitions)) if tangent else _chained_offsets(partitions, lo, hi)
     out = np.empty((len(times), h, w), dtype=np.float64)
 
@@ -90,8 +94,8 @@ def sample(partitions, times: np.ndarray, tangent: bool) -> np.ndarray:
     return out
 
 
-def enhance_events(partitions, times, window_dt: float) -> np.ndarray:
-    return sample(partitions, np.asarray(times, dtype=np.float64), tangent=True) * window_dt
+def enhance_events(partitions, times, window_dt: float, edges) -> np.ndarray:
+    return sample(partitions, np.asarray(times, dtype=np.float64), True, edges) * window_dt
 
 
 def tone_map(log_frames: np.ndarray, gamma: float = 0.6) -> np.ndarray:

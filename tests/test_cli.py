@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 import evrecon
-from evrecon.cli import build_parser, main, parse_config_file
+import output_reference as ref
+from conftest import make_stream
+from evrecon.cli import _write_partitions, build_parser, load_partitions, main, parse_config_file
 from evrecon.pgm import write_frame_dir
+from evrecon.reconstruct import enhance_events, sample_video
 from evrecon.siren import init_siren, save_checkpoint
-from evrecon.training import TrainConfig, blas_threads
+from evrecon.training import TrainConfig, blas_threads, build_partitions
 
 
 @pytest.mark.parametrize("command", [["reconstruct", "--events", "e", "--out", "o"],
@@ -221,53 +224,104 @@ def test_file_outputs_without_a_suffix_get_a_manifest_beside_them(tmp_path):
 def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
-    entry = {"index": 0, "core_span": [0.0, 1.0], "span": [0.0, 1.0],
-             "checkpoint": "partition_000.npz"}
+    entry = {"index": 0, "checkpoint": "partition_000.npz"}
     np.savez(run / "partition_000.npz", version=np.asarray(2))
-    no_core = {k: v for k, v in entry.items() if k != "core_span"}
     bad = "partitions.json: not a partition list"
     listings = [(json.dumps([entry]), "version 2"),
                 (json.dumps([entry])[:-3], bad),
-                (json.dumps([no_core]), f"{bad} (KeyError: 'core_span')"),
-                ("[]", f"{bad} (no partitions)"),
-                (json.dumps([{**entry, "index": 0.0}]), f"{bad} (index 0.0 is not an integer)"),
-                (json.dumps([{**entry, "index": True}]), f"{bad} (index True is not an integer)")]
-    for span in [["a", "b"], [0.0], [1.0, 0.0], [0.0, float("inf")], 1.0]:
-        listings.append((json.dumps([{**entry, "span": span}]),
-                         f"{bad} (span {span!r} is not two finite numbers lo < hi)"))
-    listings.append((json.dumps([{**entry, "core_span": [0.0, float("nan")]}]),
-                     f"{bad} (core_span [0.0, nan] is not two finite numbers lo < hi)"))
-    listings.append((json.dumps([{**entry, "span": [0, 10**400]}]),
-                     f"{bad} (OverflowError: int too large to convert to float)"))
-    # Two partitions whose spans leave a gap, and the same two with their
-    # indices swapped: the window must come from index order.
-    first = {**entry, "core_span": [0.0, 0.5], "span": [0.0, 0.6]}
-    second = {**entry, "index": 1, "core_span": [0.5, 1.0], "span": [0.4, 1.0]}
-    listings.append((json.dumps([first, {**second, "span": [0.9, 0.99]}]),
-                     f"{bad} (span [0.9, 0.99] of partition 1 does not contain its "
-                     "core_span [0.5, 1.0])"))
-    listings.append((json.dumps([{**first, "index": 1}, {**second, "index": 0}]),
-                     f"{bad} (core_span [0.5, 1.0] of partition 0 does not end where "
-                     "[0.0, 0.5] starts)"))
-    # Checkpoints that fit the listing's format but not its spans or each
-    # other: two files swapped, and a network of another frame size.
+                (json.dumps([{"index": 0}]), f"{bad} (KeyError: 'checkpoint')"),
+                ("[]", f"{bad} (indices [] are not the ints 0..n-1 of n >= 1 partitions)")]
+    for indices in [[0.0], [True], [0, 0], [1, 2]]:
+        listings.append((json.dumps([{**entry, "index": i} for i in indices]),
+                         f"{bad} (indices {indices!r} are not the ints 0..n-1"))
+    # Checkpoints that load but do not chain: a gap between two domains,
+    # two files swapped, two domains that start together, a network of
+    # another frame size, and a span nested in the one before, listed as
+    # older versions wrote it, with cores [0, 1], [1, 2], [2, 3] that tile
+    # and spans equal to the t_domains.
     for name, span, size in [("early.npz", (0.0, 0.6), 4), ("late.npz", (0.4, 1.0), 4),
-                             ("small.npz", (0.4, 1.0), 3)]:
+                             ("gap.npz", (0.7, 1.0), 4), ("small.npz", (0.4, 1.0), 3),
+                             ("outer.npz", (0.0, 3.0), 4), ("nested.npz", (0.5, 2.0), 4),
+                             ("last.npz", (1.5, 3.0), 4)]:
         save_checkpoint(init_siren([1, 8, size * size], seed=0, height=size, width=size,
                                    t_domain=span), run / name)
-    early, late = {**first, "checkpoint": "early.npz"}, {**second, "checkpoint": "late.npz"}
-    listings.append((json.dumps([{**early, "checkpoint": "late.npz"},
-                                 {**late, "checkpoint": "early.npz"}]),
-                     f"{run / 'late.npz'}: t_domain [0.4, 1.0] is not its listed span [0.0, 0.6]"))
-    listings.append((json.dumps([early, {**late, "checkpoint": "small.npz"}]),
-                     f"{run / 'small.npz'}: frames are 3x3, partition 0's are 4x4"))
-    for listing, reason in listings:
-        (run / "partitions.json").write_text(listing)
+
+    def listing(*names):
+        return json.dumps([{"index": i, "checkpoint": n} for i, n in enumerate(names)])
+
+    def unchained(name, i, d, b):
+        return (f"{run / name}: t_domain {d} of partition {i} does not follow partition "
+                f"{i - 1}'s {b}: need {b[0]} < {d[0]} <= {b[1]} <= {d[1]}")
+
+    listings += [(listing("early.npz", "gap.npz"),
+                  unchained("gap.npz", 1, [0.7, 1.0], [0.0, 0.6])),
+                 (listing("late.npz", "early.npz"),
+                  unchained("early.npz", 1, [0.0, 0.6], [0.4, 1.0])),
+                 (listing("early.npz", "outer.npz"),
+                  unchained("outer.npz", 1, [0.0, 3.0], [0.0, 0.6])),
+                 (listing("early.npz", "small.npz"),
+                  f"{run / 'small.npz'}: frames are 3x3, partition 0's are 4x4"),
+                 (json.dumps([{"index": i, "core_span": [i, i + 1.0], "span": span,
+                               "checkpoint": name}
+                              for i, (name, span) in enumerate([("outer.npz", [0.0, 3.0]),
+                                                                ("nested.npz", [0.5, 2.0]),
+                                                                ("last.npz", [1.5, 3.0])])]),
+                  unchained("nested.npz", 1, [0.5, 2.0], [0.0, 3.0]))]
+    for listing_text, reason in listings:
+        (run / "partitions.json").write_text(listing_text)
         assert main(["enhance", "--checkpoints", str(run), "--window-dt", "0.05",
-                     "--out", str(tmp_path / "out")]) == 1
+                     "--fps", "10", "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and reason in err
     assert not (tmp_path / "out").exists()
+
+
+def written_and_loaded(partitions, run, listing=None) -> list:
+    """`partitions` written as reconstruct writes them, with their
+    partitions.json replaced by `listing` when given, and loaded back."""
+    run.mkdir()
+    _write_partitions(partitions, run)
+    if listing is not None:
+        (run / "partitions.json").write_text(json.dumps(listing))
+    return load_partitions(run)
+
+
+def test_a_window_clamped_layout_round_trips(tmp_path):
+    """A 1.05 s stream at tau 1 and overlap 0.5 gives two spans that end
+    together, (0, 1.05) and (0.75, 1.05): the chain rule must take an end
+    equal to the one before."""
+    stream = make_stream([0.0, 0.5, 1.05], [0, 1, 0], [0, 1, 1], [1, -1, 1], width=2,
+                         height=2)
+    built = build_partitions(stream, TrainConfig(partition_tau=1.0, overlap=0.5,
+                                                 hidden_features=8, hidden_layers=1))
+    loaded = written_and_loaded(built, tmp_path / "run")
+    assert [p.span for p in loaded] == [p.span for p in built] == [(0.0, 1.05), (0.75, 1.05)]
+    times = np.linspace(0.0, 1.05, 22)
+    assert np.array_equal(sample_video(loaded, times).frames, sample_video(built, times).frames)
+
+
+def test_an_old_listing_loads_with_the_old_routing(tmp_path):
+    """A listing that still carries each partition's core and span loads
+    from its checkpoints alone and samples the bits that routing by those
+    cores gives, which is how sampling routed times when listings had
+    them: three 0.5 s partitions at overlap 0.1 over 1.3 s."""
+    stream = make_stream(np.linspace(0.0, 1.3, 40), np.arange(40) % 3, np.arange(40) % 2,
+                         np.where(np.arange(40) % 2, 1, -1), width=3, height=2)
+    built = build_partitions(stream, TrainConfig(partition_tau=0.5, overlap=0.1,
+                                                 hidden_features=8, hidden_layers=1))
+    cores = [(0.0, 0.5), (0.5, 1.0), (1.0, 1.3)]
+    old = [{"index": p.index, "core_span": list(core), "span": list(p.span),
+            "checkpoint": f"partition_{p.index:03d}.npz"} for p, core in zip(built, cores)]
+    loaded = written_and_loaded(built, tmp_path / "run", old[::-1])
+    assert [p.span for p in loaded] == [(0.0, 0.55), (0.45, 1.05), (0.95, 1.3)]
+    edges = [core[0] for core in cores[1:]]
+    times = np.unique(np.concatenate([np.linspace(0.0, 1.3, 53), edges,
+                                      np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+                                      [s for p in loaded for s in p.span]]))
+    assert np.array_equal(sample_video(loaded, times).frames,
+                          ref.sample(built, times, False, edges))
+    assert np.array_equal(enhance_events(loaded, times, 0.02),
+                          ref.enhance_events(built, times, 0.02, edges))
 
 
 @pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])

@@ -91,6 +91,8 @@ def test_ssim_range_and_guards():
         ssim(np.zeros((1, 8, 8)), np.zeros((1, 8, 8)))
     with pytest.raises(ShapeMismatch):
         ssim(np.zeros((1, 16, 16)), np.zeros((1, 16, 17)))
+    with pytest.raises(ShapeMismatch, match="need at least one frame"):
+        ssim(np.zeros((0, 16, 16)), np.zeros((0, 16, 16)))
 
 
 def test_ssim_matches_skimage_oracle():
@@ -211,6 +213,8 @@ def test_evaluate_frames_report():
 def test_evaluate_frames_shape_guard():
     with pytest.raises(ShapeMismatch):
         evaluate_frames(np.zeros((2, 16, 16), np.uint8), np.zeros((3, 16, 16), np.uint8))
+    with pytest.raises(ShapeMismatch, match="need at least one frame"):
+        evaluate_frames(np.zeros((0, 16, 16), np.uint8), np.zeros((0, 16, 16), np.uint8))
 
 
 # -- frame stacks against the frame-at-a-time oracle ---------------------------

@@ -44,9 +44,9 @@ def same_bits(a, b) -> bool:
 
 
 def chain(n, overlap, h, w, seed, hidden=8, dtype=np.float64):
-    """n partitions with cores [i, i+1) over [0, n] and spans reaching half
-    the overlap past each interior core edge, as build_partitions lays
-    them out; each has its own network, rounded to `dtype`."""
+    """n partitions with spans reaching half the overlap past each interior
+    core edge 1..n-1 over [0, n], as build_partitions lays them out; each
+    has its own network, rounded to `dtype`."""
     half = overlap / 2.0
     parts = []
     for i in range(n):
@@ -54,9 +54,14 @@ def chain(n, overlap, h, w, seed, hidden=8, dtype=np.float64):
         model = init_siren([1, hidden, hidden, h * w], seed=seed + i, height=h, width=w,
                            t_domain=span)
         model.params = model.params.astype(dtype)
-        parts.append(Partition(index=i, core_span=(float(i), float(i + 1)), span=span,
-                               model=model))
+        parts.append(Partition(index=i, span=span, model=model))
     return parts
+
+
+def core_edges(parts) -> np.ndarray:
+    """The interior core edges 1..n-1 of a `chain`, which the reference
+    routes by."""
+    return np.arange(1.0, len(parts))
 
 
 @st.composite
@@ -64,7 +69,8 @@ def ensembles(draw):
     """Float32 partitions, as reconstruct trains and samples them, or
     float64 ones, as older checkpoints load, and strictly increasing times
     over their window: core and overlap edges, uniform times, or both;
-    sometimes a single frame."""
+    sometimes a single frame. Every draw checks that routing by span
+    starts picks the partitions the reference's core edges pick."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     n = draw(st.integers(1, 3))
     overlap = draw(st.sampled_from([0.0, 0.3, 0.5]))
@@ -119,11 +125,12 @@ def test_streamed_output_matches_the_whole_array_reference(ensemble, gamma, wind
     """Frames and enhancement grids match the reference (see
     matches_reference); the byte maps of the same values, bit for bit."""
     parts, times = ensemble
+    edges = core_edges(parts)
     video = sample_video(parts, times)
-    assert matches_reference(video.frames, ref.sample(parts, times, tangent=False), parts,
+    assert matches_reference(video.frames, ref.sample(parts, times, False, edges), parts,
                              output_terms(parts, times, tangent=False))
     grids = enhance_events(parts, times, window_dt)
-    assert matches_reference(grids, ref.enhance_events(parts, times, window_dt), parts,
+    assert matches_reference(grids, ref.enhance_events(parts, times, window_dt, edges), parts,
                              output_terms(parts, times, tangent=True) * window_dt)
 
     anchored = anchor_offset(video)  # shifts video in place
@@ -219,7 +226,8 @@ def test_enhancing_float32_networks_in_blocks_matches_the_reference(overlap):
     whole tangent product."""
     parts = chain(2, overlap, 64, 64, seed=6, hidden=32, dtype=np.float32)
     times = np.linspace(0.0, 2.0, 500)
-    assert same_bits(enhance_events(parts, times, 0.01), ref.enhance_events(parts, times, 0.01))
+    assert same_bits(enhance_events(parts, times, 0.01),
+                     ref.enhance_events(parts, times, 0.01, core_edges(parts)))
 
 
 def test_enhancing_a_float32_model_holds_the_grids_plus_one_block():

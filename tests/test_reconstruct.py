@@ -32,7 +32,7 @@ from evrecon.training import Partition
 
 def one_partition(seed=3, t_domain=(0.0, 1.0)):
     model = init_siren([1, 8, 8, 8, 16], seed=seed, height=4, width=4, t_domain=t_domain)
-    return Partition(index=0, core_span=t_domain, span=t_domain, model=model)
+    return Partition(index=0, span=t_domain, model=model)
 
 
 def two_partitions(offset=0.0, overlap=0.5):
@@ -43,16 +43,16 @@ def two_partitions(offset=0.0, overlap=0.5):
     m1 = m0.copy()
     m1.t_domain = (0.0, 1.0 + half)  # identical input map so outputs agree
     m1.biases[-1][:] += offset
-    p0 = Partition(index=0, core_span=(0.0, 1.0), span=(0.0, 1.0 + half), model=m0)
-    p1 = Partition(index=1, core_span=(1.0, 2.0), span=(1.0 - half, 2.0), model=m1)
+    p0 = Partition(index=0, span=(0.0, 1.0 + half), model=m0)
+    p1 = Partition(index=1, span=(1.0 - half, 2.0), model=m1)
     # second model must answer over [1-half, 2]; reuse domain covering both
     m1.t_domain = (0.0, 1.0 + half)
     return p0, p1
 
 
 def chain(n=3, overlap=0.5, same_network=False):
-    """n partitions with cores [i, i+1) and spans reaching half the overlap
-    past each interior core edge, as build_partitions lays them out. With
+    """n partitions with spans reaching half the overlap past each interior
+    core edge 1..n-1, as build_partitions lays them out. With
     same_network, every partition runs one network over one time map,
     plus an output offset of 0.7 * i."""
     half = overlap / 2.0
@@ -65,8 +65,7 @@ def chain(n=3, overlap=0.5, same_network=False):
             model.biases[-1][:] += 0.7 * i
         else:
             model = init_siren([1, 8, 8, 8, 16], seed=3 + i, height=4, width=4, t_domain=span)
-        parts.append(Partition(index=i, core_span=(float(i), float(i + 1)), span=span,
-                               model=model))
+        parts.append(Partition(index=i, span=span, model=model))
     return parts
 
 

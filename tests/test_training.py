@@ -1,6 +1,10 @@
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +222,8 @@ def test_spatial_reg_rejects_degenerate_frames():
         spatial_reg_loss(np.zeros((3, 8, 1)))
     with pytest.raises(DegenerateFrame):
         spatial_reg_loss(np.zeros((8, 8)))  # a single frame comes as a batch of one
+    with pytest.raises(DegenerateFrame, match="K >= 1"):
+        spatial_reg_loss(np.zeros((0, 4, 4)))
 
 
 # -- partitioning ------------------------------------------------------------
@@ -247,7 +253,6 @@ def test_short_stream_yields_single_partition():
                       refine_at_iters=(), total_iters=10, threshold_C=0.25)
     parts = build_partitions(spread_stream(2.0), cfg)
     assert len(parts) == 1
-    assert parts[0].core_span == (0.0, 2.0)
     assert parts[0].span == (0.0, 2.0)
 
 
@@ -257,13 +262,10 @@ def test_partition_spans_share_exactly_overlap():
     parts = build_partitions(spread_stream(20.0), cfg)
     assert len(parts) == 4
     for a, b in zip(parts, parts[1:]):
-        assert a.core_span[1] == b.core_span[0]
         shared = a.span[1] - b.span[0]
         assert shared == pytest.approx(cfg.overlap)
-    assert parts[0].span[0] == 0.0
-    assert parts[-1].span[1] == 20.0
-    # cores tile the stream
-    assert [p.core_span[0] for p in parts] == [0.0, 5.0, 10.0, 15.0]
+    # spans reach half the overlap past each core edge 5, 10, 15
+    assert [p.span for p in parts] == [(0.0, 5.25), (4.75, 10.25), (9.75, 15.25), (14.75, 20.0)]
 
 
 def test_partition_events_are_read_only_views_of_the_stream():
@@ -635,6 +637,67 @@ def test_a_helper_that_dies_raises_worker_lost(monkeypatch):
     with pytest.raises(WorkerLost, match="worker 1 exited with code 3"):
         train_ensemble(stream, tiny_cfg(partition_tau=0.5, overlap=0.1), threads=2)
     assert multiprocessing.active_children() == []
+
+
+def test_a_helpers_early_failure_ends_the_callers_share(monkeypatch):
+    """Five partitions on two workers: the caller has 0, 2 and 4, a helper
+    1 and 3. The helper fails on partition 1 at once; the caller finishes
+    partition 0 only after the helper has exited, and must then raise that
+    failure instead of starting partition 2."""
+    inner, caller, started = training.train_partition, os.getpid(), []
+
+    def fail_1_early(part, cfg):  # patched before the fork, so the helper runs it
+        if os.getpid() != caller:
+            if part.index == 1:
+                raise DivergedTraining(0, "injected", partition=1)
+            return inner(part, cfg)
+        started.append(part.index)
+        report = inner(part, cfg)
+        deadline = time.monotonic() + 30.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return report
+
+    monkeypatch.setattr(training, "train_partition", fail_1_early)
+    _, stream = small_fixture(duration=2.5)
+    with pytest.raises(DivergedTraining, match="^partition 1: .*injected$"):
+        train_ensemble(stream, tiny_cfg(partition_tau=0.5, overlap=0.1), threads=2)
+    assert started == [0]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/stat")
+def test_helpers_are_forked_from_a_single_threaded_process():
+    """OpenBLAS joins its thread pool in its fork handler, so every helper
+    is forked from a process with one OS thread and Python 3.12+ has no
+    multi-threaded fork to warn about. A fresh interpreter, where
+    DeprecationWarnings are errors, counts its threads right after each
+    fork of a threads=3 training of four partitions (two helpers)."""
+    code = """if True:
+        import os
+        from evrecon.simulate import SimConfig, render_scene, simulate_events
+        from evrecon.training import TrainConfig, train_ensemble
+
+        seen = []
+
+        def count_threads():
+            with open("/proc/self/stat") as fh:
+                seen.append(int(fh.read().rsplit(")", 1)[1].split()[17]))
+
+        os.register_at_fork(after_in_parent=count_threads)
+        video = render_scene("translating_gradient", 12, 12, 2.0, 120.0, seed=2)
+        stream = simulate_events(video, SimConfig(threshold_C=0.25, rng_seed=1))
+        cfg = TrainConfig(threshold_C=0.25, total_iters=12, refine_at_iters=(4, 8),
+                          hidden_features=16, partition_tau=0.5, overlap=0.1)
+        print(len(train_ensemble(stream, cfg, threads=3)), seen)
+    """
+    src = str(Path(training.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "4 [1, 1]\n"
 
 
 def test_without_blas_control_partitions_still_run_in_parallel(monkeypatch):
