@@ -3,7 +3,7 @@
 Subcommands:
     simulate     render a synthetic scene and generate events from it
     reconstruct  train networks on events and emit frames + checkpoints
-    enhance      emit derivative-based denoised event frames
+    enhance      derivative-based event frames from a reconstruct output directory
     evaluate     score prediction frames against reference frames
     selftest     run the closed-loop verification pipeline
 
@@ -117,7 +117,7 @@ def _train_config(args) -> TrainConfig:
     kw = parse_config_file(args.config) if args.config else {}
     if args.threshold is not None:
         kw["threshold_C"] = args.threshold
-    if getattr(args, "lambda_reg", None) is not None:
+    if args.lambda_reg is not None:
         kw["lambda_reg"] = args.lambda_reg
     if args.seed is not None:
         kw["seed"] = args.seed
@@ -132,17 +132,11 @@ def _parse_size(text: str) -> tuple:
     return w, h
 
 
-def _read_stream(args):
-    text = read_utf8(args.events, lambda n, line: MalformedLine(
-        n, line, f"{args.events} is not UTF-8 text"))
-    return parse_events(text, polarity_encoding=args.polarity, width=args.width,
-                        height=args.height)
-
-
 def _requested_times(args, t_start, t_end) -> np.ndarray:
     """The output frame times, from --timestamps or --fps, checked against
-    the span [t_start, t_end] the networks cover before any training;
-    InvalidDimensions when --fps asks for more than MAX_FRAMES frames."""
+    the span [t_start, t_end] the networks cover (before reconstruct
+    trains); InvalidDimensions when --fps asks for more than MAX_FRAMES
+    frames."""
     if args.timestamps:
         times = read_times(args.timestamps)
     else:
@@ -245,19 +239,12 @@ def load_partitions(run_dir) -> list:
     return partitions
 
 
-def _threading(partitions) -> dict:
-    """The partition workers and BLAS threads training used, for the
-    manifest; both null for partitions loaded from checkpoints."""
-    report = partitions[0].report
-    return {
-        "workers": report.workers if report else None,
-        "blas_threads": report.blas_threads if report else None,
-    }
-
-
 def cmd_reconstruct(args) -> int:
     started = time.perf_counter()
-    stream = _read_stream(args)
+    text = read_utf8(args.events, lambda n, line: MalformedLine(
+        n, line, f"{args.events} is not UTF-8 text"))
+    stream = parse_events(text, polarity_encoding=args.polarity, width=args.width,
+                          height=args.height)
     cfg = _train_config(args)
     times = _requested_times(args, stream.t_start, stream.t_end)
     out = Path(args.out)
@@ -268,8 +255,10 @@ def cmd_reconstruct(args) -> int:
     bytes_ = tone_map(video, args.gamma)
     write_frame_dir(out, bytes_, times)
     outputs.append(out / "times.txt")
+    report = partitions[0].report
     config = {**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}, "gamma": args.gamma,
-              "frames": len(times), "threads": args.threads, **_threading(partitions)}
+              "frames": len(times), "threads": args.threads, "workers": report.workers,
+              "blas_threads": report.blas_threads}
     _write_manifest(out / "manifest.json", "reconstruct", config, [args.events], outputs, cfg.seed,
                     started)
     print(f"reconstruct: trained {len(partitions)} partition(s), "
@@ -279,26 +268,15 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_enhance(args) -> int:
     started = time.perf_counter()
-    if args.checkpoints:
-        partitions = load_partitions(args.checkpoints)
-        times = _requested_times(args, partitions[0].span[0], partitions[-1].span[1])
-        inputs = [args.checkpoints]
-    else:
-        if not args.events:
-            print("enhance: need --events (to train) or --checkpoints", file=sys.stderr)
-            return 2
-        stream = _read_stream(args)
-        cfg = _train_config(args)
-        times = _requested_times(args, stream.t_start, stream.t_end)
-        partitions = train_ensemble(stream, cfg, threads=args.threads)
-        inputs = [args.events]
+    partitions = load_partitions(args.checkpoints)
+    times = _requested_times(args, partitions[0].span[0], partitions[-1].span[1])
     grids = enhance_events(partitions, times, args.window_dt)
     out = Path(args.out)
     bytes_ = enhancement_to_bytes(grids, scale=args.scale)
     write_frame_dir(out, bytes_, times)
-    config = {"window_dt": args.window_dt, "scale": args.scale, "frames": len(times),
-              **_threading(partitions)}
-    _write_manifest(out / "manifest.json", "enhance", config, inputs, [out], args.seed, started)
+    config = {"window_dt": args.window_dt, "scale": args.scale, "frames": len(times)}
+    _write_manifest(out / "manifest.json", "enhance", config, [args.checkpoints], [out], None,
+                    started)
     print(f"enhance: wrote {len(times)} enhancement frames to {out}")
     return 0
 
@@ -326,7 +304,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = run_selftest(quick=args.quick, threads=args.threads, out=args.out)
+    results = run_selftest(quick=args.quick, out=args.out)
     width = max(len(r.name) for r in results)
     ok = True
     for r in results:
@@ -360,30 +338,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_threads(p):
-    p.add_argument(
-        "--threads", type=_positive_int, default=os.cpu_count() or 1,
-        help="partitions trained at once (default: all cores). Cores go to "
-             "partitions first: while N > 1 partitions train together, numpy's "
-             "OpenBLAS runs its threads // N per GEMM (at least 1) and is restored "
-             "afterwards. A single partition keeps all BLAS threads.")
-
-
-def _add_train_and_frames(p, events_help: str, events_required: bool):
-    """Arguments reconstruct and enhance share: the events to train on,
-    the training config, and the output frames."""
-    p.add_argument("--events", required=events_required, default=None, help=events_help)
-    p.add_argument("--config", default=None, help="training config file")
-    p.add_argument("--polarity", choices=("signed", "zero_one"), default="zero_one")
-    p.add_argument("--width", type=int, default=None, help="sensor width override")
-    p.add_argument("--height", type=int, default=None, help="sensor height override")
-    p.add_argument("--threshold", type=_positive_float, default=None,
-                   help="contrast threshold C")
-    p.add_argument("--timestamps", default=None, help="times.txt of output frames")
-    p.add_argument("--fps", type=_positive_float, default=None, help="output frame rate")
+def _add_frames(p):
+    """The output frames reconstruct and enhance both write: at the times
+    of --timestamps or at --fps, not both, into --out."""
+    times = p.add_mutually_exclusive_group()
+    times.add_argument("--timestamps", default=None, help="times.txt of output frames")
+    times.add_argument("--fps", type=_positive_float, default=None, help="output frame rate")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    _add_threads(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,16 +371,31 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=None, help="RNG seed")
     ps.set_defaults(func=cmd_simulate)
 
-    pr = sub.add_parser("reconstruct", help="train on events, emit frames")
-    _add_train_and_frames(pr, "input events text file", events_required=True)
-    pr.add_argument("--lambda", dest="lambda_reg", type=float, default=None,
-                    help="spatial regularization weight")
-    pr.add_argument("--gamma", type=_positive_float, default=0.6, help="tone-map gamma")
-    pr.set_defaults(func=cmd_reconstruct)
+    prc = sub.add_parser("reconstruct", help="train on events, emit frames")
+    prc.add_argument("--events", required=True, help="input events text file")
+    prc.add_argument("--config", default=None, help="training config file")
+    prc.add_argument("--polarity", choices=("signed", "zero_one"), default="zero_one")
+    prc.add_argument("--width", type=int, default=None, help="sensor width override")
+    prc.add_argument("--height", type=int, default=None, help="sensor height override")
+    prc.add_argument("--threshold", type=_positive_float, default=None,
+                     help="contrast threshold C")
+    _add_frames(prc)
+    prc.add_argument("--seed", type=int, default=None, help="RNG seed")
+    prc.add_argument(
+        "--threads", type=_positive_int, default=os.cpu_count() or 1,
+        help="partitions trained at once (default: all cores). Cores go to "
+             "partitions first: while N > 1 partitions train together, numpy's "
+             "OpenBLAS runs its threads // N per GEMM (at least 1) and is restored "
+             "afterwards. A single partition keeps all BLAS threads.")
+    prc.add_argument("--lambda", dest="lambda_reg", type=float, default=None,
+                     help="spatial regularization weight")
+    prc.add_argument("--gamma", type=_positive_float, default=0.6, help="tone-map gamma")
+    prc.set_defaults(func=cmd_reconstruct)
 
-    pe = sub.add_parser("enhance", help="derivative-based event enhancement")
-    _add_train_and_frames(pe, "events file (trains first)", events_required=False)
-    pe.add_argument("--checkpoints", default=None, help="reconstruct output dir to reuse")
+    enhance_help = "derivative-based event frames from a reconstruct output directory"
+    pe = sub.add_parser("enhance", help=enhance_help, description=enhance_help)
+    pe.add_argument("--checkpoints", required=True, help="reconstruct output directory")
+    _add_frames(pe)
     pe.add_argument("--window-dt", dest="window_dt", type=_positive_float, required=True,
                     help="time window the enhanced frames represent (seconds)")
     pe.add_argument("--scale", type=_positive_float, default=None,
@@ -437,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--quick", action="store_true",
                     help="reduced fixture and relaxed thresholds, finishes fast")
     pt.add_argument("--out", default=None, help="directory for artifacts (optional)")
-    _add_threads(pt)
     pt.set_defaults(func=cmd_selftest)
     return ap
 

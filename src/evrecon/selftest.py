@@ -134,7 +134,11 @@ def quantization_residual(video: IntensityVideo, stream: EventStream, threshold_
 
 
 def run_selftest(quick: bool = False, threads: int = 1, out=None) -> list:
-    """Run the verification checks; returns a list of CheckResult."""
+    """Run the verification checks; returns a list of CheckResult.
+
+    `threads` is passed to train_ensemble, but cannot change the result or
+    the work done: the fixture (2 s, or 1 s when quick) is shorter than the
+    default partition_tau, so it trains one partition on one worker."""
     results = []
     if quick:
         size, duration, iters, refine = 32, 1.0, 60, (20, 40)

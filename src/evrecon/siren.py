@@ -45,6 +45,7 @@ made.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -314,22 +315,25 @@ class SirenModel:
 
 def _zero_model(layer_sizes, omega0, height, width, t_domain, dtype=np.float64) -> SirenModel:
     """A network with all parameters zero, after checking the architecture."""
-    sizes = [int(n) for n in layer_sizes]
-    if len(sizes) < 2 or any(n < 1 for n in sizes):
-        raise InvalidArchitecture(f"bad layer sizes {sizes}")
+    given = [float(n) for n in layer_sizes]
+    if len(given) < 2 or not all(n >= 1 and n.is_integer() for n in given):
+        raise InvalidArchitecture(f"bad layer sizes {given}: need two or more whole numbers >= 1")
+    sizes = [int(n) for n in given]
     if sizes[0] != 1:
         raise InvalidArchitecture("time-conditioned network needs exactly 1 input")
-    if omega0 <= 0:
-        raise InvalidArchitecture("omega0 must be positive")
+    if not 0 < omega0 < math.inf:
+        raise InvalidArchitecture(f"omega0 must be finite and positive, got {omega0}")
+    if height < 1 or width < 1:
+        raise InvalidArchitecture(f"a {height}x{width} frame has no pixels")
     if height * width != sizes[-1]:
         raise InvalidArchitecture(
             f"output size {sizes[-1]} does not match {height}x{width} frame"
         )
-    lo, hi = (float(t) for t in t_domain)
-    if not hi > lo:
-        raise InvalidArchitecture("t_domain must have positive length")
+    domain = [float(t) for t in t_domain]
+    if len(domain) != 2 or not -math.inf < domain[0] < domain[1] < math.inf:
+        raise InvalidArchitecture(f"t_domain {domain} is not two finite times lo < hi")
     count = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
-    return SirenModel(sizes, float(omega0), np.zeros(count, dtype), height, width, (lo, hi))
+    return SirenModel(sizes, float(omega0), np.zeros(count, dtype), height, width, tuple(domain))
 
 
 def init_siren(
@@ -469,8 +473,9 @@ def _read_npz(path) -> dict:
 def load_checkpoint(path) -> SirenModel:
     """Read a save_checkpoint file into a model of the dtype of its w0,
     float32 or float64; raises InvalidCheckpoint for a file that is not a
-    readable npz, another version, a missing array, or parameter arrays
-    whose shapes do not fit layer_sizes or whose dtypes are not w0's."""
+    readable npz, another version, a missing array, metadata that is not
+    a scalar where one is stored or that _zero_model rejects, or parameter
+    arrays whose shapes do not fit layer_sizes or whose dtypes are not w0's."""
     data = _read_npz(path)
     try:
         if int(data["version"]) != CHECKPOINT_VERSION:
@@ -489,4 +494,8 @@ def load_checkpoint(path) -> SirenModel:
                 view[...] = stored
     except KeyError as exc:
         raise InvalidCheckpoint(f"{path}: no array {exc.args[0]!r}") from None
+    except InvalidCheckpoint:
+        raise
+    except (InvalidArchitecture, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidCheckpoint(f"{path}: {exc}") from None
     return model

@@ -12,19 +12,20 @@ import evrecon
 import output_reference as ref
 from conftest import make_stream
 from evrecon.cli import _write_partitions, build_parser, load_partitions, main, parse_config_file
-from evrecon.pgm import write_frame_dir
-from evrecon.reconstruct import enhance_events, sample_video
+from evrecon.pgm import read_frame_dir, write_frame_dir
+from evrecon.reconstruct import enhance_events, enhancement_to_bytes, sample_video
 from evrecon.siren import init_siren, save_checkpoint
 from evrecon.training import TrainConfig, blas_threads, build_partitions
 
 
-@pytest.mark.parametrize("command", [["reconstruct", "--events", "e", "--out", "o"],
-                                     ["enhance", "--window-dt", "0.1", "--out", "o"],
-                                     ["selftest"]])
+ENHANCE = ["enhance", "--checkpoints", "c", "--window-dt", "0.1", "--out", "o"]
+
+
 @pytest.mark.parametrize("value", ["0", "-2", "two"])
-def test_threads_below_one_is_a_usage_error(command, value, capsys):
+def test_threads_below_one_is_a_usage_error(value, capsys):
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(command + ["--threads", value])
+        build_parser().parse_args(["reconstruct", "--events", "e", "--out", "o",
+                                   "--threads", value])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
 
@@ -33,7 +34,6 @@ def test_threads_below_one_is_a_usage_error(command, value, capsys):
     (["enhance", "--checkpoints", "c", "--out", "o", "--window-dt", "0.1"], "--window-dt"),
     (["enhance", "--checkpoints", "c", "--out", "o", "--window-dt", "0.1"], "--scale"),
     (["enhance", "--checkpoints", "c", "--out", "o", "--window-dt", "0.1"], "--fps"),
-    (["enhance", "--checkpoints", "c", "--out", "o", "--window-dt", "0.1"], "--threshold"),
     (["reconstruct", "--events", "e", "--out", "o"], "--gamma"),
     (["reconstruct", "--events", "e", "--out", "o"], "--fps"),
     (["reconstruct", "--events", "e", "--out", "o"], "--threshold"),
@@ -65,8 +65,40 @@ def test_seed_belongs_to_training_commands_only(capsys):
     assert "--seed" in capsys.readouterr().err
     assert parser.parse_args(["reconstruct", "--events", "e", "--out", "o",
                               "--seed", "5"]).seed == 5
-    assert parser.parse_args(["enhance", "--window-dt", "0.1", "--out", "o",
-                              "--seed", "5"]).seed == 5
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(ENHANCE + ["--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    *((ENHANCE, option) for option in [["--events", "e"], ["--config", "c"],
+                                       ["--polarity", "signed"], ["--width", "3"],
+                                       ["--height", "3"], ["--threshold", "0.1"],
+                                       ["--seed", "5"], ["--threads", "7"]]),
+    (["selftest"], ["--threads", "1"]),
+])
+def test_training_options_belong_to_reconstruct_only(command, option, capsys):
+    """enhance reads a reconstruct output directory and trains nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main(command + option)
+    assert exc.value.code == 2
+    assert option[0] in capsys.readouterr().err
+
+
+def test_enhance_needs_checkpoints(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enhance", "--window-dt", "0.1", "--out", "o"])
+    assert exc.value.code == 2
+    assert "--checkpoints" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["reconstruct", "--events", "e", "--out", "o"], ENHANCE])
+def test_timestamps_and_fps_together_are_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--timestamps", "t.txt", "--fps", "60"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_simulate_reports_negative_noise_as_an_error(tmp_path, capsys):
@@ -105,8 +137,7 @@ def test_simulate_reports_a_size_numpy_cannot_allocate(tmp_path, capsys):
     assert not events.exists()
 
 
-@pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
-def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, command):
+def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch):
     def train_ensemble(*args, **kwargs):
         raise AssertionError("trained before reading --timestamps")
 
@@ -127,15 +158,14 @@ def test_missing_timestamps_fail_before_training(tmp_path, capsys, monkeypatch, 
         times = tmp_path / name
         if text is not None:
             times.write_bytes(text.encode("latin-1"))
-        assert main([*command, "--events", str(events), "--timestamps", str(times),
+        assert main(["reconstruct", "--events", str(events), "--timestamps", str(times),
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err
     assert not list(tmp_path.glob("out/partition_*.npz"))
 
 
-@pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
-def test_too_many_frames_at_the_fps_fail_before_training(tmp_path, capsys, monkeypatch, command):
+def test_too_many_frames_at_the_fps_fail_before_training(tmp_path, capsys, monkeypatch):
     """numpy cannot make the times of 1e300 frames per second."""
     def train_ensemble(*args, **kwargs):
         raise AssertionError("trained before counting the requested frames")
@@ -145,14 +175,14 @@ def test_too_many_frames_at_the_fps_fail_before_training(tmp_path, capsys, monke
     events.write_text("# width 2 height 2\n0.1 0 0 1\n0.2 1 1 0\n")
     out = tmp_path / "out"
     for fps in ["1e300", "2e7"]:
-        assert main([*command, "--events", str(events), "--fps", fps, "--out", str(out)]) == 1
+        assert main(["reconstruct", "--events", str(events), "--fps", fps,
+                     "--out", str(out)]) == 1
         assert capsys.readouterr().err == (f"error: --fps {float(fps)} over the span [0.1, 0.2] "
                                            "makes more than 1000000 frames\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
-def test_times_outside_the_stream_fail_before_training(tmp_path, capsys, monkeypatch, command):
+def test_times_outside_the_stream_fail_before_training(tmp_path, capsys, monkeypatch):
     def train_ensemble(*args, **kwargs):
         raise AssertionError("trained before checking the requested times")
 
@@ -163,7 +193,7 @@ def test_times_outside_the_stream_fail_before_training(tmp_path, capsys, monkeyp
     for text, first in [("0.0\n0.15\n", "0.0"), ("0.1\n0.2\n0.25\n", "0.25")]:
         times = tmp_path / "times.txt"
         times.write_text(text)
-        assert main([*command, "--events", str(events), "--timestamps", str(times),
+        assert main(["reconstruct", "--events", str(events), "--timestamps", str(times),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: time {first} outside trained span [0.1, 0.2]\n"
     assert not list(tmp_path.glob("out/partition_*.npz"))
@@ -172,8 +202,9 @@ def test_times_outside_the_stream_fail_before_training(tmp_path, capsys, monkeyp
 
 def test_threads_default_and_explicit_value():
     parser = build_parser()
-    assert parser.parse_args(["selftest"]).threads >= 1
-    assert parser.parse_args(["selftest", "--threads", "3"]).threads == 3
+    rec = ["reconstruct", "--events", "e", "--out", "o"]
+    assert parser.parse_args(rec).threads >= 1
+    assert parser.parse_args(rec + ["--threads", "3"]).threads == 3
 
 
 def test_manifests_record_workers_and_blas_threads(tmp_path):
@@ -192,22 +223,18 @@ def test_manifests_record_workers_and_blas_threads(tmp_path):
     cfg = json.loads((rec / "manifest.json").read_text())["config"]
     assert (cfg["workers"], cfg["blas_threads"]) == (2, pinned)
 
-    enh = tmp_path / "enh"
-    assert main(["enhance", *train, "--window-dt", "0.05", "--threads", "1",
-                 "--out", str(enh)]) == 0
-    cfg = json.loads((enh / "manifest.json").read_text())["config"]
-    assert (cfg["workers"], cfg["blas_threads"]) == (1, None)
+    assert blas_threads() == prev
 
+    # enhance trains nothing: the run's own manifest holds its threading.
     reuse = tmp_path / "reuse"
     assert main(["enhance", "--checkpoints", str(rec), "--window-dt", "0.05",
                  "--fps", "30", "--out", str(reuse)]) == 0
-    cfg = json.loads((reuse / "manifest.json").read_text())["config"]
-    assert (cfg["workers"], cfg["blas_threads"]) == (None, None)
-    assert blas_threads() == prev
-    # The checkpoints reproduce the networks they were written from.
-    frames = sorted(p.name for p in enh.glob("*.pgm"))
-    assert frames and frames == sorted(p.name for p in reuse.glob("*.pgm"))
-    assert all((enh / f).read_bytes() == (reuse / f).read_bytes() for f in frames)
+    manifest = json.loads((reuse / "manifest.json").read_text())
+    assert (manifest["inputs"], manifest["seed"]) == ([str(rec)], None)
+    assert manifest["config"].keys() == {"window_dt", "scale", "frames"}
+    frames, times = read_frame_dir(reuse)
+    assert np.array_equal(frames, enhancement_to_bytes(
+        enhance_events(load_partitions(rec), times, 0.05)))
 
 
 def test_file_outputs_without_a_suffix_get_a_manifest_beside_them(tmp_path):
@@ -248,6 +275,12 @@ def test_enhance_reports_a_bad_checkpoint_as_an_error(tmp_path, capsys):
 
     def listing(*names):
         return json.dumps([{"index": i, "checkpoint": n} for i, n in enumerate(names)])
+
+    # A checkpoint whose t_domain never ends, which would sample flat frames.
+    with np.load(run / "early.npz") as data:
+        np.savez(run / "endless.npz", **{**data, "t_domain": np.asarray([0.0, np.inf])})
+    listings.append((listing("endless.npz"),
+                     f"{run / 'endless.npz'}: t_domain [0.0, inf] is not two finite times"))
 
     def unchained(name, i, d, b):
         return (f"{run / name}: t_domain {d} of partition {i} does not follow partition "
@@ -324,8 +357,7 @@ def test_an_old_listing_loads_with_the_old_routing(tmp_path):
                           ref.enhance_events(built, times, 0.02, edges))
 
 
-@pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
-def test_unreadable_event_files_are_errors(tmp_path, capsys, command):
+def test_unreadable_event_files_are_errors(tmp_path, capsys):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("# width 2 height 2\n# caf\u00e9\n0.1 0 0 1\n".encode("latin-1"))
     old_mac = tmp_path / "old_mac.txt"
@@ -336,7 +368,7 @@ def test_unreadable_event_files_are_errors(tmp_path, capsys, command):
                            (old_mac, f"line 3: cannot parse event from '0.3 0 0 1\ufffd' "
                                      f"({old_mac} is not UTF-8 text)"),
                            (tmp_path, f"Is a directory: '{tmp_path}'")]:
-        assert main([*command, "--events", str(events), "--out", str(out)]) == 1
+        assert main(["reconstruct", "--events", str(events), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(f"{reason}\n")
     assert not out.exists()
@@ -419,15 +451,14 @@ def test_enhance_reports_a_truncated_checkpoint_as_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "partition_000.npz" in err
 
 
-@pytest.mark.parametrize("command", [["reconstruct"], ["enhance", "--window-dt", "0.05"]])
 @pytest.mark.parametrize("body, line", [("0.10 0 0 1\nnan 1 1 0\n0.12 1 0 1\n", "line 3: "),
                                         ("nan 1 0 1\n", "line 2: "),
                                         ("0.10 0 0 1\n0.12 1 1 0\ninf 1 0 1\n", "line 4: ")])
-def test_nonfinite_event_times_are_errors(tmp_path, capsys, command, body, line):
+def test_nonfinite_event_times_are_errors(tmp_path, capsys, body, line):
     events = tmp_path / "events.txt"
     events.write_text("# width 2 height 2\n" + body)
     out = tmp_path / "out"
-    assert main([*command, "--events", str(events), "--out", str(out)]) == 1
+    assert main(["reconstruct", "--events", str(events), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: " + line) and "is not finite" in err
     assert not out.exists()
@@ -438,10 +469,12 @@ def test_a_stream_shorter_than_one_frame_gets_one_frame(tmp_path):
     events.write_text("# width 2 height 2\n0.10 0 0 1\n0.12 1 1 0\n")
     config = tmp_path / "tiny.cfg"
     config.write_text("total_iters = 12\nrefine_at_iters = 4, 8\nhidden_features = 16\n")
-    for command in (["reconstruct"], ["enhance", "--window-dt", "0.01"]):
-        out = tmp_path / command[0]
-        assert main([*command, "--events", str(events), "--config", str(config),
-                     "--out", str(out)]) == 0
+    rec = tmp_path / "reconstruct"
+    assert main(["reconstruct", "--events", str(events), "--config", str(config),
+                 "--out", str(rec)]) == 0
+    assert main(["enhance", "--checkpoints", str(rec), "--window-dt", "0.01",
+                 "--out", str(tmp_path / "enhance")]) == 0
+    for out in (rec, tmp_path / "enhance"):
         assert (out / "times.txt").read_text() == "0.100000000\n"
         assert [p.name for p in out.glob("*.pgm")] == ["frame_000000.pgm"]
         assert json.loads((out / "manifest.json").read_text())["config"]["frames"] == 1

@@ -451,6 +451,14 @@ def test_invalid_architectures_rejected():
         init_siren([1, 8, 4], omega0=-1.0, height=2, width=2)
     with pytest.raises(InvalidArchitecture):
         init_siren([1, 8, 5], height=2, width=2)
+    for bad in [dict(omega0=np.nan), dict(omega0=np.inf), dict(t_domain=(0.0, np.inf)),
+                dict(t_domain=(1.0, 0.0)), dict(t_domain=(0.0, 1.0, 2.0))]:
+        with pytest.raises(InvalidArchitecture):
+            init_siren([1, 8, 4], height=2, width=2, **bad)
+    with pytest.raises(InvalidArchitecture):
+        init_siren([1, 8, 4], height=-2, width=-2)
+    with pytest.raises(InvalidArchitecture):
+        init_siren([1, 8.5, 4], height=2, width=2)
 
 
 def test_adam_single_step_closed_form():
@@ -592,11 +600,11 @@ def test_copy_shares_no_memory(toy_model):
     assert np.any(toy_model.weights[0] != 0.0)
 
 
-def handmade_checkpoint(path, version=1, drop=None, truncate=None, dtypes=None):
+def handmade_checkpoint(path, version=1, drop=None, truncate=None, dtypes=None, meta=None):
     """An npz written without save_checkpoint, in its documented layout:
     metadata plus float64 w{i} of shape (n_out, n_in) and b{i} of shape
-    (n_out,), or of the dtype `dtypes` gives by name. Returns the arrays
-    written."""
+    (n_out,), or of the dtype `dtypes` gives by name; `meta` replaces
+    metadata arrays by name. Returns the arrays written."""
     sizes = [1, 3, 2]
     arrays = {
         "version": np.asarray(version),
@@ -613,6 +621,8 @@ def handmade_checkpoint(path, version=1, drop=None, truncate=None, dtypes=None):
         arrays[truncate] = arrays[truncate][:-1]
     for name, dtype in (dtypes or {}).items():
         arrays[name] = arrays[name].astype(dtype)
+    for name, value in (meta or {}).items():
+        arrays[name] = np.asarray(value)
     arrays.pop(drop, None)
     np.savez(path, **arrays)
     return arrays
@@ -632,13 +642,23 @@ def test_handmade_checkpoint_loads_in_w0_b0_w1_b1_order(tmp_path):
 @pytest.mark.parametrize("broken", [{"version": 2}, {"drop": "b1"}, {"truncate": "w0"},
                                     {"truncate": "b1"},
                                     {"dtypes": dict.fromkeys(["w0", "b0", "w1", "b1"], np.int64)},
-                                    {"dtypes": {"w1": np.float32}}])
+                                    {"dtypes": {"w1": np.float32}},
+                                    {"meta": {"t_domain": [0.0, np.inf]}},
+                                    {"meta": {"t_domain": [1.0, 0.0]}},
+                                    {"meta": {"t_domain": [0.0, 1.0, 2.0]}},
+                                    {"meta": {"omega0": np.nan}},
+                                    {"meta": {"omega0": np.inf}},
+                                    {"meta": {"height": -1, "width": -2}},
+                                    {"meta": {"height": np.inf}},
+                                    {"meta": {"layer_sizes": [1.5, 3, 2]}},
+                                    {"meta": {"version": [1, 1]}}])
 def test_bad_checkpoint_raises_typed_error_at_load(tmp_path, broken):
     path = tmp_path / "bad.npz"
     handmade_checkpoint(path, **broken)
     with pytest.raises(InvalidCheckpoint) as exc:
         load_checkpoint(path)
     assert isinstance(exc.value, EvreconError)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("damage", ["truncate", "text", "empty", "npy"])
