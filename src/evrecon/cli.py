@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import fields
@@ -39,6 +38,7 @@ from .reconstruct import (
     tone_map,
 )
 from .metrics import evaluate_frames
+from .parallel import usable_cpus
 from .selftest import run_selftest
 from .simulate import (
     MAX_FRAMES,
@@ -382,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frames(prc)
     prc.add_argument("--seed", type=int, default=None, help="RNG seed")
     prc.add_argument(
-        "--threads", type=_positive_int, default=os.cpu_count() or 1,
-        help="partitions trained at once (default: all cores). Cores go to "
+        "--threads", type=_positive_int, default=usable_cpus(),
+        help="partitions trained at once (default: every CPU this process may "
+             "use, as its affinity mask allows). Cores go to "
              "partitions first: while N > 1 partitions train together, numpy's "
              "OpenBLAS runs its threads // N per GEMM (at least 1) and is restored "
              "afterwards. A single partition keeps all BLAS threads.")
@@ -402,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="gray mapping full scale")
     pe.set_defaults(func=cmd_enhance)
 
-    pv = sub.add_parser("evaluate", help="score prediction frames against reference")
+    evaluate_help = "score prediction frames against reference, on every CPU this process may use"
+    pv = sub.add_parser("evaluate", help=evaluate_help, description=evaluate_help)
     pv.add_argument("--pred", required=True, help="prediction frame directory")
     pv.add_argument("--ref", required=True, help="reference frame directory")
     pv.add_argument("--no-clahe", action="store_true", help="skip CLAHE preprocessing")

@@ -19,8 +19,8 @@ class EvreconError(Exception):
     """Base class for all errors raised by this package.
 
     Pickling keeps the type, message and attributes of every subclass, so
-    an error raised in a partition worker process reaches the caller
-    intact, whatever arguments the subclass's own `__init__` takes.
+    an error raised in a worker process of `parallel.fork_map` reaches the
+    caller intact, whatever arguments the subclass's own `__init__` takes.
     """
 
     def __reduce__(self):
@@ -143,8 +143,8 @@ class DivergedTraining(EvreconError, RuntimeError):
 
 
 class WorkerLost(EvreconError, RuntimeError):
-    """A partition worker process exited without returning its partitions
-    (killed, for example, when the machine ran out of memory)."""
+    """A worker process of `parallel.fork_map` exited without returning its
+    results (killed, for example, when the machine ran out of memory)."""
 
 
 class InvalidTimestamps(EvreconError, ValueError):

@@ -12,6 +12,16 @@ too (`CLAHE_ENTRIES`): frames are independent, so a frame's bytes and
 scores do not depend on the stack around it, and the working set does
 not grow with the number of frames.
 
+Scoring policy: `evaluate_frames` scores its blocks on
+`parallel.fork_map`, over every CPU the process may use, up to one worker
+per block. Since no frame's scores depend on the frames around it, each
+block's MSE and SSIM arrays carry the bits a one-process loop gives, and
+they are joined in frame order. Scoring makes no BLAS call, so its
+helpers fork from a single-threaded process. On a 2-vCPU VM, scoring
+the 480 128x128 frames of the benchmark's hires128 workload after
+training took 0.63-0.65 s on two workers against 1.17-1.18 s on one
+(medians of two sets of 12 runs).
+
 SSIM's five window means are one separable Gaussian filter in numpy
 (`_valid_correlate`), first down each column, then along each row, in
 float64. It computes only the fully valid windows, the only ones scored,
@@ -40,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotEightBit, ShapeMismatch, TooSmall
+from .parallel import fork_map, usable_cpus
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -308,7 +319,10 @@ def evaluate_frames(
 ) -> MetricReport:
     """Score stacks of 8-bit frames (N, H, W): CLAHE both sides (unless
     disabled), then per-frame MSE/SSIM on [0, 1] values, one block of
-    frames (`frame_blocks`) at a time."""
+    frames (`frame_blocks`) per job of `parallel.fork_map`, over
+    min(usable CPUs, blocks) workers. Scores are joined in frame order, and
+    a frame's scores do not depend on the frames around it, so the report
+    is the same at any worker count. Shapes are checked before any fork."""
     p = np.asarray(pred)
     r = np.asarray(ref)
     if p.shape != r.shape:
@@ -317,14 +331,17 @@ def evaluate_frames(
         raise ShapeMismatch("expected (N, H, W) frame stacks")
     if not len(p):
         raise ShapeMismatch("need at least one frame to score")
-    report = MetricReport()
-    for block in frame_blocks(p):
+
+    def score(block: slice):
         a, b = p[block], r[block]
         if apply_clahe:
             a = clahe(a)
             b = clahe(b)
         af = a.astype(np.float64) / 255.0
         bf = b.astype(np.float64) / 255.0
-        report.mse_per_frame.extend(_frame_means((af - bf) ** 2).tolist())
-        report.ssim_per_frame.extend(ssim(af, bf).tolist())
-    return report
+        return _frame_means((af - bf) ** 2), ssim(af, bf)
+
+    jobs = frame_blocks(p)
+    scores = fork_map(score, jobs, min(usable_cpus(), len(jobs)))
+    return MetricReport(np.concatenate([m for m, _ in scores]).tolist(),
+                        np.concatenate([s for _, s in scores]).tolist())

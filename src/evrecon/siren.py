@@ -323,8 +323,10 @@ def _zero_model(layer_sizes, omega0, height, width, t_domain, dtype=np.float64) 
         raise InvalidArchitecture("time-conditioned network needs exactly 1 input")
     if not 0 < omega0 < math.inf:
         raise InvalidArchitecture(f"omega0 must be finite and positive, got {omega0}")
-    if height < 1 or width < 1:
-        raise InvalidArchitecture(f"a {height}x{width} frame has no pixels")
+    if not all(n >= 1 and float(n).is_integer() for n in (height, width)):
+        raise InvalidArchitecture(f"frame height {height} and width {width} must be whole "
+                                  "numbers >= 1")
+    height, width = int(height), int(width)
     if height * width != sizes[-1]:
         raise InvalidArchitecture(
             f"output size {sizes[-1]} does not match {height}x{width} frame"
@@ -482,8 +484,8 @@ def load_checkpoint(path) -> SirenModel:
             raise InvalidCheckpoint(f"{path}: unsupported version {int(data['version'])}")
         if data["w0"].dtype not in (np.float32, np.float64):
             raise InvalidCheckpoint(f"{path}: w0 is {data['w0'].dtype}, need float32 or float64")
-        model = _zero_model(data["layer_sizes"], float(data["omega0"]), int(data["height"]),
-                            int(data["width"]), tuple(float(v) for v in data["t_domain"]),
+        model = _zero_model(data["layer_sizes"], float(data["omega0"]), float(data["height"]),
+                            float(data["width"]), tuple(float(v) for v in data["t_domain"]),
                             data["w0"].dtype)
         for i, (w, b) in enumerate(model.layers()):
             for name, view in ((f"w{i}", w), (f"b{i}", b)):

@@ -36,11 +36,8 @@ so reconstruction can stitch them seamlessly.
 
 Threading policy: cores go to partitions first, and BLAS gets what is
 left. Partitions are independent, so `train_ensemble` trains `workers =
-min(threads, partitions)` of them at once: the calling thread trains its
-share as worker 0, and workers 1..n-1 are helper processes, each with its
-own interpreter lock (partition threads took turns on one lock in
-`adam_step`). Helpers are forked, so they start with the built
-partitions and the pinned BLAS count instead of a fresh import; where the
+min(threads, partitions)` of them at once on `parallel.fork_map`, the
+caller as worker 0 and forked helper processes as the rest; where the
 "fork" start method does not exist, one worker trains every partition.
 While more than one worker runs, numpy's OpenBLAS is set to `max(1,
 previous // workers)` threads before the helpers are forked, and
@@ -75,12 +72,12 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteOutput,
     ShapeMismatch,
-    WorkerLost,
     check_settings,
 )
 from .events import EventStream
 from .frames import EventFrameStack, refine_bins, stack_uniform
 from .metrics import frame_blocks
+from .parallel import fork_map
 from .siren import AdamState, SirenModel, adam_step, init_siren
 
 _DIVERGENCE_FACTOR = 1e6
@@ -433,66 +430,23 @@ def blas_threads() -> int | None:
     return None if api is None else int(api[0]())
 
 
-def _train(p: Partition, cfg: TrainConfig, workers: int, pinned: int | None) -> None:
-    """Train `p` in this process. Its report records `workers` and, while
-    BLAS is pinned, the BLAS threads this process has when it starts."""
-    threads = blas_threads() if pinned is not None else None
-    report = train_partition(p, cfg)
-    report.workers, report.blas_threads = workers, threads
-
-
-def _helper(share: list, cfg: TrainConfig, workers: int, pinned: int | None, conn) -> None:
-    """Body of a forked helper process: train `share`, then send each
-    partition's (params, stack, report), or the exception that stopped it."""
-    try:
-        for p in share:
-            _train(p, cfg, workers, pinned)
-        conn.send([(p.model.params, p.stack, p.report) for p in share])
-    except Exception as exc:  # the caller raises it; an interrupt just ends the helper
-        conn.send(exc)
-    finally:
-        conn.close()
-
-
-def _collect(ready: list, pending: dict, partitions: list, workers: int) -> None:
-    """Read each helper pipe in `ready`, in order, and drop it from
-    `pending` (read end -> (worker, process)): write the helper's results
-    into `partitions`, or raise the exception it sent, or WorkerLost when
-    it exited without answering."""
-    for recv in ready:
-        w, proc = pending.pop(recv)
-        try:
-            result = recv.recv()
-        except EOFError:
-            proc.join()
-            raise WorkerLost(f"partition worker {w} exited with code {proc.exitcode} "
-                             "before returning its partitions") from None
-        if isinstance(result, Exception):
-            raise result
-        for p, (params, stack, report) in zip(partitions[w::workers], result):
-            p.model.params, p.stack, p.report = params, stack, report
-
-
 def train_ensemble(stream: EventStream, cfg: TrainConfig, threads: int = 1) -> list:
     """Train one network per partition, up to `threads` partitions at once.
 
-    Partition i goes to worker i % workers, workers = min(threads,
-    partitions). The calling thread is worker 0 and trains its share
-    itself; workers 1..n-1 are processes forked after BLAS is pinned (see
-    the module docstring), whose trained parameters, final stacks and
-    reports are written into the returned partitions. One worker starts no
-    process; without the "fork" start method there is one worker. Any
-    worker count yields the same bits.
+    Partitions go to `parallel.fork_map` on workers = min(threads,
+    partitions): the calling thread trains its share as worker 0, and the
+    helpers, forked after BLAS is pinned (see the module docstring), send
+    back their partitions' trained parameters, final stacks and reports,
+    which are written into the returned partitions. Without the "fork"
+    start method there is one worker. Any worker count yields the same
+    bits.
 
-    No helper outlives this call. The first failure seen is raised: after
-    each partition it trains the caller reads every helper that has
-    answered, so a helper's early failure ends the caller's share, and then
-    waits for the rest in worker order. A helper's DivergedTraining keeps
-    its partition and iteration, and a helper that dies without answering
-    raises WorkerLost. numpy's OpenBLAS thread count
-    is process-wide, so no other thread may run BLAS calls meanwhile.
-    Forking after BLAS calls is safe: OpenBLAS's fork handler joins its
-    thread pool first, so each helper starts from a single-threaded process.
+    The map's failure rules hold: a helper's early failure ends the
+    caller's share, a helper's DivergedTraining keeps its partition and
+    iteration, and a helper that dies without answering raises
+    WorkerLost. numpy's OpenBLAS thread count is process-wide, so no other
+    thread may run BLAS calls meanwhile; it is restored however the map
+    ends.
     """
     partitions = build_partitions(stream, cfg)
     fork = "fork" in multiprocessing.get_all_start_methods()
@@ -501,27 +455,20 @@ def train_ensemble(stream: EventStream, cfg: TrainConfig, threads: int = 1) -> l
     pinned = max(1, prev // workers) if prev is not None and prev > 1 else None
     if pinned is not None:
         _openblas_threads_api()[1](pinned)
-    helpers = []
+
+    def train(p: Partition):
+        """Train `p`; its report records `workers` and, while BLAS is
+        pinned, the BLAS threads of the process that trained it."""
+        threads_seen = blas_threads() if pinned is not None else None
+        report = train_partition(p, cfg)
+        report.workers, report.blas_threads = workers, threads_seen
+        return p.model.params, p.stack, report
+
     try:
-        for w in range(1, workers):
-            ctx = multiprocessing.get_context("fork")
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_helper, daemon=True,
-                               args=(partitions[w::workers], cfg, workers, pinned, send))
-            proc.start()
-            helpers.append((proc, recv))
-            send.close()  # the helper holds the only write end, so its exit reads as EOF
-        pending = {recv: (w, proc) for w, (proc, recv) in enumerate(helpers, start=1)}
-        for p in partitions[::workers]:
-            _train(p, cfg, workers, pinned)
-            # Helpers that have answered, so that a failure ends this share.
-            _collect([recv for recv in pending if recv.poll()], pending, partitions, workers)
-        _collect(list(pending), pending, partitions, workers)
+        trained = fork_map(train, partitions, workers)
     finally:
-        for proc, recv in helpers:
-            recv.close()
-            proc.terminate()  # stops a helper still training when the caller failed
-            proc.join()
         if pinned is not None:
             _openblas_threads_api()[1](prev)
+    for p, (params, stack, report) in zip(partitions, trained):
+        p.model.params, p.stack, p.report = params, stack, report
     return partitions

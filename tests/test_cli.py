@@ -207,6 +207,13 @@ def test_threads_default_and_explicit_value():
     assert parser.parse_args(rec + ["--threads", "3"]).threads == 3
 
 
+def test_threads_default_is_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    args = build_parser().parse_args(["reconstruct", "--events", "e", "--out", "o"])
+    assert args.threads == 1
+
+
 def test_manifests_record_workers_and_blas_threads(tmp_path):
     events = tmp_path / "events.txt"
     config = tmp_path / "tiny.cfg"

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import correlate1d
 
-from evrecon.errors import NotEightBit, ShapeMismatch, TooSmall
+from evrecon import metrics
+from evrecon.errors import NotEightBit, ShapeMismatch, TooSmall, WorkerLost
 from evrecon.metrics import (
     BLOCK_PIXELS,
     CLAHE_ENTRIES,
@@ -215,6 +219,81 @@ def test_evaluate_frames_shape_guard():
         evaluate_frames(np.zeros((2, 16, 16), np.uint8), np.zeros((3, 16, 16), np.uint8))
     with pytest.raises(ShapeMismatch, match="need at least one frame"):
         evaluate_frames(np.zeros((0, 16, 16), np.uint8), np.zeros((0, 16, 16), np.uint8))
+
+
+# -- scoring on forked workers --------------------------------------------------
+
+
+def _on_workers(monkeypatch, cpus):
+    """Make evaluate_frames see `cpus` usable CPUs; returns the worker
+    counts its maps are called with."""
+    seen, inner = [], metrics.fork_map
+    monkeypatch.setattr(metrics, "usable_cpus", lambda: cpus)
+
+    def recording(fn, jobs, workers):
+        seen.append(workers)
+        return inner(fn, jobs, workers)
+
+    monkeypatch.setattr(metrics, "fork_map", recording)
+    return seen
+
+
+def _scoring_pair(n, side, seed=14):
+    rng = np.random.default_rng(seed)
+    ref = rng.integers(0, 256, (n, side, side)).astype(np.uint8)
+    pred = np.clip(ref.astype(int) + rng.integers(-40, 40, ref.shape), 0, 255).astype(np.uint8)
+    return pred, ref
+
+
+# 32x32 frames: 32 to a block; 128x128 frames: 2 to a block. Each side has
+# one block, two full blocks, and three or more with a ragged last block.
+@pytest.mark.parametrize("n, side, jobs", [(5, 32, 1), (64, 32, 2), (103, 32, 4),
+                                           (2, 128, 1), (4, 128, 2), (7, 128, 4)])
+@pytest.mark.parametrize("apply_clahe", [True, False])
+def test_reports_are_identical_on_one_and_two_workers(monkeypatch, n, side, jobs, apply_clahe):
+    pred, ref = _scoring_pair(n, side)
+    assert len(frame_blocks(pred)) == jobs
+    seen = _on_workers(monkeypatch, 1)
+    alone = evaluate_frames(pred, ref, apply_clahe=apply_clahe)
+    seen += _on_workers(monkeypatch, 2)
+    forked = evaluate_frames(pred, ref, apply_clahe=apply_clahe)
+    assert seen == [1, min(2, jobs)]
+    assert forked.mse_per_frame == alone.mse_per_frame
+    assert forked.ssim_per_frame == alone.ssim_per_frame
+    assert forked.num_frames == n
+    assert multiprocessing.active_children() == []
+
+
+def test_a_scoring_helpers_error_reaches_the_caller(monkeypatch):
+    caller, inner = os.getpid(), metrics.ssim
+
+    def fail_in_helper(a, b):  # patched before the fork, so the helper runs it
+        if os.getpid() != caller:
+            raise TooSmall("injected in the helper")
+        return inner(a, b)
+
+    monkeypatch.setattr(metrics, "ssim", fail_in_helper)
+    _on_workers(monkeypatch, 2)
+    pred, ref = _scoring_pair(64, 32)
+    with pytest.raises(TooSmall, match="^injected in the helper$"):
+        evaluate_frames(pred, ref)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_scoring_helper_that_dies_raises_worker_lost(monkeypatch):
+    caller, inner = os.getpid(), metrics.clahe
+
+    def die_in_helper(frames):  # patched before the fork, so only the helper exits
+        if os.getpid() != caller:
+            os._exit(3)
+        return inner(frames)
+
+    monkeypatch.setattr(metrics, "clahe", die_in_helper)
+    _on_workers(monkeypatch, 2)
+    pred, ref = _scoring_pair(64, 32)
+    with pytest.raises(WorkerLost, match="worker 1 exited with code 3"):
+        evaluate_frames(pred, ref)
+    assert multiprocessing.active_children() == []
 
 
 # -- frame stacks against the frame-at-a-time oracle ---------------------------

@@ -650,6 +650,7 @@ def test_handmade_checkpoint_loads_in_w0_b0_w1_b1_order(tmp_path):
                                     {"meta": {"omega0": np.inf}},
                                     {"meta": {"height": -1, "width": -2}},
                                     {"meta": {"height": np.inf}},
+                                    {"meta": {"height": 1.5}}, {"meta": {"width": 2.7}},
                                     {"meta": {"layer_sizes": [1.5, 3, 2]}},
                                     {"meta": {"version": [1, 1]}}])
 def test_bad_checkpoint_raises_typed_error_at_load(tmp_path, broken):

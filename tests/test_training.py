@@ -13,6 +13,7 @@ from evrecon.errors import (DegenerateFrame, DivergedTraining, IndexOutOfRange, 
                             WorkerLost)
 from evrecon.frames import EventFrameStack, refine_bins, stack_uniform
 from evrecon.metrics import BLOCK_PIXELS
+from evrecon.parallel import fork_map
 from evrecon import training
 from evrecon.selftest import make_fixture
 from evrecon.simulate import SimConfig, render_scene, simulate_events
@@ -672,9 +673,12 @@ def test_helpers_are_forked_from_a_single_threaded_process():
     is forked from a process with one OS thread and Python 3.12+ has no
     multi-threaded fork to warn about. A fresh interpreter, where
     DeprecationWarnings are errors, counts its threads right after each
-    fork of a threads=3 training of four partitions (two helpers)."""
+    fork of a threads=3 training of four partitions (two helpers), then
+    after the fork of the one helper that scores a two-block stack."""
     code = """if True:
         import os
+        import numpy as np
+        from evrecon import metrics
         from evrecon.simulate import SimConfig, render_scene, simulate_events
         from evrecon.training import TrainConfig, train_ensemble
 
@@ -689,7 +693,13 @@ def test_helpers_are_forked_from_a_single_threaded_process():
         stream = simulate_events(video, SimConfig(threshold_C=0.25, rng_seed=1))
         cfg = TrainConfig(threshold_C=0.25, total_iters=12, refine_at_iters=(4, 8),
                           hidden_features=16, partition_tau=0.5, overlap=0.1)
-        print(len(train_ensemble(stream, cfg, threads=3)), seen)
+        trained = len(train_ensemble(stream, cfg, threads=3))
+
+        metrics.usable_cpus = lambda: 2  # one scoring helper, on any host
+        frames = np.random.default_rng(3).integers(0, 256, (40, 32, 32)).astype(np.uint8)
+        assert len(metrics.frame_blocks(frames)) == 2
+        metrics.evaluate_frames(frames, frames[::-1].copy())
+        print(trained, seen)
     """
     src = str(Path(training.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -697,7 +707,19 @@ def test_helpers_are_forked_from_a_single_threaded_process():
                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "4 [1, 1]\n"
+    assert run.stdout == "4 [1, 1, 1]\n"
+
+
+def test_fork_map_runs_job_i_on_worker_i_mod_workers():
+    jobs = range(7)  # three workers: the last round is ragged
+    got = fork_map(lambda j: (j * j, os.getpid()), jobs, 3)
+    assert [v for v, _ in got] == [j * j for j in jobs]
+    pids = [pid for _, pid in got]
+    assert set(pids[0::3]) == {os.getpid()}
+    assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1
+    assert len(set(pids)) == 3
+    assert multiprocessing.active_children() == []
+    assert fork_map(lambda j: os.getpid(), jobs, 1) == [os.getpid()] * 7
 
 
 def test_without_blas_control_partitions_still_run_in_parallel(monkeypatch):
