@@ -23,6 +23,15 @@ for the small products where the BLAS would round them differently (see
 by the output layer, the widest, one `_row_blocks` block of rows at a
 time, whatever the dtype.
 
+At the output layer a pass carries one or two row groups. Two are the
+frame rows over the tangent rows, as above. One is the tangent rows
+alone: forward_with_tangent(frames=False) makes no frame rows, and
+backward() then takes seeds for the tangents only. In their place it
+takes the gradients of the loss's frame term for the output layer and
+its input, which `training.objective` computes in feature space and
+puts in the cache. The hidden layers carry both groups either way, and
+backward() runs the same hidden-layer loop for both.
+
 Every pass computes in the dtype of `params`, which times, scratch
 arrays, frames, tangents and gradients all follow. `init_siren` builds
 float64 networks; `training.build_partitions` rounds each to float32 once,
@@ -118,6 +127,11 @@ class ForwardCache:
 
     inputs: list  # per layer: its input [a; da/dt_norm] (2K, n_in); [t_norm; 1] first
     derivs: list  # per sine layer: [omega0 * cos(omega0 * z); dz/dt_norm] (2K, n)
+    # For a pass without frame rows, the gradients of the loss's frame term
+    # that backward() takes in place of frame seeds: (lw, gram, d_in), whose
+    # product lw @ gram is the gradient for the output layer's [W | b]
+    # ((P, n+1) @ (n+1, n+1)) and d_in the gradient for its input a (K, n).
+    frame_term: tuple | None = None
 
 
 @dataclass
@@ -195,7 +209,7 @@ class SirenModel:
             raise NonFiniteOutput("forward pass produced NaN/Inf")
         return y.reshape(-1, self.height, self.width)
 
-    def forward_with_tangent(self, t_norm, out=None):
+    def forward_with_tangent(self, t_norm, out=None, frames=True):
         """(frames, dframes/dt_norm, cache) at a batch of K normalized
         times, like forward(): two (K, H, W) stacks and the cache that
         backward() takes. A float32 network's frames are bit for bit those
@@ -203,16 +217,24 @@ class SirenModel:
         because its stacked 2K-row GEMM can round rows differently from
         forward()'s row blocks. `out`, a (2K, num_pixels) array of the dtype
         of params, receives the K frame rows over the K tangent rows, and
-        the returned stacks are views into it."""
+        the returned stacks are views into it.
+
+        With `frames` False the pass carries one row group: only the K
+        tangent rows are made, `out` is (K, num_pixels), and None stands
+        for the frames. The cache still holds the hidden layers' value and
+        tangent rows, which backward() needs either way."""
         cache = self._hidden_with_tangent(t_norm)
         k = len(cache.inputs[0]) // 2
         w_out, b_out = self.layers()[-1]
-        yy = _matmul_rows(cache.inputs[-1], w_out.T, k, out)
-        yy[:k] += b_out
+        if frames:
+            yy = _matmul_rows(cache.inputs[-1], w_out.T, k, out)
+            yy[:k] += b_out
+        else:
+            yy = np.matmul(cache.inputs[-1][k:], w_out.T, out=out)
         if not all_finite(yy):
             raise NonFiniteOutput("tangent pass produced NaN/Inf")
-        halves = yy.reshape(2, k, self.height, self.width)
-        return halves[0], halves[1], cache
+        groups = yy.reshape(-1, k, self.height, self.width)
+        return (groups[0] if frames else None), groups[-1], cache
 
     def time_derivative(self, t_norm, out) -> np.ndarray:
         """(K, H, W) per-second derivatives of the frames at a batch of K
@@ -264,10 +286,13 @@ class SirenModel:
         forward_with_tangent call that made `cache`.
         Returns one flat vector in the layout of params.
 
-        seeds holds 2K frames, the frame seeds over the tangent seeds
-        (e.g. shape (2, K, H, W)), narrowed to the dtype of params. Seeds
-        that already have that dtype are read in place, without a copy,
-        and left unchanged.
+        seeds carries one or two row groups. Two: 2K frames, the frame
+        seeds over the tangent seeds (e.g. shape (2, K, H, W)). One: the K
+        tangent seeds alone, for a cache whose `frame_term` holds the frame
+        term's gradients for the output layer and its input, which are
+        taken in place of frame seeds (`training.objective` sets it). Seeds
+        are narrowed to the dtype of params; seeds that already have that
+        dtype are read in place, without a copy, and left unchanged.
 
         Weight gradients are made one `_row_blocks` block of rows at a
         time, so the tangent half's product needs a temporary of one block
@@ -275,11 +300,11 @@ class SirenModel:
         the output layer's weights.
         """
         k = len(cache.inputs[0]) // 2
-        if np.size(seeds) != 2 * k * self.num_pixels:
-            raise ShapeMismatch(
-                f"seeds hold {np.size(seeds)} values, need 2 x {k} frames of {self.num_pixels}"
-            )
-        seeds = np.asarray(seeds, dtype=self.params.dtype).reshape(2 * k, self.num_pixels)
+        groups = 2 if cache.frame_term is None else 1
+        if np.size(seeds) != groups * k * self.num_pixels:
+            raise ShapeMismatch(f"seeds hold {np.size(seeds)} values, need {groups} x {k} "
+                                f"frames of {self.num_pixels}")
+        seeds = np.asarray(seeds, dtype=self.params.dtype).reshape(groups * k, self.num_pixels)
 
         omega = self.omega0
         layers = self.layers()
@@ -287,7 +312,8 @@ class SirenModel:
         grad_layers = self.layers(grads)
 
         # uu holds [dloss/dy; dloss/dy_dot] of the current layer's output y,
-        # then, in place, [dloss/dz; dloss/dz_dot] of its pre-activation z.
+        # then, in place, [dloss/dz; dloss/dz_dot] of its pre-activation z;
+        # only dloss/dy_dot of the output layer when seeds carry one group.
         uu = seeds
         for l in range(len(layers) - 1, -1, -1):
             if l < len(layers) - 1:
@@ -301,6 +327,15 @@ class SirenModel:
                 u_dot *= omega_cos
             a = cache.inputs[l]
             gw, gb = grad_layers[l]
+            if len(uu) == k:  # the output layer of a one-group pass
+                lw, gram, d_in = cache.frame_term
+                for rows in _row_blocks(*gw.shape, k):
+                    g = np.matmul(lw[rows], gram[:, :-1], out=gw[rows])
+                    g += uu[:, rows].T @ a[k:]
+                np.matmul(lw, gram[:, -1], out=gb)
+                if l > 0:
+                    uu = np.concatenate([d_in, uu @ layers[l][0]])
+                continue
             for rows in _row_blocks(*gw.shape, k):
                 g = np.matmul(uu[:k, rows].T, a[:k], out=gw[rows])
                 g += uu[k:, rows].T @ a[k:]

@@ -12,6 +12,18 @@ regularization weight transfers across resolutions. `objective` computes L
 and the seeds that SirenModel.backward turns into its gradient, for the
 training loop and the selftest's finite-difference oracle alike.
 
+L_reg has two exact forms, and `_feature_space` picks one per call. The
+frame path makes K frame rows and differences them. The network's head
+is affine, so the frames are Ã W̃^T with W̃ = [W | b] (H*W x (n+1)) and
+Ã = [A | 1] the last hidden activations. L_reg is then a quadratic form
+in two (n+1) x (n+1) Gram matrices (`_frame_term`). Its cost does not
+grow with K: about 2 P (n+1)^2 multiply-adds for P = H*W pixels, against
+3 K n P for the frame rows' GEMMs plus about 14 passes over K * P values.
+So the feature path runs when lambda > 0 and n < K, and the pass then
+makes no frame rows. The two paths differ by rounding only. A
+network wider than its stage's bins (the 512-wide selftest network, at
+most 256 bins) never leaves the frame path, and keeps every bit.
+
 The frame-space work (residual, squares, forward differences, the 2/n
 and duration scalings, the gradient scatter, lambda and the time slope)
 runs on blocks of whole frames (`metrics.frame_blocks`) while a
@@ -23,8 +35,9 @@ the stack's int32 counts, is made per block, rounded straight into the
 block's scratch (`EventFrameStack.frames_as`), so no float copy of the
 stack exists. The seeds overwrite the network's output rows they are
 computed from, in the `rows` array the caller passes, so training keeps
-one (2K, H*W) array per ladder stage, reused by each of its iterations
-and freed at the refinement that ends it. No iteration's gradient or
+one (2K, H*W) array per ladder stage, (K, H*W) and one (H*W, n+1) array
+on the feature path, reused by each of its iterations and freed at the
+refinement that ends it. No iteration's gradient or
 forward cache outlives that iteration: both are dropped after its Adam
 step, before the next forward pass makes its own.
 
@@ -69,6 +82,7 @@ from .errors import (
     DivergedTraining,
     IndexOutOfRange,
     InvalidConfig,
+    InvalidDimensions,
     NonFiniteGradient,
     NonFiniteOutput,
     ShapeMismatch,
@@ -76,7 +90,7 @@ from .errors import (
 )
 from .events import EventStream
 from .frames import EventFrameStack, refine_bins, stack_uniform
-from .metrics import frame_blocks
+from .metrics import blocks, frame_blocks
 from .parallel import fork_map
 from .siren import AdamState, SirenModel, adam_step, init_siren
 
@@ -177,7 +191,7 @@ class Partition:
 
 
 def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
-                  rows: np.ndarray | None = None):
+                  rows: np.ndarray | None = None, frames: bool = True):
     """Mean squared temporal residual over the selected bins.
 
     For each index k the network's per-second tangent at the bin midpoint
@@ -186,13 +200,20 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
     block of the selected bins at a time in the block's scratch. The work
     runs block by block (see the module docstring).
 
-    `rows` is a (2K, H*W) array of the model's dtype, made when None. The
-    network writes its K frame rows over its K tangent rows into it, and
-    the tangent rows are then overwritten with the gradient of the loss
-    with respect to the tangents the network emitted (per t_norm). Returns
-    (loss, seeds, cache): seeds is `rows` viewed as (2, K, H, W), the
-    frames over that gradient, and cache is the forward pass's, for
-    SirenModel.backward once `objective` has turned the frames into seeds.
+    The pass carries two row groups, or with `frames` False one (see
+    SirenModel.forward_with_tangent). `objective` asks for one on the
+    feature path, where lambda_reg > 0 and the last hidden width n < K:
+    there the Gram-matrix term's 2 P (n+1)^2 multiply-adds undercut the
+    frame rows' 3 K n P plus about 14 passes over K * P values. `rows` is a
+    (2K, H*W) array of the model's dtype, (K, H*W) for one group, made
+    when None; a feature stage's rows are (K, H*W). The network
+    writes its K frame rows over its K tangent rows into it, and the
+    tangent rows are then overwritten with the gradient of the loss with
+    respect to the tangents the network emitted (per t_norm). Returns
+    (loss, seeds, cache): seeds is `rows` viewed as (groups, K, H, W), the
+    frames over that gradient or the gradient alone, and cache is the
+    forward pass's, for SirenModel.backward once `objective` has turned
+    the frames into seeds or set the cache's frame term.
     """
     idx = np.asarray(frame_indices, dtype=np.int64)
     if idx.ndim != 1 or len(idx) == 0:
@@ -204,20 +225,20 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
     k = len(idx)
     t_norm = model.normalize_time(stack.midpoints[idx])
     if rows is None:
-        rows = np.empty((2 * k, model.num_pixels), model.params.dtype)
-    frames, tangents, cache = model.forward_with_tangent(t_norm, out=rows)
-    seeds = rows.reshape(2, *frames.shape)  # the frame rows over the tangent rows
-    durs = stack.durations[idx].astype(frames.dtype)[:, None, None]
-    blocks = frame_blocks(frames)
-    scratch = np.empty((blocks[0].stop, *frames.shape[1:]), dtype=frames.dtype)
+        rows = np.empty(((2 if frames else 1) * k, model.num_pixels), model.params.dtype)
+    _, tangents, cache = model.forward_with_tangent(t_norm, out=rows, frames=frames)
+    seeds = rows.reshape(-1, *tangents.shape)  # any frame rows over the tangent rows
+    durs = stack.durations[idx].astype(tangents.dtype)[:, None, None]
+    blocks = frame_blocks(tangents)
+    scratch = np.empty((blocks[0].stop, *tangents.shape[1:]), dtype=tangents.dtype)
     slope = model.time_slope
-    n = frames.size
+    n = tangents.size
     sum_sq = 0.0
     for b in blocks:
-        resid, s, d = seeds[1, b], scratch[:b.stop - b.start], durs[b]
+        resid, s, d = seeds[-1, b], scratch[:b.stop - b.start], durs[b]
         np.multiply(tangents[b], slope, out=resid)
         resid *= d  # predicted ΔL
-        stack.frames_as(frames.dtype, rows=idx[b], out=s)  # target ΔL
+        stack.frames_as(tangents.dtype, rows=idx[b], out=s)  # target ΔL
         np.subtract(s, resid, out=resid)  # residual
         sum_sq += np.sum(np.multiply(resid, resid, out=s), dtype=np.float64)
         resid *= -2.0 / n
@@ -276,20 +297,129 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
     return float(sum_x / nx + sum_y / ny), grad
 
 
+def _feature_space(model: SirenModel, k: int, lambda_reg: float) -> bool:
+    """Whether the spatial term of K selected bins is computed in feature
+    space (`_frame_term`) rather than on K frame rows: when lambda_reg > 0
+    and the last hidden width n is below K. The feature path costs about
+    2 P (n+1)^2 multiply-adds whatever K is; the frame rows cost 3 K n P
+    (their forward rows and the two backward products of their seeds)
+    plus about 14 elementwise passes over K * P values."""
+    return lambda_reg > 0 and model.layer_sizes[-2] < k
+
+
+def _stage_arrays(model: SirenModel, k: int, lambda_reg: float):
+    """(rows, lw): the arrays one ladder stage of K bins reuses at every
+    iteration. The frame path's rows are (2K, H*W) and lw is None; the
+    feature path's rows are the (K, H*W) tangent rows and lw is
+    `_frame_term`'s (H*W, n+1) array, made first: with the rows made
+    first, glibc's heap left perfbench's `hires128` run 7-12 MB higher
+    in peak RSS at two of three seeds (242 and 238 MB against 230 and
+    232 MB; 2 vCPUs, glibc malloc)."""
+    p, dtype = model.num_pixels, model.params.dtype
+    if not _feature_space(model, k, lambda_reg):
+        return np.empty((2 * k, p), dtype), None
+    lw = np.empty((p, model.layer_sizes[-2] + 1), dtype)
+    return np.empty((k, p), dtype), lw
+
+
+def _laplacian(x: np.ndarray, out: np.ndarray, cx: float, cy: float) -> None:
+    """out = cx Dx^T Dx x + cy Dy^T Dy x for (H, W, C) slabs x: the
+    gradient of (cx/2) |Dx x|^2 + (cy/2) |Dy x|^2 per channel, where Dx
+    and Dy are the forward differences `spatial_reg_loss` takes. Works on
+    blocks of image rows in two contiguous scratch arrays, each difference
+    taken before it is scaled and scattered, as `spatial_reg_loss` does;
+    `out`, which may be a strided view, is written once per block."""
+    h, w, c = x.shape
+    rows = blocks(h, w * c)
+    diff = np.empty((rows[0].stop + 1, w, c), x.dtype)
+    acc = np.empty((rows[0].stop, w, c), x.dtype)
+    for r in rows:
+        lo, hi = r.start, r.stop
+        g, d = acc[:hi - lo], diff[:hi - lo]
+        np.subtract(x[lo:hi, 1:], x[lo:hi, :-1], out=d[:, :-1])
+        d[:, -1] = 0.0
+        d *= cx
+        np.negative(d[:, 0], out=g[:, 0])
+        np.subtract(d[:, :-1], d[:, 1:], out=g[:, 1:])
+        # Dy of rows first..last-1: row i gains row i-1's difference and
+        # loses its own, and the last image row has none.
+        first, last = max(lo - 1, 0), min(hi, h - 1)
+        d = diff[:last - first]
+        np.subtract(x[first + 1:last + 1], x[first:last], out=d)
+        d *= cy
+        start = max(lo, 1)
+        g[start - lo:] += d[start - 1 - first:hi - 1 - first]
+        g[:last - lo] -= d[lo - first:]
+        out[lo:hi] = g
+
+
+def _frame_term(model: SirenModel, cache, lambda_reg: float, lw: np.ndarray | None = None):
+    """The spatial term on the frames of the K bins of `cache`, in feature
+    space, and the gradients backward() takes in place of frame seeds.
+
+    The frames are Ã W̃^T with W̃ = [W | b] the output layer (P x (n+1))
+    and Ã = [A | 1] the last hidden activations, and the term is
+    (1/2) sum_k ã_k^T W̃^T Λ W̃ ã_k with Λ = (2/nx) Dx^T Dx + (2/ny) Dy^T Dy,
+    the free-boundary Laplacian whose gradient spatial_reg_loss scatters.
+    So with M = W̃^T Λ W̃ and G = Ã^T Ã, L_reg = <G, M> / 2, whose
+    gradient is Λ W̃ G for W̃ and Ã M for Ã. `lw` receives Λ W̃ (made when
+    None). M's bias row and corner are taken from Λ b and b - b[0], so a
+    constant added to b changes nothing but the rounding of b itself, as
+    on the frame path. Returns (l_reg, (lw, lambda_reg G, lambda_reg A M)).
+    """
+    k = len(cache.inputs[0]) // 2
+    w, b = model.layers()[-1]
+    p, n = w.shape
+    h, wd = model.height, model.width
+    lw = np.empty((p, n + 1), w.dtype) if lw is None else lw
+    cx, cy = 2.0 / (k * h * (wd - 1)), 2.0 / (k * (h - 1) * wd)
+    slabs = lw.reshape(h, wd, n + 1)
+    _laplacian(w.reshape(h, wd, n), slabs[:, :, :n], cx, cy)
+    _laplacian(b.reshape(h, wd, 1), slabs[:, :, n:], cx, cy)
+    m = np.empty((n + 1, n + 1), w.dtype)
+    np.matmul(w.T, lw, out=m[:n])
+    m[n, :n] = m[:n, n]
+    m[n, n] = np.dot(b - b[0], lw[:, n])  # 1^T Λ = 0
+    a = cache.inputs[-1][:k]
+    gram = np.empty_like(m)
+    np.matmul(a.T, a, out=gram[:n, :n])
+    gram[n, :n] = gram[:n, n] = a.sum(axis=0)
+    gram[n, n] = k
+    l_reg = 0.5 * float(np.sum(np.multiply(gram, m, dtype=np.float64)))
+    d_in = a @ m[:n, :n]
+    d_in += m[n, :n]
+    d_in *= lambda_reg
+    gram *= lambda_reg
+    return l_reg, (lw, gram, d_in)
+
+
 def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_reg: float,
-              rows: np.ndarray | None = None):
+              rows: np.ndarray | None = None, lw: np.ndarray | None = None):
     """The training objective L_temp + lambda_reg * L_reg on the selected
     bins, computed in temporal_loss's `rows`. Returns (l_temp, l_reg,
-    seeds, cache): seeds holds the gradient of the objective with respect
-    to the frames, written over them, over that with respect to the t_norm
-    tangents, ready for model.backward(seeds, cache).
+    seeds, cache), ready for model.backward(seeds, cache).
+
+    Frame path: seeds holds the gradient of the objective with respect to
+    the frames, written over them, over that with respect to the t_norm
+    tangents. Feature path (`_feature_space`: lambda_reg > 0 and more bins
+    K than last hidden features n, where 2 P (n+1)^2 multiply-adds
+    undercut the frame rows' 3 K n P plus about 14 passes over K * P
+    values): the pass makes no frame rows, so `rows` is (K, H*W) and
+    seeds holds the tangent gradient alone; L_reg
+    and its gradients come from `_frame_term`, which writes into `lw`
+    and sets `cache.frame_term`. Both paths give the same loss and
+    gradient up to rounding.
     """
-    l_temp, seeds, cache = temporal_loss(model, stack, frame_indices, rows)
-    if lambda_reg > 0:
-        l_reg, _ = spatial_reg_loss(seeds[0], out=seeds[0], grad_scale=lambda_reg)
-    else:
-        l_reg = 0.0
-        seeds[0] = 0.0
+    if not _feature_space(model, np.size(frame_indices), lambda_reg):
+        l_temp, seeds, cache = temporal_loss(model, stack, frame_indices, rows)
+        if lambda_reg > 0:
+            l_reg, _ = spatial_reg_loss(seeds[0], out=seeds[0], grad_scale=lambda_reg)
+        else:
+            l_reg = 0.0
+            seeds[0] = 0.0
+        return l_temp, l_reg, seeds, cache
+    l_temp, seeds, cache = temporal_loss(model, stack, frame_indices, rows, frames=False)
+    l_reg, cache.frame_term = _frame_term(model, cache, lambda_reg, lw)
     return l_temp, l_reg, seeds, cache
 
 
@@ -305,7 +435,12 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
 
     Each refinement re-bins `partition.events`; the output rows of the
     stage it ends are freed first, and the next stage makes its own rows
-    on its first iteration. The target C * counts is rounded to the
+    on its first iteration: (2K, H*W) frame over tangent rows, or on the
+    feature path (`_feature_space`: lambda > 0 and fewer last hidden
+    features n than the stage's K sampled bins, where the spatial term's
+    2 P (n+1)^2 multiply-adds undercut the frame rows' 3 K n P plus about
+    14 passes over K * P values) (K, H*W) tangent rows and
+    `_frame_term`'s (H*W, n+1) array. The target C * counts is rounded to the
     model's dtype block by block inside each iteration (`temporal_loss`),
     so the int32 stack is the only copy of the counts. No iteration's
     gradient or cache outlives that iteration. Raises DivergedTraining
@@ -321,20 +456,21 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     initial_loss = None
 
     stack = partition.stack
-    rows = None  # this stage's output rows, reused by each of its iterations
+    rows = lw = None  # this stage's arrays, reused by each of its iterations
 
     for it in range(cfg.total_iters):
         if it in refine_at:
-            rows = None  # free the finished stage's rows before the next are made
+            rows = lw = None  # free the finished stage's arrays before the next are made
             stack = partition.stack = refine_bins(stack, partition.events)
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
         if rows is None:
-            rows = np.empty((2 * len(idx), model.num_pixels), model.params.dtype)
+            rows, lw = _stage_arrays(model, len(idx), cfg.lambda_reg)
         # A float32 overflow shows up as a non-finite value, which the
         # checks below turn into DivergedTraining; numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                l_temp, l_reg, seeds, cache = objective(model, stack, idx, cfg.lambda_reg, rows)
+                l_temp, l_reg, seeds, cache = objective(model, stack, idx, cfg.lambda_reg,
+                                                        rows, lw)
                 total = l_temp + cfg.lambda_reg * l_reg
 
                 if not math.isfinite(total):
@@ -372,10 +508,15 @@ def build_partitions(stream: EventStream, cfg: TrainConfig) -> list:
     each trained span reaches half the overlap past each interior edge,
     clamped to the window, so adjacent partitions share exactly `overlap`
     seconds where the window does not clamp them. Only the spans are kept.
-    Streams shorter than tau yield N = 1.
+    Streams shorter than tau yield N = 1. With lambda_reg > 0 a sensor
+    narrower than 2 pixels either way raises InvalidDimensions, since the
+    spatial term has no difference to take.
     """
     if stream.duration <= 0:
         raise InvalidConfig("stream window must have positive duration")
+    if cfg.lambda_reg > 0 and min(stream.width, stream.height) < 2:
+        raise InvalidDimensions(f"sensor {stream.width}x{stream.height} is too small: the spatial "
+                                f"term (lambda_reg {cfg.lambda_reg}) needs at least 2x2 pixels")
     n = max(1, math.ceil(stream.duration / cfg.partition_tau))
     half = cfg.overlap / 2.0
     seeds = np.random.SeedSequence(cfg.seed).spawn(n)

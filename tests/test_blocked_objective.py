@@ -74,10 +74,21 @@ def cases(draw):
     return model, stack, idx, rows, lam
 
 
+def frame_path(mp):
+    """Pin the frame path, which the reference follows, also where K > n
+    would take the feature path."""
+    mp.setattr(training, "_feature_space", lambda *args: False)
+
+
 @given(cases())
 @settings(deadline=None, max_examples=60)
 def test_blocked_objective_matches_the_whole_array_reference(case):
-    model, stack, idx, rows, lam = case
+    with pytest.MonkeyPatch.context() as mp:
+        frame_path(mp)
+        _check_blocked_objective(*case)
+
+
+def _check_blocked_objective(model, stack, idx, rows, lam):
     l_temp, l_reg, seeds, cache = objective(model, stack, idx, lam, rows)
     r_temp, r_reg, raux = ref.objective(model, stack, idx, lam)
     assert close(l_temp, r_temp)
@@ -122,7 +133,7 @@ def test_regularizer_rejects_an_out_it_cannot_write_in_place():
 # -- training ------------------------------------------------------------------
 
 
-def _reference_objective(model, stack, frame_indices, lambda_reg, rows=None):
+def _reference_objective(model, stack, frame_indices, lambda_reg, rows=None, lw=None):
     l_temp, l_reg, aux = ref.objective(model, stack, frame_indices, lambda_reg)
     return l_temp, l_reg, aux["seeds"], aux["cache"]
 
@@ -136,6 +147,7 @@ def _train(monkeypatch, objective_fn, batch_frames):
                       hidden_features=16, batch_frames=batch_frames)
     part = build_partitions(stream, cfg)[0]
     monkeypatch.setattr(training, "objective", objective_fn)
+    frame_path(monkeypatch)
     report = train_partition(part, cfg)
     monkeypatch.undo()
     return part.model.params, report

@@ -200,6 +200,31 @@ def test_times_outside_the_stream_fail_before_training(tmp_path, capsys, monkeyp
     assert not list(tmp_path.glob("out/report_*.csv"))
 
 
+@pytest.mark.parametrize("width, height", [(1, 4), (4, 1)])
+def test_a_sensor_one_pixel_across_fails_before_training(tmp_path, capsys, monkeypatch,
+                                                         width, height):
+    """The spatial term needs 2x2 pixels; without it (lambda_reg 0) such a
+    sensor still reconstructs."""
+    events = tmp_path / "events.txt"
+    events.write_text(f"# width {width} height {height}\n0.1 0 0 1\n"
+                      f"0.3 {width - 1} {height - 1} 0\n0.5 0 0 1\n")
+    config = tmp_path / "train.cfg"
+    config.write_text("lambda_reg = 0\nhidden_features = 4\ntotal_iters = 3\n"
+                      "refine_at_iters = 1\n")
+    assert main(["reconstruct", "--events", str(events), "--config", str(config),
+                 "--fps", "10", "--out", str(tmp_path / "pure")]) == 0
+    capsys.readouterr()
+
+    def train_partition(*args, **kwargs):
+        raise AssertionError("trained a sensor too small for the spatial term")
+
+    monkeypatch.setattr("evrecon.training.train_partition", train_partition)
+    assert main(["reconstruct", "--events", str(events), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"error: sensor {width}x{height} is too small: the "
+                                       "spatial term (lambda_reg 0.05) needs at least 2x2 "
+                                       "pixels\n")
+
+
 def test_threads_default_and_explicit_value():
     parser = build_parser()
     rec = ["reconstruct", "--events", "e", "--out", "o"]

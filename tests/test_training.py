@@ -134,7 +134,7 @@ class LinearTimeModel:
         lo, hi = self.t_domain
         return (np.asarray(t) - lo) * (2.0 / (hi - lo)) - 1.0
 
-    def forward_with_tangent(self, t_norm, out=None):
+    def forward_with_tangent(self, t_norm, out=None, frames=True):
         t_norm = np.asarray(t_norm).reshape(-1)
         k = len(t_norm)
         frames = np.broadcast_to(t_norm[:, None, None], (k, self.height, self.width))
