@@ -138,11 +138,11 @@ def stack_uniform(stream: EventStream, bin_duration: float, C: float) -> EventFr
     """Stack events into T = max(1, ceil(window / bin_duration - 1e-9))
     uniform bins, the last ending at the window's end: it is shorter than
     the others, or longer by the sliver under 1e-9 bins that rounding can
-    leave. Requires a non-empty stream and a finite positive bin duration;
-    the stack checks C.
+    leave. A stream without events gives zero-count bins over its window:
+    time without events is time the video covers, with nothing changing.
+    Requires a window of positive duration and a finite positive bin
+    duration; the stack checks C.
     """
-    if len(stream) == 0:
-        raise EmptyStream("need at least one event to bin")
     check_settings(ZeroWidthBin, bin_duration=bin_duration)
     span = stream.duration
     if span <= 0:

@@ -23,13 +23,17 @@ for the small products where the BLAS would round them differently (see
 by the output layer, the widest, one `_row_blocks` block of rows at a
 time, whatever the dtype.
 
-At the output layer a pass carries one or two row groups. Two are the
-frame rows over the tangent rows, as above. One is the tangent rows
-alone: forward_with_tangent(frames=False) makes no frame rows, and
-backward() then takes seeds for the tangents only. In their place it
-takes the gradients of the loss's frame term for the output layer and
-its input, which `training.objective` computes in feature space and
-puts in the cache. The hidden layers carry both groups either way, and
+At the output layer a pass carries the frame rows over the tangent rows,
+or no rows at all: forward_with_tangent(output=False) stops at the last
+hidden layer. `training.temporal_loss` then computes the loss from the
+head and the cache in feature space, and puts in the cache the whole
+gradient for the output layer, in a vector of the layout of params, and
+the gradient for that layer's input (2K, n). backward() takes both in
+place of seeds and runs only the hidden layers. On a stage of K bins
+with last hidden width n and P pixels, that whole objective costs 2 K n
+P plus about 4 P (n+1)^2 multiply-adds, against 6 K n P plus about 23
+elementwise passes over K * P values with output rows; the two are equal
+at n = K. The hidden layers carry both row groups either way, and
 backward() runs the same hidden-layer loop for both.
 
 Every pass computes in the dtype of `params`, which times, scratch
@@ -127,11 +131,11 @@ class ForwardCache:
 
     inputs: list  # per layer: its input [a; da/dt_norm] (2K, n_in); [t_norm; 1] first
     derivs: list  # per sine layer: [omega0 * cos(omega0 * z); dz/dt_norm] (2K, n)
-    # For a pass without frame rows, the gradients of the loss's frame term
-    # that backward() takes in place of frame seeds: (lw, gram, d_in), whose
-    # product lw @ gram is the gradient for the output layer's [W | b]
-    # ((P, n+1) @ (n+1, n+1)) and d_in the gradient for its input a (K, n).
-    frame_term: tuple | None = None
+    # For a pass without output rows, what backward() takes in place of
+    # seeds: (grads, d_in), the loss's gradient in a vector of the layout of
+    # params whose output layer is filled, and the gradient for that
+    # layer's input [a; da/dt_norm] (2K, n). `training.temporal_loss` sets it.
+    head: tuple | None = None
 
 
 @dataclass
@@ -209,7 +213,7 @@ class SirenModel:
             raise NonFiniteOutput("forward pass produced NaN/Inf")
         return y.reshape(-1, self.height, self.width)
 
-    def forward_with_tangent(self, t_norm, out=None, frames=True):
+    def forward_with_tangent(self, t_norm, out=None, output=True):
         """(frames, dframes/dt_norm, cache) at a batch of K normalized
         times, like forward(): two (K, H, W) stacks and the cache that
         backward() takes. A float32 network's frames are bit for bit those
@@ -219,22 +223,23 @@ class SirenModel:
         of params, receives the K frame rows over the K tangent rows, and
         the returned stacks are views into it.
 
-        With `frames` False the pass carries one row group: only the K
-        tangent rows are made, `out` is (K, num_pixels), and None stands
-        for the frames. The cache still holds the hidden layers' value and
-        tangent rows, which backward() needs either way."""
+        With `output` False the pass makes no output rows and returns
+        (None, None, cache): it stops at the last hidden layer, whose value
+        and tangent rows the cache holds for the feature-space loss of
+        `training.temporal_loss` and for backward()."""
         cache = self._hidden_with_tangent(t_norm)
+        if not output:
+            if not all_finite(cache.inputs[-1]):
+                raise NonFiniteOutput("hidden pass produced NaN/Inf")
+            return None, None, cache
         k = len(cache.inputs[0]) // 2
         w_out, b_out = self.layers()[-1]
-        if frames:
-            yy = _matmul_rows(cache.inputs[-1], w_out.T, k, out)
-            yy[:k] += b_out
-        else:
-            yy = np.matmul(cache.inputs[-1][k:], w_out.T, out=out)
+        yy = _matmul_rows(cache.inputs[-1], w_out.T, k, out)
+        yy[:k] += b_out
         if not all_finite(yy):
             raise NonFiniteOutput("tangent pass produced NaN/Inf")
-        groups = yy.reshape(-1, k, self.height, self.width)
-        return (groups[0] if frames else None), groups[-1], cache
+        frames, tangents = yy.reshape(2, k, self.height, self.width)
+        return frames, tangents, cache
 
     def time_derivative(self, t_norm, out) -> np.ndarray:
         """(K, H, W) per-second derivatives of the frames at a batch of K
@@ -286,13 +291,13 @@ class SirenModel:
         forward_with_tangent call that made `cache`.
         Returns one flat vector in the layout of params.
 
-        seeds carries one or two row groups. Two: 2K frames, the frame
-        seeds over the tangent seeds (e.g. shape (2, K, H, W)). One: the K
-        tangent seeds alone, for a cache whose `frame_term` holds the frame
-        term's gradients for the output layer and its input, which are
-        taken in place of frame seeds (`training.objective` sets it). Seeds
-        are narrowed to the dtype of params; seeds that already have that
-        dtype are read in place, without a copy, and left unchanged.
+        seeds holds 2K frames, the frame seeds over the tangent seeds (e.g.
+        shape (2, K, H, W)). They are narrowed to the dtype of params;
+        seeds that already have that dtype are read in place, without a
+        copy, and left unchanged. For a pass without output rows seeds is
+        None, and the loss is the one whose gradients `cache.head` holds:
+        the output layer's is already in the vector returned, which is the
+        cache's, and only the hidden layers are run from its input's.
 
         Weight gradients are made one `_row_blocks` block of rows at a
         time, so the tangent half's product needs a temporary of one block
@@ -300,22 +305,24 @@ class SirenModel:
         the output layer's weights.
         """
         k = len(cache.inputs[0]) // 2
-        groups = 2 if cache.frame_term is None else 1
-        if np.size(seeds) != groups * k * self.num_pixels:
-            raise ShapeMismatch(f"seeds hold {np.size(seeds)} values, need {groups} x {k} "
-                                f"frames of {self.num_pixels}")
-        seeds = np.asarray(seeds, dtype=self.params.dtype).reshape(groups * k, self.num_pixels)
-
-        omega = self.omega0
         layers = self.layers()
-        grads = np.empty_like(self.params)
+        if cache.head is None:
+            if np.size(seeds) != 2 * k * self.num_pixels:
+                raise ShapeMismatch(f"seeds hold {np.size(seeds)} values, need 2 x {k} "
+                                    f"frames of {self.num_pixels}")
+            uu = np.asarray(seeds, dtype=self.params.dtype).reshape(2 * k, self.num_pixels)
+            grads, top = np.empty_like(self.params), len(layers) - 1
+        elif seeds is not None:
+            raise ShapeMismatch("a pass without output rows takes no seeds")
+        else:
+            grads, d_in = cache.head
+            uu, top = d_in.copy(), len(layers) - 2  # the copy keeps the cache reusable
         grad_layers = self.layers(grads)
+        omega = self.omega0
 
         # uu holds [dloss/dy; dloss/dy_dot] of the current layer's output y,
-        # then, in place, [dloss/dz; dloss/dz_dot] of its pre-activation z;
-        # only dloss/dy_dot of the output layer when seeds carry one group.
-        uu = seeds
-        for l in range(len(layers) - 1, -1, -1):
+        # then, in place, [dloss/dz; dloss/dz_dot] of its pre-activation z.
+        for l in range(top, -1, -1):
             if l < len(layers) - 1:
                 u, u_dot = uu[:k], uu[k:]
                 omega_cos, z_dot = cache.derivs[l][:k], cache.derivs[l][k:]
@@ -327,15 +334,6 @@ class SirenModel:
                 u_dot *= omega_cos
             a = cache.inputs[l]
             gw, gb = grad_layers[l]
-            if len(uu) == k:  # the output layer of a one-group pass
-                lw, gram, d_in = cache.frame_term
-                for rows in _row_blocks(*gw.shape, k):
-                    g = np.matmul(lw[rows], gram[:, :-1], out=gw[rows])
-                    g += uu[:, rows].T @ a[k:]
-                np.matmul(lw, gram[:, -1], out=gb)
-                if l > 0:
-                    uu = np.concatenate([d_in, uu @ layers[l][0]])
-                continue
             for rows in _row_blocks(*gw.shape, k):
                 g = np.matmul(uu[:k, rows].T, a[:k], out=gw[rows])
                 g += uu[k:, rows].T @ a[k:]

@@ -12,34 +12,41 @@ regularization weight transfers across resolutions. `objective` computes L
 and the seeds that SirenModel.backward turns into its gradient, for the
 training loop and the selftest's finite-difference oracle alike.
 
-L_reg has two exact forms, and `_feature_space` picks one per call. The
-frame path makes K frame rows and differences them. The network's head
-is affine, so the frames are Ã W̃^T with W̃ = [W | b] (H*W x (n+1)) and
-Ã = [A | 1] the last hidden activations. L_reg is then a quadratic form
-in two (n+1) x (n+1) Gram matrices (`_frame_term`). Its cost does not
-grow with K: about 2 P (n+1)^2 multiply-adds for P = H*W pixels, against
-3 K n P for the frame rows' GEMMs plus about 14 passes over K * P values.
-So the feature path runs when lambda > 0 and n < K, and the pass then
-makes no frame rows. The two paths differ by rounding only. A
-network wider than its stage's bins (the 512-wide selftest network, at
-most 256 bins) never leaves the frame path, and keeps every bit.
+A stage of K bins has two exact forms of the objective, and
+`_feature_space` picks one: the feature path when the last hidden width n
+is below K, the frame path otherwise. The frame path makes K frame rows
+over K tangent rows of P = H*W pixels, takes the residual and the
+spatial differences on them, and back-propagates 2K rows of seeds through
+the output layer: 6 K n P multiply-adds plus about 23 passes over K * P
+values. The network's head is affine, and the feature path computes both
+terms from it and the last hidden rows without any output rows. The
+temporal residual is linear in the head W, so its square expands into
+the target τ (K x P, `_Target`) times W and n x n Gram matrices
+(`temporal_loss`). The frames are Ã W̃^T with W̃ = [W | b] and Ã = [A | 1]
+the last hidden activations, so the spatial term is a quadratic form in
+two (n+1) x (n+1) Gram matrices (`_frame_term`). The whole objective then
+costs 2 K n P plus about 4 P (n+1)^2 multiply-adds: the two counts are
+equal at n = K. The paths differ by rounding only. A network wider than
+its stage's bins (the 512-wide selftest network, at most 256 bins) never
+leaves the frame path, and keeps every bit.
 
-The frame-space work (residual, squares, forward differences, the 2/n
-and duration scalings, the gradient scatter, lambda and the time slope)
-runs on blocks of whole frames (`metrics.frame_blocks`) while a
-block is in L2 cache, not as a dozen passes over (K, H*W) arrays. Every
-element sees the operations of a whole-array pass in the same order, so
-seeds, gradients, parameters and frames keep their bits; only the float64
-loss sums regroup by block (about 1e-16 relative). The target, C times
-the stack's int32 counts, is made per block, rounded straight into the
-block's scratch (`EventFrameStack.frames_as`), so no float copy of the
+The frame path's frame-space work (residual, squares, forward
+differences, the 2/n and duration scalings, the gradient scatter, lambda
+and the time slope) runs on blocks of whole frames (`metrics.frame_blocks`)
+while a block is in L2 cache, not as a dozen passes over (K, H*W) arrays.
+Every element sees the operations of a whole-array pass in the same order,
+so seeds, gradients, parameters and frames keep their bits; only the
+float64 loss sums regroup by block (about 1e-16 relative). The target, C
+times the stack's int32 counts, is made per block, rounded straight into
+the block's scratch (`EventFrameStack.frames_as`), so no float copy of the
 stack exists. The seeds overwrite the network's output rows they are
-computed from, in the `rows` array the caller passes, so training keeps
-one (2K, H*W) array per ladder stage, (K, H*W) and one (H*W, n+1) array
-on the feature path, reused by each of its iterations and freed at the
-refinement that ends it. No iteration's gradient or
-forward cache outlives that iteration: both are dropped after its Adam
-step, before the next forward pass makes its own.
+computed from, in the `rows` array the caller passes. So training keeps
+one (2K, H*W) array per frame-path stage, and a feature stage keeps its
+(K, H*W) target, made once (once per iteration with `batch_frames`), and
+one (H*W, n+1) array. Each is reused by every iteration of its stage and
+freed at the refinement that ends it. No iteration's gradient or forward
+cache outlives that iteration: both are dropped after its Adam step,
+before the next forward pass makes its own.
 
 Training is coarse-to-fine: the stack starts at the configured uniform bin
 width and is bisected at the scheduled iterations, doubling its temporal
@@ -90,9 +97,9 @@ from .errors import (
 )
 from .events import EventStream
 from .frames import EventFrameStack, refine_bins, stack_uniform
-from .metrics import blocks, frame_blocks
+from .metrics import BLOCK_PIXELS, blocks, frame_blocks
 from .parallel import fork_map
-from .siren import AdamState, SirenModel, adam_step, init_siren
+from .siren import AdamState, SirenModel, adam_step, all_finite, init_siren
 
 _DIVERGENCE_FACTOR = 1e6
 
@@ -190,30 +197,64 @@ class Partition:
     report: TrainReport | None = None
 
 
+@dataclass
+class _Target:
+    """A feature stage's target: C * counts of K selected bins as one
+    (K, H*W) array of the model's dtype, and its squared sum in float64.
+    `fill` makes it with `EventFrameStack.frames_as`, block by block, and
+    only when the stack or the bins differ from those it holds, so a stage
+    that trains on all its bins makes it once."""
+
+    values: np.ndarray
+    stack: EventFrameStack | None = None
+    idx: np.ndarray | None = None
+    sum_sq: float = 0.0
+
+    def fill(self, stack: EventFrameStack, idx: np.ndarray) -> None:
+        if stack is self.stack and np.array_equal(idx, self.idx):
+            return
+        frames = self.values.reshape(len(idx), *stack.counts.shape[1:])
+        self.sum_sq = 0.0
+        for b in frame_blocks(frames):
+            block = stack.frames_as(frames.dtype, rows=idx[b], out=frames[b])
+            self.sum_sq += float(np.sum(np.square(block, dtype=np.float64)))
+        self.stack, self.idx = stack, idx.copy()
+
+
 def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
-                  rows: np.ndarray | None = None, frames: bool = True):
+                  rows: np.ndarray | None = None, target: _Target | None = None):
     """Mean squared temporal residual over the selected bins.
 
     For each index k the network's per-second tangent at the bin midpoint
-    is scaled by the bin duration to predict that bin's ΔL, C * counts[k].
-    That target is `stack.frames_as` the dtype of the model, made for one
-    block of the selected bins at a time in the block's scratch. The work
-    runs block by block (see the module docstring).
+    is scaled by the bin duration to predict that bin's ΔL, the target
+    C * counts[k] rounded to the dtype of the model (`stack.frames_as`).
 
-    The pass carries two row groups, or with `frames` False one (see
-    SirenModel.forward_with_tangent). `objective` asks for one on the
-    feature path, where lambda_reg > 0 and the last hidden width n < K:
-    there the Gram-matrix term's 2 P (n+1)^2 multiply-adds undercut the
-    frame rows' 3 K n P plus about 14 passes over K * P values. `rows` is a
-    (2K, H*W) array of the model's dtype, (K, H*W) for one group, made
-    when None; a feature stage's rows are (K, H*W). The network
-    writes its K frame rows over its K tangent rows into it, and the
-    tangent rows are then overwritten with the gradient of the loss with
-    respect to the tangents the network emitted (per t_norm). Returns
-    (loss, seeds, cache): seeds is `rows` viewed as (groups, K, H, W), the
-    frames over that gradient or the gradient alone, and cache is the
-    forward pass's, for SirenModel.backward once `objective` has turned
-    the frames into seeds or set the cache's frame term.
+    Frame path (`target` None): the pass makes the frame rows over the
+    tangent rows, and the work runs block by block, with the target made
+    for one block at a time in the block's scratch (see the module
+    docstring). `rows` is a (2K, H*W) array of the model's dtype, made
+    when None. The network writes its K frame rows over its K tangent rows
+    into it, and the tangent rows are then overwritten with the gradient
+    of the loss with respect to the tangents the network emitted (per
+    t_norm). Returns (loss, seeds, cache): seeds is `rows` viewed as
+    (2, K, H, W), the frames over that gradient, and cache is the forward
+    pass's, for SirenModel.backward once `objective` has turned the frames
+    into seeds.
+
+    Feature path (`target`, a `_Target` of K rows, which this fills): the
+    pass makes no output rows. With the target τ, the head W (P x n), the
+    last hidden tangent rows A', the bin durations D, the time slope s and
+    N = K * P, the residual τ - s D A' W^T is linear in W, so
+
+        L = (|τ|^2 - 2 s <τ W, D A'> + s^2 <W^T W, A'^T D^2 A'>) / N,
+
+    with gradient (2/N) (s^2 W A'^T D^2 A' - s τ^T D A') for W and (2/N)
+    (s^2 D^2 A' W^T W - s D τ W) for A'. That takes 2 K n P multiply-adds
+    (τ W and τ^T D A') and n x n products, against the frame path's 3 K n P
+    for its tangent rows plus about 9 passes over K * P values. Returns
+    (loss, None, cache) with `cache.head` set to the gradient (with a zero
+    bias and value-row part, which `_frame_term` adds to) for
+    SirenModel.backward. A non-finite τ W raises NonFiniteOutput.
     """
     idx = np.asarray(frame_indices, dtype=np.int64)
     if idx.ndim != 1 or len(idx) == 0:
@@ -224,10 +265,12 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
         )
     k = len(idx)
     t_norm = model.normalize_time(stack.midpoints[idx])
+    if target is not None:
+        return _temporal_in_features(model, stack, idx, t_norm, target)
     if rows is None:
-        rows = np.empty(((2 if frames else 1) * k, model.num_pixels), model.params.dtype)
-    _, tangents, cache = model.forward_with_tangent(t_norm, out=rows, frames=frames)
-    seeds = rows.reshape(-1, *tangents.shape)  # any frame rows over the tangent rows
+        rows = np.empty((2 * k, model.num_pixels), model.params.dtype)
+    _, tangents, cache = model.forward_with_tangent(t_norm, out=rows)
+    seeds = rows.reshape(2, *tangents.shape)  # the frame rows over the tangent rows
     durs = stack.durations[idx].astype(tangents.dtype)[:, None, None]
     blocks = frame_blocks(tangents)
     scratch = np.empty((blocks[0].stop, *tangents.shape[1:]), dtype=tangents.dtype)
@@ -235,7 +278,7 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
     n = tangents.size
     sum_sq = 0.0
     for b in blocks:
-        resid, s, d = seeds[-1, b], scratch[:b.stop - b.start], durs[b]
+        resid, s, d = seeds[1, b], scratch[:b.stop - b.start], durs[b]
         np.multiply(tangents[b], slope, out=resid)
         resid *= d  # predicted ΔL
         stack.frames_as(tangents.dtype, rows=idx[b], out=s)  # target ΔL
@@ -245,6 +288,53 @@ def temporal_loss(model: SirenModel, stack: EventFrameStack, frame_indices,
         resid *= d  # d loss / d per-second tangent
         resid *= slope  # per second -> per t_norm
     return float(sum_sq / n), seeds, cache
+
+
+def _temporal_in_features(model: SirenModel, stack: EventFrameStack, idx: np.ndarray,
+                          t_norm: np.ndarray, target: _Target):
+    """temporal_loss's feature path (see its docstring)."""
+    k = len(idx)
+    slope = model.time_slope
+    target.fill(stack, idx)
+    _, _, cache = model.forward_with_tangent(t_norm, output=False)
+    tau, w = target.values, model.layers()[-1][0]
+    tw = tau @ w
+    if not all_finite(tw):
+        raise NonFiniteOutput("target times head produced NaN/Inf")
+    durs = stack.durations[idx].astype(w.dtype)[:, None]
+    da = cache.inputs[-1][k:] * durs  # D A'
+    ww, dd = w.T @ w, da.T @ da
+    n = tau.size
+    loss = (target.sum_sq - 2.0 * slope * _dot(tw, da) + slope * slope * _dot(ww, dd)) / n
+    grads = np.empty_like(model.params)
+    gw, gb = model.layers(grads)[-1]
+    c = 2.0 * slope / n
+    z, y = np.multiply(da, -c), np.multiply(dd, c * slope)
+    for r in _head_blocks(len(gw), k):  # c (s W A'^T D^2 A' - τ^T D A')
+        g = np.matmul(tau[:, r].T, z, out=gw[r])
+        g += w[r] @ y
+    gb[:] = 0.0
+    d_in = np.zeros((2 * k, w.shape[1]), w.dtype)  # no value-row part yet
+    d_tan = np.matmul(da, ww, out=d_in[k:])  # then c D (s D A' W^T W - τ W)
+    d_tan *= slope
+    d_tan -= tw
+    d_tan *= durs
+    d_tan *= c
+    cache.head = (grads, d_in)
+    return float(loss), None, cache
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) over two small arrays, in float64."""
+    return float(np.sum(np.multiply(a, b, dtype=np.float64)))
+
+
+def _head_blocks(p: int, m: int) -> list:
+    """`blocks` of the P rows of a head-sized product whose (P, m) left
+    operand is a transposed view. Whole, τ^T D A' touched about 14 MB more of
+    OpenBLAS's two-thread buffers than in blocks of 2048 rows, in the same
+    time (K = 256, P = 16384, n = 64; 2 vCPUs, OpenBLAS 0.3.31)."""
+    return blocks(p, m, 16 * BLOCK_PIXELS)
 
 
 def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
@@ -297,29 +387,29 @@ def spatial_reg_loss(frames: np.ndarray, out: np.ndarray | None = None,
     return float(sum_x / nx + sum_y / ny), grad
 
 
-def _feature_space(model: SirenModel, k: int, lambda_reg: float) -> bool:
-    """Whether the spatial term of K selected bins is computed in feature
-    space (`_frame_term`) rather than on K frame rows: when lambda_reg > 0
-    and the last hidden width n is below K. The feature path costs about
-    2 P (n+1)^2 multiply-adds whatever K is; the frame rows cost 3 K n P
-    (their forward rows and the two backward products of their seeds)
-    plus about 14 elementwise passes over K * P values."""
-    return lambda_reg > 0 and model.layer_sizes[-2] < k
+def _feature_space(model: SirenModel, k: int) -> bool:
+    """Whether a stage of K selected bins trains without output rows (see
+    the module docstring): when the last hidden width n is below K, where
+    the feature path's 2 K n P plus about 4 P (n+1)^2 multiply-adds
+    undercut the frame path's 6 K n P plus about 23 passes over K * P
+    values."""
+    return model.layer_sizes[-2] < k
 
 
 def _stage_arrays(model: SirenModel, k: int, lambda_reg: float):
-    """(rows, lw): the arrays one ladder stage of K bins reuses at every
-    iteration. The frame path's rows are (2K, H*W) and lw is None; the
-    feature path's rows are the (K, H*W) tangent rows and lw is
-    `_frame_term`'s (H*W, n+1) array, made first: with the rows made
-    first, glibc's heap left perfbench's `hires128` run 7-12 MB higher
-    in peak RSS at two of three seeds (242 and 238 MB against 230 and
-    232 MB; 2 vCPUs, glibc malloc)."""
+    """(rows, lw, target): the arrays one ladder stage of K bins reuses at
+    every iteration, `objective`'s last three arguments. The frame path
+    has (2K, H*W) rows and no other. A feature stage has no rows: its
+    `_Target` holds a (K, H*W) array, and lw is `_frame_term`'s (H*W, n+1)
+    array when lambda_reg > 0, made first: with the (K, H*W) array made
+    first, glibc's heap left perfbench's `hires128` run 7-12 MB higher in
+    peak RSS at two of three seeds (242 and 238 MB against 230 and 232 MB;
+    2 vCPUs, glibc malloc)."""
     p, dtype = model.num_pixels, model.params.dtype
-    if not _feature_space(model, k, lambda_reg):
-        return np.empty((2 * k, p), dtype), None
-    lw = np.empty((p, model.layer_sizes[-2] + 1), dtype)
-    return np.empty((k, p), dtype), lw
+    if not _feature_space(model, k):
+        return np.empty((2 * k, p), dtype), None, None
+    lw = np.empty((p, model.layer_sizes[-2] + 1), dtype) if lambda_reg > 0 else None
+    return None, lw, _Target(np.empty((k, p), dtype))
 
 
 def _laplacian(x: np.ndarray, out: np.ndarray, cx: float, cy: float) -> None:
@@ -355,7 +445,8 @@ def _laplacian(x: np.ndarray, out: np.ndarray, cx: float, cy: float) -> None:
 
 def _frame_term(model: SirenModel, cache, lambda_reg: float, lw: np.ndarray | None = None):
     """The spatial term on the frames of the K bins of `cache`, in feature
-    space, and the gradients backward() takes in place of frame seeds.
+    space; lambda_reg times its gradients are added to those
+    `temporal_loss` put in `cache.head`.
 
     The frames are Ã W̃^T with W̃ = [W | b] the output layer (P x (n+1))
     and Ã = [A | 1] the last hidden activations, and the term is
@@ -365,7 +456,7 @@ def _frame_term(model: SirenModel, cache, lambda_reg: float, lw: np.ndarray | No
     gradient is Λ W̃ G for W̃ and Ã M for Ã. `lw` receives Λ W̃ (made when
     None). M's bias row and corner are taken from Λ b and b - b[0], so a
     constant added to b changes nothing but the rounding of b itself, as
-    on the frame path. Returns (l_reg, (lw, lambda_reg G, lambda_reg A M)).
+    on the frame path. Returns L_reg.
     """
     k = len(cache.inputs[0]) // 2
     w, b = model.layers()[-1]
@@ -385,32 +476,41 @@ def _frame_term(model: SirenModel, cache, lambda_reg: float, lw: np.ndarray | No
     np.matmul(a.T, a, out=gram[:n, :n])
     gram[n, :n] = gram[:n, n] = a.sum(axis=0)
     gram[n, n] = k
-    l_reg = 0.5 * float(np.sum(np.multiply(gram, m, dtype=np.float64)))
-    d_in = a @ m[:n, :n]
-    d_in += m[n, :n]
-    d_in *= lambda_reg
+    l_reg = 0.5 * _dot(gram, m)
+    grads, d_in = cache.head
+    gw, gb = model.layers(grads)[-1]
     gram *= lambda_reg
-    return l_reg, (lw, gram, d_in)
+    for r in _head_blocks(p, n + 1):
+        gw[r] += lw[r] @ gram[:, :n]
+    np.matmul(lw, gram[:, n], out=gb)
+    d_val = np.matmul(a, m[:n, :n], out=d_in[:k])
+    d_val += m[n, :n]
+    d_val *= lambda_reg
+    return l_reg
 
 
 def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_reg: float,
-              rows: np.ndarray | None = None, lw: np.ndarray | None = None):
+              rows: np.ndarray | None = None, lw: np.ndarray | None = None,
+              target: _Target | None = None):
     """The training objective L_temp + lambda_reg * L_reg on the selected
-    bins, computed in temporal_loss's `rows`. Returns (l_temp, l_reg,
-    seeds, cache), ready for model.backward(seeds, cache).
+    bins. Returns (l_temp, l_reg, seeds, cache), ready for
+    model.backward(seeds, cache). `rows`, `lw` and `target` are a stage's
+    arrays (`_stage_arrays`), each made when None and needed.
 
-    Frame path: seeds holds the gradient of the objective with respect to
-    the frames, written over them, over that with respect to the t_norm
-    tangents. Feature path (`_feature_space`: lambda_reg > 0 and more bins
-    K than last hidden features n, where 2 P (n+1)^2 multiply-adds
-    undercut the frame rows' 3 K n P plus about 14 passes over K * P
-    values): the pass makes no frame rows, so `rows` is (K, H*W) and
-    seeds holds the tangent gradient alone; L_reg
-    and its gradients come from `_frame_term`, which writes into `lw`
-    and sets `cache.frame_term`. Both paths give the same loss and
+    Frame path: seeds, in temporal_loss's `rows`, holds the gradient of
+    the objective with respect to the frames, written over them, over that
+    with respect to the t_norm tangents; L_reg is `spatial_reg_loss` of
+    the frames. Feature path (`_feature_space`: more bins K than last
+    hidden features n, where 2 K n P plus about 4 P (n+1)^2 multiply-adds
+    undercut 6 K n P plus about 23 passes over K * P values): the pass
+    makes no output rows and seeds is None. temporal_loss fills `target`
+    and puts its gradients in `cache.head`, and when lambda_reg > 0
+    `_frame_term` adds those of L_reg, writing into `lw`. At lambda_reg 0
+    neither path does spatial work. Both paths give the same loss and
     gradient up to rounding.
     """
-    if not _feature_space(model, np.size(frame_indices), lambda_reg):
+    k = np.size(frame_indices)
+    if not _feature_space(model, k):
         l_temp, seeds, cache = temporal_loss(model, stack, frame_indices, rows)
         if lambda_reg > 0:
             l_reg, _ = spatial_reg_loss(seeds[0], out=seeds[0], grad_scale=lambda_reg)
@@ -418,8 +518,10 @@ def objective(model: SirenModel, stack: EventFrameStack, frame_indices, lambda_r
             l_reg = 0.0
             seeds[0] = 0.0
         return l_temp, l_reg, seeds, cache
-    l_temp, seeds, cache = temporal_loss(model, stack, frame_indices, rows, frames=False)
-    l_reg, cache.frame_term = _frame_term(model, cache, lambda_reg, lw)
+    if target is None:
+        target = _Target(np.empty((k, model.num_pixels), model.params.dtype))
+    l_temp, seeds, cache = temporal_loss(model, stack, frame_indices, target=target)
+    l_reg = _frame_term(model, cache, lambda_reg, lw) if lambda_reg > 0 else 0.0
     return l_temp, l_reg, seeds, cache
 
 
@@ -433,18 +535,17 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     """Run the full schedule on one partition, training `partition.model`
     in place in its dtype, Adam moments included.
 
-    Each refinement re-bins `partition.events`; the output rows of the
-    stage it ends are freed first, and the next stage makes its own rows
-    on its first iteration: (2K, H*W) frame over tangent rows, or on the
-    feature path (`_feature_space`: lambda > 0 and fewer last hidden
-    features n than the stage's K sampled bins, where the spatial term's
-    2 P (n+1)^2 multiply-adds undercut the frame rows' 3 K n P plus about
-    14 passes over K * P values) (K, H*W) tangent rows and
-    `_frame_term`'s (H*W, n+1) array. The target C * counts is rounded to the
-    model's dtype block by block inside each iteration (`temporal_loss`),
-    so the int32 stack is the only copy of the counts. No iteration's
-    gradient or cache outlives that iteration. Raises DivergedTraining
-    when the loss goes non-finite or explodes, or a pass overflows.
+    Each refinement re-bins `partition.events`; the arrays of the stage
+    it ends are freed first, and the next stage makes its own on its first
+    iteration (`_stage_arrays`): (2K, H*W) frame over tangent rows, or on
+    the feature path (`_feature_space`: fewer last hidden features n than
+    the stage's K sampled bins) no output rows, but the (K, H*W) target,
+    made once per stage (per iteration with `batch_frames`), and, when
+    lambda > 0, `_frame_term`'s (H*W, n+1) array. On the frame path the
+    target C * counts is rounded to the model's dtype block by block
+    inside each iteration (`temporal_loss`). No iteration's gradient or
+    cache outlives that iteration. Raises DivergedTraining when the loss
+    goes non-finite or explodes, or a pass overflows.
     """
     model = partition.model
     adam = AdamState.for_params(
@@ -456,21 +557,21 @@ def train_partition(partition: Partition, cfg: TrainConfig) -> TrainReport:
     initial_loss = None
 
     stack = partition.stack
-    rows = lw = None  # this stage's arrays, reused by each of its iterations
+    arrays = None  # this stage's, reused by each of its iterations
 
     for it in range(cfg.total_iters):
         if it in refine_at:
-            rows = lw = None  # free the finished stage's arrays before the next are made
+            arrays = None  # free the finished stage's arrays before the next are made
             stack = partition.stack = refine_bins(stack, partition.events)
         idx = _sample_indices(stack.num_frames, cfg.batch_frames, rng)
-        if rows is None:
-            rows, lw = _stage_arrays(model, len(idx), cfg.lambda_reg)
+        if arrays is None:
+            arrays = _stage_arrays(model, len(idx), cfg.lambda_reg)
         # A float32 overflow shows up as a non-finite value, which the
         # checks below turn into DivergedTraining; numpy need not warn first.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 l_temp, l_reg, seeds, cache = objective(model, stack, idx, cfg.lambda_reg,
-                                                        rows, lw)
+                                                        *arrays)
                 total = l_temp + cfg.lambda_reg * l_reg
 
                 if not math.isfinite(total):

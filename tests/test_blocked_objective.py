@@ -133,7 +133,8 @@ def test_regularizer_rejects_an_out_it_cannot_write_in_place():
 # -- training ------------------------------------------------------------------
 
 
-def _reference_objective(model, stack, frame_indices, lambda_reg, rows=None, lw=None):
+def _reference_objective(model, stack, frame_indices, lambda_reg, rows=None, lw=None,
+                         target=None):
     l_temp, l_reg, aux = ref.objective(model, stack, frame_indices, lambda_reg)
     return l_temp, l_reg, aux["seeds"], aux["cache"]
 

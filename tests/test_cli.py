@@ -225,6 +225,40 @@ def test_a_sensor_one_pixel_across_fails_before_training(tmp_path, capsys, monke
                                        "pixels\n")
 
 
+def test_a_quiet_stretch_longer_than_a_partition_reconstructs(tmp_path):
+    """Events only in 0-2 s and 13-15 s at 5 s partitions: the middle
+    partition has no events and trains on zero-count bins. Its frames
+    (5.25-9.75 s, away from the overlaps) hold within 1 grey level, and
+    no step across the whole gap exceeds 8 grey levels: those come from
+    the tails of the two partitions that hold events, whose left half
+    brightens by 9-14 levels over 0-2 s (3 seeds; 6-7 levels was the
+    largest gap step seen)."""
+    rng = np.random.default_rng(0)
+    events = []
+    for x in range(4):
+        for y in range(8):
+            events += [(t, x, y, 1) for t in rng.uniform(0.0, 2.0, 40)]
+            events += [(t, x, y, 0) for t in rng.uniform(13.0, 15.0, 40)]
+    path = tmp_path / "events.txt"
+    path.write_text("# width 8 height 8\n"
+                    + "".join(f"{float(t)!r} {x} {y} {p}\n" for t, x, y, p in sorted(events)))
+    config = tmp_path / "train.cfg"
+    config.write_text("threshold_C = 0.25\nhidden_features = 16\ntotal_iters = 60\n"
+                      "refine_at_iters = 20, 40\nlr = 1e-3\npartition_tau = 5\n")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--events", str(path), "--config", str(config), "--fps", "10",
+                 "--out", str(out)]) == 0
+    frames, times = read_frame_dir(out)
+    assert frames.shape == (150, 8, 8)
+    f = frames.astype(int)
+    quiet = (times > 5.25) & (times < 9.75)
+    assert quiet.sum() == 45 and (f[quiet].max(axis=0) - f[quiet].min(axis=0)).max() <= 1
+    gap = (times > 2.0) & (times < 13.0)
+    assert np.abs(np.diff(f[gap], axis=0)).max() <= 8
+    lit = times < 2.0
+    assert f[lit][-1, :, :4].mean() - f[lit][0, :, :4].mean() >= 5  # the events show
+
+
 def test_threads_default_and_explicit_value():
     parser = build_parser()
     rec = ["reconstruct", "--events", "e", "--out", "o"]

@@ -47,10 +47,15 @@ def test_pixels_without_events_are_zero():
     assert np.all(stack.frames_as(np.float64)[:, :, 1] == 0.0)
 
 
-def test_stack_empty_stream_raises():
+def test_stack_empty_stream_bins_into_zero_count_bins():
     s = make_stream([], [], [], [], width=2, height=2, t_start=0.0, t_end=1.0)
-    with pytest.raises(EmptyStream):
-        stack_uniform(s, 0.5, 1.0)
+    stack = stack_uniform(s, 0.5, 1.0)
+    assert stack.edges.tolist() == [0.0, 0.5, 1.0]
+    assert stack.counts.shape == (2, 2, 2) and not stack.counts.any()
+    assert not refine_bins(stack, s).counts.any()
+    instant = make_stream([], [], [], [], width=2, height=2, t_start=1.0, t_end=1.0)
+    with pytest.raises(EmptyStream):  # the window check stays
+        stack_uniform(instant, 0.5, 1.0)
 
 
 def test_bin_count_is_ceiling():
@@ -350,13 +355,10 @@ _ONE_ULP_TIE = (make_stream(np.array([1, 5, 9, 9, 9, 9, 12, 15]) * 0.1, [0] * 8,
 def test_vectorized_binning_matches_per_bin_loop(case):
     stream, lo, hi, bin_duration, refinements = case
     piece = stream.slice_time(lo, hi, include_hi=True)
-    if len(piece) == 0:
-        with pytest.raises(EmptyStream):
-            stack_uniform(piece, bin_duration, C=0.5)
-        return
     stack = stack_uniform(piece, bin_duration, C=0.5)
     assert stack.edges[0] == lo and stack.edges[-1] == hi
     assert np.array_equal(stack.counts, _ref_counts(piece, stack.edges))
+    assert len(piece) > 0 or not stack.counts.any()  # an empty piece: zero-count bins
     for _ in range(refinements):
         edges, counts = _ref_refine(stack.edges, stream)
         fine = refine_bins(stack, stream)

@@ -134,7 +134,7 @@ class LinearTimeModel:
         lo, hi = self.t_domain
         return (np.asarray(t) - lo) * (2.0 / (hi - lo)) - 1.0
 
-    def forward_with_tangent(self, t_norm, out=None, frames=True):
+    def forward_with_tangent(self, t_norm, out=None):
         t_norm = np.asarray(t_norm).reshape(-1)
         k = len(t_norm)
         frames = np.broadcast_to(t_norm[:, None, None], (k, self.height, self.width))
@@ -444,19 +444,29 @@ def test_loss_invariant_to_output_bias_shift():
         assert abs(lr1 - lr0) <= 1e-12 * max(abs(lr0), 1e-12)
 
 
-def test_pixel_permutation_equivariance_with_zero_lambda():
+@pytest.mark.parametrize("path", ["frame", "feature"])
+def test_pixel_permutation_equivariance_with_zero_lambda(monkeypatch, path):
     """With no spatial term, nothing couples pixels: a consistent pixel
-    permutation of stack and output layer permutes losses and gradients."""
+    permutation of stack and output layer permutes losses and gradients.
+    The stage's 32 bins exceed the 16 hidden features, so the float32
+    model takes the feature path unless the frame path is pinned; the
+    feature path sums over pixels in the model's dtype, so it is checked
+    on a float64 copy of the model."""
     _, stream = small_fixture(size=12)
     cfg = tiny_cfg(lambda_reg=0.0)
     parts = build_partitions(stream, cfg)
     model, stack = parts[0].model, parts[0].stack
+    if path == "frame":
+        monkeypatch.setattr(training, "_feature_space", lambda *args: False)
+    else:
+        model = replace(model, params=model.params.astype(np.float64))
     idx = np.arange(stack.num_frames)
     n_px = stack.counts.shape[1] * stack.counts.shape[2]
     rng = np.random.default_rng(9)
     perm = rng.permutation(n_px)
 
     loss, _, seeds, cache = objective(model, stack, idx, cfg.lambda_reg)
+    assert (cache.head is not None) is (path == "feature")
     grads = model.backward(seeds, cache)
 
     permuted_counts = stack.counts.reshape(stack.num_frames, -1)[:, perm].reshape(
