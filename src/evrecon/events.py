@@ -281,6 +281,9 @@ def read_times(path) -> np.ndarray:
 
 
 def write_times(path, times: np.ndarray) -> None:
+    """Write a times.txt sidecar, one time per line in its shortest exact
+    form, so read_times returns the same floats: at nine decimals, times
+    less than a nanosecond apart collapsed into a file it rejects."""
     with open(path, "w") as fh:
         for t in times:
-            fh.write(f"{t:.9f}\n")
+            fh.write(f"{float(t)!r}\n")

@@ -6,6 +6,8 @@ error: `cli.main` returns 0, or prints one `error: ...` line and returns
 sub-ns spans, times near 1e9 s, both polarity encodings, and at times a
 non-finite or unsorted time, go through `reconstruct`, then `enhance
 --checkpoints` on its output, then `evaluate` of the run against itself.
+Config, timestamp and partition-listing files are at times raw bytes,
+and the scores file is named with or without a suffix.
 At hidden width 4 nearly every stage trains in feature space. After each
 case no helper process may be left running, and a self-evaluation, where
 the frames are large enough to score, reads MSE 0 and SSIM 1.
@@ -25,13 +27,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from evrecon.cli import main
 from evrecon.pgm import read_frame_dir
 
-settings.register_profile("contract", max_examples=10, deadline=None,
+settings.register_profile("contract", max_examples=40, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 settings.register_profile("thorough", max_examples=300, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
@@ -40,12 +42,13 @@ PROFILE = settings.get_profile(os.environ.get("EVRECON_CONTRACT_PROFILE", "contr
 
 @st.composite
 def event_files(draw):
-    """(text, polarity encoding) of a tiny event file."""
+    """(text, polarity encoding, the times the events tick at)."""
     width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     n = draw(st.integers(1, 60))
     base, unit = draw(st.sampled_from([(0.0, 0.05), (0.0, 1e-10), (1e9, 1e-3), (3.0, 0.25)]))
+    grid = [base + tick * unit for tick in range(9)]
     ticks = sorted(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)))  # ties
-    times = [repr(base + tick * unit) for tick in ticks]
+    times = [repr(grid[tick]) for tick in ticks]
     flaw = draw(st.sampled_from([None] * 6 + ["nan", "inf", "unsorted"]))
     if flaw == "unsorted" and n > 1 and ticks[0] != ticks[-1]:
         times[0], times[-1] = times[-1], times[0]
@@ -57,12 +60,17 @@ def event_files(draw):
     for t in times:
         x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
         lines.append(f"{t} {x} {y} {draw(st.sampled_from(['1', off]))}")
-    return "\n".join(lines) + "\n", encoding
+    return "\n".join(lines) + "\n", encoding, grid
+
+
+def raw_or(text: str, odds: int):
+    """`text` as bytes, or once in `odds` + 1 draws arbitrary bytes."""
+    return st.one_of(*[st.just(text.encode())] * odds, st.binary(max_size=40))
 
 
 @st.composite
 def configs(draw):
-    """(config file text, --fps, --threads)."""
+    """(config file bytes, --threads)."""
     tau = draw(st.sampled_from([0.05, 0.5, 5.0]))
     lines = ["hidden_features = 4", "total_iters = 3",
              f"refine_at_iters = {draw(st.sampled_from(['', '1', '1, 2']))}",
@@ -70,8 +78,19 @@ def configs(draw):
              f"partition_tau = {tau!r}",
              f"overlap = {draw(st.sampled_from([0.0, 0.01, 0.02]))!r}",
              f"lambda_reg = {draw(st.sampled_from([0.0, 0.05]))!r}"]
-    fps = draw(st.sampled_from(["1", "30", "1000"]))
-    return "\n".join(lines) + "\n", fps, draw(st.sampled_from(["1", "2"]))
+    text = "\n".join(lines) + "\n"
+    return draw(raw_or(text, 9)), draw(st.sampled_from(["1", "2"]))
+
+
+@st.composite
+def frame_times(draw, grid):
+    """--fps, or --timestamps with the bytes of a times file: times on
+    and between the events' ticks, or arbitrary bytes."""
+    if draw(st.booleans()):
+        return ["--fps", draw(st.sampled_from(["1", "30", "1000"]))], None
+    times = sorted(draw(st.lists(st.sampled_from(grid[:-1]), min_size=1, max_size=5)))
+    text = "".join(f"{t!r}\n" for t in times)
+    return ["--timestamps"], draw(raw_or(text, 4))
 
 
 def run(argv) -> tuple[int, str]:
@@ -97,25 +116,32 @@ def check_frames(out: Path) -> None:
 
 
 @settings(PROFILE)
-@given(event_files(), configs())
-def test_every_run_reconstructs_or_fails_typed(events, config):
-    (text, encoding), (cfg, fps, threads) = events, config
+@given(event_files(), configs(), st.data())
+def test_every_run_reconstructs_or_fails_typed(events, config, data):
+    (text, encoding, grid), (cfg, threads) = events, config
+    frames, times = data.draw(frame_times(grid))
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         (d / "events.txt").write_text(text)
-        (d / "train.cfg").write_text(cfg)
+        (d / "train.cfg").write_bytes(cfg)
+        if times is not None:
+            (d / "times.txt").write_bytes(times)
+            frames = frames + [str(d / "times.txt")]
         run_dir, enhanced = d / "run", d / "enhanced"
         ok = check_outcome(*run(["reconstruct", "--events", str(d / "events.txt"),
                                  "--config", str(d / "train.cfg"), "--polarity", encoding,
-                                 "--fps", fps, "--threads", threads, "--out", str(run_dir)]))
+                                 *frames, "--threads", threads, "--out", str(run_dir)]))
         assert multiprocessing.active_children() == []
+        event(f"reconstruct {'exits 0' if ok else 'fails typed'}")
         if not ok:
             return
         check_frames(run_dir)
+        if data.draw(st.integers(0, 9)) == 0:
+            (run_dir / "partitions.json").write_bytes(data.draw(st.binary(max_size=40)))
         if check_outcome(*run(["enhance", "--checkpoints", str(run_dir), "--window-dt", "0.02",
-                               "--fps", fps, "--out", str(enhanced)])):
+                               *frames, "--out", str(enhanced)])):
             check_frames(enhanced)
-        scores = d / "scores.csv"
+        scores = d / data.draw(st.sampled_from(["scores.csv", "scores"]))
         if check_outcome(*run(["evaluate", "--pred", str(run_dir), "--ref", str(run_dir),
                                "--out", str(scores)])):
             with open(scores, newline="") as fh:
