@@ -17,6 +17,7 @@ import pytest
 
 import objective_reference as ref
 from evrecon import training
+from evrecon.errors import DivergedTraining
 from evrecon.frames import EventFrameStack
 from evrecon.selftest import max_param_gradient_error
 from evrecon.siren import init_siren
@@ -233,3 +234,17 @@ def test_a_feature_stage_holds_no_rows_and_trains_like_the_frame_path(monkeypatc
     assert report.temporal[:2] == frame.temporal[:2]  # the first stage is the frame path
     for name in ("temporal", "regularization", "total"):
         assert np.allclose(getattr(report, name), getattr(frame, name), rtol=1e-4, atol=0)
+
+
+@pytest.mark.parametrize("layer, where", [(0, "hidden pass"), (-1, "target times head")])
+def test_a_non_finite_feature_pass_is_typed_divergence(layer, where):
+    """With no output rows to check, a NaN in the last hidden rows or in
+    τ W still ends training with DivergedTraining."""
+    model, stack = make_case(n=6, k=12, spare=0, dtype=np.float32)
+    model.weights[layer][0, 0] = np.nan
+    cfg = TrainConfig(threshold_C=0.25, total_iters=1, refine_at_iters=(), hidden_features=6,
+                      hidden_layers=2)
+    part = Partition(0, model.t_domain, model, stack=stack, events=None)
+    with pytest.raises(DivergedTraining) as info:
+        train_partition(part, cfg)
+    assert info.value.iteration == 0 and where in str(info.value)
