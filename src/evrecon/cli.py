@@ -33,6 +33,7 @@ from .reconstruct import (
     anchor_offset,
     check_in_span,
     enhance_events,
+    enhancement_scale,
     enhancement_to_bytes,
     sample_video,
     tone_map,
@@ -270,11 +271,11 @@ def cmd_enhance(args) -> int:
     started = time.perf_counter()
     partitions = load_partitions(args.checkpoints)
     times = _requested_times(args, partitions[0].span[0], partitions[-1].span[1])
+    scale = args.scale or enhancement_scale(partitions, args.window_dt)
     grids = enhance_events(partitions, times, args.window_dt)
     out = Path(args.out)
-    bytes_ = enhancement_to_bytes(grids, scale=args.scale)
-    write_frame_dir(out, bytes_, times)
-    config = {"window_dt": args.window_dt, "scale": args.scale, "frames": len(times)}
+    write_frame_dir(out, enhancement_to_bytes(grids, scale), times)
+    config = {"window_dt": args.window_dt, "scale": scale, "frames": len(times)}
     _write_manifest(out / "manifest.json", "enhance", config, [args.checkpoints], [out], None,
                     started)
     print(f"enhance: wrote {len(times)} enhancement frames to {out}")
@@ -400,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--window-dt", dest="window_dt", type=_positive_float, required=True,
                     help="time window the enhanced frames represent (seconds)")
     pe.add_argument("--scale", type=_positive_float, default=None,
-                    help="gray mapping full scale")
+                    help="gray mapping full scale (default: --window-dt times the run's "
+                         "largest |derivative| on its partitions' anchor grids)")
     pe.set_defaults(func=cmd_enhance)
 
     evaluate_help = "score prediction frames against reference, on every CPU this process may use"

@@ -6,17 +6,20 @@ so each partition's network carries an arbitrary global offset. Stitching
 removes the per-partition disagreement by chaining pairwise corrections
 measured over the shared overlap windows (after which the per-pair
 "subtract each mean, add the pair average" alignment is the identity),
-and `anchor_offset` pins the one remaining global constant by driving the
-whole video's median log intensity to zero. A time inside the overlap of
-two neighboring spans crossfades their networks; any other time takes the
-last partition whose span starts at or before it.
+and `anchor_offset` pins the one remaining global constant: it subtracts
+the run's anchor, the median of partition 0's frames on its anchor grid
+of ANCHOR_SAMPLES evenly spaced times over its span. The anchor depends on
+the run alone, so the frame at a time does not depend on which other
+times were requested. A time inside the overlap of two neighboring spans
+crossfades their networks; any other time takes the last partition whose
+span starts at or before it.
 
-Sample times must be strictly increasing. Sampling writes each network's
-output straight into the one (N, H, W) float64 array of the `LogVideo`,
-`anchor_offset` finds the median by counting passes over blocks and
-shifts that array in place, and tone mapping and the enhancement display
-mapping work one block of whole frames at a time, so besides that array
-and the uint8 output only batch- and block-sized temporaries are made.
+Sample times must be strictly increasing. Sampling computes the anchor
+first, then writes each network's output straight into the one (N, H, W)
+float64 array of the `LogVideo`, which `anchor_offset` shifts in place.
+Tone mapping and the enhancement display mapping work one block of whole
+frames at a time, so besides that array and the uint8 output only
+batch-, grid- and block-sized temporaries are made.
 """
 
 from __future__ import annotations
@@ -33,24 +36,22 @@ from .errors import (
     check_settings,
 )
 from .events import check_increasing, check_times
-from .metrics import BLOCK_PIXELS, frame_blocks, quantize
+from .metrics import frame_blocks, quantize
 from .siren import all_finite
 
 _OVERLAP_MEAN_SAMPLES = 9
-# The median search resolves this many bits of the order key per counting
-# pass, and gathers the keys of the median's bin once it holds this few.
-_KEY_BITS = 16
-_GATHER_MAX = BLOCK_PIXELS
-_SIGN = np.int64(-(2**63))
-_MAGNITUDE = np.int64(2**63 - 1)
+ANCHOR_SAMPLES = 64  # evenly spaced times over a partition's span: its anchor grid
 
 
 @dataclass
 class LogVideo:
-    """Reconstructed log-intensity frames at strictly increasing times."""
+    """Reconstructed log-intensity frames at strictly increasing times,
+    and the log level `anchor_offset` subtracts from them: the run's
+    anchor for a video sampled from a run, else 0.0."""
 
     frames: np.ndarray  # (N, H, W)
     times: np.ndarray  # (N,)
+    anchor: float = 0.0
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -149,111 +150,43 @@ def _sample(partitions, times, tangent: bool) -> np.ndarray:
     return out
 
 
+def _grid(partition) -> np.ndarray:
+    """The partition's anchor grid: ANCHOR_SAMPLES evenly spaced times
+    over its span."""
+    return np.linspace(partition.span[0], partition.span[1], ANCHOR_SAMPLES)
+
+
 def sample_video(partitions, times) -> LogVideo:
-    """Stitched log-intensity video at the requested times.
+    """Stitched log-intensity video at the requested times, with the run's
+    anchor: the median of partition 0's frames on its anchor grid.
 
     Times outside every overlap take the network of the last span starting
     at or before them; times inside an overlap crossfade linearly between
-    the two offset-aligned neighbors.
+    the two offset-aligned neighbors. The anchor's (ANCHOR_SAMPLES, H * W)
+    frames are freed before the video is made. An anchor past the float64
+    range is infinite, and `anchor_offset` reports it.
     """
-    return LogVideo(_sample(partitions, times, tangent=False), times)
+    first = min(partitions, key=lambda p: p.index)
+    with np.errstate(over="ignore"):  # an infinite anchor fails in anchor_offset
+        anchor = float(np.median(_batched_forward(first, _grid(first), False)))
+    return LogVideo(_sample(partitions, times, tangent=False), times, anchor)
 
 
 def anchor_offset(video: LogVideo) -> LogVideo:
-    """Fix the free global constant: shift so the video-wide median log
-    intensity is zero (exp(0) = 1 sits at the tone mapper's mid-tone).
+    """Fix the free global constant: subtract `video.anchor` from every
+    frame, so the run's median log level sits at exp(0) = 1, the tone
+    mapper's mid-tone, and set the anchor to 0.
 
-    Shifts `video` in place and returns it. The shift is np.median of the
-    frames (see `_median`); NonFiniteFrames when subtracting it overflows,
-    which leaves `video` shifted as far as it got. An empty video has no
-    median and is returned as it is.
+    Shifts `video` in place and returns it; anchoring twice shifts once.
+    NonFiniteFrames when the subtraction overflows, which leaves `video`
+    shifted as far as it got.
     """
-    if not video.frames.size:
-        return video
+    anchor, video.anchor = video.anchor, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        median = _median(video.frames)
-        video.frames -= median
+        video.frames -= anchor
     if not all_finite(video.frames):
-        raise NonFiniteFrames(f"shifting the log video by its median {median!r} overflows")
+        raise NonFiniteFrames(f"shifting the log video by its anchor {anchor!r} overflows")
     return video
-
-
-def _flip(bits: np.ndarray) -> np.ndarray:
-    """float64 bit patterns, as int64, mapped to int64 that order like the
-    floats (-0.0 just below +0.0): a negative value's magnitude bits are
-    inverted. Applied twice it gives the bits back."""
-    flipped = bits >> 63
-    flipped &= _MAGNITUDE
-    flipped ^= bits
-    return flipped
-
-
-def _order_keys(values: np.ndarray) -> np.ndarray:
-    """Flat uint64 keys of float64 values that order like the values."""
-    keys = _flip(values.view(np.int64))
-    keys ^= _SIGN
-    return keys.view(np.uint64).reshape(-1)
-
-
-def _key_value(key) -> float:
-    """The float64 value whose order key is `key`."""
-    bits = np.array([key], dtype=np.uint64).view(np.int64) ^ _SIGN
-    return float(_flip(bits).view(np.float64)[0])
-
-
-def _median(frames: np.ndarray) -> float:
-    """np.median(frames) of a finite float64 array, without a copy of it.
-
-    A radix select on the order keys. Each counting pass takes one block
-    of frames at a time and counts the next _KEY_BITS bits of the keys
-    that share the lower middle value's known leading bits, until that
-    value's bin holds at most _GATHER_MAX keys, which a last pass gathers
-    and sorts, or a single value; a small input takes no counting pass.
-    The upper middle value of an even count is the next key in that bin,
-    or else the least key above it, which the last pass also finds. As in np.median, the result is the middle value
-    of an odd count and (a + b) / 2 of the two middle values of an even
-    one. Only a zero median may differ from np.median's, in its sign,
-    which np.median's partition order decides.
-    """
-    n = frames.size
-    blocks = [frames[s] for s in frame_blocks(frames)]
-    rank, below = (n - 1) // 2, 0  # below: how many keys lie under the bin
-    prefix, shift, count = 0, 64, n  # the bin: keys k with k >> shift == prefix
-    while shift and count > _GATHER_MAX:
-        shift -= _KEY_BITS
-        hist = np.zeros(1 << _KEY_BITS, dtype=np.int64)
-        for keys in map(_order_keys, blocks):
-            if shift + _KEY_BITS < 64:
-                keys = keys[keys >> (shift + _KEY_BITS) == prefix]
-            keys >>= shift
-            keys &= (1 << _KEY_BITS) - 1
-            hist += np.bincount(keys.view(np.int64), minlength=1 << _KEY_BITS)
-        ends = np.cumsum(hist)
-        digit = int(np.searchsorted(ends, rank - below, side="right"))
-        below += int(ends[digit - 1]) if digit else 0
-        count = int(hist[digit])
-        prefix = (prefix << _KEY_BITS) | digit
-
-    gather = shift > 0  # else every key in the bin is `prefix`
-    above_bin = n % 2 == 0 and rank + 1 == below + count
-    in_bin, above = [], []
-    if gather or above_bin:
-        for keys in map(_order_keys, blocks):
-            top = keys >> shift
-            if gather:
-                in_bin.append(keys[top == prefix])
-            if above_bin and np.any(top > prefix):
-                above.append(keys[top > prefix].min())
-    in_bin = np.sort(np.concatenate(in_bin)) if gather else None
-
-    def in_bin_key(r):  # the key of rank r, which the bin holds
-        return in_bin[r - below] if gather else prefix
-
-    low = _key_value(in_bin_key(rank))
-    if n % 2:
-        return low
-    high = _key_value(min(above) if above_bin else in_bin_key(rank + 1))
-    return (low + high) / 2.0
 
 
 def tone_map(video: LogVideo, gamma: float = 0.6) -> np.ndarray:
@@ -299,17 +232,25 @@ def enhance_events(partitions, times, window_dt: float) -> np.ndarray:
     return grids
 
 
-def enhancement_to_bytes(grids: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Signed-to-gray display mapping of (N, H, W) grids:
-    byte = clamp(128 + 128 * value/scale).
+def enhancement_scale(partitions, window_dt: float) -> float:
+    """enhance's default display scale: window_dt times the largest
+    |per-second derivative| on every partition's anchor grid, or 1.0 where
+    all of them are zero. It depends on the run alone."""
+    check_settings(NonPositiveSetting, window_dt=window_dt)
+    most = 0.0
+    for p in partitions:
+        rates = np.empty((ANCHOR_SAMPLES, p.model.height, p.model.width))
+        _batched_forward(p, _grid(p), True, out=rates)
+        most = max(most, float(rates.max()), -float(rates.min()))
+    return window_dt * most or 1.0
 
-    scale defaults to the largest |value| so the full range is used; zero
-    change lands on mid-gray 128. Works one block of whole frames at a
-    time, like tone_map.
+
+def enhancement_to_bytes(grids: np.ndarray, scale: float) -> np.ndarray:
+    """Signed-to-gray display mapping of (N, H, W) grids:
+    byte = clamp(128 + 128 * value/scale); zero change lands on mid-gray
+    128. Works one block of whole frames at a time, like tone_map.
     """
     g = np.asarray(grids, dtype=np.float64)
-    if scale is None:
-        scale = float(max(g.max(), -g.min())) or 1.0
     out = np.empty(g.shape, dtype=np.uint8)
     for s in frame_blocks(g):
         block = np.multiply(g[s], 128.0)

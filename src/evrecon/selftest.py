@@ -1,26 +1,33 @@
 """Closed-loop verification: simulate -> train -> reconstruct -> score.
 
-The helpers here define the canonical measurement protocol (median anchor,
-per-frame mean alignment in the log domain, tone-mapped SSIM) used by both
-the `selftest` subcommand and the acceptance test suite, so the two can
-never drift apart. Its seeds, log offset and tone-map gamma are constants.
+The helpers here define the canonical measurement protocol (the run's
+anchor, per-frame mean alignment in the log domain, tone-mapped SSIM) used
+by both the `selftest` subcommand and the acceptance test suite, so the
+two can never drift apart. Its seeds, log offset and tone-map gamma are
+constants.
+
+The selftest checks only what no Tier-1 test checks: the closed loop's
+log-MSE, SSIM and runtime on its own schedule, and the gradient oracle
+of the hand-written derivatives. Event quantization, refinement
+conservation, the loss's offset invariance, the tone map and the metrics
+are Tier-1 tests.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .events import EventStream
-from .frames import EventFrameStack, refine_bins, stack_uniform
-from .metrics import evaluate_frames, mse, ssim
+from .frames import EventFrameStack
+from .metrics import evaluate_frames
 from .pgm import write_frame_dir
 from .reconstruct import LogVideo, anchor_offset, sample_video, tone_map
 from .simulate import IntensityVideo, SimConfig, log_intensity, render_scene, simulate_events
 from .siren import init_siren
-from .training import TrainConfig, objective, spatial_reg_loss, temporal_loss, train_ensemble
+from .training import TrainConfig, objective, train_ensemble
 
 
 @dataclass
@@ -50,9 +57,10 @@ def make_fixture(
 
 
 def aligned_log_prediction(video: IntensityVideo, partitions):
-    """Sample the ensemble at the video's frame times, anchor the global
-    median, then align each frame's mean to the ground truth in the log
-    domain. Returns (aligned prediction, ground-truth log video)."""
+    """Sample the ensemble at the video's frame times and subtract the
+    run's anchor, as `reconstruct` does, then align each frame's mean to
+    the ground truth in the log domain, which removes the anchor again.
+    Returns (aligned prediction, ground-truth log video)."""
     gt = log_intensity(video)
     pred = anchor_offset(sample_video(partitions, video.times))
     shift = gt.mean(axis=(1, 2)) - pred.frames.mean(axis=(1, 2))
@@ -124,15 +132,6 @@ def gradient_oracle_errors():
     return worst_param, worst_tan
 
 
-def quantization_residual(video: IntensityVideo, stream: EventStream, threshold_C: float) -> float:
-    """Max per-pixel |C * signed count - (L_end - L_start)| over the clip."""
-    gt = log_intensity(video)
-    signed = np.zeros(video.height * video.width)
-    np.add.at(signed, stream.y * video.width + stream.x, stream.polarity)
-    recovered = threshold_C * signed.reshape(video.height, video.width)
-    return float(np.abs(recovered - (gt[-1] - gt[0])).max())
-
-
 def run_selftest(quick: bool = False, threads: int = 1, out=None) -> list:
     """Run the verification checks; returns a list of CheckResult.
 
@@ -171,59 +170,4 @@ def run_selftest(quick: bool = False, threads: int = 1, out=None) -> list:
         "gradient oracle (params)", worst_param < 1e-3, f"max rel err {worst_param:.2e} < 1e-3"))
     results.append(CheckResult(
         "gradient oracle (tangent)", worst_tan < 1e-4, f"max rel err {worst_tan:.2e} < 1e-4"))
-
-    resid = quantization_residual(video, stream, 0.25)
-    results.append(CheckResult(
-        "event quantization", resid < 0.25, f"max |C*count - dL| = {resid:.4f} < C"))
-
-    stack0 = stack_uniform(stream, cfg.initial_bin, cfg.threshold_C)
-    sums = stack0.pixel_sums()
-    conserved = True
-    stack = stack0
-    for _ in range(2):
-        stack = refine_bins(stack, stream)
-        conserved &= bool(np.array_equal(stack.pixel_sums(), sums))
-    doubled = stack.num_frames == 4 * stack0.num_frames
-    results.append(CheckResult(
-        "refinement conservation", conserved and doubled,
-        f"sums bit-identical={conserved}, T {stack0.num_frames}->{stack.num_frames}"))
-
-    # Offset invariance is exact-arithmetic: check the trained model widened to float64.
-    model = replace(partitions[0].model, params=partitions[0].model.params.astype(np.float64))
-    base_stack = partitions[0].stack
-    idx = np.arange(min(8, base_stack.num_frames))
-    worst_shift = 0.0
-    lt0, seeds0, _ = temporal_loss(model, base_stack, idx)
-    lr0, _ = spatial_reg_loss(seeds0[0])
-    for c in (-3.0, 0.7, 10.0):
-        shifted = model.copy()
-        shifted.biases[-1][:] += c
-        lt1, seeds1, _ = temporal_loss(shifted, base_stack, idx)
-        lr1, _ = spatial_reg_loss(seeds1[0])
-        worst_shift = max(
-            worst_shift,
-            abs(lt1 - lt0) / max(abs(lt0), 1e-300),
-            abs(lr1 - lr0) / max(abs(lr0), 1e-300),
-        )
-    results.append(CheckResult(
-        "loss offset invariance", worst_shift < 1e-12, f"max rel change {worst_shift:.2e}"))
-
-    byte = tone_map(LogVideo(np.zeros((1, 2, 2)), [0.0]))[0, 0, 0]
-    ramp = np.linspace(-8.0, 8.0, 10_000)
-    tb = tone_map(LogVideo(ramp[:, None, None], np.arange(10_000.0))).reshape(-1)
-    mono = bool(np.all(np.diff(tb.astype(np.int64)) >= 0))
-    results.append(CheckResult(
-        "tone map", byte == 168 and mono, f"L=0 -> byte {byte} (want 168), monotone={mono}"))
-
-    rng = np.random.default_rng(0)
-    img = rng.uniform(0.0, 1.0, (1, 32, 32))
-    a, b = 0.3, 0.8
-    c1 = 0.01**2
-    expected = (2 * a * b + c1) / (a * a + b * b + c1)
-    got = ssim(np.full((1, 16, 16), a), np.full((1, 16, 16), b))[0]
-    same = ssim(img, img)[0]
-    metric_ok = mse(img, img) == 0.0 and abs(same - 1.0) < 1e-9 and abs(got - expected) < 1e-9
-    results.append(CheckResult(
-        "metric sanity", metric_ok,
-        f"ssim(a,a)-1={same-1.0:.1e}, const-vs-const err {abs(got-expected):.1e}"))
     return results

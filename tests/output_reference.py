@@ -105,8 +105,6 @@ def tone_map(log_frames: np.ndarray, gamma: float = 0.6) -> np.ndarray:
     return np.clip(np.round(compressed * 255.0), 0, 255).astype(np.uint8)
 
 
-def enhancement_to_bytes(grids: np.ndarray, scale: float | None = None) -> np.ndarray:
+def enhancement_to_bytes(grids: np.ndarray, scale: float) -> np.ndarray:
     g = np.asarray(grids, dtype=np.float64)
-    if scale is None:
-        scale = float(np.abs(g).max()) or 1.0
     return np.clip(np.round(128.0 + 128.0 * g / scale), 0, 255).astype(np.uint8)

@@ -13,7 +13,12 @@ import output_reference as ref
 from conftest import make_stream
 from evrecon.cli import _write_partitions, build_parser, load_partitions, main, parse_config_file
 from evrecon.pgm import read_frame_dir, write_frame_dir
-from evrecon.reconstruct import enhance_events, enhancement_to_bytes, sample_video
+from evrecon.reconstruct import (
+    enhance_events,
+    enhancement_scale,
+    enhancement_to_bytes,
+    sample_video,
+)
 from evrecon.siren import init_siren, save_checkpoint
 from evrecon.training import TrainConfig, blas_threads, build_partitions
 
@@ -299,8 +304,55 @@ def test_manifests_record_workers_and_blas_threads(tmp_path):
     assert (manifest["inputs"], manifest["seed"]) == ([str(rec)], None)
     assert manifest["config"].keys() == {"window_dt", "scale", "frames"}
     frames, times = read_frame_dir(reuse)
+    partitions = load_partitions(rec)
+    scale = enhancement_scale(partitions, 0.05)  # the default, which the manifest records
+    assert manifest["config"]["scale"] == scale
     assert np.array_equal(frames, enhancement_to_bytes(
-        enhance_events(load_partitions(rec), times, 0.05)))
+        enhance_events(partitions, times, 0.05), scale))
+
+
+@pytest.fixture(scope="module")
+def runs_at_60_and_120(tmp_path_factory):
+    """A two-partition run reconstructed at --fps 60 and, from the same
+    events and seed, at --fps 120; the checkpoints are equal."""
+    d = tmp_path_factory.mktemp("rates")
+    events, config = d / "events.txt", d / "tiny.cfg"
+    config.write_text("threshold_C = 0.25\ntotal_iters = 12\nrefine_at_iters = 4, 8\n"
+                      "hidden_features = 16\npartition_tau = 0.5\noverlap = 0.1\n")
+    assert main(["simulate", "--size", "12x12", "--duration", "1", "--fps", "120",
+                 "--seed", "2", "--out", str(events)]) == 0
+    runs = {}
+    for fps in ("60", "120"):
+        runs[fps] = d / f"fps{fps}"
+        assert main(["reconstruct", "--events", str(events), "--config", str(config),
+                     "--fps", fps, "--threads", "1", "--out", str(runs[fps])]) == 0
+    assert len(load_partitions(runs["60"])) == 2
+    return runs
+
+
+def shared_frames(coarse_dir, fine_dir):
+    """The frames of both directories at their shared times: every time
+    at 60 fps is, as an equal float, every other time at 120 fps."""
+    coarse, coarse_times = read_frame_dir(coarse_dir)
+    fine, fine_times = read_frame_dir(fine_dir)
+    fine, fine_times = fine[::2][:len(coarse)], fine_times[::2][:len(coarse)]
+    assert np.array_equal(fine_times, coarse_times)
+    return coarse, fine
+
+
+def test_reconstructed_frames_do_not_depend_on_the_other_times(runs_at_60_and_120):
+    coarse, fine = shared_frames(runs_at_60_and_120["60"], runs_at_60_and_120["120"])
+    assert coarse.tobytes() == fine.tobytes()
+
+
+def test_enhanced_frames_do_not_depend_on_the_other_times(runs_at_60_and_120, tmp_path):
+    """At the default scale, from one run's checkpoints."""
+    run = runs_at_60_and_120["60"]
+    for fps in ("60", "120"):
+        assert main(["enhance", "--checkpoints", str(run), "--window-dt", "0.02",
+                     "--fps", fps, "--out", str(tmp_path / fps)]) == 0
+    coarse, fine = shared_frames(tmp_path / "60", tmp_path / "120")
+    assert coarse.tobytes() == fine.tobytes()
 
 
 def test_file_outputs_without_a_suffix_get_a_manifest_beside_them(tmp_path):

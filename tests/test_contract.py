@@ -6,6 +6,8 @@ error: `cli.main` returns 0, or prints one `error: ...` line and returns
 sub-ns spans, times near 1e9 s, both polarity encodings, and at times a
 non-finite or unsorted time, go through `reconstruct`, then `enhance
 --checkpoints` on its output, then `evaluate` of the run against itself.
+An enhancement at a subset of its times must give the same bytes there:
+a frame is a function of the run and its time.
 Config, timestamp and partition-listing files are at times raw bytes,
 and the scores file is named with or without a suffix.
 At hidden width 4 nearly every stage trains in feature space. After each
@@ -31,6 +33,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from evrecon.cli import main
+from evrecon.events import write_times
 from evrecon.pgm import read_frame_dir
 
 settings.register_profile("contract", max_examples=40, deadline=None,
@@ -109,10 +112,12 @@ def check_outcome(code: int, err: str) -> bool:
     return code == 0
 
 
-def check_frames(out: Path) -> None:
-    """One frame per requested time, all of them finite."""
+def check_frames(out: Path) -> tuple:
+    """One frame per requested time, all of them finite; returns (frames,
+    times)."""
     frames, times = read_frame_dir(out)
     assert len(frames) == len(times) and np.all(np.isfinite(times))
+    return frames, times
 
 
 @settings(PROFILE)
@@ -138,9 +143,14 @@ def test_every_run_reconstructs_or_fails_typed(events, config, data):
         check_frames(run_dir)
         if data.draw(st.integers(0, 9)) == 0:
             (run_dir / "partitions.json").write_bytes(data.draw(st.binary(max_size=40)))
-        if check_outcome(*run(["enhance", "--checkpoints", str(run_dir), "--window-dt", "0.02",
-                               *frames, "--out", str(enhanced)])):
-            check_frames(enhanced)
+        enhance = ["enhance", "--checkpoints", str(run_dir), "--window-dt", "0.02"]
+        if check_outcome(*run([*enhance, *frames, "--out", str(enhanced)])):
+            grids, grid_times = check_frames(enhanced)
+            picks = sorted(data.draw(st.sets(st.integers(0, len(grid_times) - 1), min_size=1)))
+            write_times(d / "subset.txt", grid_times[picks])
+            assert run([*enhance, "--timestamps", str(d / "subset.txt"),
+                        "--out", str(d / "subset")]) == (0, "")
+            assert np.array_equal(read_frame_dir(d / "subset")[0], grids[picks])
         scores = d / data.draw(st.sampled_from(["scores.csv", "scores"]))
         if check_outcome(*run(["evaluate", "--pred", str(run_dir), "--ref", str(run_dir),
                                "--out", str(scores)])):

@@ -3,10 +3,12 @@ memory.
 
 `sample_video`, `enhance_events`, `tone_map` and `enhancement_to_bytes`
 write into one output array, run by run and block by block, and
-`anchor_offset` shifts that array in place. Each element
-sees the arithmetic of the whole-array code kept in `output_reference.py`
-and every network batch holds the same times, so for float32 networks log
-frames, enhancement grids and bytes must match it bit for bit. A float64
+`anchor_offset` shifts that array in place by the run's anchor, which
+`sample_video` finds on a small grid before it makes that array. Each
+element sees the arithmetic of the whole-array code kept in
+`output_reference.py` and every network batch holds the same times, so
+for float32 networks log frames, enhancement grids and bytes must match
+it bit for bit. A float64
 network's row-blocked output-layer products may round differently from
 the reference's one product, so its frames and grids match within that
 rounding. The memory tests read the peak that `tracemalloc` traces, which
@@ -22,9 +24,11 @@ import output_reference as ref
 from conftest import traced_peak
 from evrecon.metrics import BLOCK_PIXELS
 from evrecon.reconstruct import (
+    ANCHOR_SAMPLES,
     LogVideo,
     anchor_offset,
     enhance_events,
+    enhancement_scale,
     enhancement_to_bytes,
     sample_video,
     tone_map,
@@ -136,7 +140,8 @@ def test_streamed_output_matches_the_whole_array_reference(ensemble, gamma, wind
     anchored = anchor_offset(video)  # shifts video in place
     assert same_bits(tone_map(anchored, gamma),
                      ref.tone_map(anchored.frames, gamma))
-    assert same_bits(enhancement_to_bytes(grids), ref.enhancement_to_bytes(grids))
+    scale = enhancement_scale(parts, window_dt)  # enhance's default
+    assert same_bits(enhancement_to_bytes(grids, scale), ref.enhancement_to_bytes(grids, scale))
     assert same_bits(enhancement_to_bytes(grids, scale=window_dt),
                      ref.enhancement_to_bytes(grids, scale=window_dt))
 
@@ -155,7 +160,8 @@ def test_byte_maps_match_the_reference_wherever_exp_is_finite(shape, n, spread, 
     np.clip(values, -745.0, 709.0, out=values)
     video = LogVideo(values, np.arange(n, dtype=np.float64))
     assert same_bits(tone_map(video), ref.tone_map(values))
-    assert same_bits(enhancement_to_bytes(values), ref.enhancement_to_bytes(values))
+    full = float(np.abs(values).max()) or 1.0  # the whole byte range
+    assert same_bits(enhancement_to_bytes(values, full), ref.enhancement_to_bytes(values, full))
     assert same_bits(enhancement_to_bytes(values, scale=spread),
                      ref.enhancement_to_bytes(values, scale=spread))
 
@@ -171,8 +177,8 @@ def test_byte_maps_hold_the_output_plus_a_few_blocks(fn):
     (180 MB for 480 frames of 128x128); blocked, it traces the uint8
     output and a few float64 blocks."""
     values = np.random.default_rng(0).standard_normal((60, 128, 128))
-    arg = LogVideo(values, np.arange(60.0)) if fn is tone_map else values
-    out, peak = traced_peak(fn, arg)
+    args = (LogVideo(values, np.arange(60.0)),) if fn is tone_map else (values, 1.0)
+    out, peak = traced_peak(fn, *args)
     assert peak <= out.nbytes + 4 * BLOCK_BYTES + SLACK
 
 
@@ -242,9 +248,20 @@ def test_enhancing_a_float32_model_holds_the_grids_plus_one_block():
     assert peak < 1.25 * grids.nbytes
 
 
-def test_anchoring_traces_under_an_eighth_of_the_video():
-    frames = np.random.default_rng(1).standard_normal((180, 128, 128))
-    video = LogVideo(frames, np.arange(180.0))
+def test_the_anchor_traces_its_grid_and_anchoring_traces_nothing():
+    """The anchor's frames on partition 0's grid, and np.median's copy of
+    them, are freed before the video is made: sampling one frame traces
+    about two grids, and 180 frames trace no more than the video plus
+    blocks, as if there were no anchor. Anchoring shifts in place."""
+    part = float32_partition(128, 128, 32)
+    grid_bytes = ANCHOR_SAMPLES * 128 * 128 * 4
+    grid = np.linspace(0.0, 1.0, ANCHOR_SAMPLES)
+    _, peak = traced_peak(sample_video, [part], [0.5])
+    assert grid_bytes < peak <= 2 * grid_bytes + activation_bytes(grid, 32) + SLACK
+    times = np.linspace(0.0, 1.0, 180)
+    video, peak = traced_peak(sample_video, [part], times)
+    block_bytes = 16 * BLOCK_PIXELS * 4  # siren._row_blocks, float32
+    assert peak <= video.frames.nbytes + block_bytes + activation_bytes(times, 32) + SLACK
     anchored, peak = traced_peak(anchor_offset, video)
     assert anchored is video
-    assert peak < video.frames.nbytes / 8
+    assert peak < SLACK

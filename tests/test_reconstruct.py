@@ -1,10 +1,7 @@
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from evrecon.errors import (
     EvreconError,
@@ -16,11 +13,11 @@ from evrecon.errors import (
 )
 from evrecon import reconstruct
 from evrecon.events import read_times, write_times
-from evrecon.metrics import BLOCK_PIXELS
 from evrecon.reconstruct import (
     LogVideo,
     anchor_offset,
     enhance_events,
+    enhancement_scale,
     enhancement_to_bytes,
     reinhard,
     sample_video,
@@ -162,75 +159,72 @@ def test_sample_accepts_times_read_from_a_file(tmp_path):
     assert len(video.frames) == 5
 
 
+def constant_run(levels, t_domain=(0.0, 1.0)) -> Partition:
+    """A float64 one-partition run whose every frame is `levels`, an
+    (H, W) array: zero output weights, the levels as the output bias."""
+    levels = np.asarray(levels, dtype=np.float64)
+    h, w = levels.shape
+    model = init_siren([1, 8, 8, h * w], seed=3, height=h, width=w, t_domain=t_domain)
+    model.weights[-1][:] = 0.0
+    model.biases[-1][:] = levels.reshape(-1)
+    return Partition(index=0, span=t_domain, model=model)
+
+
+def test_anchor_is_the_median_of_partition_0_on_its_grid():
+    """The same anchor at any requested times: np.median of partition 0's
+    own frames at ANCHOR_SAMPLES evenly spaced times over its span."""
+    parts = chain()
+    p0 = parts[0]
+    grid = np.linspace(p0.span[0], p0.span[1], reconstruct.ANCHOR_SAMPLES)
+    want = float(np.median(p0.model.forward(p0.model.normalize_time(grid))))
+    for times in ([2.5], np.linspace(0.0, 3.0, 7), np.linspace(1.0, 2.0, 50)):
+        assert sample_video(parts, times).anchor == want
+    assert LogVideo(np.zeros((1, 2, 2)), [0.0]).anchor == 0.0  # not sampled from a run
+
+
+def test_anchored_frames_at_shared_times_do_not_depend_on_the_others():
+    parts = chain()
+    coarse = np.arange(31) / 10.0
+    fine = np.arange(61) / 20.0  # holds every coarse time as an equal float
+    assert np.array_equal(fine[::2], coarse)
+    a = anchor_offset(sample_video(parts, coarse))
+    b = anchor_offset(sample_video(parts, fine))
+    assert a.frames.tobytes() == b.frames[::2].tobytes()
+
+
 def test_anchor_constant_video_to_zero():
-    video = LogVideo(np.full((3, 4, 4), 3.7), np.arange(3.0))
+    video = sample_video([constant_run(np.full((4, 4), 3.7))], np.linspace(0.0, 1.0, 3))
+    assert video.anchor == 3.7
     anchored = anchor_offset(video)
-    assert np.all(anchored.frames == 0.0)
+    assert np.all(anchored.frames == 0.0) and anchored.anchor == 0.0
 
 
 def test_anchor_idempotent():
-    rng = np.random.default_rng(0)
-    video = LogVideo(rng.standard_normal((5, 5, 5)), np.arange(5.0))
-    once = anchor_offset(video)
+    once = anchor_offset(sample_video(chain(), np.linspace(0.0, 3.0, 9)))
     before = once.frames.copy()  # anchoring shifts in place and returns its input
     twice = anchor_offset(once)
-    assert np.array_equal(before, twice.frames)
-    assert np.median(twice.frames) == 0.0
+    assert twice is once and twice.anchor == 0.0
+    assert before.tobytes() == twice.frames.tobytes()
 
 
-def median_input(kind: str, n: int, rng) -> np.ndarray:
-    """n finite values of one family that the median search must get
-    exactly right."""
-    if kind == "normal":
-        return rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5)
-    if kind == "ties":  # a few values, each many times
-        return rng.choice(rng.standard_normal(int(rng.integers(1, 4))), n)
-    if kind == "signed zeros":
-        return rng.choice([-0.0, 0.0, 5e-324, -1.0, 2.0], n)
-    if kind == "subnormal":
-        return rng.integers(-40, 40, n) * 5e-324
-    if kind == "huge":  # near the float64 limits, where sums overflow
-        return rng.choice([-1.7976931348623157e308, -1e308, 1e308, 1.7976931348623157e308,
-                           0.0, 1.0], n)
-    return np.full(n, rng.standard_normal())  # all equal
-
-
-@given(st.sampled_from(["normal", "ties", "signed zeros", "subnormal", "huge", "equal"]),
-       st.sampled_from([(1, 1, 1), (1, 1, 2), (2, 1, 1), (3, 3, 5), (4, 3, 5), (5, 64, 64),
-                        (8, 64, 64), (3, 181, 183)]),
-       st.sampled_from([1, 64, BLOCK_PIXELS]), st.integers(0, 2**32 - 1))
-@settings(deadline=None, max_examples=120)
-def test_anchor_shifts_by_exactly_numpys_median(kind, shape, gather_max, seed):
-    """Odd and even sizes, one element, two values, heavy ties, signed
-    zeros, subnormals and values near +-1e308, with the median's bin
-    gathered at several sizes (1 resolves every key bit by counting).
-    Only the sign of a zero median is left to np.median's partition order,
-    so a zero median is compared by value."""
-    frames = median_input(kind, int(np.prod(shape)), np.random.default_rng(seed)).reshape(shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # as anchor_offset allows and checks
-        median = np.median(frames)
-        want = frames - median
-    video = LogVideo(frames.copy(), np.arange(float(shape[0])))
-    with mock.patch.object(reconstruct, "_GATHER_MAX", gather_max):
-        if not np.all(np.isfinite(want)):
-            with pytest.raises(NonFiniteFrames):
-                anchor_offset(video)
-            return
-        anchored = anchor_offset(video)
-    assert anchored is video
-    if median == 0.0:
-        assert np.array_equal(anchored.frames, want)
-    else:
-        assert anchored.frames.tobytes() == want.tobytes()
-
-
-def test_anchor_returns_an_empty_video_as_it_is():
+def test_no_times_is_typed_and_an_empty_video_anchors_as_it_is():
+    """A run has no empty video: sampling no times is InvalidTimestamps.
+    A video without pixels, not sampled from a run, anchors unchanged."""
+    with pytest.raises(InvalidTimestamps):
+        sample_video(chain(), [])
     video = LogVideo(np.zeros((2, 0, 3)), np.arange(2.0))
-    assert anchor_offset(video) is video
+    assert anchor_offset(video) is video and video.frames.shape == (2, 0, 3)
 
 
-def test_anchoring_past_the_float64_range_is_nonfinite_frames():
-    video = LogVideo(np.array([-1e308, 1e308, 1e308]).reshape(3, 1, 1), np.arange(3.0))
+@pytest.mark.parametrize("low", [-8e307, -1e308])
+def test_anchoring_past_the_float64_range_is_nonfinite_frames(low):
+    """Most pixels sit at `low`, so the anchor does; the pixel at +1e308
+    then overflows. At -1e308 the anchor itself, the mean of two middle
+    values, overflows, with no warning."""
+    levels = np.full((2, 2), low)
+    levels[0, 0] = 1e308
+    video = sample_video([constant_run(levels)], [0.0, 1.0])
+    assert video.anchor == (low if low == -8e307 else -np.inf)
     with pytest.raises(NonFiniteFrames, match="overflows"):
         anchor_offset(video)
 
@@ -242,7 +236,7 @@ def test_tone_map_reference_bytes():
 
 
 def test_anchored_constant_video_tone_maps_to_mid_tone():
-    video = anchor_offset(LogVideo(np.full((2, 3, 3), 3.7), np.arange(2.0)))
+    video = anchor_offset(sample_video([constant_run(np.full((3, 3), 3.7))], [0.0, 1.0]))
     bytes_ = tone_map(video, gamma=0.6)
     assert np.all(bytes_ == round(0.5**0.6 * 255))
 
@@ -325,7 +319,25 @@ def test_enhance_uses_per_second_tangent():
 
 def test_enhancement_bytes_midgray_zero():
     grids = np.zeros((1, 2, 2))
-    assert np.all(enhancement_to_bytes(grids) == 128)
+    assert np.all(enhancement_to_bytes(grids, 1.0) == 128)
     signed = np.array([[[-1.0, 0.0], [0.5, 1.0]]])
     out = enhancement_to_bytes(signed, scale=1.0)
     assert out[0, 0, 0] == 0 and out[0, 1, 1] == 255 and out[0, 0, 1] == 128
+
+
+def test_enhancement_scale_is_the_largest_rate_on_every_partitions_grid():
+    """window_dt times the largest |per-second derivative| of each
+    partition alone on its anchor grid, also when partition 0 is constant,
+    as an event-free one trains toward."""
+    parts = chain()
+    parts[0].model.weights[-1][:] = 0.0
+    most = [np.abs(rate(p, np.linspace(*p.span, reconstruct.ANCHOR_SAMPLES))).max()
+            for p in parts]
+    assert most[0] == 0.0
+    assert enhancement_scale(parts, 0.01) == pytest.approx(0.01 * max(most), rel=1e-12)
+
+
+def test_enhancement_scale_of_a_constant_run_is_one():
+    assert enhancement_scale([constant_run(np.full((2, 2), 1.23))], 0.01) == 1.0
+    with pytest.raises(NonPositiveSetting):
+        enhancement_scale(chain(), 0.0)
