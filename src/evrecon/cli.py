@@ -157,12 +157,13 @@ def _requested_times(args, t_start, t_end) -> np.ndarray:
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     w, h = _parse_size(args.size)
+    seed = args.seed or 0
     sim = SimConfig(
         threshold_C=args.threshold,
         noise_rate=args.noise,
-        rng_seed=args.seed or 0,
+        rng_seed=seed,
     )
-    video = render_scene(args.scene, w, h, args.duration, args.fps, seed=args.seed or 0)
+    video = render_scene(args.scene, w, h, args.duration, args.fps, seed=seed)
     stream = simulate_events(video, sim)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -175,10 +176,11 @@ def cmd_simulate(args) -> int:
     cfg = {
         "scene": args.scene, "size": args.size, "duration": args.duration,
         "fps": args.fps, "threshold_C": args.threshold, "noise_rate": args.noise,
-        "polarity": args.polarity, "events": len(stream),
+        "polarity": args.polarity, "gamma": args.gamma, "dump_frames": args.dump_frames,
+        "events": len(stream),
     }
     _write_manifest(out.with_name(out.name + ".manifest.json"), "simulate", cfg, [], outputs,
-                    args.seed, started)
+                    seed, started)
     print(f"simulate: wrote {len(stream)} events to {out}")
     return 0
 
@@ -258,6 +260,7 @@ def cmd_reconstruct(args) -> int:
     outputs.append(out / "times.txt")
     report = partitions[0].report
     config = {**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}, "gamma": args.gamma,
+              "polarity": args.polarity, "width": stream.width, "height": stream.height,
               "frames": len(times), "threads": args.threads, "workers": report.workers,
               "blas_threads": report.blas_threads}
     _write_manifest(out / "manifest.json", "reconstruct", config, [args.events], outputs, cfg.seed,
@@ -295,7 +298,7 @@ def cmd_evaluate(args) -> int:
         for i, (t, m, s) in enumerate(
             zip(pred_times, report.mse_per_frame, report.ssim_per_frame)
         ):
-            wr.writerow([i, f"{t:.9f}", f"{m:.9g}", f"{s:.9g}"])
+            wr.writerow([i, repr(float(t)), f"{m:.9g}", f"{s:.9g}"])
     _write_manifest(out.with_name(out.name + ".manifest.json"), "evaluate",
                     {"clahe": not args.no_clahe, "frames": report.num_frames},
                     [args.pred, args.ref], [out], None, started)

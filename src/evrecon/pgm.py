@@ -50,24 +50,27 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = (int(t) for t in tokens[1:])
     except ValueError:
         raise InvalidPGM(f"{path}: non-integer PGM header {b' '.join(tokens)!r}") from None
-    if w < 1 or h < 1 or maxval > 255:
+    if w < 1 or h < 1 or not 1 <= maxval <= 255:
         raise InvalidPGM(f"{path}: only 8-bit PGM of positive size supported "
                          f"({w}x{h}, maxval {maxval})")
     if magic == b"P5":
         raster = data[pos + 1 : pos + 1 + w * h]  # single whitespace after maxval
         if len(raster) < w * h:
             raise InvalidPGM(f"{path}: truncated PGM raster")
-        return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
-    if magic == b"P2":
+        vals = np.frombuffer(raster, dtype=np.uint8)
+    elif magic == b"P2":
         try:
             vals = np.array(data[pos:].split(), dtype=np.int64)
         except ValueError:
             raise InvalidPGM(f"{path}: non-integer P2 sample") from None
-        if vals.size != w * h or vals.min() < 0 or vals.max() > maxval:
-            raise InvalidPGM(f"{path}: expected {w * h} samples in [0, {maxval}], "
-                             f"got {vals.size}")
-        return vals.astype(np.uint8).reshape(h, w)
-    raise InvalidPGM(f"{path}: unsupported magic {magic!r}")
+        if vals.size != w * h:
+            raise InvalidPGM(f"{path}: expected {w * h} samples, got {vals.size}")
+    else:
+        raise InvalidPGM(f"{path}: unsupported magic {magic!r}")
+    bad = np.flatnonzero((vals < 0) | (vals > maxval))
+    if bad.size:
+        raise InvalidPGM(f"{path}: sample {bad[0]} is {vals[bad[0]]}, outside [0, {maxval}]")
+    return vals.astype(np.uint8).reshape(h, w)
 
 
 def frame_filename(index: int) -> str:
@@ -75,11 +78,17 @@ def frame_filename(index: int) -> str:
 
 
 def write_frame_dir(out_dir, frames: np.ndarray, times: np.ndarray) -> None:
-    """Write frames as frame_%06d.pgm plus a times.txt sidecar."""
+    """Write frames as frame_%06d.pgm plus a times.txt sidecar. The
+    frame files of an earlier, longer write into the same directory, those
+    named frame_filename(i) for i >= len(frames), are removed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):
         write_pgm(out / frame_filename(i), frame)
+    for path in out.glob("frame_*.pgm"):
+        index = re.fullmatch(r"frame_([0-9]+)\.pgm", path.name)
+        if index and int(index[1]) >= len(frames) and frame_filename(int(index[1])) == path.name:
+            path.unlink()
     write_times(out / "times.txt", np.asarray(times))
 
 

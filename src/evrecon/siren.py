@@ -11,17 +11,18 @@ differences in the test suite:
   derivative-supervised objective needs.
 
 Both passes keep value rows and tangent rows in one (2K, n) array per
-layer, K value rows over K tangent rows, so each layer multiplies both by
-its weights in one GEMM: the forward pass [a; da/dt] by W^T, the reverse
-pass [u; du/dt] by W. The reverse pass takes the forward pass's cache,
-and seeds in the same layout: one array of dloss/dframe over
-dloss/dtangent, which `training.objective` fills. Stacking along rows
-leaves every output element's reduction unchanged, so the results are
-bit-identical to one GEMM per half; `_matmul_rows` keeps separate GEMMs
-for the small products where the BLAS would round them differently (see
-`_STACK_MIN_WORK`). forward(), time_derivative() and backward() multiply
-by the output layer, the widest, one `_row_blocks` block of rows at a
-time, whatever the dtype.
+layer, K value rows over K tangent rows, so each product is one GEMM:
+[a; da/dt] by W^T forward, [u; du/dt] by W in reverse, and each weight
+gradient [u; du/dt]^T [a; da/dt]. The reverse pass takes the forward
+pass's cache, and seeds in the same layout: one array of dloss/dframe
+over dloss/dtangent, which `training.objective` fills. The products by the
+weights are bit-identical to one GEMM per half; `_matmul_rows` keeps
+separate GEMMs for the small ones where the BLAS would round them
+differently (see `_STACK_MIN_WORK`). A weight gradient sums over all 2K
+rows in one reduction, so it rounds differently from the sum of one GEMM
+per half. forward(), time_derivative() and backward() multiply by the
+output layer, the widest, one `_row_blocks` block of rows at a time,
+whatever the dtype.
 
 At the output layer a pass carries the frame rows over the tangent rows,
 or no rows at all: forward_with_tangent(output=False) stops at the last
@@ -299,10 +300,9 @@ class SirenModel:
         the output layer's is already in the vector returned, which is the
         cache's, and only the hidden layers are run from its input's.
 
-        Weight gradients are made one `_row_blocks` block of rows at a
-        time, so the tangent half's product needs a temporary of one block
-        (2 MB for the 64x64 selftest network) rather than one the size of
-        the output layer's weights.
+        Each weight gradient is one GEMM over all 2K rows, written straight
+        into the returned vector one `_row_blocks` block of its rows at a
+        time, with no temporary.
         """
         k = len(cache.inputs[0]) // 2
         layers = self.layers()
@@ -334,9 +334,8 @@ class SirenModel:
                 u_dot *= omega_cos
             a = cache.inputs[l]
             gw, gb = grad_layers[l]
-            for rows in _row_blocks(*gw.shape, k):
-                g = np.matmul(uu[:k, rows].T, a[:k], out=gw[rows])
-                g += uu[k:, rows].T @ a[k:]
+            for rows in _row_blocks(*gw.shape, 2 * k):
+                np.matmul(uu[:, rows].T, a, out=gw[rows])
             np.sum(uu[:k], axis=0, out=gb)
             if l > 0:
                 uu = _matmul_rows(uu, layers[l][0], k)

@@ -28,7 +28,7 @@ two (n+1) x (n+1) Gram matrices (`_frame_term`). The whole objective then
 costs 2 K n P plus about 4 P (n+1)^2 multiply-adds: the two counts are
 equal at n = K. The paths differ by rounding only. A network wider than
 its stage's bins (the 512-wide selftest network, at most 256 bins) never
-leaves the frame path, and keeps every bit.
+leaves the frame path, so the feature path's rounding never reaches it.
 
 The frame path's frame-space work (residual, squares, forward
 differences, the 2/n and duration scalings, the gradient scatter, lambda

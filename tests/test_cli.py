@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -309,6 +310,56 @@ def test_manifests_record_workers_and_blas_threads(tmp_path):
     assert manifest["config"]["scale"] == scale
     assert np.array_equal(frames, enhancement_to_bytes(
         enhance_events(partitions, times, 0.05), scale))
+
+
+def test_manifests_record_the_resolved_settings(tmp_path):
+    """simulate without --seed used seed 0 and says so; both commands
+    record every option that changes what they make or parse."""
+    unseeded, seeded, gt = tmp_path / "unseeded.txt", tmp_path / "seeded.txt", tmp_path / "gt"
+    sim = ["simulate", "--size", "8x8", "--duration", "0.2", "--gamma", "0.8"]
+    assert main([*sim, "--dump-frames", str(gt), "--out", str(unseeded)]) == 0
+    assert main([*sim, "--seed", "0", "--out", str(seeded)]) == 0
+    assert unseeded.read_bytes() == seeded.read_bytes()
+    manifest = json.loads((tmp_path / "unseeded.txt.manifest.json").read_text())
+    assert manifest["seed"] == 0
+    assert (manifest["config"]["gamma"], manifest["config"]["dump_frames"]) == (0.8, str(gt))
+    assert json.loads((tmp_path / "seeded.txt.manifest.json").read_text())["config"][
+        "dump_frames"] is None
+
+    config = tmp_path / "tiny.cfg"
+    config.write_text("total_iters = 3\nrefine_at_iters = 1, 2\nhidden_features = 8\n")
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", "--events", str(unseeded), "--config", str(config),
+                 "--polarity", "zero_one", "--width", "10", "--out", str(rec)]) == 0
+    cfg = json.loads((rec / "manifest.json").read_text())["config"]
+    assert (cfg["polarity"], cfg["width"], cfg["height"]) == ("zero_one", 10, 8)
+
+
+def test_a_shorter_run_into_a_used_directory_leaves_no_stale_frames(tmp_path):
+    events, config = tmp_path / "events.txt", tmp_path / "tiny.cfg"
+    config.write_text("total_iters = 3\nrefine_at_iters = 1, 2\nhidden_features = 8\n")
+    assert main(["simulate", "--size", "12x12", "--duration", "0.2", "--out", str(events)]) == 0
+    run, enhanced = tmp_path / "run", tmp_path / "enhanced"
+    for fps in ("60", "30"):
+        assert main(["reconstruct", "--events", str(events), "--config", str(config),
+                     "--fps", fps, "--out", str(run)]) == 0
+        assert main(["enhance", "--checkpoints", str(run), "--window-dt", "0.02",
+                     "--fps", fps, "--out", str(enhanced)]) == 0
+    for out in (run, enhanced):
+        assert sorted(p.name for p in out.glob("frame_*.pgm")) == [
+            f"frame_00000{i}.pgm" for i in range(4)]
+        assert main(["evaluate", "--pred", str(out), "--ref", str(out),
+                     "--out", str(tmp_path / "scores.csv")]) == 0
+
+
+def test_evaluate_writes_each_time_exactly(tmp_path):
+    """Frames 1e-10 s apart keep two times in the scores, as in times.txt."""
+    write_frame_dir(tmp_path / "run", np.zeros((2, 16, 16), np.uint8), np.array([0.0, 1e-10]))
+    scores = tmp_path / "scores.csv"
+    assert main(["evaluate", "--pred", str(tmp_path / "run"), "--ref", str(tmp_path / "run"),
+                 "--out", str(scores)]) == 0
+    with open(scores, newline="") as fh:
+        assert [row["time"] for row in csv.DictReader(fh)] == ["0.0", "1e-10"]
 
 
 @pytest.fixture(scope="module")

@@ -25,14 +25,29 @@ def test_p2_read_skips_comments(tmp_path):
     (b"P5\n4 3\n", "truncated PGM header"),
     (b"P5\n4 3\n255\n" + bytes(11), "truncated PGM raster"),
     (b"P5\n4 3\n65535\n" + bytes(24), "maxval 65535"),
+    (b"P5\n4 3\n0\n" + bytes(12), "maxval 0"),
     (b"P2\n2 1\n255\n", "expected 2 samples"),
-    (b"P2\n2 1\n255\n300 10\n", "samples in \\[0, 255\\], got 2"),
+    (b"P2\n2 1\n255\n300 10\n", "sample 0 is 300, outside \\[0, 255\\]"),
+    (b"P5\n2 1\n15\n\x0f\xc8", "sample 1 is 200, outside \\[0, 15\\]"),
+    (b"P2\n2 1\n15\n15 200\n", "sample 1 is 200, outside \\[0, 15\\]"),
+    (b"P2\n2 1\n15\n3 -1\n", "sample 1 is -1, outside \\[0, 15\\]"),
 ])
 def test_malformed_pgm_raises(tmp_path, data, reason):
     path = tmp_path / "f.pgm"
     path.write_bytes(data)
     with pytest.raises(InvalidPGM, match=reason):
         read_pgm(path)
+
+
+def test_a_shorter_frame_dir_write_removes_only_its_own_stale_frames(tmp_path):
+    foreign = ["frame_7.pgm", "frame_0000003.pgm", "frame_000002.pgm.bak", "other.pgm"]
+    for name in foreign:
+        (tmp_path / name).write_bytes(b"")
+    write_frame_dir(tmp_path, np.zeros((3, 2, 2), np.uint8), np.array([0.0, 0.5, 1.0]))
+    write_frame_dir(tmp_path, np.ones((1, 2, 2), np.uint8), np.array([0.25]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["frame_000000.pgm", "times.txt", *foreign])
+    assert read_pgm(tmp_path / "frame_000000.pgm").tolist() == [[1, 1], [1, 1]]
 
 
 def test_frame_dir_rejects_a_times_length_mismatch(tmp_path):

@@ -282,8 +282,7 @@ def two_gemm_forward_backward(model, t, gy, gy_dot):
             c, s, z_dot = coss[l], acts[l + 1], zdots[l]
             u, u_dot = u * (omega * c) - u_dot * (omega * omega) * s * z_dot, u_dot * (omega * c)
         gw, gb = grad_layers[l]
-        gw[:] = u.T @ acts[l]
-        gw += u_dot.T @ acts_dot[l]
+        gw[:] = np.concatenate([u, u_dot]).T @ np.concatenate([acts[l], acts_dot[l]])
         gb[:] = np.sum(u, axis=0)
         u, u_dot = u @ layers[l][0], u_dot @ layers[l][0]
     return y, y_dot, grads
@@ -312,8 +311,7 @@ def check_row_stacked_gemms(k, dtype, hidden=256, height=64, width=64):
     # The output layer's weight gradient, made one row block at a time, has
     # the bits of the whole products on the cache.
     a, uu = cache.inputs[-1], seeds.reshape(2 * k, -1)
-    whole = uu[:k].T @ a[:k]
-    whole += uu[k:].T @ a[k:]
+    whole = uu.T @ a
     assert model.layers(grads)[-1][0].tobytes() == whole.tobytes()
 
 
