@@ -4,7 +4,7 @@ Subcommands:
     simulate     render a synthetic scene and generate events from it
     reconstruct  train networks on events and emit frames + checkpoints
     enhance      derivative-based event frames from a reconstruct output directory
-    evaluate     score prediction frames against reference frames
+    evaluate     score reference frames against the predicted frames at their times
     selftest     run the closed-loop verification pipeline
 
 Every run writes a manifest JSON next to its outputs with the resolved
@@ -25,9 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import EvreconError, InvalidCheckpoint, InvalidConfig, InvalidDimensions, MalformedLine
+from .errors import (
+    EvreconError,
+    InvalidCheckpoint,
+    InvalidConfig,
+    InvalidDimensions,
+    MalformedLine,
+    TimeOutOfRange,
+)
 from .events import check_times, parse_events, read_times, read_utf8, text_lines, write_events
-from .pgm import read_frame_dir, write_frame_dir
+from .pgm import numbered_paths, read_frame_dir, write_frame_dir
 from .reconstruct import (
     LogVideo,
     anchor_offset,
@@ -185,14 +192,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_CHECKPOINT_NAME, _REPORT_NAME = "partition_{:03d}.npz".format, "report_{:03d}.csv".format
+
+
 def _write_partitions(partitions, out_dir: Path) -> list:
+    """Write each partition's checkpoint and loss report, and the
+    partitions.json listing them. The checkpoints and reports of an
+    earlier run with more partitions, named for i from len(partitions) up
+    to the first missing name, are removed."""
     meta = []
     for p in partitions:
-        name = f"partition_{p.index:03d}.npz"
+        name = _CHECKPOINT_NAME(p.index)
         save_checkpoint(p.model, out_dir / name)
         meta.append({"index": p.index, "checkpoint": name})
         if p.report is not None:
-            with open(out_dir / f"report_{p.index:03d}.csv", "w", newline="") as fh:
+            with open(out_dir / _REPORT_NAME(p.index), "w", newline="") as fh:
                 wr = csv.writer(fh)
                 wr.writerow(["iteration", "temporal", "regularization", "total", "stack_T"])
                 for i, (lt, lr, tot, t_sz) in enumerate(
@@ -200,6 +214,9 @@ def _write_partitions(partitions, out_dir: Path) -> list:
                         p.report.total, p.report.stack_sizes)
                 ):
                     wr.writerow([i, f"{lt:.12g}", f"{lr:.12g}", f"{tot:.12g}", t_sz])
+    for name in (_CHECKPOINT_NAME, _REPORT_NAME):
+        for path in numbered_paths(out_dir, name, len(partitions)):
+            path.unlink()
     (out_dir / "partitions.json").write_text(json.dumps(meta, indent=2) + "\n")
     return [out_dir / m["checkpoint"] for m in meta]
 
@@ -288,15 +305,22 @@ def cmd_enhance(args) -> int:
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     pred, pred_times = read_frame_dir(args.pred)
-    ref, _ = read_frame_dir(args.ref)
-    report = evaluate_frames(pred, ref, apply_clahe=not args.no_clahe)
+    ref, ref_times = read_frame_dir(args.ref)
+    # Both time lists are strictly increasing: each reference time finds
+    # its predicted frame by binary search.
+    at = np.minimum(np.searchsorted(pred_times, ref_times), len(pred_times) - 1)
+    unmatched = np.flatnonzero(pred_times[at] != ref_times)
+    if unmatched.size:
+        raise TimeOutOfRange(f"reference time {float(ref_times[unmatched[0]])!r} of {args.ref} "
+                             f"has no predicted frame in {args.pred}")
+    report = evaluate_frames(pred[at], ref, apply_clahe=not args.no_clahe)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["frame_index", "time", "mse", "ssim"])
         for i, (t, m, s) in enumerate(
-            zip(pred_times, report.mse_per_frame, report.ssim_per_frame)
+            zip(ref_times, report.mse_per_frame, report.ssim_per_frame)
         ):
             wr.writerow([i, repr(float(t)), f"{m:.9g}", f"{s:.9g}"])
     _write_manifest(out.with_name(out.name + ".manifest.json"), "evaluate",
@@ -408,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "largest |derivative| on its partitions' anchor grids)")
     pe.set_defaults(func=cmd_enhance)
 
-    evaluate_help = "score prediction frames against reference, on every CPU this process may use"
+    evaluate_help = ("score each reference frame against the predicted frame at its time, on "
+                     "every CPU this process may use")
     pv = sub.add_parser("evaluate", help=evaluate_help, description=evaluate_help)
     pv.add_argument("--pred", required=True, help="prediction frame directory")
     pv.add_argument("--ref", required=True, help="reference frame directory")

@@ -165,7 +165,8 @@ class InvalidPGM(EvreconError, ValueError):
 
 
 class TimeOutOfRange(EvreconError, ValueError):
-    """Requested sample time lies outside every trained span."""
+    """Requested time lies outside every trained span, or a reference
+    frame's time is no predicted frame's."""
 
 
 class TooSmall(EvreconError, ValueError):

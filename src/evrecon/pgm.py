@@ -2,11 +2,17 @@
 
 Binary P5 is written; both P5 and ASCII P2 are read. Output is byte-exact
 and dependency free, which keeps frame artifacts diffable in tests.
+
+A frame directory holds frame i of a video as `frame_filename(i)` and its
+time as line i of `times.txt`, the directory's one index: reading and
+sweeping walk i = 0, 1, ... and never list, glob or sort file names, so
+files of any other name are never read or removed.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import count, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -77,38 +83,46 @@ def frame_filename(index: int) -> str:
     return f"frame_{index:06d}.pgm"
 
 
+def numbered_paths(directory, name, start: int, stop: int | None = None):
+    """directory / name(i) for i = start, start + 1, ... below `stop`, up
+    to the first that does not exist: the files of a run indexed by i."""
+    indices = count(start) if stop is None else range(start, stop)
+    return takewhile(Path.exists, (Path(directory) / name(i) for i in indices))
+
+
 def write_frame_dir(out_dir, frames: np.ndarray, times: np.ndarray) -> None:
-    """Write frames as frame_%06d.pgm plus a times.txt sidecar. The
-    frame files of an earlier, longer write into the same directory, those
-    named frame_filename(i) for i >= len(frames), are removed."""
+    """Write frame i as frame_filename(i), and line i of times.txt as its
+    time. The frames of an earlier, longer write into the same directory,
+    frame_filename(i) for i from len(frames) up to the first missing name,
+    are removed; no other file is touched."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):
         write_pgm(out / frame_filename(i), frame)
-    for path in out.glob("frame_*.pgm"):
-        index = re.fullmatch(r"frame_([0-9]+)\.pgm", path.name)
-        if index and int(index[1]) >= len(frames) and frame_filename(int(index[1])) == path.name:
-            path.unlink()
+    for path in numbered_paths(out, frame_filename, len(frames)):
+        path.unlink()
     write_times(out / "times.txt", np.asarray(times))
 
 
 def read_frame_dir(in_dir) -> tuple[np.ndarray, np.ndarray]:
-    """Read a directory written by write_frame_dir. Returns (frames, times)."""
+    """Read a directory written by write_frame_dir. Returns (frames, times):
+    frame_filename(i) for each line i of times.txt, at that line's time.
+    Without times.txt, frames i = 0, 1, ... up to the first missing name,
+    at times 0, 1, .... InvalidPGM when times.txt has more lines than
+    there are frames; frames past its length are not read."""
     src = Path(in_dir)
-    paths = sorted(src.glob("frame_*.pgm"))
+    times_path = src / "times.txt"
+    times = read_times(times_path) if times_path.exists() else None
+    paths = list(numbered_paths(src, frame_filename, 0, None if times is None else len(times)))
     if not paths:
-        raise FileNotFoundError(f"no frame_*.pgm files in {src}")
+        raise FileNotFoundError(f"no {frame_filename(0)} in {src}")
+    if times is None:
+        times = np.arange(len(paths), dtype=np.float64)
+    elif len(times) != len(paths):
+        raise InvalidPGM(f"{src}: times.txt length {len(times)} != {len(paths)} frames")
     frames = [read_pgm(p) for p in paths]
     for p, frame in zip(paths, frames):
         if frame.shape != frames[0].shape:
             raise InvalidPGM(f"{p}: frame is {frame.shape[1]}x{frame.shape[0]}, "
                              f"{paths[0].name} is {frames[0].shape[1]}x{frames[0].shape[0]}")
-    frames = np.stack(frames)
-    times_path = src / "times.txt"
-    if times_path.exists():
-        times = read_times(times_path)
-        if len(times) != len(frames):
-            raise InvalidPGM(f"{src}: times.txt length {len(times)} != {len(frames)} frames")
-    else:
-        times = np.arange(len(frames), dtype=np.float64)
-    return frames, times
+    return np.stack(frames), times

@@ -109,10 +109,18 @@ def _sample(partitions, times, tangent: bool) -> np.ndarray:
     the two with weight u toward i+1; any other time takes the last
     partition whose span starts at or before it.
 
+    Spans start in strictly increasing and end in non-decreasing index
+    order (`cli.load_partitions`' chain), so two binary searches route a
+    time t: `alone`, the last partition starting at or before t, and
+    `pair`, the first overlap ending at or after t. The overlaps holding t
+    are pair .. alone - 1. So t blends overlap pair's two partitions when
+    pair < alone and that overlap has positive width; when it has zero
+    width, t is its one point and every later overlap starts after t.
+
     The times one source takes (a partition alone, or an overlap pair)
-    form one run, for spans that start and end in index order. Each run is
-    evaluated in one batch straight into its slice of the output, and a
-    pair's run blends in place with one run-sized temporary.
+    form one run. Each run is evaluated in one batch straight into its
+    slice of the output, and a pair's run blends in place with one
+    run-sized temporary.
     """
     partitions = sorted(partitions, key=lambda p: p.index)
     h, w = partitions[0].model.height, partitions[0].model.width
@@ -122,12 +130,9 @@ def _sample(partitions, times, tangent: bool) -> np.ndarray:
     times = check_times(times)
     lo = np.array([p.span[0] for p in partitions[1:]])  # overlap i: [lo[i], hi[i]],
     hi = np.array([p.span[1] for p in partitions[:-1]])  # empty at zero overlap
-    in_overlap = (times[:, None] >= lo) & (times[:, None] <= hi) & (hi > lo)
-    # argmax finds the first overlap holding each time; the extra column
-    # of True makes it len(lo) for times in no overlap.
-    pair = np.column_stack([in_overlap, np.ones(len(times), dtype=bool)]).argmax(axis=1)
-    blend = pair < len(lo)
     alone = np.searchsorted(lo, times, side="right")
+    pair = np.searchsorted(hi, times, side="left")
+    blend = (pair < alone) & np.append(hi > lo, False)[pair]
     offsets = np.zeros(len(partitions)) if tangent else _chained_offsets(partitions, lo, hi)
     out = np.empty((len(times), h, w), dtype=np.float64)
 

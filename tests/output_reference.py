@@ -12,11 +12,14 @@ blocks, that is the arithmetic of the blocked code. The streamed code
 must reproduce all of it bit for bit for float32 networks, since every
 element sees the same floating-point operations in the same order and
 every network batch holds the same times; a float64 network's row blocks
-may round its products differently. A time outside every overlap goes
-to the partition whose core holds it, by the interior core edges the
-caller passes, as the code routed times when partitions kept their cores;
-the streamed code routes by span starts, which must pick the same
-partition since each edge lies inside its overlap. Only the tests use it.
+may round its products differently. A time finds its overlap through a
+boolean mask over every overlap and the mask's first True, as the code
+did before it routed by two binary searches. A time outside every
+overlap goes to the partition whose core holds it, by the interior edges
+the caller passes: core edges, as the code routed times when partitions
+kept their cores, or span starts, as the streamed code routes them; both
+pick the same partition since each core edge lies inside its overlap.
+Only the tests use it.
 """
 
 from __future__ import annotations

@@ -362,6 +362,48 @@ def test_evaluate_writes_each_time_exactly(tmp_path):
         assert [row["time"] for row in csv.DictReader(fh)] == ["0.0", "1e-10"]
 
 
+def test_evaluate_scores_each_reference_frame_at_its_own_time(tmp_path):
+    """A reference at a subset of the predicted times is scored against
+    the predicted frames at those times; the others are not scored."""
+    rng = np.random.default_rng(3)
+    frames = rng.integers(0, 256, (5, 16, 16)).astype(np.uint8)
+    times = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    write_frame_dir(tmp_path / "pred", frames, times)
+    write_frame_dir(tmp_path / "ref", frames[[1, 4]], times[[1, 4]])
+    scores = tmp_path / "scores.csv"
+    assert main(["evaluate", "--pred", str(tmp_path / "pred"), "--ref", str(tmp_path / "ref"),
+                 "--out", str(scores)]) == 0
+    with open(scores, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["frame_index"], r["time"], r["mse"], r["ssim"]) for r in rows] == [
+        ("0", "0.25", "0", "1"), ("1", "1.0", "0", "1")]
+
+
+def test_evaluate_names_a_reference_time_without_a_predicted_frame(tmp_path, capsys):
+    frames = np.zeros((3, 16, 16), np.uint8)
+    write_frame_dir(tmp_path / "pred", frames, np.array([0.0, 0.5, 1.0]))
+    write_frame_dir(tmp_path / "ref", frames, np.array([0.0, 0.75, 1.25]))
+    scores = tmp_path / "scores.csv"
+    assert main(["evaluate", "--pred", str(tmp_path / "pred"), "--ref", str(tmp_path / "ref"),
+                 "--out", str(scores)]) == 1
+    assert "reference time 0.75 " in capsys.readouterr().err
+    assert not scores.exists()
+
+
+def test_a_run_with_fewer_partitions_into_a_used_directory_leaves_no_stale_checkpoints(tmp_path):
+    events, config, run = tmp_path / "events.txt", tmp_path / "tiny.cfg", tmp_path / "run"
+    assert main(["simulate", "--size", "8x8", "--duration", "2", "--out", str(events)]) == 0
+    for tau, n in [("0.5", 4), ("1.0", 2)]:
+        config.write_text("total_iters = 3\nrefine_at_iters = 1, 2\nhidden_features = 8\n"
+                          f"partition_tau = {tau}\noverlap = 0.1\n")
+        assert main(["reconstruct", "--events", str(events), "--config", str(config),
+                     "--fps", "10", "--threads", "1", "--out", str(run)]) == 0
+        assert len(load_partitions(run)) == n
+    assert sorted(p.name for p in run.glob("partition_*")) == [
+        "partition_000.npz", "partition_001.npz"]
+    assert sorted(p.name for p in run.glob("report_*")) == ["report_000.csv", "report_001.csv"]
+
+
 @pytest.fixture(scope="module")
 def runs_at_60_and_120(tmp_path_factory):
     """A two-partition run reconstructed at --fps 60 and, from the same

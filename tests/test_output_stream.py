@@ -26,6 +26,7 @@ from evrecon.metrics import BLOCK_PIXELS
 from evrecon.reconstruct import (
     ANCHOR_SAMPLES,
     LogVideo,
+    _sample,
     anchor_offset,
     enhance_events,
     enhancement_scale,
@@ -144,6 +145,38 @@ def test_streamed_output_matches_the_whole_array_reference(ensemble, gamma, wind
     assert same_bits(enhancement_to_bytes(grids, scale), ref.enhancement_to_bytes(grids, scale))
     assert same_bits(enhancement_to_bytes(grids, scale=window_dt),
                      ref.enhancement_to_bytes(grids, scale=window_dt))
+
+
+@st.composite
+def linked_chains(draw):
+    """Float32 partitions whose spans follow `load_partitions`' chain on a
+    quarter-second grid: each starts after the previous one starts, at or
+    before it ends, and ends no earlier. So overlaps may have zero width or
+    reach past the next partition's start (three-way overlaps). Times are
+    every span edge and uniform times over the chain."""
+    seed = draw(st.integers(0, 2**16))
+    spans = [(0.0, draw(st.integers(1, 8)) / 4)]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = spans[-1]
+        start = a + draw(st.integers(1, round((b - a) * 4))) / 4
+        spans.append((start, b + draw(st.integers(0 if b > start else 1, 8)) / 4))
+    parts = []
+    for i, span in enumerate(spans):
+        model = init_siren([1, 8, 8, 6], seed=seed + i, height=2, width=3, t_domain=span)
+        model.params = model.params.astype(np.float32)
+        parts.append(Partition(index=i, span=span, model=model))
+    uniform = np.random.default_rng(seed).uniform(0.0, spans[-1][1], draw(st.integers(0, 30)))
+    return parts, np.unique(np.concatenate([np.ravel(spans), uniform]))
+
+
+@given(linked_chains(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_two_binary_searches_route_times_as_the_overlap_mask_did(ensemble, tangent):
+    """Against the reference's mask over every overlap, routing times in
+    no overlap by span starts, bit for bit."""
+    parts, times = ensemble
+    starts = [p.span[0] for p in parts[1:]]
+    assert same_bits(_sample(parts, times, tangent), ref.sample(parts, times, tangent, starts))
 
 
 @given(st.sampled_from(SHAPES), st.integers(1, 30), st.floats(1e-3, 700.0),

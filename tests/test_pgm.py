@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evrecon import pgm
 from evrecon.cli import main
 from evrecon.errors import InvalidPGM
 from evrecon.pgm import read_frame_dir, read_pgm, write_frame_dir, write_pgm
@@ -55,6 +56,38 @@ def test_frame_dir_rejects_a_times_length_mismatch(tmp_path):
     (tmp_path / "times.txt").write_text("0.0\n0.5\n1.0\n")
     with pytest.raises(InvalidPGM, match="times.txt length 3 != 2 frames"):
         read_frame_dir(tmp_path)
+
+
+def test_frame_dir_reads_frames_in_index_order_whatever_the_names_sort_as(tmp_path, monkeypatch):
+    """Unpadded names sort frame_10 before frame_2, as six-digit names
+    sort frame_1000000 before frame_999999."""
+    monkeypatch.setattr(pgm, "frame_filename", lambda i: f"frame_{i}.pgm")
+    frames = np.arange(11, dtype=np.uint8).reshape(11, 1, 1)
+    write_frame_dir(tmp_path, frames, np.arange(11) / 10)
+    back, times = read_frame_dir(tmp_path)
+    assert np.array_equal(back, frames) and np.array_equal(times, np.arange(11) / 10)
+
+
+def test_a_frame_dir_without_times_reads_up_to_the_first_missing_frame(tmp_path):
+    write_frame_dir(tmp_path, np.arange(3, dtype=np.uint8).reshape(3, 1, 1), np.arange(3.0))
+    (tmp_path / "times.txt").unlink()
+    (tmp_path / "frame_000001.pgm").unlink()
+    frames, times = read_frame_dir(tmp_path)
+    assert frames.tolist() == [[[0]]] and times.tolist() == [0.0]
+
+
+def test_evaluate_reads_only_the_frames_times_txt_indexes(tmp_path):
+    """A foreign frame_7.pgm beside a two-frame run is not read, nor is a
+    frame past the end of times.txt."""
+    frames = np.full((2, 16, 16), 128, np.uint8)
+    for name in ("pred", "ref"):
+        write_frame_dir(tmp_path / name, frames, np.array([0.0, 0.5]))
+    out = tmp_path / "scores.csv"
+    for extra in ("frame_7.pgm", "frame_000002.pgm"):
+        write_pgm(tmp_path / "pred" / extra, np.zeros((4, 4), np.uint8))
+        assert main(["evaluate", "--pred", str(tmp_path / "pred"),
+                     "--ref", str(tmp_path / "ref"), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
 
 
 def test_evaluate_reports_a_truncated_frame_as_an_error(tmp_path, capsys):
