@@ -33,7 +33,8 @@ from .errors import (
     MalformedLine,
     TimeOutOfRange,
 )
-from .events import check_times, parse_events, read_times, read_utf8, text_lines, write_events
+from .events import (POLARITY_ENCODINGS, check_times, parse_events, read_times, read_utf8,
+                     text_lines, write_events)
 from .pgm import numbered_paths, read_frame_dir, write_frame_dir
 from .reconstruct import (
     LogVideo,
@@ -141,10 +142,10 @@ def _parse_size(text: str) -> tuple:
 
 
 def _requested_times(args, t_start, t_end) -> np.ndarray:
-    """The output frame times, from --timestamps or --fps, checked against
-    the span [t_start, t_end] the networks cover (before reconstruct
-    trains); InvalidDimensions when --fps asks for more than MAX_FRAMES
-    frames."""
+    """The output frame times, those of --timestamps or every t_start +
+    k / fps <= t_end, checked against the span [t_start, t_end] the
+    networks cover (before reconstruct trains); InvalidDimensions when
+    --fps asks for more than MAX_FRAMES frames."""
     if args.timestamps:
         times = read_times(args.timestamps)
     else:
@@ -152,8 +153,10 @@ def _requested_times(args, t_start, t_end) -> np.ndarray:
         if (t_end - t_start) * fps >= MAX_FRAMES:
             raise InvalidDimensions(f"--fps {fps} over the span [{t_start}, {t_end}] makes "
                                     f"more than {MAX_FRAMES} frames")
-        n = int(math.floor((t_end - t_start) * fps)) + 1
-        times = check_times(t_start + np.arange(n) / fps)
+        # One time past the floor's count: at a whole number of frame
+        # intervals the product can fall short of it (29 / 25 * 25 < 29).
+        times = t_start + np.arange(int(math.floor((t_end - t_start) * fps)) + 2) / fps
+        times = check_times(times[times <= t_end])
     check_in_span(times, t_start, t_end)
     return times
 
@@ -263,8 +266,7 @@ def cmd_reconstruct(args) -> int:
     started = time.perf_counter()
     text = read_utf8(args.events, lambda n, line: MalformedLine(
         n, line, f"{args.events} is not UTF-8 text"))
-    stream = parse_events(text, polarity_encoding=args.polarity, width=args.width,
-                          height=args.height)
+    stream = parse_events(text, width=args.width, height=args.height)
     cfg = _train_config(args)
     times = _requested_times(args, stream.t_start, stream.t_end)
     out = Path(args.out)
@@ -277,8 +279,8 @@ def cmd_reconstruct(args) -> int:
     outputs.append(out / "times.txt")
     report = partitions[0].report
     config = {**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}, "gamma": args.gamma,
-              "polarity": args.polarity, "width": stream.width, "height": stream.height,
-              "frames": len(times), "threads": args.threads, "workers": report.workers,
+              "width": stream.width, "height": stream.height, "frames": len(times),
+              "threads": args.threads, "workers": report.workers,
               "blas_threads": report.blas_threads}
     _write_manifest(out / "manifest.json", "reconstruct", config, [args.events], outputs, cfg.seed,
                     started)
@@ -391,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--threshold", type=_positive_float, default=0.25,
                     help="contrast threshold C")
     ps.add_argument("--noise", type=float, default=0.0, help="noise events/pixel/s")
-    ps.add_argument("--polarity", choices=("signed", "zero_one"), default="zero_one")
+    ps.add_argument("--polarity", choices=POLARITY_ENCODINGS, default="zero_one",
+                    help="how the events file writes OFF: -1 (signed) or 0 (zero_one)")
     ps.add_argument("--gamma", type=_positive_float, default=0.6,
                     help="tone-map gamma for dumps")
     ps.add_argument("--dump-frames", default=None, help="also dump rendered frames here")
@@ -400,9 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_simulate)
 
     prc = sub.add_parser("reconstruct", help="train on events, emit frames")
-    prc.add_argument("--events", required=True, help="input events text file")
+    prc.add_argument("--events", required=True,
+                     help="input events text file: its header gives the sensor size and "
+                          "time window, and its OFF code, 0 or -1, is read from the data")
     prc.add_argument("--config", default=None, help="training config file")
-    prc.add_argument("--polarity", choices=("signed", "zero_one"), default="zero_one")
     prc.add_argument("--width", type=int, default=None, help="sensor width override")
     prc.add_argument("--height", type=int, default=None, help="sensor height override")
     prc.add_argument("--threshold", type=_positive_float, default=None,

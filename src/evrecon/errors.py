@@ -44,7 +44,7 @@ class UnsortedStream(EvreconError, ValueError):
 
 
 class PolarityOutOfRange(EvreconError, ValueError):
-    """Polarity value outside the declared encoding."""
+    """A polarity other than 1 (ON) and one OFF code, 0 or -1."""
 
 
 class EmptyStream(EvreconError, ValueError):

@@ -1,9 +1,13 @@
 """Event stream parsing, validation, and serialization.
 
-Text format: one event per line, `t x y p`, whitespace separated. An
-optional header line `# width W height H` fixes the sensor size; without
-it the size is inferred as max coordinate + 1. Polarities are stored
-internally as {-1, +1}; inputs using {0, 1} are remapped at parse time.
+Text format: one event per line, `t x y p`, whitespace separated. A
+header line `# width W height H t_start A t_end B` gives the sensor size
+and the observation window, as `key value` pairs; the older `# width W
+height H` header, or any subset of the pairs, also reads. Without a size
+it is inferred as max coordinate + 1, and without a window it is [first
+event, last event]. Other `#` lines are comments. In the polarity column
+1 is ON and the OFF code is 0 or -1, whichever the file uses; polarities
+are stored internally as {-1, +1}.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import (
 )
 
 POLARITY_ENCODINGS = ("signed", "zero_one")
+_HEADER_KEYS = {"width": int, "height": int, "t_start": float, "t_end": float}
 
 
 @dataclass
@@ -154,38 +159,37 @@ def _negative_code(encoding: str) -> int:
     return -1 if encoding == "signed" else 0
 
 
-def _map_polarity(p_raw: np.ndarray, encoding: str) -> np.ndarray:
-    neg = _negative_code(encoding)
-    bad = ~((p_raw == neg) | (p_raw == 1))
-    if np.any(bad):
-        raise PolarityOutOfRange(f"{encoding} encoding expects {neg}/1, got {p_raw[bad][0]}")
-    return p_raw if neg == -1 else np.where(p_raw == 0, -1, 1)
+def _map_polarity(p_raw: np.ndarray) -> np.ndarray:
+    """{-1, +1} polarities from a column in which 1 is ON and the OFF code
+    is 0 or -1; PolarityOutOfRange when it holds both, or any other value."""
+    on = p_raw == 1
+    off_codes = np.unique(p_raw[~on])
+    if len(off_codes) > 1 or not np.isin(off_codes, (0, -1)).all():
+        raise PolarityOutOfRange(f"polarities besides 1 are {off_codes.tolist()}: need one OFF "
+                                 "code, 0 or -1")
+    return np.where(on, 1, -1)
 
 
-def parse_events(
-    text: str,
-    polarity_encoding: str = "zero_one",
-    width: int | None = None,
-    height: int | None = None,
-) -> EventStream:
+def parse_events(text: str, width: int | None = None, height: int | None = None) -> EventStream:
     """Parse the text of an event recording into an EventStream.
 
     Sensor size comes from (in priority order) the width/height arguments,
-    a `# width W height H` header line, or max coordinate + 1. The stream
-    window is [first event t, last event t]. An empty input yields an
-    empty stream with a zero-length window.
+    the header, or max coordinate + 1. The window is the header's t_start
+    and t_end, each defaulting to the first or last event time (0.0 for
+    no events). A header value that does not parse is a MalformedLine.
     """
     ts, xs, ys, ps = [], [], [], []
-    header_w = header_h = None
+    header = {}
     for lineno, raw in enumerate(text_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             fields = line[1:].split()
-            if len(fields) == 4 and fields[0] == "width" and fields[2] == "height":
+            keys, values = fields[0::2], fields[1::2]
+            if len(keys) == len(values) and all(k in _HEADER_KEYS for k in keys):
                 try:
-                    header_w, header_h = int(fields[1]), int(fields[3])
+                    header.update((k, _HEADER_KEYS[k](v)) for k, v in zip(keys, values))
                 except ValueError:
                     raise MalformedLine(lineno, raw, "bad header") from None
             continue
@@ -211,34 +215,41 @@ def parse_events(
     t_arr = np.asarray(ts, dtype=np.float64)
     x_arr = np.asarray(xs, dtype=np.int64)
     y_arr = np.asarray(ys, dtype=np.int64)
-    p_arr = _map_polarity(np.asarray(ps, dtype=np.int64), polarity_encoding)
+    p_arr = _map_polarity(np.asarray(ps, dtype=np.int64))
 
-    w = width if width is not None else header_w
-    h = height if height is not None else header_h
+    w = width if width is not None else header.get("width")
+    h = height if height is not None else header.get("height")
     if w is None:
         w = int(x_arr.max()) + 1 if len(x_arr) else 1
     if h is None:
         h = int(y_arr.max()) + 1 if len(y_arr) else 1
 
-    t0 = float(t_arr[0]) if len(t_arr) else 0.0
-    t1 = float(t_arr[-1]) if len(t_arr) else 0.0
+    t0 = header.get("t_start", float(t_arr[0]) if len(t_arr) else 0.0)
+    t1 = header.get("t_end", float(t_arr[-1]) if len(t_arr) else 0.0)
     return EventStream(t_arr, x_arr, y_arr, p_arr, width=w, height=h, t_start=t0, t_end=t1)
 
 
 def write_events(stream: EventStream, polarity_encoding: str = "zero_one") -> str:
-    """Serialize a stream to the text format, with its `# width W height H`
+    """Serialize a stream to the text format, OFF written as -1 ("signed")
+    or 0 ("zero_one"), with its `# width W height H t_start A t_end B`
     header.
 
     Timestamps are written with 9 decimal places, so parse(write(s))
-    reproduces s to nanosecond resolution. Event order is preserved.
+    reproduces s to nanosecond resolution. Event order is preserved. The
+    window is written exactly, as in write_times, widened where needed to
+    the first and last times as written, so that it holds them.
     """
     if _negative_code(polarity_encoding) == 0:
         p_out = (stream.polarity > 0).astype(np.int64)
     else:
         p_out = stream.polarity
+    t0, t1 = float(stream.t_start), float(stream.t_end)
+    if len(stream):
+        t0, t1 = min(t0, float(f"{stream.t[0]:.9f}")), max(t1, float(f"{stream.t[-1]:.9f}"))
     lines = map("{:.9f} {} {} {}".format,
                 stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), p_out.tolist())
-    return "\n".join([f"# width {stream.width} height {stream.height}", *lines]) + "\n"
+    header = f"# width {stream.width} height {stream.height} t_start {t0!r} t_end {t1!r}"
+    return "\n".join([header, *lines]) + "\n"
 
 
 def text_lines(text: str) -> list:

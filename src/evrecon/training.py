@@ -154,6 +154,7 @@ class TrainConfig:
             if getattr(self, name) is not None:  # batch_frames may be None
                 setattr(self, name, _whole(name, getattr(self, name)))
         self.refine_at_iters = tuple(_whole("refine_at_iters", i) for i in self.refine_at_iters)
+        check_settings(InvalidConfig, 0, refine_at_iters=min(self.refine_at_iters, default=0))
         if any(b <= a for a, b in zip(self.refine_at_iters, self.refine_at_iters[1:])):
             raise InvalidConfig("refine_at_iters must be strictly increasing")
         if self.refine_at_iters and self.refine_at_iters[-1] >= self.total_iters:

@@ -12,7 +12,14 @@ import pytest
 import evrecon
 import output_reference as ref
 from conftest import make_stream
-from evrecon.cli import _write_partitions, build_parser, load_partitions, main, parse_config_file
+from evrecon.cli import (
+    _requested_times,
+    _write_partitions,
+    build_parser,
+    load_partitions,
+    main,
+    parse_config_file,
+)
 from evrecon.pgm import read_frame_dir, write_frame_dir
 from evrecon.reconstruct import (
     enhance_events,
@@ -330,9 +337,58 @@ def test_manifests_record_the_resolved_settings(tmp_path):
     config.write_text("total_iters = 3\nrefine_at_iters = 1, 2\nhidden_features = 8\n")
     rec = tmp_path / "rec"
     assert main(["reconstruct", "--events", str(unseeded), "--config", str(config),
-                 "--polarity", "zero_one", "--width", "10", "--out", str(rec)]) == 0
+                 "--width", "10", "--out", str(rec)]) == 0
     cfg = json.loads((rec / "manifest.json").read_text())["config"]
-    assert (cfg["polarity"], cfg["width"], cfg["height"]) == ("zero_one", 10, 8)
+    assert (cfg["width"], cfg["height"]) == (10, 8) and "polarity" not in cfg
+
+
+def test_reconstruct_reads_the_off_code_from_the_events(tmp_path, capsys):
+    """There is no --polarity to get wrong: a file writing OFF as -1
+    reconstructs like the same events written with 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--events", "e", "--out", "o", "--polarity", "signed"])
+    assert exc.value.code == 2
+    assert "--polarity" in capsys.readouterr().err
+    config = tmp_path / "tiny.cfg"
+    config.write_text("total_iters = 3\nrefine_at_iters = 1, 2\nhidden_features = 8\n")
+    for encoding in ("signed", "zero_one"):
+        events = tmp_path / f"{encoding}.txt"
+        assert main(["simulate", "--size", "8x8", "--duration", "0.2", "--noise", "5",
+                     "--polarity", encoding, "--out", str(events)]) == 0
+        assert main(["reconstruct", "--events", str(events), "--config", str(config),
+                     "--out", str(tmp_path / encoding)]) == 0
+    assert " -1\n" in (tmp_path / "signed.txt").read_text()
+    assert np.array_equal(read_frame_dir(tmp_path / "signed")[0],
+                          read_frame_dir(tmp_path / "zero_one")[0])
+
+
+def test_a_simulated_clip_reconstructs_and_scores_at_its_own_frame_times(tmp_path):
+    """The event file carries the clip's window, 0 s to its last frame,
+    although its events start and end inside it: both --timestamps at the
+    reference's times and --fps at its rate give those times exactly, and
+    evaluate scores every reference frame."""
+    events, gt, config = tmp_path / "events.txt", tmp_path / "gt", tmp_path / "tiny.cfg"
+    assert main(["simulate", "--size", "16x16", "--duration", "2", "--fps", "60", "--seed", "1",
+                 "--dump-frames", str(gt), "--out", str(events)]) == 0
+    config.write_text("total_iters = 3\nrefine_at_iters = 1, 2\nhidden_features = 8\n")
+    for name, frames in [("at_times", ["--timestamps", str(gt / "times.txt")]),
+                         ("at_fps", ["--fps", "60"])]:
+        run, scores = tmp_path / name, tmp_path / f"{name}.csv"
+        assert main(["reconstruct", "--events", str(events), "--config", str(config), *frames,
+                     "--out", str(run)]) == 0
+        assert (run / "times.txt").read_bytes() == (gt / "times.txt").read_bytes()
+        assert main(["evaluate", "--pred", str(run), "--ref", str(gt), "--out", str(scores)]) == 0
+        with open(scores, newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 120
+
+
+def test_fps_counts_every_frame_time_inside_the_span():
+    """Over a whole number of frame intervals the floor of span * fps can
+    fall one short: 29 / 25 * 25 is 28.999999999999996."""
+    args = build_parser().parse_args(["reconstruct", "--events", "e", "--out", "o",
+                                      "--fps", "25"])
+    assert np.array_equal(_requested_times(args, 0.0, 29 / 25), np.arange(30) / 25)
+    assert np.array_equal(_requested_times(args, 0.5, 0.5), [0.5])
 
 
 def test_a_shorter_run_into_a_used_directory_leaves_no_stale_frames(tmp_path):
@@ -347,7 +403,7 @@ def test_a_shorter_run_into_a_used_directory_leaves_no_stale_frames(tmp_path):
                      "--fps", fps, "--out", str(enhanced)]) == 0
     for out in (run, enhanced):
         assert sorted(p.name for p in out.glob("frame_*.pgm")) == [
-            f"frame_00000{i}.pgm" for i in range(4)]
+            f"frame_00000{i}.pgm" for i in range(6)]
         assert main(["evaluate", "--pred", str(out), "--ref", str(out),
                      "--out", str(tmp_path / "scores.csv")]) == 0
 
@@ -593,6 +649,8 @@ def test_unreadable_event_files_are_errors(tmp_path, capsys):
                                           ("total_iters = twelve", "cannot parse total_iters"),
                                           ("overlap = 9", "partition_tau > overlap"),
                                           ("lr_decay_every = 0", "lr_decay_every must be >= 1"),
+                                          ("refine_at_iters = -5, 1",
+                                           "error: refine_at_iters must be >= 0, got -5"),
                                           ("initial_bin = nan", "initial_bin must be finite"),
                                           ("lambda_reg = nan", "lambda_reg must be finite"),
                                           ("threshold_C = nan", "threshold_C must be finite"),

@@ -57,6 +57,8 @@ def test_config_validation():
         TrainConfig(refine_at_iters=(100, 400))
     with pytest.raises(ValueError):
         TrainConfig(overlap=6.0)
+    with pytest.raises(InvalidConfig, match=r"^refine_at_iters must be >= 0, got -5$"):
+        TrainConfig(refine_at_iters=(-5,))
 
 
 @pytest.mark.parametrize("bad", [{"lambda_reg": -0.1}, {"initial_bin": 0.0},
